@@ -22,7 +22,6 @@ from .analysis import (
     estimate_success_prob,
     q_extremes,
     quadratic_q_exact,
-    sample_Q,
 )
 from .cli import cli_main
 from .engine import (
@@ -59,13 +58,10 @@ from .objectives import (
 )
 from .rates import (
     RateEstimate,
-    aggregate_rates,
     estimate_cr,
-    estimate_cr_pooled,
     lower_rate_bound,
     scaled_rate,
     scaled_rate_smoothness,
-    two_point_rate,
 )
 from .theory import (
     QExtremes,

@@ -10,17 +10,25 @@ Estimators below compute its moments, the success probability and the
 log-progress of one step, and verify the lemma-level inequalities with a
 three-standard-error slack.
 
-Estimators are pure given ``(inputs, seed)``.  Batches of mutation vectors
-are processed in chunks of ``CHUNK`` rows whose partial sums combine
-associatively, so results do not depend on how chunks are scheduled; the
-chunk size is fixed here as part of the determinism contract.  Paired
-comparisons reuse one z-stream (common random numbers).
+Every estimator runs on one kernel.  It draws ``n`` standard-normal mutation
+rows from ``rng_stream(seed, ...)`` in chunks of ``max(1, ELEMS // d)`` rows,
+evaluates the objective (and, where needed, ``Q``) once per chunk, and merges
+the estimator's per-row columns into one accumulator of the count, the mean
+vector and the centred co-moment matrix.  Each value and its standard error
+are read from that accumulator: a mean with ``sqrt(s^2 / n)`` (``s^2`` with
+``n - 1`` degrees of freedom), a smooth function of several means by the
+delta method.  Estimators are pure given ``(inputs, seed)``.  The draws do
+not depend on how rows are split into chunks, so the chunk size changes
+results only through floating-point rounding and is not part of the
+determinism contract.  Paired comparisons reuse one z-stream (common random
+numbers).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -36,10 +44,9 @@ from .theory import (
 )
 
 __all__ = [
-    "CHUNK",
+    "ELEMS",
     "EstimateWithError",
     "QStats",
-    "sample_Q",
     "estimate_q_stats",
     "quadratic_q_exact",
     "quadratic_v_std",
@@ -58,8 +65,9 @@ __all__ = [
     "sigma_bar",
 ]
 
-#: Rows per processing chunk; fixed so parallel/serial reductions agree.
-CHUNK = 16384
+#: Mutation-row elements per chunk: a chunk holds ``max(1, ELEMS // d)`` rows,
+#: so each chunk-sized temporary stays near 2 MB whatever the dimension.
+ELEMS = 2**18
 
 #: Below this ratio of step length to distance, the generic remainder formula
 #: loses too many digits to cancellation.
@@ -102,47 +110,145 @@ def _require_plain(spec: ObjectiveSpec) -> None:
         raise ValueError("curvature estimators operate on non-composite specs")
 
 
-def sample_Q(spec: ObjectiveSpec, state: EsState, z) -> float:
-    """One draw of the scaled Taylor remainder along ``z``.
+# -- the Monte Carlo kernel ------------------------------------------------------
 
-    Positive for every nonzero ``z`` by strong convexity, and pathwise within
-    ``[L ||z||^2, U ||z||^2]``.  When ``sigma ||z|| / ||m||`` is below the
-    cancellation guard, diagonal quadratics switch to the exact closed form
-    ``sum(h_i z_i^2)``; other kinds reject such states (double precision
-    cannot certify the remainder there).
+
+class _Moments:
+    """Count, mean vector and centred co-moment matrix of per-row columns.
+
+    Blocks merge by the pairwise update of Chan, Golub & LeVeque, "Updating
+    formulae and a pairwise algorithm for computing sample variances"
+    (1979), so no raw power sums are kept.
+    """
+
+    def __init__(self, k: int) -> None:
+        self.n = 0
+        self.mean = np.zeros(k)
+        self.comoment = np.zeros((k, k))
+
+    def add(self, cols: np.ndarray) -> None:
+        """Merge a ``(k, rows)`` block of column values."""
+        rows = cols.shape[1]
+        mean = cols.mean(axis=1)
+        dev = cols - mean[:, None]
+        delta = mean - self.mean
+        total = self.n + rows
+        self.comoment += dev @ dev.T + np.outer(delta, delta) * (self.n * rows / total)
+        self.mean += delta * (rows / total)
+        self.n = total
+
+    def var(self, i: int) -> float:
+        """Sample variance of column ``i``."""
+        return float(self.comoment[i, i]) / (self.n - 1)
+
+    def se(self, *weights: float) -> float:
+        """Standard error of ``sum(weights[i] * mean[i])``; omitted weights are 0.
+
+        With the gradient of a smooth function of the means as weights, this
+        is the delta-method standard error of that function.
+        """
+        w = np.zeros(len(self.mean))
+        w[: len(weights)] = weights
+        return math.sqrt(max(float(w @ self.comoment @ w), 0.0) / ((self.n - 1) * self.n))
+
+
+class _Chunk:
+    """A block of mutation rows ``zs`` at ``state``, with ``fx = f(m + sigma zs)``."""
+
+    def __init__(self, spec: ObjectiveSpec, state: EsState, zs: np.ndarray) -> None:
+        self.spec, self.state, self.zs = spec, state, zs
+        self.f_m = spec.value(state.m)
+        self.fx = spec.value_many(state.m + state.sigma * zs)
+        self.success = self.fx <= self.f_m
+
+    @cached_property
+    def zg(self) -> np.ndarray:
+        """``<z, grad f(m)>`` of each row."""
+        return self.zs @ self.spec.gradient(self.state.m)
+
+    @cached_property
+    def q(self) -> np.ndarray:
+        """The scaled Taylor remainder ``Q`` of each row.
+
+        Positive for every nonzero row by strong convexity, and pathwise
+        within ``[L ||z||^2, U ||z||^2]``.  When ``sigma ||z|| / ||m||`` is
+        below the cancellation guard, diagonal quadratics switch to the exact
+        closed form ``sum(h_i z_i^2)``; other kinds reject such states (double
+        precision cannot certify the remainder there).
+        """
+        m, sigma, zs = self.state.m, self.state.sigma, self.zs
+        q = (2.0 / sigma**2) * (self.fx - self.f_m - sigma * self.zg)
+        tiny = sigma * np.linalg.norm(zs, axis=1) < CANCELLATION_GUARD * np.linalg.norm(m)
+        if np.any(tiny):
+            if not self.spec.is_quadratic:
+                raise ValueError(
+                    "step too small relative to ||m|| for a reliable remainder "
+                    "(non-quadratic spec); increase sigma"
+                )
+            zt = zs[tiny]
+            q[tiny] = np.einsum("ij,ij->i", zt * self.spec.diag, zt)
+        return q
+
+
+def _sample(spec: ObjectiveSpec, state: EsState, n: int, seed: int, columns, *key: int) -> _Moments:
+    """Merged moments of ``columns(chunk)`` over ``n`` mutation rows.
+
+    Rows come from ``rng_stream(seed, *key)``; ``columns`` maps a
+    :class:`_Chunk` to a list of per-row arrays.  This is the only loop that
+    draws mutation rows.
     """
     _require_plain(spec)
-    z = np.asarray(z, dtype=float)
-    m = np.asarray(state.m, dtype=float)
-    if not np.any(m):
+    if n < 1000:
+        raise ValueError(f"need n >= 1000 mutation rows for stable estimates, got {n}")
+    if not np.any(state.m):
         raise ValueError("state must be off-optimum")
-    sigma = state.sigma
-    znorm = float(np.linalg.norm(z))
-    if sigma * znorm < CANCELLATION_GUARD * float(np.linalg.norm(m)):
-        if spec.is_quadratic:
-            return float(np.dot(spec.diag * z, z))
-        raise ValueError(
-            "step too small relative to ||m|| for a reliable remainder "
-            "(non-quadratic spec); increase sigma"
-        )
-    gdot = float(np.dot(spec.gradient(m), z))
-    return (2.0 / sigma**2) * (spec.value(m + sigma * z) - spec.value(m) - sigma * gdot)
+    rng = rng_stream(seed, *key)
+    rows = max(1, ELEMS // spec.dim)
+    moments = None
+    for start in range(0, n, rows):
+        zs = rng.standard_normal((min(rows, n - start), spec.dim))
+        cols = np.array(columns(_Chunk(spec, state, zs)), dtype=float)
+        if moments is None:
+            moments = _Moments(len(cols))
+        moments.add(cols)
+    return moments
 
 
-def _q_chunk(spec: ObjectiveSpec, m, f_m, grad, sigma, zs):
-    """Vectorised remainder for a chunk of mutation rows."""
-    fx = spec.value_many(m + sigma * zs)
-    q = (2.0 / sigma**2) * (fx - f_m - sigma * (zs @ grad))
-    tiny = sigma * np.linalg.norm(zs, axis=1) < CANCELLATION_GUARD * np.linalg.norm(m)
-    if np.any(tiny):
-        if not spec.is_quadratic:
-            raise ValueError(
-                "step too small relative to ||m|| for a reliable remainder "
-                "(non-quadratic spec)"
-            )
-        zt = zs[tiny]
-        q[tiny] = np.einsum("ij,ij->i", zt * spec.diag, zt)
-    return q, fx
+def _q_columns(chunk: _Chunk) -> list[np.ndarray]:
+    """``Q``, ``Q`` on rows against the gradient, and ``(Q - c)^2``.
+
+    ``c`` is the trace of the quadratic part, which is ``E[Q]`` for diagonal
+    quadratics and close to it otherwise, so the delta-method error of the
+    variance cancels no digits.
+    """
+    q = chunk.q
+    return [q, q * (chunk.zg <= 0.0), (q - float(np.sum(chunk.spec.diag))) ** 2]
+
+
+def _q_stats(spec: ObjectiveSpec, moments: _Moments) -> QStats:
+    """Read :class:`QStats` from moments whose leading columns are :func:`_q_columns`."""
+    mean, half = float(moments.mean[0]), float(moments.mean[1])
+    var = moments.var(0)
+    # var = E[(Q - c)^2] - (E[Q] - c)^2, so its gradient in the means is (-2 (E[Q] - c), 0, 1).
+    shift = 2.0 * (mean - float(np.sum(spec.diag)))
+    return QStats(
+        mean_q=mean,
+        var_q=var,
+        v_std=var / mean**2,
+        half_mean_q=half,
+        kappa=mean / half,
+        n=moments.n,
+        se_mean=moments.se(1.0),
+        se_var=moments.se(-shift, 0.0, 1.0),
+        se_half=moments.se(0.0, 1.0),
+    )
+
+
+def _first_mean(moments: _Moments) -> EstimateWithError:
+    return EstimateWithError(value=float(moments.mean[0]), stderr=moments.se(1.0), n=moments.n)
+
+
+# -- estimators -------------------------------------------------------------------
 
 
 def quadratic_q_exact(spec: ObjectiveSpec) -> tuple[float, float]:
@@ -164,94 +270,22 @@ def quadratic_v_std(spec: ObjectiveSpec) -> float:
 
 def estimate_q_stats(spec: ObjectiveSpec, state: EsState, n: int, seed: int) -> QStats:
     """Sample moments of the remainder over ``n`` standard-normal mutations."""
-    _require_plain(spec)
-    if n < 1000:
-        raise ValueError("need n >= 1000 for stable moment estimates")
-    m = np.asarray(state.m, dtype=float)
-    f_m = spec.value(m)
-    grad = spec.gradient(m)
-    sigma = state.sigma
-    rng = rng_stream(seed)
-    s1 = s2 = s3 = s4 = 0.0
-    s_half = s_half2 = 0.0
-    done = 0
-    while done < n:
-        c = min(CHUNK, n - done)
-        zs = rng.standard_normal((c, spec.dim))
-        q, _ = _q_chunk(spec, m, f_m, grad, sigma, zs)
-        s1 += float(q.sum())
-        s2 += float((q**2).sum())
-        s3 += float((q**3).sum())
-        s4 += float((q**4).sum())
-        against = (zs @ grad) <= 0.0
-        qh = q * against
-        s_half += float(qh.sum())
-        s_half2 += float((qh**2).sum())
-        done += c
-    mean = s1 / n
-    var = (s2 / n - mean**2) * n / (n - 1)
-    m4 = s4 / n - 4 * mean * s3 / n + 6 * mean**2 * s2 / n - 3 * mean**4
-    half = s_half / n
-    se_mean = math.sqrt(max(var, 0.0) / n)
-    se_var = math.sqrt(max(m4 - var**2, 0.0) / n)
-    se_half = math.sqrt(max(s_half2 / n - half**2, 0.0) / n)
-    return QStats(
-        mean_q=mean,
-        var_q=var,
-        v_std=var / mean**2,
-        half_mean_q=half,
-        kappa=mean / half,
-        n=n,
-        se_mean=se_mean,
-        se_var=se_var,
-        se_half=se_half,
-    )
+    return _q_stats(spec, _sample(spec, state, n, seed, _q_columns))
 
 
 def estimate_success_prob(spec: ObjectiveSpec, state: EsState, n: int, seed: int) -> EstimateWithError:
-    """Fraction of mutations whose candidate is no worse, with binomial stderr."""
-    _require_plain(spec)
-    if n < 1000:
-        raise ValueError("need n >= 1000")
-    m = np.asarray(state.m, dtype=float)
-    f_m = spec.value(m)
-    sigma = state.sigma
-    rng = rng_stream(seed)
-    hits = 0
-    done = 0
-    while done < n:
-        c = min(CHUNK, n - done)
-        zs = rng.standard_normal((c, spec.dim))
-        fx = spec.value_many(m + sigma * zs)
-        hits += int(np.count_nonzero(fx <= f_m))
-        done += c
-    p = hits / n
-    return EstimateWithError(value=p, stderr=math.sqrt(p * (1.0 - p) / n), n=n)
+    """Fraction of mutations whose candidate is no worse, with its stderr."""
+    return _first_mean(_sample(spec, state, n, seed, lambda ch: [ch.success]))
+
+
+def _log_gain(chunk: _Chunk) -> list[np.ndarray]:
+    ratio = np.maximum(chunk.fx, 1e-300) / chunk.f_m
+    return [np.where(chunk.success, np.log(ratio), 0.0)]
 
 
 def estimate_log_progress(spec: ObjectiveSpec, state: EsState, n: int, seed: int) -> EstimateWithError:
     """Mean one-step decrease of ``log f`` (zero on rejected steps); nonpositive."""
-    _require_plain(spec)
-    if n < 1000:
-        raise ValueError("need n >= 1000")
-    m = np.asarray(state.m, dtype=float)
-    f_m = spec.value(m)
-    sigma = state.sigma
-    rng = rng_stream(seed)
-    s1 = s2 = 0.0
-    done = 0
-    while done < n:
-        c = min(CHUNK, n - done)
-        zs = rng.standard_normal((c, spec.dim))
-        fx = spec.value_many(m + sigma * zs)
-        succ = fx <= f_m
-        gain = np.where(succ, np.log(np.maximum(fx, 1e-300) / f_m), 0.0)
-        s1 += float(gain.sum())
-        s2 += float((gain**2).sum())
-        done += c
-    mean = s1 / n
-    var = max(s2 / n - mean**2, 0.0)
-    return EstimateWithError(value=mean, stderr=math.sqrt(var / n), n=n)
+    return _first_mean(_sample(spec, state, n, seed, _log_gain))
 
 
 # -- state helpers -------------------------------------------------------------
@@ -311,6 +345,16 @@ def default_state_grid(spec: ObjectiveSpec, count: int = 32, seed: int = 0) -> l
     return states
 
 
+def _scan_grid(
+    spec: ObjectiveSpec, states: list[EsState] | None, n: int, seed: int
+) -> tuple[list[EsState], list[QStats]]:
+    """Remainder statistics at each state (by default the sampled state grid)."""
+    if states is None:
+        states = default_state_grid(spec, seed=seed)
+    stats = [estimate_q_stats(spec, st, n, seed + 101 + i) for i, st in enumerate(states)]
+    return states, stats
+
+
 def q_extremes(
     spec: ObjectiveSpec,
     n: int = 100_000,
@@ -334,9 +378,7 @@ def q_extremes(
             e_q=spec.dim * spec.smoothness if conservative_e_q else mean,
             strong_convexity=spec.strong_convexity,
         )
-    if states is None:
-        states = default_state_grid(spec, seed=seed)
-    stats = [estimate_q_stats(spec, st, n, seed + 1 + i) for i, st in enumerate(states)]
+    _, stats = _scan_grid(spec, states, n, seed)
     e_q = spec.dim * spec.smoothness if conservative_e_q else max(s.mean_q for s in stats)
     return QExtremes(
         v_std_sup=max(s.v_std for s in stats),
@@ -393,6 +435,14 @@ class LemmaReport:
         }
 
 
+def _lemma_columns(chunk: _Chunk) -> list[np.ndarray]:
+    """:func:`_q_columns`, then relative progress, the ``f(m)/f(x)`` moment and success."""
+    succ = chunk.success
+    rel = np.where(succ, chunk.fx / chunk.f_m - 1.0, 0.0)
+    mom = np.where(succ, chunk.f_m / np.maximum(chunk.fx, 1e-300), 1.0)
+    return _q_columns(chunk) + [rel, mom, succ]
+
+
 def check_lemma_suite(
     spec: ObjectiveSpec,
     states: list[EsState],
@@ -410,83 +460,43 @@ def check_lemma_suite(
     checks whose error estimate is unusable are reported inconclusive.
 
     One z-stream per state is shared by all checks (common random numbers);
-    the paired progress comparison uses per-chunk batch means for its error
-    estimate.
+    the paired progress comparison takes its error by the delta method.
     """
-    _require_plain(spec)
     d = spec.dim
     lmod, umod = spec.strong_convexity, spec.smoothness
     checks: list[CheckResult] = []
     for idx, state in enumerate(states):
         sid = str(idx)
-        m = np.asarray(state.m, dtype=float)
-        f_m = spec.value(m)
-        grad = spec.gradient(m)
-        gnorm = float(np.linalg.norm(grad))
+        moments = _sample(spec, state, n, seed, _lemma_columns, idx)
+        f_m = spec.value(state.m)
+        gnorm = float(np.linalg.norm(spec.gradient(state.m)))
         sigma = state.sigma
-        rng = rng_stream(seed, idx)
-
-        s_q = s_q2 = s_q3 = s_q4 = 0.0
-        s_half = 0.0
-        s_dev = s_dev2 = 0.0
-        s_rel = s_rel2 = 0.0
-        s_mom = s_mom2 = 0.0
-        hits = 0
-        batch_diffs = []
-        done = 0
-        while done < n:
-            c = min(CHUNK, n - done)
-            zs = rng.standard_normal((c, d))
-            q, fx = _q_chunk(spec, m, f_m, grad, sigma, zs)
-            against = (zs @ grad) <= 0.0
-            succ = fx <= f_m
-            rel = np.where(succ, fx / f_m - 1.0, 0.0)
-            mom = np.where(succ, f_m / np.maximum(fx, 1e-300), 1.0)
-            qh = q * against
-            dev = q * (against - 0.5)
-
-            s_q += float(q.sum()); s_q2 += float((q**2).sum())
-            s_q3 += float((q**3).sum()); s_q4 += float((q**4).sum())
-            s_half += float(qh.sum())
-            s_dev += float(dev.sum()); s_dev2 += float((dev**2).sum())
-            s_rel += float(rel.sum()); s_rel2 += float((rel**2).sum())
-            s_mom += float(mom.sum()); s_mom2 += float((mom**2).sum())
-            chunk_hits = int(np.count_nonzero(succ))
-            hits += chunk_hits
-
-            p_k = chunk_hits / c
-            half_k = float(qh.sum()) / c
-            rhs_k = (sigma * gnorm / f_m) * (sigma * half_k / (2.0 * gnorm) - _INV_SQRT_2PI) * p_k
-            batch_diffs.append(float(rel.sum()) / c - rhs_k)
-            done += c
-
-        mean_q = s_q / n
-        var_q = (s_q2 / n - mean_q**2) * n / (n - 1)
-        m4 = s_q4 / n - 4 * mean_q * s_q3 / n + 6 * mean_q**2 * s_q2 / n - 3 * mean_q**4
-        se_mean = math.sqrt(max(var_q, 0.0) / n)
-        se_var = math.sqrt(max(m4 - var_q**2, 0.0) / n)
-        half = s_half / n
-        dev_mean = s_dev / n
-        se_dev = math.sqrt(max(s_dev2 / n - dev_mean**2, 0.0) / n)
-        p_hat = hits / n
-        se_p = math.sqrt(p_hat * (1.0 - p_hat) / n)
+        stats = _q_stats(spec, moments)
+        mean_q, var_q, se_mean = stats.mean_q, stats.var_q, stats.se_mean
+        half = stats.half_mean_q
+        rel_mean, mom_mean, p_hat = (float(x) for x in moments.mean[3:])
+        se_p = moments.se(0.0, 0.0, 0.0, 0.0, 0.0, 1.0)
 
         checks.append(CheckResult.judge("curvature_mean_lower", sid, d * lmod, mean_q, se_mean))
         checks.append(CheckResult.judge("curvature_mean_upper", sid, mean_q, d * umod, se_mean))
-        checks.append(CheckResult.judge("curvature_variance", sid, var_q, 4.0 * d * umod**2, se_var))
+        checks.append(
+            CheckResult.judge("curvature_variance", sid, var_q, 4.0 * d * umod**2, stats.se_var)
+        )
+        # Q (against - 1/2) has mean half - mean_q / 2.
+        dev_mean = half - 0.5 * mean_q
         half_bound = math.sqrt(2.0 / d) * (umod / lmod) * mean_q
-        half_slack = se_dev + math.sqrt(2.0 / d) * (umod / lmod) * se_mean
+        half_slack = moments.se(-0.5, 1.0) + math.sqrt(2.0 / d) * (umod / lmod) * se_mean
         checks.append(CheckResult.judge("curvature_half_split", sid, abs(dev_mean), half_bound, half_slack))
 
-        diffs = np.asarray(batch_diffs)
-        se_diff = float(diffs.std(ddof=1) / math.sqrt(len(diffs))) if len(diffs) > 1 else 0.0
-        rel_mean = s_rel / n
-        rhs_full = (sigma * gnorm / f_m) * (sigma * half / (2.0 * gnorm) - _INV_SQRT_2PI) * p_hat
-        checks.append(CheckResult.judge("expected_progress_bound", sid, rel_mean, rhs_full, se_diff))
+        # rhs = a (b half - 1/sqrt(2 pi)) p; the stderr of rel_mean - rhs is
+        # the delta method over the (rel, Q against, success) columns.
+        a, b = sigma * gnorm / f_m, sigma / (2.0 * gnorm)
+        rhs = a * (b * half - _INV_SQRT_2PI) * p_hat
+        se_diff = moments.se(0.0, -a * b * p_hat, 0.0, 1.0, 0.0, -a * (b * half - _INV_SQRT_2PI))
+        checks.append(CheckResult.judge("expected_progress_bound", sid, rel_mean, rhs, se_diff))
 
         if d > 3:
-            mom_mean = s_mom / n
-            se_mom = math.sqrt(max(s_mom2 / n - mom_mean**2, 0.0) / n)
+            se_mom = moments.se(0.0, 0.0, 0.0, 0.0, 1.0)
             mom_bound = (umod / lmod) * (1.0 + 1.0 / (d - 3))
             checks.append(CheckResult.judge("log_progress_moment", sid, mom_mean, mom_bound, se_mom))
         else:
@@ -497,7 +507,7 @@ def check_lemma_suite(
             v_std = quadratic_v_std(spec)
         else:
             sbar = sigma * mean_q / gnorm
-            v_std = var_q / mean_q**2
+            v_std = stats.v_std
         for eps in epsilons:
             low = std_normal_cdf(-0.5 * sbar * (1.0 + eps)) - v_std / eps**2
             high = std_normal_cdf(-0.5 * sbar * (1.0 - eps)) + v_std / eps**2
@@ -562,42 +572,24 @@ def check_assumption2(
     """
     _require_plain(spec)
     if spec.is_quadratic:
-        v_sup = quadratic_v_std(spec)
-        kappa_inf = 2.0
-        rhs = assumption_margin_rhs(kappa_inf)
-        return Assumption2Report(
-            holds=v_sup < rhs,
-            margin=rhs - v_sup,
-            v_std_sup=v_sup,
-            kappa_inf=kappa_inf,
-            rhs=rhs,
-            exact=True,
-            kappa_consistent=True,
-            states=[],
+        v_sup, kappa_inf, consistent, rows = quadratic_v_std(spec), 2.0, True, []
+    else:
+        states, stats = _scan_grid(spec, states, n, seed)
+        v_sup = max(s.v_std for s in stats)
+        kappa_inf = min(s.kappa for s in stats)
+        consistent = not any(
+            s.kappa < 1.0 - 3.0 * s.kappa * math.hypot(s.se_mean / s.mean_q, s.se_half / s.half_mean_q)
+            for s in stats
         )
-    if states is None:
-        states = default_state_grid(spec, seed=seed)
-    rows = []
-    v_sup = -math.inf
-    kappa_inf = math.inf
-    consistent = True
-    for i, st in enumerate(states):
-        stats = estimate_q_stats(spec, st, n, seed + 101 + i)
-        se_kappa = stats.kappa * math.sqrt(
-            (stats.se_mean / stats.mean_q) ** 2 + (stats.se_half / stats.half_mean_q) ** 2
-        )
-        if stats.kappa < 1.0 - 3.0 * se_kappa:
-            consistent = False
-        v_sup = max(v_sup, stats.v_std)
-        kappa_inf = min(kappa_inf, stats.kappa)
-        rows.append(
+        rows = [
             {
                 "m_norm": float(np.linalg.norm(st.m)),
                 "log_sigma": st.log_sigma,
-                "v_std": stats.v_std,
-                "kappa": stats.kappa,
+                "v_std": s.v_std,
+                "kappa": s.kappa,
             }
-        )
+            for st, s in zip(states, stats)
+        ]
     rhs = assumption_margin_rhs(kappa_inf)
     return Assumption2Report(
         holds=v_sup < rhs,
@@ -605,7 +597,7 @@ def check_assumption2(
         v_std_sup=v_sup,
         kappa_inf=kappa_inf,
         rhs=rhs,
-        exact=False,
+        exact=spec.is_quadratic,
         kappa_consistent=consistent,
         states=rows,
     )
@@ -670,34 +662,21 @@ def estimate_drift(
     difference for each; the state's step-size regime is classified by
     :func:`regime_of`.
     """
-    _require_plain(spec)
     if mean_q is None and not spec.is_quadratic:
-        stats = estimate_q_stats(spec, state, max(n, 1000), seed + 1)
-        mean_q = stats.mean_q
+        mean_q = estimate_q_stats(spec, state, n, seed + 1).mean_q
     regime = regime_of(spec, state, params, constants, mean_q=mean_q)
-    m = np.asarray(state.m, dtype=float)
-    f_m = spec.value(m)
-    sigma = state.sigma
     v0 = potential_value(state, spec, constants)
     la_up = math.log(params.alpha_up)
     la_dn = math.log(params.alpha_down)
-    rng = rng_stream(seed)
-    s1 = s2 = 0.0
-    done = 0
-    while done < n:
-        c = min(CHUNK, n - done)
-        zs = rng.standard_normal((c, spec.dim))
-        fx = spec.value_many(m + sigma * zs)
-        succ = fx <= f_m
-        f_next = np.where(succ, np.maximum(fx, 1e-300), f_m)
+
+    def potential_change(chunk: _Chunk) -> list[np.ndarray]:
+        succ = chunk.success
+        f_next = np.where(succ, np.maximum(chunk.fx, 1e-300), chunk.f_m)
         ls_next = state.log_sigma + np.where(succ, la_up, la_dn)
-        dv = potential_from_values(f_next, ls_next, constants) - v0
-        s1 += float(dv.sum())
-        s2 += float((dv**2).sum())
-        done += c
-    mean = s1 / n
-    var = max(s2 / n - mean**2, 0.0)
-    return DriftEstimate(value=mean, stderr=math.sqrt(var / n), n=n, regime=regime)
+        return [potential_from_values(f_next, ls_next, constants) - v0]
+
+    est = _first_mean(_sample(spec, state, n, seed, potential_change))
+    return DriftEstimate(value=est.value, stderr=est.stderr, n=n, regime=regime)
 
 
 def _describe(spec: ObjectiveSpec) -> str:

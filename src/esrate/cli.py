@@ -136,8 +136,7 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
-def _suite_lemmas(n: int | None, seed: int) -> dict:
-    n = n or 100_000
+def _suite_lemmas(n: int, seed: int) -> dict:
     spec = sphere(10)
     draw = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(3,)))
     m = draw.standard_normal(10)
@@ -149,11 +148,11 @@ def _suite_lemmas(n: int | None, seed: int) -> dict:
     return report.to_json() | {"suite": "lemmas"}
 
 
-def _suite_assumption2(n: int | None, seed: int) -> dict:
+def _suite_assumption2(n: int, seed: int) -> dict:
     ok = True
     out = {"suite": "assumption2", "cases": {}}
     for dim, expected in ((1000, True), (2, False)):
-        report = analysis.check_assumption2(sphere(dim), n=n or 100_000, seed=seed)
+        report = analysis.check_assumption2(sphere(dim), n=n, seed=seed)
         oracle = 2.0 / dim < theory.assumption_margin_rhs(2.0)
         case_ok = report.holds == expected == oracle
         ok = ok and case_ok
@@ -167,17 +166,20 @@ def _suite_assumption2(n: int | None, seed: int) -> dict:
     return out
 
 
+#: Sample count of each suite when ``--n`` is not given (invariance: seeds).
+_DEFAULT_N = {"invariance": 20, "lemmas": 100_000, "assumption2": 100_000, "drift": 20_000}
+
+
 def _cmd_verify(args) -> int:
+    n = _DEFAULT_N[args.suite] if args.n is None else args.n
     if args.suite == "invariance":
-        report = harness.invariance_report(
-            n_seeds=args.n or 20, base_seed=args.seed or 20240
-        )
+        report = harness.invariance_report(n_seeds=n, base_seed=args.seed or 20240)
     elif args.suite == "lemmas":
-        report = _suite_lemmas(args.n, args.seed)
+        report = _suite_lemmas(n, args.seed)
     elif args.suite == "assumption2":
-        report = _suite_assumption2(args.n, args.seed)
+        report = _suite_assumption2(n, args.seed)
     else:
-        report = harness.drift_report(n=args.n or 20_000, seed=args.seed or 77)
+        report = harness.drift_report(n=n, seed=args.seed or 77)
     print(json.dumps(report, indent=2, default=float))
     return 0 if report["ok"] else 2
 

@@ -407,6 +407,8 @@ def invariance_report(
     every transform composite (same optimum) and of a translated composite
     with an integer shift; recorded series must match bit for bit.
     """
+    if n_seeds < 1:
+        raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
     if specs is None:
         specs = [sphere(8), hessian_family("h1", 5, 1), hessian_family("h3", 6, 1)]
     checks = []

@@ -19,12 +19,9 @@ from .objectives import ObjectiveSpec
 __all__ = [
     "RateEstimate",
     "estimate_cr",
-    "estimate_cr_pooled",
-    "two_point_rate",
     "lower_rate_bound",
     "scaled_rate",
     "scaled_rate_smoothness",
-    "aggregate_rates",
 ]
 
 
@@ -96,57 +93,6 @@ def estimate_cr(traj: Trajectory, window_frac: float = 0.1, series: str = "log_d
     )
 
 
-def estimate_cr_pooled(
-    trajs: list[Trajectory], window_frac: float = 0.1, series: str = "log_dist"
-) -> RateEstimate:
-    """Common-slope fit over several trajectories with per-trial intercepts.
-
-    Equals the mean of per-trial slopes when the windows align exactly.
-    """
-    if not trajs:
-        raise ValueError("need at least one trajectory")
-    num = 0.0
-    den = 0.0
-    windows = []
-    for traj in trajs:
-        start, end = _window(traj.t_final, window_frac)
-        if end - start + 1 < 10:
-            raise ValueError("window has fewer than 10 points")
-        y = _series(traj, series)[start : end + 1]
-        x = np.arange(start, end + 1, dtype=float)
-        xc = x - x.mean()
-        num += float(np.dot(xc, y))
-        den += float(np.dot(xc, xc))
-        windows.append((start, end))
-    slope = num / den
-    resid_ss = 0.0
-    n_total = 0
-    for traj, (start, end) in zip(trajs, windows):
-        y = _series(traj, series)[start : end + 1]
-        x = np.arange(start, end + 1, dtype=float)
-        r = (y - y.mean()) - slope * (x - x.mean())
-        resid_ss += float(np.dot(r, r))
-        n_total += len(x)
-    dof = max(n_total - 2 * len(trajs), 1)
-    stderr = math.sqrt(resid_ss / dof / den)
-    return RateEstimate(
-        cr_hat=-slope,
-        stderr=stderr,
-        window=windows[0],
-        series=series,
-        trials_aggregated=len(trajs),
-    )
-
-
-def two_point_rate(traj: Trajectory, window_frac: float = 0.1) -> float:
-    """Two-point variant: log-distance drop across the window over its length."""
-    start = int(math.floor((1.0 - window_frac) * traj.t_final))
-    span = traj.t_final - start
-    if span < 1:
-        raise ValueError("trajectory too short for the two-point rate")
-    return -float(traj.log_dist[traj.t_final] - traj.log_dist[start]) / span
-
-
 def lower_rate_bound(dim: int) -> float:
     """Maximal admissible rate, ``1/d`` nats per iteration."""
     if dim < 1:
@@ -166,21 +112,3 @@ def scaled_rate(est: RateEstimate, spec: ObjectiveSpec) -> float:
 def scaled_rate_smoothness(est: RateEstimate, spec: ObjectiveSpec) -> float:
     """Rate scaled by ``d*U/L``, the non-quadratic fallback scaling."""
     return est.cr_hat * spec.dim * spec.smoothness / spec.strong_convexity
-
-
-def aggregate_rates(estimates: list[RateEstimate]) -> RateEstimate:
-    """Mean of per-trial rates with the standard error over trials."""
-    if not estimates:
-        raise ValueError("nothing to aggregate")
-    values = np.array([e.cr_hat for e in estimates])
-    if len(values) > 1:
-        stderr = float(values.std(ddof=1) / math.sqrt(len(values)))
-    else:
-        stderr = estimates[0].stderr
-    return RateEstimate(
-        cr_hat=float(values.mean()),
-        stderr=stderr,
-        window=estimates[0].window,
-        series=estimates[0].series,
-        trials_aggregated=len(values),
-    )

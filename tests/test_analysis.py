@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from esrate import theory
+from esrate import analysis, theory
 from esrate.analysis import (
+    _Chunk,
     check_assumption2,
     check_lemma_suite,
     default_state_grid,
@@ -16,11 +19,10 @@ from esrate.analysis import (
     quadratic_q_exact,
     quadratic_v_std,
     regime_of,
-    sample_Q,
     sigma_bar,
     state_at_sigma_bar,
 )
-from esrate.engine import EsState, params_for_target
+from esrate.engine import EsState, params_for_target, rng_stream
 from esrate.objectives import (
     hessian_family,
     make_composite,
@@ -37,7 +39,12 @@ def _state(m, sigma):
     return EsState(np.asarray(m, dtype=float), math.log(sigma))
 
 
-# -- sample_Q --------------------------------------------------------------------
+def sample_Q(spec, state, z):
+    """The kernel's remainder ``Q`` on a one-row batch."""
+    return float(_Chunk(spec, state, np.asarray(z, dtype=float)[None, :]).q[0])
+
+
+# -- the kernel's remainder on one-row batches -----------------------------------
 
 
 def test_sample_q_quadratic_matches_algebraic_expansion():
@@ -65,7 +72,9 @@ def test_sample_q_tiny_sigma_uses_closed_form():
     spec = hessian_family("h1", 4, 1)
     z = RNG.standard_normal(4)
     got = sample_Q(spec, _state([5.0, 1.0, 1.0, 1.0], 1e-12), z)
-    assert got == float(np.dot(spec.diag * z, z))
+    # the closed form as the kernel evaluates it: a row reduction over the batch
+    zs = z[None, :]
+    assert got == float(np.einsum("ij,ij->i", zs * spec.diag, zs)[0])
 
 
 def test_sample_q_tiny_sigma_rejected_for_perturbed():
@@ -313,6 +322,16 @@ def test_q_extremes_exact_for_quadratics():
     assert capped.e_q == 20 * spec.smoothness
 
 
+def test_q_extremes_share_assumption2_scan():
+    spec = perturbed_family(12, 1)
+    states = default_state_grid(spec, count=8, seed=2)
+    for kwargs in ({"states": states}, {}):
+        ex = q_extremes(spec, n=2_000, seed=2, **kwargs)
+        report = check_assumption2(spec, n=2_000, seed=2, **kwargs)
+        assert ex.v_std_sup == report.v_std_sup
+        assert ex.kappa_inf == report.kappa_inf
+
+
 def test_default_state_grid_spans_distances():
     spec = perturbed_family(6, 0)
     states = default_state_grid(spec, count=32, seed=1)
@@ -356,3 +375,87 @@ def test_sigma_bar_round_trip():
     spec = sphere(12)
     state = state_at_sigma_bar(spec, np.ones(12), 2.5)
     assert sigma_bar(spec, state) == pytest.approx(2.5, rel=1e-12)
+
+
+# -- the streaming kernel -------------------------------------------------------------------
+
+
+def _all_estimates(elems):
+    """Every float and verdict the five estimators give with ``ELEMS = elems``."""
+    h1 = hessian_family("h1", 10, 1)
+    m = np.random.default_rng(21).standard_normal(10)
+    states = [state_at_sigma_bar(h1, m, s) for s in (0.3, 3.0)]
+    pert = perturbed_family(10, 1)
+    sph = sphere(50)
+    params = params_for_target(math.exp(1.0 / 50), 0.3)
+    constants = theory.build_constants(theory.QExtremes(0.0, 2.0, 50.0, 1.0), params, 0.25, 0.45)
+    drift_state = state_at_sigma_bar(sph, np.full(50, 1.0), 0.5 * (constants.b_high + constants.b_low))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "ELEMS", elems)
+        values = list(vars(estimate_q_stats(pert, _state(m, 0.2), 2_000, seed=1)).values())
+        for est in (
+            estimate_success_prob(h1, states[0], 2_000, seed=2),
+            estimate_log_progress(h1, states[1], 2_000, seed=3),
+            estimate_drift(sph, drift_state, params, constants, 2_000, seed=5),
+        ):
+            values += [est.value, est.stderr]
+        report = check_lemma_suite(h1, states, 2_000, seed=4)
+    values += [x for c in report.checks for x in (c.lhs, c.rhs, c.stderr)]
+    return values, [c.verdict for c in report.checks]
+
+
+@pytest.fixture(scope="module")
+def one_chunk():
+    return _all_estimates(2_000 * 50)  # all 2000 rows in one chunk at d <= 50
+
+
+@settings(max_examples=6, deadline=None, database=None, derandomize=True)
+@given(elems=st.integers(min_value=1, max_value=120_000))
+@example(elems=1_000)  # 100 rows per chunk at d = 10, 20 at d = 50: >= 20 chunks each
+@example(elems=2_000 * 50)
+def test_results_independent_of_chunk_size(one_chunk, elems):
+    values, verdicts = _all_estimates(elems)
+    ref_values, ref_verdicts = one_chunk
+    assert verdicts == ref_verdicts
+    for got, ref in zip(values, ref_values):
+        assert math.isnan(ref) and math.isnan(got) or math.isclose(got, ref, rel_tol=1e-12)
+
+
+def test_se_var_matches_two_pass_long_double_reference():
+    spec = sphere(1000)
+    state = state_at_sigma_bar(spec, np.random.default_rng(11).standard_normal(1000), 1.0)
+    n, seed = 20_000, 4
+    stats = estimate_q_stats(spec, state, n, seed)
+    # the same rows, drawn and evaluated in the kernel's chunks
+    rng, rows = rng_stream(seed), max(1, analysis.ELEMS // spec.dim)
+    q = np.concatenate([
+        _Chunk(spec, state, rng.standard_normal((min(rows, n - s), spec.dim))).q
+        for s in range(0, n, rows)
+    ]).astype(np.longdouble)
+    dev = q - q.mean()
+    m2, m4 = (dev**2).mean(), (dev**4).mean()
+    assert stats.var_q == pytest.approx(float(m2 * n / (n - 1)), rel=1e-12)
+    assert stats.se_var == pytest.approx(float(np.sqrt((m4 - m2**2) / (n - 1))), rel=1e-12)
+
+
+def test_expected_progress_stderr_is_per_row_delta_method():
+    spec = hessian_family("h1", 10, 1)
+    m = np.random.default_rng(3).standard_normal(10)
+    state = state_at_sigma_bar(spec, m, 1.0)
+    n, seed = 2_000, 13
+    report = check_lemma_suite(spec, [state], n, seed)
+    check = next(c for c in report.checks if c.name == "expected_progress_bound")
+
+    sigma, f_m, grad = state.sigma, spec.value(m), spec.gradient(m)
+    zs = rng_stream(seed, 0).standard_normal((n, 10))
+    fx = spec.value_many(m + sigma * zs)
+    succ = fx <= f_m
+    rel = np.where(succ, fx / f_m - 1.0, 0.0)
+    q_against = (2.0 / sigma**2) * (fx - f_m - sigma * (zs @ grad)) * (zs @ grad <= 0.0)
+    gnorm = float(np.linalg.norm(grad))
+    a, b, c = sigma * gnorm / f_m, sigma / (2.0 * gnorm), 1.0 / math.sqrt(2.0 * math.pi)
+    # rel - a (b half - c) p, linearised at the sample means, row by row
+    per_row = rel - a * b * succ.mean() * q_against - a * (b * q_against.mean() - c) * succ
+    expected = per_row.std(ddof=1) / math.sqrt(n)
+    assert check.stderr > 0.0
+    assert check.stderr == pytest.approx(expected, rel=1e-9)

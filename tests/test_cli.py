@@ -142,3 +142,13 @@ def test_verify_failure_maps_to_exit_two(monkeypatch, capsys):
 
 def test_help_exits_zero(capsys):
     assert cli_main(["--help"]) == 0
+
+
+@pytest.mark.parametrize(
+    "suite,n",
+    [("lemmas", "1"), ("lemmas", "-5"), ("lemmas", "2"), ("drift", "0"), ("invariance", "-3")],
+)
+def test_verify_rejects_bad_sample_count(suite, n, capsys):
+    assert cli_main(["verify", "--suite", suite, "--n", n]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -6,14 +6,11 @@ import pytest
 from esrate.engine import EsState, Trajectory, init_default, params_for_rule, run
 from esrate.objectives import EXP_MINUS_ONE, hessian_family, make_composite, perturbed_family, sphere
 from esrate.rates import (
-    aggregate_rates,
     estimate_cr,
-    estimate_cr_pooled,
     lower_rate_bound,
     ols_slope,
     scaled_rate,
     scaled_rate_smoothness,
-    two_point_rate,
 )
 
 
@@ -64,19 +61,6 @@ def test_ols_translation_and_scale_covariance():
     assert scaled == pytest.approx(slope / 4.0, rel=1e-12)
 
 
-def test_mean_of_trials_equals_pooled_when_aligned():
-    trajs = [synthetic(800, -0.01, noise=0.05, seed=s) for s in range(5)]
-    per_trial = [estimate_cr(t) for t in trajs]
-    mean = aggregate_rates(per_trial)
-    pooled = estimate_cr_pooled(trajs)
-    assert pooled.cr_hat == pytest.approx(mean.cr_hat, rel=1e-12)
-    assert pooled.trials_aggregated == 5
-
-
-def test_two_point_variant_on_exact_line():
-    assert two_point_rate(synthetic(1000, -0.01)) == pytest.approx(0.01, abs=1e-14)
-
-
 def test_rate_invariant_under_monotone_transform():
     spec = hessian_family("h1", 6, 1)
     params = params_for_rule("const", 6)
@@ -116,11 +100,6 @@ def test_scaled_rate_rejects_non_quadratic():
         scaled_rate(est, spec)
     expected = 0.01 * 4 * spec.smoothness / spec.strong_convexity
     assert scaled_rate_smoothness(est, spec) == pytest.approx(expected)
-
-
-def test_aggregate_requires_input():
-    with pytest.raises(ValueError):
-        aggregate_rates([])
 
 
 def test_nonfinite_window_rejected():

@@ -17,6 +17,13 @@ determinism contract.  Identical ``(spec, params, init, budget, seed)``
 always reproduce bit-identical trajectories, and distinct spawn keys give
 independent streams, so trials may run in parallel in any order.
 
+:func:`run` evaluates candidates in batches of up to ``SPEC_ROWS`` rows.
+While steps reject, the incumbent stays put and ``log(sigma)`` only adds
+``log(alpha_down)``, so the candidates of a whole rejection run are known
+from the drawn rows in advance; a batch is cut at its first acceptance.
+Every float is computed as a one-step-at-a-time loop computes it, so
+``SPEC_ROWS`` and ``SPEC_ELEMS`` never enter the results.
+
 Composite objectives are simulated in canonical coordinates: the chain
 tracks ``m - x_opt`` and compares pre-transform values, which is equivalent
 by monotonicity of the transform and makes the recorded series of a
@@ -50,6 +57,12 @@ __all__ = [
 
 #: Rows of standard-normal draws per block inside :func:`run`.
 Z_BLOCK = 1024
+
+#: Most candidates :func:`run` evaluates in one batch (see the module notes),
+#: and the most elements of one batch: at large ``dim`` the rows a batch
+#: evaluates past its first acceptance cost more than the calls it saves.
+SPEC_ROWS = 8
+SPEC_ELEMS = 8192
 
 ALPHA_RULES = ("const", "sqrt", "dim")
 
@@ -193,16 +206,18 @@ def step(state: EsState, z: np.ndarray, spec: ObjectiveSpec, params: EsParams):
     return EsState(state.m, state.log_sigma + math.log(params.alpha_down)), False
 
 
-def _value_fn(spec: ObjectiveSpec):
-    # Fast scalar evaluator for the hot loop, in canonical coordinates.
+def _rows_fn(spec: ObjectiveSpec):
+    # Canonical values of the rows of a (k, dim) batch, each bit-identical to
+    # spec.value(row): vecdot reduces every row in np.dot's order, and the
+    # cosine sum runs along the row like the 1-D sum.
+    diag = spec.diag
     if spec.kind == "quadratic_diag":
-        diag = spec.diag
-
-        def value(x: np.ndarray) -> float:
-            return 0.5 * float(np.dot(diag * x, x))
-
-        return value
-    return spec.value
+        return lambda xs: 0.5 * np.vecdot(diag * xs, xs)
+    freq = spec.perturb_freq
+    scale = spec.perturb_amp / freq**2
+    return lambda xs: (
+        0.5 * np.vecdot(diag * xs, xs) + scale * np.sum(1.0 - np.cos(freq * xs), axis=1)
+    )
 
 
 def run(
@@ -218,7 +233,8 @@ def run(
     Stops early once the canonical objective value of the incumbent drops
     below ``f_floor`` (recorded as ``stop_reason='f_floor'``, with
     ``t_final`` truncated to the stopping step); otherwise runs the full
-    budget (``stop_reason='budget'``).
+    budget (``stop_reason='budget'``).  Raises ``ValueError`` for a start
+    at the optimum or with a non-finite objective value.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -228,23 +244,25 @@ def run(
     y = np.asarray(init.m, dtype=float) - shift
     if not np.any(y):
         raise ValueError("initial point must differ from the optimum")
-    value = _value_fn(base)
-    f_m = value(y)
-    log_sigma = float(init.log_sigma)
+    f_m = base.value(y)
+    if not math.isfinite(f_m):
+        raise ValueError(f"objective value at the initial point is not finite ({f_m})")
+    rows = _rows_fn(base)
     la_up = math.log(params.alpha_up)
     la_dn = math.log(params.alpha_down)
-
-    log_dist = np.empty(budget + 1)
-    log_f = np.empty(budget + 1)
-    log_sig = np.empty(budget + 1)
+    log_sigma = float(init.log_sigma)
+    # log(sigma) of every state; log_dist and log_f of the start and of each
+    # accepted step, spread over the rejections that follow at the end.
+    sig_hist = [log_sigma]
+    dist_hist = [0.5 * math.log(float(np.dot(y, y)))]
+    f_hist = [math.log(f_m)]
     success = np.zeros(budget, dtype=bool)
-    log_dist[0] = 0.5 * math.log(float(np.dot(y, y)))
-    log_f[0] = math.log(f_m)
-    log_sig[0] = log_sigma
 
     rng = rng_stream(seed)
     dim = base.dim
     stop_reason = "budget"
+    # Rows per batch; a start already below the floor takes one step and stops.
+    cap = max(1, min(SPEC_ROWS, SPEC_ELEMS // dim)) if f_m >= f_floor else 1
     t = 0
     zi = Z_BLOCK
     zbuf = None
@@ -252,34 +270,46 @@ def run(
         if zi == Z_BLOCK:
             zbuf = rng.standard_normal((Z_BLOCK, dim))
             zi = 0
-        x = y + math.exp(log_sigma) * zbuf[zi]
-        zi += 1
-        f_x = value(x)
-        if f_x <= f_m:
-            y = x
-            f_m = f_x
-            log_sigma += la_up
-            success[t] = True
-        else:
-            log_sigma += la_dn
-        t += 1
-        log_dist[t] = 0.5 * math.log(float(np.dot(y, y)))
-        log_f[t] = math.log(f_m) if f_m > 0 else -math.inf
-        log_sig[t] = log_sigma
+        # The candidates of the next k steps if all of them reject: the
+        # incumbent stays and log(sigma) falls by one step at a time, summed
+        # in the order of a per-step loop, so every float is that loop's.
+        k = min(cap, Z_BLOCK - zi, budget - t)
+        ls = [log_sigma]
+        for _ in range(k):
+            ls.append(ls[-1] + la_dn)
+        xs = np.array([math.exp(v) for v in ls[:k]])[:, None] * zbuf[zi : zi + k]
+        xs += y
+        n = k
+        for j, f_x in enumerate(rows(xs).tolist()):
+            if f_x <= f_m:
+                n = j + 1
+                ls[n] = ls[j] + la_up
+                success[t + j] = True
+                y = xs[j]
+                f_m = f_x
+                dist_hist.append(0.5 * math.log(float(np.dot(y, y))))
+                f_hist.append(math.log(f_m) if f_m > 0 else -math.inf)
+                break
+        sig_hist += ls[1 : n + 1]
+        log_sigma = ls[n]
+        t += n
+        zi += n
         if f_m < f_floor:
             stop_reason = "f_floor"
             break
 
-    final = EsState(y + shift, log_sigma)
+    # State s carries the values of the last acceptance before it.
+    last = np.zeros(t + 1, dtype=np.intp)
+    np.cumsum(success[:t], out=last[1:])
     return Trajectory(
-        log_dist=log_dist[: t + 1],
-        log_f=log_f[: t + 1],
-        log_sigma=log_sig[: t + 1],
+        log_dist=np.array(dist_hist)[last],
+        log_f=np.array(f_hist)[last],
+        log_sigma=np.array(sig_hist),
         success=success[:t],
         t_final=t,
         stop_reason=stop_reason,
         seed=seed,
-        final_state=final,
+        final_state=EsState(y + shift, log_sigma),
     )
 
 

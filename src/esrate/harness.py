@@ -30,6 +30,7 @@ from .engine import (
 )
 from .objectives import (
     ALL_TRANSFORMS,
+    KAPPA_MAX,
     ObjectiveSpec,
     hessian_family,
     make_composite,
@@ -56,6 +57,10 @@ CSV_HEADER = [
 ]
 
 OBJECTIVE_KINDS = ("h1", "h2", "h3", "perturbed")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def objective_for(kind: str, dim: int, kappa: int) -> ObjectiveSpec:
@@ -87,16 +92,22 @@ class ExperimentConfig:
         for kind in self.kinds:
             if kind not in OBJECTIVE_KINDS:
                 raise ValueError(f"unknown objective kind {kind!r}")
+        if not all(_is_int(dim) and dim >= 1 for dim in self.dims):
+            raise ValueError(f"dims must be positive integers, got {list(self.dims)}")
+        if not all(_is_int(kappa) and 0 <= kappa <= KAPPA_MAX for kappa in self.kappas):
+            raise ValueError(
+                f"kappas must be integers in [0, {KAPPA_MAX}], got {list(self.kappas)}"
+            )
         if self.alpha_rule not in ALPHA_RULES:
             raise ValueError(f"unknown alpha rule {self.alpha_rule!r}")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        if not (_is_int(self.trials) and self.trials >= 1):
+            raise ValueError("trials must be a positive integer")
         if not 0.0 < self.window_frac < 1.0:
             raise ValueError("window_frac must lie in (0, 1)")
         if not self.f_floor > 0:
             raise ValueError("f_floor must be positive")
-        if self.budget is not None and self.budget < 1:
-            raise ValueError("budget must be >= 1")
+        if self.budget is not None and not (_is_int(self.budget) and self.budget >= 1):
+            raise ValueError("budget must be a positive integer")
         for dim in self.dims:
             params_for_rule(self.alpha_rule, dim, self.c)  # validates
 
@@ -127,6 +138,8 @@ class ExperimentConfig:
         obj = dict(obj)
         for key in ("kinds", "dims", "kappas"):
             if key in obj:
+                if not isinstance(obj[key], list):
+                    raise ValueError(f"{key} must be a list, got {obj[key]!r}")
                 obj[key] = tuple(obj[key])
         return ExperimentConfig(**obj)
 

@@ -44,6 +44,9 @@ __all__ = [
 PERTURB_AMP_DEFAULT = 0.5
 PERTURB_FREQ_DEFAULT = 3.0
 
+#: Largest condition exponent of the benchmark Hessians: 10.0**308 is finite.
+KAPPA_MAX = 308
+
 
 @dataclass(frozen=True, eq=False)
 class Transform:
@@ -274,8 +277,8 @@ def hessian_family(kind: str, dim: int, kappa: int) -> ObjectiveSpec:
         raise ValueError(f"unknown Hessian family {kind!r}")
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    if kappa < 0:
-        raise ValueError("kappa must be a nonnegative integer")
+    if not 0 <= kappa <= KAPPA_MAX:
+        raise ValueError(f"kappa must be an integer in [0, {KAPPA_MAX}]")
     if dim == 1:
         diag = np.array([1.0])
     elif kind == "h1":

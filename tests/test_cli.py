@@ -152,3 +152,25 @@ def test_verify_rejects_bad_sample_count(suite, n, capsys):
     assert cli_main(["verify", "--suite", suite, "--n", n]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [{"kinds": "h1"}, {"dims": [10.5]}, {"kappas": [400]}, {"kappas": [0.5]}, {"trials": 1.5}],
+)
+def test_experiment_rejects_bad_config(bad, tmp_path, capsys):
+    cfg = {"kinds": ["h1"], "dims": [4], "kappas": [0], "trials": 1, "budget": 50, **bad}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert cli_main(["experiment", "--config", str(cfg_path), "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {next(iter(bad))} must be") and err.count("\n") == 1
+    assert not (out / "results.csv").exists()
+
+
+def test_run_rejects_kappa_beyond_float_range(tmp_path, capsys):
+    args = ["run", "--objective", "h1", "--dim", "3", "--kappa", "400",
+            "--out", str(tmp_path / "t.csv")]
+    assert cli_main(args) == 1
+    assert capsys.readouterr().err.startswith("error: ")

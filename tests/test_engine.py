@@ -2,10 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from esrate import engine
 from esrate.engine import (
+    ALPHA_RULES,
+    Z_BLOCK,
     EsParams,
     EsState,
+    Trajectory,
+    _rows_fn,
     default_sigma0,
     init_default,
     p_target,
@@ -17,6 +24,7 @@ from esrate.engine import (
 from esrate.harness import invariance_report
 from esrate.objectives import (
     CUBE_SHIFT,
+    EXP_MINUS_ONE,
     hessian_family,
     make_composite,
     perturbed_family,
@@ -229,3 +237,172 @@ def test_trajectory_csv_thinning(tmp_path):
     assert len(data) == len(range(0, traj.t_final + 1, 10)) + (
         0 if traj.t_final % 10 == 0 else 1
     )
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_run_rejects_non_finite_start():
+    for spec in (sphere(4), perturbed_family(4, 0)):
+        with pytest.raises(ValueError, match="not finite"):
+            run(spec, EsParams(2.0, 0.5), EsState(np.full(4, 1e200), 0.0), budget=50)
+
+
+# -- bit-identity against a one-step-at-a-time loop --------------------------------------
+
+
+def _reference_run(spec, params, init, budget, f_floor=1e-100, seed=0):
+    """The per-step loop :func:`run` replaced, kept as the oracle.
+
+    ``base.value`` is the arithmetic of the loop's scalar evaluator,
+    ``0.5 * float(np.dot(diag * x, x))`` for diagonal quadratics.
+    """
+    base, shift = spec.canonical()
+    y = np.asarray(init.m, dtype=float) - shift
+    value = base.value
+    f_m = value(y)
+    log_sigma = float(init.log_sigma)
+    la_up = math.log(params.alpha_up)
+    la_dn = math.log(params.alpha_down)
+
+    log_dist = np.empty(budget + 1)
+    log_f = np.empty(budget + 1)
+    log_sig = np.empty(budget + 1)
+    success = np.zeros(budget, dtype=bool)
+    log_dist[0] = 0.5 * math.log(float(np.dot(y, y)))
+    log_f[0] = math.log(f_m)
+    log_sig[0] = log_sigma
+
+    rng = engine.rng_stream(seed)
+    stop_reason = "budget"
+    t = 0
+    zi = Z_BLOCK
+    zbuf = None
+    while t < budget:
+        if zi == Z_BLOCK:
+            zbuf = rng.standard_normal((Z_BLOCK, base.dim))
+            zi = 0
+        x = y + math.exp(log_sigma) * zbuf[zi]
+        zi += 1
+        f_x = value(x)
+        if f_x <= f_m:
+            y = x
+            f_m = f_x
+            log_sigma += la_up
+            success[t] = True
+        else:
+            log_sigma += la_dn
+        t += 1
+        log_dist[t] = 0.5 * math.log(float(np.dot(y, y)))
+        log_f[t] = math.log(f_m) if f_m > 0 else -math.inf
+        log_sig[t] = log_sigma
+        if f_m < f_floor:
+            stop_reason = "f_floor"
+            break
+
+    return Trajectory(
+        log_dist=log_dist[: t + 1],
+        log_f=log_f[: t + 1],
+        log_sigma=log_sig[: t + 1],
+        success=success[:t],
+        t_final=t,
+        stop_reason=stop_reason,
+        seed=seed,
+        final_state=EsState(y + shift, log_sigma),
+    )
+
+
+def _assert_same(got, ref):
+    for name in ("log_dist", "log_f", "log_sigma", "success"):
+        a, b = getattr(got, name), getattr(ref, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert (got.t_final, got.stop_reason, got.seed) == (ref.t_final, ref.stop_reason, ref.seed)
+    assert np.array_equal(got.final_state.m, ref.final_state.m)
+    assert got.final_state.log_sigma == ref.final_state.log_sigma
+
+
+def _check_against_reference(spec, params, init, budget, f_floor=1e-100, seed=0):
+    got = run(spec, params, init, budget, f_floor, seed)
+    _assert_same(got, _reference_run(spec, params, init, budget, f_floor, seed))
+    return got
+
+
+def _family(kind, dim, kappa):
+    return perturbed_family(dim, kappa) if kind == "perturbed" else hessian_family(kind, dim, kappa)
+
+
+@pytest.mark.parametrize("rule", ALPHA_RULES)
+@pytest.mark.parametrize("dim", [1, 2, 10, 30])
+@pytest.mark.parametrize("kind", ["h1", "h2", "h3", "perturbed"])
+def test_run_matches_per_step_loop(kind, dim, rule):
+    # f_floor 1e-30: the d <= 2 chains stop on it, the others use the budget
+    spec = _family(kind, dim, 1)
+    _check_against_reference(spec, params_for_rule(rule, dim), init_default(spec, dim), 800,
+                             1e-30, seed=100 + dim)
+
+
+def test_run_matches_per_step_loop_on_f_floor_stop():
+    spec = sphere(3)
+    traj = _check_against_reference(spec, params_for_rule("const", 3), init_default(spec, 1),
+                                    5000, 1e-12, seed=1)
+    assert traj.stop_reason == "f_floor" and traj.t_final < 5000
+
+
+def test_run_matches_per_step_loop_across_z_blocks():
+    spec = hessian_family("h2", 10, 2)
+    budget = 3 * Z_BLOCK + 379
+    traj = _check_against_reference(spec, params_for_rule("const", 10), init_default(spec, 1),
+                                    budget, 1e-300, seed=1)
+    assert traj.stop_reason == "budget" and traj.t_final == budget
+
+
+@pytest.mark.parametrize("dim", [1500, 9000])
+def test_run_matches_per_step_loop_in_narrow_batches(dim):
+    # SPEC_ELEMS cuts batches to 5 rows at d = 1500 and to 1 row at d = 9000
+    spec = hessian_family("h2", dim, 2)
+    _check_against_reference(spec, params_for_rule("sqrt", dim), init_default(spec, 2), 300,
+                             seed=2)
+
+
+def test_run_matches_per_step_loop_on_composite():
+    base = perturbed_family(5, 1)
+    shift = np.array([0.5, -2.0, 3.0, 0.0, 1.25])
+    spec = make_composite(base, EXP_MINUS_ONE, shift)
+    init = init_default(spec, 4)
+    _check_against_reference(spec, params_for_rule("sqrt", 5), init, 1500, seed=4)
+
+
+def test_run_matches_per_step_loop_from_below_floor():
+    init = EsState(np.array([1e-60, 0.0]), 0.0)
+    traj = _check_against_reference(sphere(2), params_for_rule("const", 2), init, 100, seed=3)
+    assert (traj.t_final, traj.stop_reason) == (1, "f_floor")
+
+
+@settings(max_examples=10, deadline=None, database=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["h1", "h2", "h3", "perturbed"]),
+    dim=st.integers(min_value=1, max_value=12),
+    rule=st.sampled_from(ALPHA_RULES),
+    budget=st.integers(min_value=1, max_value=2 * Z_BLOCK + 100),
+    f_floor=st.sampled_from([1e-300, 1e-30, 1e-6]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(kind="h2", dim=3, rule="const", budget=2 * Z_BLOCK + 100, f_floor=1e-300, seed=0)
+def test_results_independent_of_block_size(kind, dim, rule, budget, f_floor, seed):
+    spec = _family(kind, dim, 2)
+    params = params_for_rule(rule, dim)
+    init = init_default(spec, seed)
+    ref = _reference_run(spec, params, init, budget, f_floor, seed)
+    for rows in (1, 2, 3, 8, 1024):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "SPEC_ROWS", rows)
+            _assert_same(run(spec, params, init, budget, f_floor, seed), ref)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 7, 30, 257])
+@pytest.mark.parametrize("kind", ["h2", "perturbed"])
+def test_rows_fn_matches_value_per_row(kind, dim):
+    spec = _family(kind, dim, 2)
+    rng = np.random.default_rng(dim)
+    for k in (1, 5, 8, 33):
+        xs = rng.standard_normal((k, dim)) * 10.0 ** rng.uniform(-3, 3, size=(k, 1))
+        values = _rows_fn(spec)(xs)
+        assert [float(v) for v in values] == [spec.value(x) for x in xs]

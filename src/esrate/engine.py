@@ -59,8 +59,9 @@ __all__ = [
 Z_BLOCK = 1024
 
 #: Most candidates :func:`run` evaluates in one batch (see the module notes),
-#: and the most elements of one batch: at large ``dim`` the rows a batch
-#: evaluates past its first acceptance cost more than the calls it saves.
+#: and the most elements of one batch.  Near a success rate of 1/5 about half
+#: of an 8-row batch lies past its first acceptance; from ``dim`` of a few
+#: thousand on, evaluating those rows costs more than the calls they save.
 SPEC_ROWS = 8
 SPEC_ELEMS = 8192
 
@@ -206,20 +207,6 @@ def step(state: EsState, z: np.ndarray, spec: ObjectiveSpec, params: EsParams):
     return EsState(state.m, state.log_sigma + math.log(params.alpha_down)), False
 
 
-def _rows_fn(spec: ObjectiveSpec):
-    # Canonical values of the rows of a (k, dim) batch, each bit-identical to
-    # spec.value(row): vecdot reduces every row in np.dot's order, and the
-    # cosine sum runs along the row like the 1-D sum.
-    diag = spec.diag
-    if spec.kind == "quadratic_diag":
-        return lambda xs: 0.5 * np.vecdot(diag * xs, xs)
-    freq = spec.perturb_freq
-    scale = spec.perturb_amp / freq**2
-    return lambda xs: (
-        0.5 * np.vecdot(diag * xs, xs) + scale * np.sum(1.0 - np.cos(freq * xs), axis=1)
-    )
-
-
 def run(
     spec: ObjectiveSpec,
     params: EsParams,
@@ -247,16 +234,19 @@ def run(
     f_m = base.value(y)
     if not math.isfinite(f_m):
         raise ValueError(f"objective value at the initial point is not finite ({f_m})")
-    rows = _rows_fn(base)
     la_up = math.log(params.alpha_up)
     la_dn = math.log(params.alpha_down)
     log_sigma = float(init.log_sigma)
-    # log(sigma) of every state; log_dist and log_f of the start and of each
-    # accepted step, spread over the rejections that follow at the end.
-    sig_hist = [log_sigma]
-    dist_hist = [0.5 * math.log(float(np.dot(y, y)))]
-    f_hist = [math.log(f_m)]
+    log_d = 0.5 * math.log(float(np.dot(y, y)))
+    log_fm = math.log(f_m)
+
+    log_dist = np.empty(budget + 1)
+    log_f = np.empty(budget + 1)
+    log_sig = np.empty(budget + 1)
     success = np.zeros(budget, dtype=bool)
+    log_dist[0] = log_d
+    log_f[0] = log_fm
+    log_sig[0] = log_sigma
 
     rng = rng_stream(seed)
     dim = base.dim
@@ -279,18 +269,22 @@ def run(
             ls.append(ls[-1] + la_dn)
         xs = np.array([math.exp(v) for v in ls[:k]])[:, None] * zbuf[zi : zi + k]
         xs += y
-        n = k
-        for j, f_x in enumerate(rows(xs).tolist()):
+        # Steps t .. t+n-1 happen: all reject, or the last one accepts.
+        for n, f_x in enumerate(base.value_many(xs).tolist(), 1):
             if f_x <= f_m:
-                n = j + 1
-                ls[n] = ls[j] + la_up
-                success[t + j] = True
-                y = xs[j]
-                f_m = f_x
-                dist_hist.append(0.5 * math.log(float(np.dot(y, y))))
-                f_hist.append(math.log(f_m) if f_m > 0 else -math.inf)
                 break
-        sig_hist += ls[1 : n + 1]
+        log_dist[t + 1 : t + n + 1] = log_d
+        log_f[t + 1 : t + n + 1] = log_fm
+        if f_x <= f_m:
+            ls[n] = ls[n - 1] + la_up
+            success[t + n - 1] = True
+            y = xs[n - 1]
+            f_m = f_x
+            log_d = 0.5 * math.log(float(np.dot(y, y)))
+            log_fm = math.log(f_m) if f_m > 0 else -math.inf
+            log_dist[t + n] = log_d
+            log_f[t + n] = log_fm
+        log_sig[t + 1 : t + n + 1] = ls[1 : n + 1]
         log_sigma = ls[n]
         t += n
         zi += n
@@ -298,13 +292,10 @@ def run(
             stop_reason = "f_floor"
             break
 
-    # State s carries the values of the last acceptance before it.
-    last = np.zeros(t + 1, dtype=np.intp)
-    np.cumsum(success[:t], out=last[1:])
     return Trajectory(
-        log_dist=np.array(dist_hist)[last],
-        log_f=np.array(f_hist)[last],
-        log_sigma=np.array(sig_hist),
+        log_dist=log_dist[: t + 1],
+        log_f=log_f[: t + 1],
+        log_sigma=log_sig[: t + 1],
         success=success[:t],
         t_final=t,
         stop_reason=stop_reason,

@@ -30,8 +30,8 @@ from .engine import (
 )
 from .objectives import (
     ALL_TRANSFORMS,
-    KAPPA_MAX,
     ObjectiveSpec,
+    check_kappa,
     hessian_family,
     make_composite,
     perturbed_family,
@@ -94,10 +94,8 @@ class ExperimentConfig:
                 raise ValueError(f"unknown objective kind {kind!r}")
         if not all(_is_int(dim) and dim >= 1 for dim in self.dims):
             raise ValueError(f"dims must be positive integers, got {list(self.dims)}")
-        if not all(_is_int(kappa) and 0 <= kappa <= KAPPA_MAX for kappa in self.kappas):
-            raise ValueError(
-                f"kappas must be integers in [0, {KAPPA_MAX}], got {list(self.kappas)}"
-            )
+        for kappa in self.kappas:
+            check_kappa(kappa)
         if self.alpha_rule not in ALPHA_RULES:
             raise ValueError(f"unknown alpha rule {self.alpha_rule!r}")
         if not (_is_int(self.trials) and self.trials >= 1):

@@ -33,6 +33,7 @@ __all__ = [
     "quadratic_diag",
     "sphere",
     "hessian_family",
+    "check_kappa",
     "quadratic_perturbed",
     "perturbed_family",
     "make_composite",
@@ -224,12 +225,17 @@ class ObjectiveSpec:
         return float(self.transform(self.base.value(x - self.x_opt)))
 
     def value_many(self, xs: np.ndarray) -> np.ndarray:
-        """Objective values for a batch of points, shape ``(n, dim)``."""
+        """Objective values for a batch of points, shape ``(n, dim)``.
+
+        For the quadratic kinds row ``i`` equals ``value(xs[i])`` bit for
+        bit: ``vecdot`` reduces each row in ``np.dot``'s order, and the
+        cosine sum runs along the row like the 1-D sum.
+        """
         xs = self._check_dim(xs)
         if self.kind == "quadratic_diag":
-            return 0.5 * np.einsum("ij,ij->i", xs * self.diag, xs)
+            return 0.5 * np.vecdot(self.diag * xs, xs)
         if self.kind == "quadratic_perturbed":
-            quad = 0.5 * np.einsum("ij,ij->i", xs * self.diag, xs)
+            quad = 0.5 * np.vecdot(self.diag * xs, xs)
             amp, freq = self.perturb_amp, self.perturb_freq
             return quad + (amp / freq**2) * np.sum(1.0 - np.cos(freq * xs), axis=1)
         return np.asarray(self.transform(self.base.value_many(xs - self.x_opt)))
@@ -277,8 +283,7 @@ def hessian_family(kind: str, dim: int, kappa: int) -> ObjectiveSpec:
         raise ValueError(f"unknown Hessian family {kind!r}")
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    if not 0 <= kappa <= KAPPA_MAX:
-        raise ValueError(f"kappa must be an integer in [0, {KAPPA_MAX}]")
+    check_kappa(kappa)
     if dim == 1:
         diag = np.array([1.0])
     elif kind == "h1":
@@ -290,6 +295,13 @@ def hessian_family(kind: str, dim: int, kappa: int) -> ObjectiveSpec:
         diag = np.ones(dim)
         diag[-1] = 10.0**kappa
     return quadratic_diag(diag, family=kind, kappa=kappa)
+
+
+def check_kappa(kappa) -> None:
+    """Raise ``ValueError`` unless ``kappa`` is an integer in ``[0, KAPPA_MAX]``."""
+    is_int = isinstance(kappa, (int, np.integer)) and not isinstance(kappa, bool)
+    if not (is_int and 0 <= kappa <= KAPPA_MAX):
+        raise ValueError(f"kappa must be an integer in [0, {KAPPA_MAX}], got {kappa!r}")
 
 
 def quadratic_perturbed(diag, amp: float, freq: float) -> ObjectiveSpec:

@@ -155,17 +155,23 @@ def test_verify_rejects_bad_sample_count(suite, n, capsys):
 
 
 @pytest.mark.parametrize(
-    "bad",
-    [{"kinds": "h1"}, {"dims": [10.5]}, {"kappas": [400]}, {"kappas": [0.5]}, {"trials": 1.5}],
+    "bad, message",
+    [
+        ({"kinds": "h1"}, "kinds must be"),
+        ({"dims": [10.5]}, "dims must be"),
+        ({"kappas": [400]}, "kappa must be"),
+        ({"kappas": [0.5]}, "kappa must be"),
+        ({"trials": 1.5}, "trials must be"),
+    ],
 )
-def test_experiment_rejects_bad_config(bad, tmp_path, capsys):
+def test_experiment_rejects_bad_config(bad, message, tmp_path, capsys):
     cfg = {"kinds": ["h1"], "dims": [4], "kappas": [0], "trials": 1, "budget": 50, **bad}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     out = tmp_path / "out"
     assert cli_main(["experiment", "--config", str(cfg_path), "--out-dir", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {next(iter(bad))} must be") and err.count("\n") == 1
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
     assert not (out / "results.csv").exists()
 
 

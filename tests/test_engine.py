@@ -12,7 +12,6 @@ from esrate.engine import (
     EsParams,
     EsState,
     Trajectory,
-    _rows_fn,
     default_sigma0,
     init_default,
     p_target,
@@ -354,9 +353,9 @@ def test_run_matches_per_step_loop_across_z_blocks():
     assert traj.stop_reason == "budget" and traj.t_final == budget
 
 
-@pytest.mark.parametrize("dim", [1500, 9000])
-def test_run_matches_per_step_loop_in_narrow_batches(dim):
-    # SPEC_ELEMS cuts batches to 5 rows at d = 1500 and to 1 row at d = 9000
+def test_run_matches_per_step_loop_in_narrow_batches():
+    # SPEC_ELEMS cuts batches to 5 rows at d = 1500
+    dim = 1500
     spec = hessian_family("h2", dim, 2)
     _check_against_reference(spec, params_for_rule("sqrt", dim), init_default(spec, 2), 300,
                              seed=2)
@@ -391,18 +390,10 @@ def test_results_independent_of_block_size(kind, dim, rule, budget, f_floor, see
     params = params_for_rule(rule, dim)
     init = init_default(spec, seed)
     ref = _reference_run(spec, params, init, budget, f_floor, seed)
-    for rows in (1, 2, 3, 8, 1024):
+    # (SPEC_ROWS, SPEC_ELEMS): row caps alone, then element caps of 1 and 2 rows
+    for rows, elems in ((1, 2**62), (2, 2**62), (3, 2**62), (8, 2**62), (1024, 2**62),
+                        (8, 1), (8, 3 * dim - 1)):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(engine, "SPEC_ROWS", rows)
+            mp.setattr(engine, "SPEC_ELEMS", elems)
             _assert_same(run(spec, params, init, budget, f_floor, seed), ref)
-
-
-@pytest.mark.parametrize("dim", [1, 2, 7, 30, 257])
-@pytest.mark.parametrize("kind", ["h2", "perturbed"])
-def test_rows_fn_matches_value_per_row(kind, dim):
-    spec = _family(kind, dim, 2)
-    rng = np.random.default_rng(dim)
-    for k in (1, 5, 8, 33):
-        xs = rng.standard_normal((k, dim)) * 10.0 ** rng.uniform(-3, 3, size=(k, 1))
-        values = _rows_fn(spec)(xs)
-        assert [float(v) for v in values] == [spec.value(x) for x in xs]

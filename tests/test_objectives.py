@@ -78,6 +78,16 @@ def test_hessian_families_identity_at_kappa_zero():
         np.testing.assert_array_equal(hessian_family(kind, 5, 0).diag, np.ones(5))
 
 
+@pytest.mark.parametrize("kappa", [-1, 309, 0.5, 2.0, True])
+def test_hessian_family_rejects_bad_kappa(kappa):
+    with pytest.raises(ValueError, match="kappa must be an integer"):
+        hessian_family("h1", 3, kappa)
+
+
+def test_hessian_family_accepts_largest_kappa():
+    assert hessian_family("h3", 2, 308).diag[-1] == 1e308
+
+
 def test_hessian_families_dim_one():
     for kind in ("h1", "h2", "h3"):
         np.testing.assert_array_equal(hessian_family(kind, 1, 3).diag, [1.0])
@@ -90,6 +100,17 @@ def test_traces_match_closed_forms(d, kappa):
     assert hessian_family("h3", d, kappa).trace_hessian == d - 1 + 10.0**kappa
     expected = sum(10.0 ** (kappa * i / (d - 1)) for i in range(d))
     assert hessian_family("h2", d, kappa).trace_hessian == pytest.approx(expected, rel=1e-15)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 7, 30, 257])
+@pytest.mark.parametrize("kind", ["h2", "perturbed"])
+def test_value_many_matches_value_per_row(kind, dim):
+    spec = perturbed_family(dim, 2) if kind == "perturbed" else hessian_family(kind, dim, 2)
+    rng = np.random.default_rng(dim)
+    for k in (1, 5, 8, 33):
+        xs = rng.standard_normal((k, dim)) * 10.0 ** rng.uniform(-3, 3, size=(k, 1))
+        values = spec.value_many(xs)
+        assert [float(v) for v in values] == [spec.value(x) for x in xs]
 
 
 def test_identity_composite_matches_base():

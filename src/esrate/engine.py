@@ -11,11 +11,13 @@ Determinism contract
 --------------------
 All randomness flows through :func:`rng_stream`: a PCG64 generator seeded by
 ``numpy.random.SeedSequence(entropy=seed, spawn_key=key)``.  Normal variates
-come from ``Generator.standard_normal`` and are drawn in blocks of
-``Z_BLOCK`` rows inside :func:`run`; the block size is part of the
-determinism contract.  Identical ``(spec, params, init, budget, seed)``
-always reproduce bit-identical trajectories, and distinct spawn keys give
-independent streams, so trials may run in parallel in any order.
+come from ``Generator.standard_normal``, one row of ``dim`` draws per
+step; :func:`run` draws them in blocks of at most ``Z_BLOCK`` rows, fewer
+when fewer steps are left, and the generator fills rows in stream order,
+so the block size never enters the results.  Identical ``(spec, params,
+init, budget, seed)`` always reproduce bit-identical trajectories, and
+distinct spawn keys give independent streams, so trials may run in
+parallel in any order.
 
 :func:`run` evaluates candidates in batches of up to ``SPEC_ROWS`` rows.
 While steps reject, the incumbent stays put and ``log(sigma)`` only adds
@@ -55,7 +57,7 @@ __all__ = [
     "ALPHA_RULES",
 ]
 
-#: Rows of standard-normal draws per block inside :func:`run`.
+#: Most rows of standard-normal draws per block inside :func:`run`.
 Z_BLOCK = 1024
 
 #: Most candidates :func:`run` evaluates in one batch (see the module notes),
@@ -107,14 +109,20 @@ def params_for_rule(rule: str, dim: int, c: float = 1.0, down_exponent: float = 
     ``alpha_down = alpha_up ** -down_exponent``; the default exponent 1/4
     targets a success probability of 1/5.
     """
+    if not dim >= 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
     if rule == "const":
-        up = math.exp(c)
+        log_up = c
     elif rule == "sqrt":
-        up = math.exp(c / math.sqrt(dim))
+        log_up = c / math.sqrt(dim)
     elif rule == "dim":
-        up = math.exp(c / dim)
+        log_up = c / dim
     else:
         raise ValueError(f"unknown alpha rule {rule!r}; expected one of {ALPHA_RULES}")
+    try:
+        up = math.exp(log_up)
+    except OverflowError:
+        raise ValueError(f"alpha_up = exp({log_up:g}) exceeds the float range") from None
     return EsParams(alpha_up=up, alpha_down=up**-down_exponent)
 
 
@@ -207,6 +215,19 @@ def step(state: EsState, z: np.ndarray, spec: ObjectiveSpec, params: EsParams):
     return EsState(state.m, state.log_sigma + math.log(params.alpha_down)), False
 
 
+def _log_norm(y: np.ndarray) -> float:
+    """``log ||y||``; ``-inf`` only at ``y == 0``.
+
+    Below about 1e-162 the squared norm underflows to 0, and the scaled
+    ``math.hypot`` takes over.
+    """
+    sq = float(np.dot(y, y))
+    if sq > 0:
+        return 0.5 * math.log(sq)
+    norm = math.hypot(*y)
+    return math.log(norm) if norm > 0 else -math.inf
+
+
 def run(
     spec: ObjectiveSpec,
     params: EsParams,
@@ -237,7 +258,7 @@ def run(
     la_up = math.log(params.alpha_up)
     la_dn = math.log(params.alpha_down)
     log_sigma = float(init.log_sigma)
-    log_d = 0.5 * math.log(float(np.dot(y, y)))
+    log_d = _log_norm(y)
     log_fm = math.log(f_m)
 
     log_dist = np.empty(budget + 1)
@@ -254,16 +275,16 @@ def run(
     # Rows per batch; a start already below the floor takes one step and stops.
     cap = max(1, min(SPEC_ROWS, SPEC_ELEMS // dim)) if f_m >= f_floor else 1
     t = 0
-    zi = Z_BLOCK
-    zbuf = None
+    zbuf = np.empty((0, dim))
+    zi = 0
     while t < budget:
-        if zi == Z_BLOCK:
-            zbuf = rng.standard_normal((Z_BLOCK, dim))
+        if zi == len(zbuf):
+            zbuf = rng.standard_normal((min(Z_BLOCK, budget - t), dim))
             zi = 0
         # The candidates of the next k steps if all of them reject: the
         # incumbent stays and log(sigma) falls by one step at a time, summed
         # in the order of a per-step loop, so every float is that loop's.
-        k = min(cap, Z_BLOCK - zi, budget - t)
+        k = min(cap, len(zbuf) - zi, budget - t)
         ls = [log_sigma]
         for _ in range(k):
             ls.append(ls[-1] + la_dn)
@@ -280,7 +301,7 @@ def run(
             success[t + n - 1] = True
             y = xs[n - 1]
             f_m = f_x
-            log_d = 0.5 * math.log(float(np.dot(y, y)))
+            log_d = _log_norm(y)
             log_fm = math.log(f_m) if f_m > 0 else -math.inf
             log_dist[t + n] = log_d
             log_f[t + n] = log_fm

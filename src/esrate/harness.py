@@ -63,6 +63,16 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    """An int or float that is finite as a float; bools excluded."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 def objective_for(kind: str, dim: int, kappa: int) -> ObjectiveSpec:
     if kind in ("h1", "h2", "h3"):
         return hessian_family(kind, dim, kappa)
@@ -100,6 +110,12 @@ class ExperimentConfig:
             raise ValueError(f"unknown alpha rule {self.alpha_rule!r}")
         if not (_is_int(self.trials) and self.trials >= 1):
             raise ValueError("trials must be a positive integer")
+        if not (_is_int(self.base_seed) and self.base_seed >= 0):
+            raise ValueError("base_seed must be a non-negative integer")
+        for name in ("c", "f_floor", "window_frac"):
+            value = getattr(self, name)
+            if not _is_real(value):
+                raise ValueError(f"{name} must be a finite real number, got {value!r}")
         if not 0.0 < self.window_frac < 1.0:
             raise ValueError("window_frac must lie in (0, 1)")
         if not self.f_floor > 0:

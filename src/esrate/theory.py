@@ -50,6 +50,8 @@ __all__ = [
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 #: b_low values beyond this are reported as divergent.
 _B_LOW_CAP = 1e6
+#: Points per axis of the (q_low, q_high) scan in :func:`b_upper`.
+_GRID = 64
 
 
 def std_normal_cdf(x):
@@ -88,7 +90,8 @@ def b_low_at(q: float, v_std: float, eps: float) -> float:
     return 2.0 * float(ndtri(arg)) / (1.0 - eps)
 
 
-def _golden_max(fn, lo: float, hi: float, iters: int = 48):
+def _golden_max(fn, lo: float, hi: float, iters: int = 64):
+    """``(x, fn(x))`` at the maximum of a unimodal ``fn`` (golden section)."""
     ratio = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - ratio * (b - a)
@@ -106,12 +109,62 @@ def _golden_max(fn, lo: float, hi: float, iters: int = 48):
     return (c, fc) if fc >= fd else (d, fd)
 
 
+def _crossing(fn, lo: float, hi: float) -> float | None:
+    """Sign change of a decreasing ``fn`` on ``[lo, hi]``, to a few ulps.
+
+    Brent's method (Brent 1973, ch. 4): secant and inverse quadratic steps
+    inside the bracket ``[b, c]``, and a bisection whenever they shrink it
+    too slowly.  Returns the bracket end where ``fn >= 0``; ``hi`` if
+    ``fn(hi) >= 0``; ``None`` if ``fn(lo) < 0``.
+    """
+    a, fa = lo, fn(lo)
+    if fa < 0:
+        return None
+    b, fb = hi, fn(hi)
+    if fb >= 0:
+        return hi
+    c, fc = a, fa
+    d = e = b - a  # the last step and the one before it
+    while True:
+        if (fb >= 0) == (fc >= 0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol = 2.0 * math.ulp(b)
+        m = 0.5 * (c - b)
+        if abs(m) <= tol or fb == 0:
+            return b if fb >= 0 else c
+        if abs(e) >= tol and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:  # secant
+                p, q = 2.0 * m * s, 1.0 - s
+            else:  # inverse quadratic through a, b and c
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                e = d = m
+        else:
+            e = d = m
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        fb = fn(b)
+
+
 def b_high(q: float, v_std: float) -> float:
     """Largest normalized step size certified to keep success probability > q.
 
-    Maximises :func:`b_high_at` over its open ``eps`` domain.  At
-    ``v_std == 0`` the supremum is the cap ``2 * quantile(1 - q)``, returned
-    exactly.  Bounded above by that cap for every ``v_std``.
+    Maximises :func:`b_high_at` over its open ``eps`` domain, in ``log(eps)``;
+    the candidates are unimodal there.  At ``v_std == 0`` the supremum is
+    the cap ``2 * quantile(1 - q)``, returned exactly.  Bounded above by
+    that cap for every ``v_std``.
     """
     if not 0.0 < q < 0.5:
         raise ValueError("q must lie in (0, 1/2)")
@@ -126,38 +179,19 @@ def b_high(q: float, v_std: float) -> float:
         )
     eps0 = math.sqrt(2.0 * v_std / (1.0 - 2.0 * q))
     # Domain is open; inset the left endpoint.
-    lo = eps0 * (1.0 + 1e-9)
-    hi = max(1e3, 1e3 * eps0)
-    grid = np.geomspace(lo, hi, 256)
-    arg = 1.0 - (q + v_std / grid**2)
-    vals = np.where((arg > 0) & (arg < 1), 2.0 * ndtri(np.clip(arg, 1e-300, 1 - 1e-16)) / (1.0 + grid), -np.inf)
-    k = int(np.argmax(vals))
-    a = grid[max(k - 1, 0)]
-    b = grid[min(k + 1, len(grid) - 1)]
-    _, best = _golden_max(lambda e: b_high_at(q, v_std, e), a, b)
-    return float(max(best, vals[k]))
+    lo = math.log(eps0 * (1.0 + 1e-9))
+    hi = math.log(max(1e3, 1e3 * eps0))
+    return _golden_max(lambda t: b_high_at(q, v_std, math.exp(t)), lo, hi)[1]
 
 
 def _b_low_value(q: float, v_std: float) -> float:
     if v_std == 0.0:
         return 2.0 * float(ndtri(1.0 - q))
-    eps0 = math.sqrt(v_std / q)
-    lo = eps0 * (1.0 + 1e-9)
+    lo = math.sqrt(v_std / q) * (1.0 + 1e-9)
     hi = 1.0 - 1e-12
     if lo >= hi:
         return math.inf
-    grid = np.linspace(lo, hi, 512)
-    arg = 1.0 - (q - v_std / grid**2)
-    vals = np.where(
-        (arg > 0) & (arg < 1),
-        2.0 * ndtri(np.clip(arg, 1e-300, 1 - 1e-16)) / (1.0 - grid),
-        np.inf,
-    )
-    k = int(np.argmin(vals))
-    a = grid[max(k - 1, 0)]
-    b = grid[min(k + 1, len(grid) - 1)]
-    x, best = _golden_max(lambda e: -b_low_at(q, v_std, e), a, b)
-    return float(min(-best, vals[k]))
+    return -_golden_max(lambda e: -b_low_at(q, v_std, e), lo, hi)[1]
 
 
 def b_low(q: float, v_std: float) -> float:
@@ -197,8 +231,8 @@ def feasible_q_interval(v_std_sup: float, kappa_inf: float) -> tuple[float, floa
     """Open interval of admissible ``q_low`` values, ``(lower, 1/2)``.
 
     ``lower`` is the larger of ``v_std_sup`` and the crossing point where
-    ``b_low(q, v_std_sup)`` falls to ``kappa_inf * sqrt(2/pi)`` (located by
-    bisection; ``b_low`` is decreasing in ``q``).
+    ``b_low(q, v_std_sup)`` falls to ``kappa_inf * sqrt(2/pi)`` (``b_low`` is
+    decreasing in ``q``).
     """
     if kappa_inf < 1.0:
         raise ValueError("kappa_inf must be >= 1")
@@ -209,18 +243,8 @@ def feasible_q_interval(v_std_sup: float, kappa_inf: float) -> tuple[float, floa
         )
     target = kappa_inf * _SQRT_2_OVER_PI
     lo = max(v_std_sup * (1.0 + 1e-9) + 1e-12, 1e-9)
-    hi = 0.5 - 1e-12
-    crossing = -math.inf
-    if _b_low_value(lo, v_std_sup) >= target:
-        a, b = lo, hi
-        for _ in range(80):
-            mid = 0.5 * (a + b)
-            if _b_low_value(mid, v_std_sup) >= target:
-                a = mid
-            else:
-                b = mid
-        crossing = 0.5 * (a + b)
-    lower = max(v_std_sup, crossing)
+    crossing = _crossing(lambda q: _b_low_value(q, v_std_sup) - target, lo, 0.5 - 1e-12)
+    lower = v_std_sup if crossing is None else crossing
     if not lower < 0.5:
         raise ValueError("feasible q interval is empty")
     return lower, 0.5
@@ -232,24 +256,17 @@ def feasible_q_high_interval(
     """Open interval of admissible ``q_high`` values for a given ``q_low``.
 
     The lower limit is the crossing point of
-    ``(alpha_up/alpha_down) * b_high(q, v) = b_low(q_low, v)`` (bisection on
-    the decreasing-in-``q`` left side).  At ``v_std_sup == 0`` it equals
+    ``(alpha_up/alpha_down) * b_high(q, v) = b_low(q_low, v)`` (the left
+    side decreases in ``q``).  At ``v_std_sup == 0`` it equals
     ``Phi((alpha_down/alpha_up) * quantile(q_low))``.
     """
     ratio = math.exp(params.log_ratio)
     reference = b_low(q_low, v_std_sup)
-    lo = 1e-9
-    hi = 0.5 - v_std_sup - 1e-12
-    if ratio * b_high(lo, v_std_sup) < reference:
+    lower = _crossing(
+        lambda q: ratio * b_high(q, v_std_sup) - reference, 1e-9, 0.5 - v_std_sup - 1e-12
+    )
+    if lower is None:
         raise ValueError("no q_high qualifies for this q_low")
-    a, b = lo, hi
-    for _ in range(80):
-        mid = 0.5 * (a + b)
-        if ratio * b_high(mid, v_std_sup) >= reference:
-            a = mid
-        else:
-            b = mid
-    lower = 0.5 * (a + b)
     if not lower < 0.5:
         raise ValueError("feasible q_high interval is empty")
     return lower, 0.5
@@ -262,20 +279,11 @@ def q_floor(q_low: float, v_std_sup: float) -> float:
     at ``v_std_sup == 0`` and stays positive.
     """
     reference = b_low(q_low, v_std_sup)
-    lo = 1e-9
     hi = min(q_low, 0.5 - v_std_sup) - 1e-12
-    if b_high(lo, v_std_sup) < reference:
+    lower = _crossing(lambda q: b_high(q, v_std_sup) - reference, 1e-9, hi)
+    if lower is None:
         raise ValueError("q_floor collapsed to zero; inputs violate feasibility")
-    if b_high(hi, v_std_sup) >= reference:
-        return float(hi)
-    a, b = lo, hi
-    for _ in range(80):
-        mid = 0.5 * (a + b)
-        if b_high(mid, v_std_sup) >= reference:
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b)
+    return lower
 
 
 # -- constants ----------------------------------------------------------------
@@ -328,6 +336,18 @@ class TheoryConstants:
         return {k: float(val) for k, val in asdict(self).items()}
 
 
+def _decrease_and_bound(extremes, params, q_low, q_high, bh, bl, qf):
+    """``(w, bound)``: the well-adapted expected decrease and the rate bound."""
+    w = (
+        (extremes.strong_convexity / extremes.e_q)
+        * (bh / 2.0)
+        * (_SQRT_2_OVER_PI - bl / extremes.kappa_inf)
+        * qf
+    )
+    target = p_target(params)
+    return w, 0.5 * min(w / 4.0, params.log_ratio) * min(target - q_low, q_high - target)
+
+
 def build_constants(
     extremes: QExtremes, params: EsParams, q_low: float, q_high: float
 ) -> TheoryConstants:
@@ -361,18 +381,10 @@ def build_constants(
     if not s < ell:
         raise ValueError(f"s < ell violated (s={s:.6g}, ell={ell:.6g})")
     qf = q_floor(q_low, v_std)
-    lmod = extremes.strong_convexity
-    w = (
-        (lmod / extremes.e_q)
-        * (bh / 2.0)
-        * (_SQRT_2_OVER_PI - bl / extremes.kappa_inf)
-        * qf
-    )
+    w, bound = _decrease_and_bound(extremes, params, q_low, q_high, bh, bl, qf)
     if not w > 0:
         raise ValueError(f"w must be positive, got {w:.6g}")
-    log_ratio = params.log_ratio
-    v = min(w / (4.0 * log_ratio), 1.0)
-    bound = 0.5 * min(w / 4.0, log_ratio) * min(target - q_low, q_high - target)
+    v = min(w / (4.0 * params.log_ratio), 1.0)
     return TheoryConstants(
         q_low=q_low,
         q_high=q_high,
@@ -386,7 +398,7 @@ def build_constants(
         w=w,
         v=v,
         b_upper=bound,
-        strong_convexity=lmod,
+        strong_convexity=extremes.strong_convexity,
         alpha_up=params.alpha_up,
         alpha_down=params.alpha_down,
     )
@@ -440,27 +452,10 @@ def potential_value(state: EsState, spec: ObjectiveSpec, constants: TheoryConsta
 # -- rate bound ----------------------------------------------------------------
 
 
-def _bound_objective(q_low, q_high, bh, bl, qf, extremes, target, log_ratio):
-    w = (
-        (extremes.strong_convexity / extremes.e_q)
-        * (bh / 2.0)
-        * (_SQRT_2_OVER_PI - bl / extremes.kappa_inf)
-        * qf
-    )
-    if w <= 0:
-        return -math.inf
-    return 0.5 * min(w / 4.0, log_ratio) * min(target - q_low, q_high - target)
-
-
-def b_upper(
-    extremes: QExtremes,
-    params: EsParams,
-    grid: int = 64,
-    trace: list | None = None,
-) -> float:
+def b_upper(extremes: QExtremes, params: EsParams, trace: list | None = None) -> float:
     """Per-iteration convergence-rate bound, maximised over admissible pairs.
 
-    Runs a ``grid x grid`` scan of ``(q_low, q_high)`` followed by local
+    Runs a ``_GRID x _GRID`` scan of ``(q_low, q_high)`` followed by local
     golden-section refinement in each coordinate.  Raises ``ValueError``
     when ``p_target`` falls outside the feasible interval (the bound is
     then unsupported at these parameters).  If ``trace`` is a list, one
@@ -469,7 +464,6 @@ def b_upper(
     """
     v_std = extremes.v_std_sup
     target = p_target(params)
-    log_ratio = params.log_ratio
     iq_lower, _ = feasible_q_interval(v_std, extremes.kappa_inf)
     if not iq_lower < target < 0.5:
         raise ValueError(
@@ -477,14 +471,14 @@ def b_upper(
             f"({iq_lower:.6g}, 0.5); rate bound unsupported"
         )
     pad = 1e-6 * (target - iq_lower)
-    q_lows = np.linspace(iq_lower + pad, target - pad, grid)
+    q_lows = np.linspace(iq_lower + pad, target - pad, _GRID)
     qh_cap = 0.5 - v_std - 1e-9
     if qh_cap <= target:
         raise ValueError("no admissible q_high above p_target")
     hpad = 1e-6 * (qh_cap - target)
-    q_highs = np.linspace(target + hpad, qh_cap - hpad, grid)
+    q_highs = np.linspace(target + hpad, qh_cap - hpad, _GRID)
     bh_vals = np.array([b_high(q, v_std) for q in q_highs])
-    ratio = math.exp(log_ratio)
+    ratio = math.exp(params.log_ratio)
 
     low_cache: dict[float, tuple[float, float]] = {}
 
@@ -495,22 +489,26 @@ def b_upper(
             low_cache[ql] = (bl, qf)
         return low_cache[ql]
 
+    def objective(ql: float, qh: float, bh: float) -> float:
+        bl, qf = low_side(ql)
+        # (ql, qh) is admissible iff qh lies above the interval crossing,
+        # i.e. ratio * b_high(qh) < b_low(ql).
+        if bl > _B_LOW_CAP or ratio * bh >= bl:
+            return -math.inf
+        w, bound = _decrease_and_bound(extremes, params, ql, qh, bh, bl, qf)
+        return bound if w > 0 else -math.inf
+
     best = (-math.inf, None, None)
     for ql in q_lows:
-        bl, qf = low_side(float(ql))
-        if bl > _B_LOW_CAP:
+        ql = float(ql)
+        if low_side(ql)[0] > _B_LOW_CAP:
             continue
         for qh, bh in zip(q_highs, bh_vals):
-            # (ql, qh) is admissible iff qh lies above the interval crossing,
-            # i.e. ratio * b_high(qh) < b_low(ql).
-            if ratio * bh >= bl:
-                obj = -math.inf
-            else:
-                obj = _bound_objective(ql, qh, bh, bl, qf, extremes, target, log_ratio)
+            obj = objective(ql, qh, bh)
             if trace is not None:
-                trace.append((float(ql), float(qh), float(obj)))
+                trace.append((ql, float(qh), float(obj)))
             if obj > best[0]:
-                best = (obj, float(ql), float(qh))
+                best = (obj, ql, float(qh))
 
     value, ql, qh = best
     if value <= 0 or ql is None:
@@ -518,22 +516,16 @@ def b_upper(
 
     def eval_pair(a, b):
         try:
-            bl, qf = low_side(a)
-            if bl > _B_LOW_CAP:
-                return -math.inf
-            bh = b_high(b, v_std)
-            if ratio * bh >= bl:
-                return -math.inf
-            return _bound_objective(a, b, bh, bl, qf, extremes, target, log_ratio)
+            return objective(a, b, b_high(b, v_std))
         except ValueError:
             return -math.inf
 
     for _ in range(2):  # coordinate-wise refinement
-        lo = max(iq_lower + pad, ql - (target - iq_lower) / grid)
-        hi = min(target - pad, ql + (target - iq_lower) / grid)
+        lo = max(iq_lower + pad, ql - (target - iq_lower) / _GRID)
+        hi = min(target - pad, ql + (target - iq_lower) / _GRID)
         ql, val_l = _golden_max(lambda a: eval_pair(a, qh), lo, hi, iters=40)
-        lo = max(target + hpad, qh - (qh_cap - target) / grid)
-        hi = min(qh_cap - hpad, qh + (qh_cap - target) / grid)
+        lo = max(target + hpad, qh - (qh_cap - target) / _GRID)
+        hi = min(qh_cap - hpad, qh + (qh_cap - target) / _GRID)
         qh, val_h = _golden_max(lambda b: eval_pair(ql, b), lo, hi, iters=40)
         value = max(value, val_l, val_h)
     if not value > 0:

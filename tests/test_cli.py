@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -162,6 +163,15 @@ def test_verify_rejects_bad_sample_count(suite, n, capsys):
         ({"kappas": [400]}, "kappa must be"),
         ({"kappas": [0.5]}, "kappa must be"),
         ({"trials": 1.5}, "trials must be"),
+        ({"f_floor": "1e-9"}, "f_floor must be"),
+        ({"f_floor": math.inf}, "f_floor must be"),
+        ({"c": "2"}, "c must be"),
+        ({"c": True}, "c must be"),
+        ({"c": math.nan}, "c must be"),
+        ({"c": 1000}, "alpha_up = exp(1000) exceeds"),
+        ({"window_frac": None}, "window_frac must be"),
+        ({"base_seed": 1.5}, "base_seed must be"),
+        ({"base_seed": -1}, "base_seed must be"),
     ],
 )
 def test_experiment_rejects_bad_config(bad, message, tmp_path, capsys):

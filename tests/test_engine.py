@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -243,6 +244,39 @@ def test_run_rejects_non_finite_start():
     for spec in (sphere(4), perturbed_family(4, 0)):
         with pytest.raises(ValueError, match="not finite"):
             run(spec, EsParams(2.0, 0.5), EsState(np.full(4, 1e200), 0.0), budget=50)
+
+
+def test_run_survives_squared_norm_underflow():
+    # At f_floor = 5e-324 the chain runs until f is exactly 0, past the point
+    # where ||y||^2 underflows while y is still nonzero.
+    spec = sphere(1)
+    traj = run(spec, params_for_rule("const", 1), init_default(spec, 0), 20000, 5e-324, 0)
+    assert traj.stop_reason == "f_floor" and traj.log_f[-1] == -math.inf
+    assert np.all(np.isfinite(traj.log_dist))
+    assert traj.log_dist[-1] == math.log(abs(traj.final_state.m[0]))
+
+
+def test_run_draws_no_more_rows_than_steps():
+    # A full Z_BLOCK x 10^4 buffer of draws would take 82 MB.
+    dim = 10_000
+    spec = hessian_family("h1", dim, 0)
+    init = init_default(spec, 0)
+    tracemalloc.start()
+    try:
+        traj = run(spec, params_for_rule("const", dim), init, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.t_final == 10
+    assert peak < 5e6
+
+
+def test_params_for_rule_rejects_bad_input():
+    with pytest.raises(ValueError, match="exceeds the float range"):
+        params_for_rule("const", 3, 1000.0)
+    for rule in ("sqrt", "dim"):
+        with pytest.raises(ValueError, match="dim must be"):
+            params_for_rule(rule, 0)
 
 
 # -- bit-identity against a one-step-at-a-time loop --------------------------------------

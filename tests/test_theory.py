@@ -1,10 +1,16 @@
 import math
+import os
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtri
 
+import esrate
 from esrate.engine import EsParams, EsState, params_for_rule, params_for_target, p_target
 from esrate.objectives import sphere
 from esrate.theory import (
@@ -134,6 +140,66 @@ def test_optimality_certificates():
         eps = rng.uniform(eps0 * (1 + 1e-6), 1 - 1e-9, 1000)
         candidates = [b_low_at(q, v, e) for e in eps]
         assert got <= min(candidates) + 1e-9 * (1 + got)
+
+
+def _best_on_sample(fn, lo, hi, rng, n=500):
+    """Largest ``fn`` on a uniform sample of ``(lo, hi)`` and on a second,
+    finer sample around the best point of the first."""
+    xs = rng.uniform(lo, hi, n)
+    x = xs[int(np.argmax([fn(x) for x in xs]))]
+    step = (hi - lo) / n
+    xs = np.concatenate([xs, rng.uniform(max(lo, x - step), min(hi, x + step), n)])
+    return max(fn(x) for x in xs)
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(
+    q=st.floats(min_value=0.01, max_value=0.49),
+    log_frac=st.floats(min_value=-8.0, max_value=-0.05),
+    log_up=st.floats(min_value=1e-3, max_value=0.5),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_thresholds_are_optima_and_crossings_are_sharp(q, log_frac, log_up, seed):
+    # v_std spans eight decades below the tighter of the b_high and b_low limits.
+    v = min((1.0 - 2.0 * q) / 2.0, q) * 10.0**log_frac
+    rng = np.random.default_rng(seed)
+    got = b_high(q, v)
+    eps0 = math.sqrt(2 * v / (1 - 2 * q))
+    best = _best_on_sample(lambda t: b_high_at(q, v, math.exp(t)), math.log(eps0),
+                           math.log(1e4 * max(1.0, eps0)), rng)
+    assert got + 1e-9 * got >= best
+    got = b_low(q, v)
+    best = -_best_on_sample(lambda e: -b_low_at(q, v, e), math.sqrt(v / q), 1.0, rng)
+    assert got - 1e-9 * got <= best
+
+    # Each crossing: the condition holds just below it and fails just above.
+    reference = b_low(q, v)
+    params = params_for_target(math.exp(log_up), 0.3)
+    ratio = math.exp(params.log_ratio)
+    for condition, crossing in (
+        (lambda x: b_high(x, v) >= reference, lambda: q_floor(q, v)),
+        (lambda x: ratio * b_high(x, v) >= reference,
+         lambda: feasible_q_high_interval(q, v, params)[0]),
+    ):
+        try:
+            lower = crossing()
+        except ValueError:  # the condition fails on the whole bracket
+            assert not condition(1e-9)
+            continue
+        assume(lower * (1 + 1e-9) < 0.5 - v)
+        assert condition(lower * (1 - 1e-9))
+        assert not condition(lower * (1 + 1e-9))
+
+
+def test_import_leaves_out_scipy_optimize():
+    # scipy.optimize pulls in scipy.linalg: about 0.3 s and 23 MB per process.
+    code = ("import sys, esrate.cli; "
+            "print(sorted({'scipy.optimize', 'scipy.linalg'} & set(sys.modules)))")
+    src = os.path.dirname(os.path.dirname(esrate.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 # -- feasibility intervals -------------------------------------------------------
@@ -354,7 +420,7 @@ def test_b_upper_positive_and_below_dimension_bound():
         v_std_sup=2.0 / dim, kappa_inf=2.0, e_q=float(dim), strong_convexity=1.0
     )
     params = params_for_target(math.exp(1.0 / dim), 0.3)
-    bound = b_upper(extremes, params, grid=24)
+    bound = b_upper(extremes, params)
     assert 0.0 < bound <= 1.0 / dim
 
 
@@ -365,7 +431,7 @@ def test_b_upper_scaling_band_across_dimensions():
             v_std_sup=2.0 / dim, kappa_inf=2.0, e_q=float(dim), strong_convexity=1.0
         )
         params = params_for_target(math.exp(1.0 / dim), 0.35)
-        bound = b_upper(extremes, params, grid=24)
+        bound = b_upper(extremes, params)
         scale = min(1.0 / dim, params.log_ratio)
         assert bound <= 1.0 / dim
         ratios.append(bound / scale)
@@ -382,7 +448,7 @@ def test_b_upper_unsupported_for_one_fifth_rule():
 def test_b_upper_beats_fixed_pairs():
     extremes = _surrogate(500)
     params = params_for_target(math.exp(0.002), 0.3)
-    best = b_upper(extremes, params, grid=32)
+    best = b_upper(extremes, params)
     for q_low, q_high in ((0.25, 0.45), (0.28, 0.4), (0.22, 0.47)):
         fixed = build_constants(extremes, params, q_low, q_high).b_upper
         assert best >= fixed - 1e-12

@@ -23,7 +23,6 @@ from .analysis import (
     q_extremes,
     quadratic_q_exact,
 )
-from .cli import cli_main
 from .engine import (
     EsParams,
     EsState,
@@ -80,3 +79,13 @@ from .theory import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # The CLI loads on first use, so ``python -m esrate.cli`` does not find
+    # ``esrate.cli`` imported already by the package.
+    if name == "cli_main":
+        from .cli import cli_main
+
+        return cli_main
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

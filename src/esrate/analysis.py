@@ -22,6 +22,13 @@ not depend on how rows are split into chunks, so the chunk size changes
 results only through floating-point rounding and is not part of the
 determinism contract.  Paired comparisons reuse one z-stream (common random
 numbers).
+
+The loops over independent streams fan out over one process pool
+(:func:`esrate.pool.fan_out`, sized by ``ES_RATE_THREADS``): the states of
+:func:`check_lemma_suite` and the scanned states behind
+:func:`check_assumption2` and :func:`q_extremes`.  Every state owns its
+stream and results merge in state order, so they do not depend on the
+worker count.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ import numpy as np
 
 from .engine import EsParams, EsState, rng_stream
 from .objectives import ObjectiveSpec
+from .pool import fan_out
 from .theory import (
     QExtremes,
     TheoryConstants,
@@ -351,8 +359,8 @@ def _scan_grid(
     """Remainder statistics at each state (by default the sampled state grid)."""
     if states is None:
         states = default_state_grid(spec, seed=seed)
-    stats = [estimate_q_stats(spec, st, n, seed + 101 + i) for i, st in enumerate(states)]
-    return states, stats
+    tasks = [(spec, st, n, seed + 101 + i) for i, st in enumerate(states)]
+    return states, fan_out(estimate_q_stats, tasks)
 
 
 def q_extremes(
@@ -461,13 +469,15 @@ def check_lemma_suite(
 
     One z-stream per state is shared by all checks (common random numbers);
     the paired progress comparison takes its error by the delta method.
+    States are sampled in parallel by :func:`esrate.pool.fan_out`; the checks
+    are built from the returned moments in state order.
     """
     d = spec.dim
     lmod, umod = spec.strong_convexity, spec.smoothness
+    tasks = [(spec, state, n, seed, _lemma_columns, idx) for idx, state in enumerate(states)]
     checks: list[CheckResult] = []
-    for idx, state in enumerate(states):
+    for idx, (state, moments) in enumerate(zip(states, fan_out(_sample, tasks))):
         sid = str(idx)
-        moments = _sample(spec, state, n, seed, _lemma_columns, idx)
         f_m = spec.value(state.m)
         gnorm = float(np.linalg.norm(spec.gradient(state.m)))
         sigma = state.sigma

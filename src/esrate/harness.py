@@ -4,16 +4,21 @@ A configuration describes a grid of objectives (families x dims x condition
 exponents), the step-size rule, and the trial count.  Each (cell, trial)
 pair owns an independent RNG stream keyed by ``(base_seed, cell_index,
 trial_index)``, so results are bit-stable regardless of execution order or
-worker count.  ``ES_RATE_THREADS`` caps the process pool; 1 disables it.
+worker count.
+
+Trials of :func:`run_experiment`, the per-seed runs of
+:func:`invariance_report` and the regimes of :func:`drift_report` fan out
+over one process pool (:func:`esrate.pool.fan_out`, sized by
+``ES_RATE_THREADS``; 1 runs them in process).  Each task owns its stream and
+results merge in task order, so every report is bit-identical for any
+worker count.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from itertools import product
 
@@ -37,6 +42,7 @@ from .objectives import (
     perturbed_family,
     sphere,
 )
+from .pool import fan_out
 
 __all__ = [
     "ExperimentConfig",
@@ -183,8 +189,8 @@ def _trial_seed(base_seed: int, cell_index: int, trial: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _run_trial(args) -> ResultRow:
-    cfg, cell_index, kind, dim, kappa, trial = args
+def _run_trial(cfg: ExperimentConfig, cell_index: int, kind: str, dim: int, kappa: int,
+               trial: int) -> ResultRow:
     spec = objective_for(kind, dim, kappa)
     params = params_for_rule(cfg.alpha_rule, dim, cfg.c)
     seed = _trial_seed(cfg.base_seed, cell_index, trial)
@@ -206,13 +212,6 @@ def _run_trial(args) -> ResultRow:
         seed=str(trial), cr_hat=cr_hat, stderr=stderr, scaled_rate=scaled,
         stop_reason=traj.stop_reason, wall_ms=wall_ms,
     )
-
-
-def _worker_count() -> int:
-    env = os.environ.get("ES_RATE_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(os.cpu_count() or 1, 8)
 
 
 def aggregate_cell(trial_rows: list[ResultRow]) -> ResultRow:
@@ -245,12 +244,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
         for (cell_index, kind, dim, kappa) in cfg.cells()
         for trial in range(cfg.trials)
     ]
-    workers = _worker_count()
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            trial_rows = list(pool.map(_run_trial, jobs, chunksize=1))
-    else:
-        trial_rows = [_run_trial(job) for job in jobs]
+    trial_rows = fan_out(_run_trial, jobs)
     rows: list[ResultRow] = []
     for i in range(0, len(trial_rows), cfg.trials):
         cell_rows = trial_rows[i : i + cfg.trials]
@@ -422,6 +416,44 @@ def _dyadic(x: np.ndarray, bits: int = 26) -> np.ndarray:
     return np.round(x * 2.0**bits) / 2.0**bits
 
 
+def _invariance_checks(
+    spec: ObjectiveSpec, spec_idx: int, s: int, steps: int, base_seed: int
+) -> list[dict]:
+    """The check dicts of one ``(spec, seed)`` pair of :func:`invariance_report`."""
+    seed = _trial_seed(base_seed, spec_idx, s)
+    draw = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(9,)))
+    m0 = _dyadic(draw.standard_normal(spec.dim))
+    while not np.any(m0):
+        m0 = _dyadic(draw.standard_normal(spec.dim))
+    shift = draw.integers(-5, 6, size=spec.dim).astype(float)
+    params = params_for_rule("const", spec.dim)
+    sigma0 = float(np.linalg.norm(spec.gradient(m0))) / spec.trace_hessian
+    init = EsState(m=m0, log_sigma=math.log(sigma0))
+    ref = run(spec, params, init, steps, f_floor=1e-280, seed=seed)
+
+    def check(case: str, comp: ObjectiveSpec, start: EsState) -> dict:
+        traj = run(comp, params, start, steps, f_floor=1e-280, seed=seed)
+        ok = (
+            np.array_equal(ref.log_dist, traj.log_dist)
+            and np.array_equal(ref.log_f, traj.log_f)
+            and np.array_equal(ref.log_sigma, traj.log_sigma)
+            and np.array_equal(ref.success, traj.success)
+            and ref.stop_reason == traj.stop_reason
+        )
+        return {"spec": spec_idx, "seed": s, "case": case, "ok": ok}
+
+    checks = [
+        check(f"transform:{tr.name}", make_composite(spec, tr, np.zeros(spec.dim)), init)
+        for tr in ALL_TRANSFORMS
+    ]
+    shifted = EsState(m=m0 + shift, log_sigma=init.log_sigma)
+    checks.append(check("translation", make_composite(spec, ALL_TRANSFORMS[0], shift), shifted))
+    checks.append(
+        check("translation+transform", make_composite(spec, ALL_TRANSFORMS[2], shift), shifted)
+    )
+    return checks
+
+
 def invariance_report(
     specs: list[ObjectiveSpec] | None = None,
     n_seeds: int = 20,
@@ -432,65 +464,26 @@ def invariance_report(
 
     For each spec and seed, the reference run is compared against runs of
     every transform composite (same optimum) and of a translated composite
-    with an integer shift; recorded series must match bit for bit.
+    with an integer shift; recorded series must match bit for bit.  Each
+    ``(spec, seed)`` pair is one pool task.
     """
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
     if specs is None:
         specs = [sphere(8), hessian_family("h1", 5, 1), hessian_family("h3", 6, 1)]
-    checks = []
-    mismatches = 0
-    for spec_idx, spec in enumerate(specs):
-        for s in range(n_seeds):
-            seed = _trial_seed(base_seed, spec_idx, s)
-            draw = np.random.default_rng(
-                np.random.SeedSequence(entropy=seed, spawn_key=(9,))
-            )
-            m0 = _dyadic(draw.standard_normal(spec.dim))
-            while not np.any(m0):
-                m0 = _dyadic(draw.standard_normal(spec.dim))
-            shift = draw.integers(-5, 6, size=spec.dim).astype(float)
-            params = params_for_rule("const", spec.dim)
-            sigma0 = float(np.linalg.norm(spec.gradient(m0))) / spec.trace_hessian
-            init = EsState(m=m0, log_sigma=math.log(sigma0))
-            ref = run(spec, params, init, steps, f_floor=1e-280, seed=seed)
-
-            def match(traj) -> bool:
-                return (
-                    np.array_equal(ref.log_dist, traj.log_dist)
-                    and np.array_equal(ref.log_f, traj.log_f)
-                    and np.array_equal(ref.log_sigma, traj.log_sigma)
-                    and np.array_equal(ref.success, traj.success)
-                    and ref.stop_reason == traj.stop_reason
-                )
-
-            for tr in ALL_TRANSFORMS:
-                comp = make_composite(spec, tr, np.zeros(spec.dim))
-                traj = run(comp, params, init, steps, f_floor=1e-280, seed=seed)
-                ok = match(traj)
-                mismatches += 0 if ok else 1
-                checks.append(
-                    {"spec": spec_idx, "seed": s, "case": f"transform:{tr.name}", "ok": ok}
-                )
-            comp = make_composite(spec, ALL_TRANSFORMS[0], shift)
-            shifted = EsState(m=m0 + shift, log_sigma=init.log_sigma)
-            traj = run(comp, params, shifted, steps, f_floor=1e-280, seed=seed)
-            ok = match(traj)
-            mismatches += 0 if ok else 1
-            checks.append({"spec": spec_idx, "seed": s, "case": "translation", "ok": ok})
-            comp = make_composite(spec, ALL_TRANSFORMS[2], shift)
-            traj = run(comp, params, shifted, steps, f_floor=1e-280, seed=seed)
-            ok = match(traj)
-            mismatches += 0 if ok else 1
-            checks.append(
-                {"spec": spec_idx, "seed": s, "case": "translation+transform", "ok": ok}
-            )
+    tasks = [
+        (spec, spec_idx, s, steps, base_seed)
+        for spec_idx, spec in enumerate(specs)
+        for s in range(n_seeds)
+    ]
+    checks = [c for per_seed in fan_out(_invariance_checks, tasks) for c in per_seed]
+    failed = [c for c in checks if not c["ok"]]
     return {
         "suite": "invariance",
         "checks": len(checks),
-        "mismatches": mismatches,
-        "ok": mismatches == 0,
-        "details": [c for c in checks if not c["ok"]],
+        "mismatches": len(failed),
+        "ok": not failed,
+        "details": failed,
     }
 
 
@@ -531,11 +524,14 @@ def drift_report(
         "large": gain_cap * (q_low - target),
         "reasonable": -constants.w / 4.0,
     }
+    tasks = [
+        (spec, analysis.state_at_sigma_bar(spec, m, sbar), params, constants, n, seed + 10 + i)
+        for i, sbar in enumerate(sbar_by_regime.values())
+    ]
+    estimates = fan_out(analysis.estimate_drift, tasks)
     results = {}
     ok = True
-    for i, (name, sbar) in enumerate(sbar_by_regime.items()):
-        state = analysis.state_at_sigma_bar(spec, m, sbar)
-        est = analysis.estimate_drift(spec, state, params, constants, n, seed + 10 + i)
+    for (name, sbar), est in zip(sbar_by_regime.items(), estimates):
         bound = regime_bound[name]
         entry = {
             "regime": est.regime,

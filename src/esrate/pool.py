@@ -1,0 +1,61 @@
+"""One process pool for every loop over independent RNG streams.
+
+Experiment trials, lemma-suite states, grid-scan states, drift regimes and
+invariance seeds each own their RNG stream, so they can run in any process
+and in any order.  :func:`fan_out` maps a function over such tasks and
+returns the results in task order, so results never depend on the worker
+count.  ``ES_RATE_THREADS`` sets that count (default: the usable CPUs, at
+most 8); 1 runs everything in the calling process.
+"""
+
+from __future__ import annotations
+
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
+
+__all__ = ["worker_count", "fan_out"]
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def worker_count() -> int:
+    """Pool size from ``ES_RATE_THREADS``, capped at the usable CPUs.
+
+    Unset or empty means ``min(usable CPUs, 8)``.  Anything but a positive
+    integer raises ``ValueError``.
+    """
+    cpus = _usable_cpus()
+    env = os.environ.get("ES_RATE_THREADS", "").strip()
+    if not env:
+        return min(cpus, 8)
+    try:
+        count = int(env)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise ValueError(f"ES_RATE_THREADS must be a positive integer, got {env!r}")
+    return min(count, cpus)
+
+
+def fan_out(fn, tasks) -> list:
+    """``[fn(*task) for task in tasks]``, spread over up to :func:`worker_count` processes.
+
+    Results come back in task order.  ``fn`` and every task must pickle, so
+    ``fn`` is a module-level function.  One task, one worker, or a call from
+    inside a pool worker runs inline, so pools never nest.  Each call starts
+    and stops its own pool.
+    """
+    tasks = list(tasks)
+    if multiprocessing.parent_process() is not None:
+        return [fn(*task) for task in tasks]
+    workers = min(worker_count(), len(tasks))
+    if workers <= 1:
+        return [fn(*task) for task in tasks]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, *zip(*tasks), chunksize=1))

@@ -1,8 +1,12 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import esrate
 from esrate import harness
 from esrate.cli import cli_main
 
@@ -143,6 +147,40 @@ def test_verify_failure_maps_to_exit_two(monkeypatch, capsys):
 
 def test_help_exits_zero(capsys):
     assert cli_main(["--help"]) == 0
+
+
+@pytest.mark.parametrize("module", ["esrate.cli", "esrate"])
+def test_module_entry_points_run_without_warnings(module):
+    src = os.path.dirname(os.path.dirname(esrate.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", module, "--help"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 0 and out.stderr == ""
+    assert out.stdout.startswith("usage: esrate")
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3"])
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "--suite", "lemmas", "--n", "1000"],
+        ["verify", "--suite", "drift", "--n", "1000"],
+        ["verify", "--suite", "invariance", "--n", "1"],
+        ["experiment", "--config", "{config}", "--out-dir", "{out}"],
+    ],
+    ids=["lemmas", "drift", "invariance", "experiment"],
+)
+def test_bad_thread_count_exits_one(args, value, tmp_path, monkeypatch, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"kinds": ["h1"], "dims": [4], "kappas": [0], "trials": 2}))
+    args = [a.format(config=cfg_path, out=tmp_path / "out") for a in args]
+    monkeypatch.setenv("ES_RATE_THREADS", value)
+    assert cli_main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ES_RATE_THREADS must be a positive integer")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

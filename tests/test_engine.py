@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -23,6 +24,7 @@ from esrate.engine import (
 )
 from esrate.harness import invariance_report
 from esrate.objectives import (
+    ALL_TRANSFORMS,
     CUBE_SHIFT,
     EXP_MINUS_ONE,
     hessian_family,
@@ -184,6 +186,32 @@ def test_translation_equivariance_states():
     assert np.array_equal(base.log_f, moved.log_f)
     assert np.array_equal(base.success, moved.success)
     np.testing.assert_array_equal(base.final_state.m + shift, moved.final_state.m)
+
+
+@settings(max_examples=25, deadline=None, database=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["h1", "h2", "h3", "perturbed"]),
+    dim=st.integers(min_value=1, max_value=12),
+    transform=st.sampled_from(ALL_TRANSFORMS),
+    data=st.data(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_runs_invariant_under_transforms_and_integer_shifts(kind, dim, transform, data, seed):
+    spec = _family(kind, dim, 1)
+    shift = np.array(data.draw(st.lists(st.integers(-8, 8), min_size=dim, max_size=dim)), float)
+    # Dyadic with 26 fraction bits: adding and removing the shift is exact.
+    m0 = np.array(data.draw(st.lists(st.integers(-2**28, 2**28), min_size=dim, max_size=dim)))
+    m0 = m0 / 2.0**26
+    if not np.any(m0):
+        m0[0] = 1.0
+    log_sigma = data.draw(st.floats(-6.0, 2.0))
+    params = params_for_rule("const", dim)
+    base = run(spec, params, EsState(m0, log_sigma), 400, seed=seed)
+    comp = make_composite(spec, transform, shift)
+    moved = run(comp, params, EsState(m0 + shift, log_sigma), 400, seed=seed)
+    _assert_same(moved, dataclasses.replace(
+        base, final_state=EsState(base.final_state.m + shift, base.final_state.log_sigma)
+    ))
 
 
 def test_default_sigma0_sphere():

@@ -1,8 +1,12 @@
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from esrate.harness import (
     CSV_HEADER,
@@ -93,6 +97,33 @@ def test_csv_round_trip(tmp_path, small_rows):
     emit_csv(small_rows, path)
     back = read_csv(path)
     assert back == small_rows
+
+
+_ROWS = st.builds(
+    ResultRow,
+    objective=st.sampled_from(["h1", "h2", "h3", "perturbed"]),
+    d=st.integers(min_value=1, max_value=10**6),
+    kappa=st.integers(min_value=0, max_value=308),
+    alpha_rule=st.sampled_from(["const", "sqrt", "dim"]),
+    seed=st.sampled_from(["agg"]) | st.integers(min_value=0, max_value=10**4).map(str),
+    cr_hat=st.floats(),
+    stderr=st.floats(),
+    scaled_rate=st.floats(),
+    stop_reason=st.sampled_from(["budget", "f_floor", ""]),
+    wall_ms=st.integers(min_value=0, max_value=10**9),
+)
+
+
+@settings(max_examples=50, deadline=None, database=None, derandomize=True)
+@given(rows=st.lists(_ROWS, max_size=8))
+def test_csv_round_trip_of_any_rows(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rows.csv"
+        emit_csv(rows, path)
+        back = read_csv(path)
+    # repr spells every float exactly, so NaN rates and signed zeros compare too.
+    assert repr(back) == repr(rows)
+    assert [r.is_aggregate for r in back] == [r.is_aggregate for r in rows]
 
 
 def test_csv_empty_table(tmp_path):

@@ -1,7 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from esrate.objectives import (
     ALL_TRANSFORMS,
@@ -196,6 +199,33 @@ def test_json_round_trip_composite():
     x = RNG.standard_normal(3)
     assert again.value(x) == spec.value(x)
     np.testing.assert_array_equal(again.x_opt, spec.x_opt)
+
+
+_BASE_SPECS = st.one_of(
+    st.builds(hessian_family, st.sampled_from(["h1", "h2", "h3"]),
+              st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2)),
+    st.builds(perturbed_family, st.integers(min_value=1, max_value=6),
+              st.integers(min_value=0, max_value=2), amp=st.floats(0.0, 0.99),
+              freq=st.floats(0.5, 5.0)),
+)
+_TRANSFORMS = st.one_of(
+    st.sampled_from(ALL_TRANSFORMS),
+    st.builds(affine_pos, st.floats(1e-3, 1e3), st.floats(-1e3, 1e3)),
+)
+_UNIT = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(base=_BASE_SPECS, transform=st.none() | _TRANSFORMS, data=st.data())
+def test_json_round_trip_keeps_values_bit_for_bit(base, transform, data):
+    d = base.dim
+    shift = np.array(data.draw(st.lists(st.floats(-5.0, 5.0), min_size=d, max_size=d)))
+    spec = base if transform is None else make_composite(base, transform, shift)
+    again = from_json(json.loads(json.dumps(to_json(spec))))
+    assert to_json(again) == to_json(spec)
+    for _ in range(3):
+        x = spec.optimum + np.array(data.draw(st.lists(_UNIT, min_size=d, max_size=d)))
+        assert again.value(x) == spec.value(x)
 
 
 def test_json_rejects_untagged_diag():

@@ -299,17 +299,21 @@ def estimate_log_progress(spec: ObjectiveSpec, state: EsState, n: int, seed: int
 # -- state helpers -------------------------------------------------------------
 
 
+def _plain_mean_q(spec: ObjectiveSpec, mean_q: float | None) -> float:
+    """``mean_q``, or the exact trace when it is ``None`` for a diagonal quadratic."""
+    _require_plain(spec)
+    if mean_q is None and not spec.is_quadratic:
+        raise ValueError("mean_q required for non-quadratic specs")
+    return spec.trace_hessian if mean_q is None else mean_q
+
+
 def sigma_bar(spec: ObjectiveSpec, state: EsState, mean_q: float | None = None) -> float:
     """Normalized step size ``sigma * E[Q] / ||grad f(m)||``.
 
     Uses the exact trace for diagonal quadratics; other kinds must supply
     ``mean_q`` (an estimate).
     """
-    _require_plain(spec)
-    if mean_q is None:
-        if not spec.is_quadratic:
-            raise ValueError("mean_q required for non-quadratic specs")
-        mean_q = spec.trace_hessian
+    mean_q = _plain_mean_q(spec, mean_q)
     gnorm = float(np.linalg.norm(spec.gradient(state.m)))
     return state.sigma * mean_q / gnorm
 
@@ -317,11 +321,7 @@ def sigma_bar(spec: ObjectiveSpec, state: EsState, mean_q: float | None = None) 
 def state_at_sigma_bar(spec: ObjectiveSpec, m, target_sigma_bar: float,
                        mean_q: float | None = None) -> EsState:
     """State at point ``m`` whose normalized step size equals the target."""
-    _require_plain(spec)
-    if mean_q is None:
-        if not spec.is_quadratic:
-            raise ValueError("mean_q required for non-quadratic specs")
-        mean_q = spec.trace_hessian
+    mean_q = _plain_mean_q(spec, mean_q)
     m = np.asarray(m, dtype=float)
     gnorm = float(np.linalg.norm(spec.gradient(m)))
     sigma = target_sigma_bar * gnorm / mean_q
@@ -638,11 +638,7 @@ def regime_of(
     Thresholds: ``sigma < s sqrt(L f(m)) / (alpha_up e_q)`` is small;
     ``sigma > ell ||grad f(m)|| / (sqrt(2) alpha_down E[Q])`` is large.
     """
-    _require_plain(spec)
-    if mean_q is None:
-        if not spec.is_quadratic:
-            raise ValueError("mean_q required for non-quadratic specs")
-        mean_q = spec.trace_hessian
+    mean_q = _plain_mean_q(spec, mean_q)
     f_m = spec.value(state.m)
     gnorm = float(np.linalg.norm(spec.gradient(state.m)))
     small_cap = constants.s * math.sqrt(constants.strong_convexity * f_m) / (

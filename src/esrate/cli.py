@@ -7,15 +7,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import analysis, harness, rates, theory
-from .engine import init_default, params_for_rule, params_for_target, run
-from .objectives import sphere
+from . import harness, rates, theory
+from .engine import ALPHA_RULES, init_default, params_for_rule, params_for_target, run
+from .verify import SUITES
 
 __all__ = ["cli_main", "main"]
 
@@ -39,7 +36,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--objective", required=True, choices=harness.OBJECTIVE_KINDS)
     p_run.add_argument("--dim", type=int, required=True)
     p_run.add_argument("--kappa", type=int, default=0)
-    p_run.add_argument("--alpha-rule", choices=("const", "sqrt", "dim"), default="const")
+    p_run.add_argument("--alpha-rule", choices=ALPHA_RULES, default="const")
     p_run.add_argument("--c", type=float, default=1.0)
     p_run.add_argument("--budget", type=int, default=None)
     p_run.add_argument("--f-floor", type=float, default=1e-100)
@@ -59,7 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--kappa-inf", type=float, default=2.0)
     p_bounds.add_argument("--e-q", type=float, default=None,
                           help="mean-curvature supremum; defaults to dim*U")
-    p_bounds.add_argument("--alpha-rule", choices=("const", "sqrt", "dim"), default="const")
+    p_bounds.add_argument("--alpha-rule", choices=ALPHA_RULES, default="const")
     p_bounds.add_argument("--c", type=float, default=1.0)
     p_bounds.add_argument("--p-target", type=float, default=None,
                           help="pick alpha_down to hit this success probability")
@@ -71,10 +68,9 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="CSV path for the grid-search trace (with --sup)")
 
     p_verify = sub.add_parser("verify", help="run a verification suite; exit 2 on failure")
-    p_verify.add_argument("--suite", required=True,
-                          choices=("invariance", "lemmas", "assumption2", "drift"))
+    p_verify.add_argument("--suite", required=True, choices=tuple(SUITES))
     p_verify.add_argument("--n", type=int, default=None)
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--seed", type=int, default=None)
     return parser
 
 
@@ -115,11 +111,9 @@ def _cmd_bounds(args) -> int:
         v_std_sup=args.v_std, kappa_inf=args.kappa_inf, e_q=e_q,
         strong_convexity=args.L,
     )
+    params = params_for_rule(args.alpha_rule, args.dim, args.c)
     if args.p_target is not None:
-        base = params_for_rule(args.alpha_rule, args.dim, args.c)
-        params = params_for_target(base.alpha_up, args.p_target)
-    else:
-        params = params_for_rule(args.alpha_rule, args.dim, args.c)
+        params = params_for_target(params.alpha_up, args.p_target)
     constants = theory.build_constants(extremes, params, args.q_low, args.q_high)
     out = constants.as_dict()
     out["p_target"] = theory.p_target(params)
@@ -136,50 +130,9 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
-def _suite_lemmas(n: int, seed: int) -> dict:
-    spec = sphere(10)
-    draw = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(3,)))
-    m = draw.standard_normal(10)
-    states = [
-        analysis.state_at_sigma_bar(spec, m, sbar)
-        for sbar in np.geomspace(0.1, 10.0, 5)
-    ]
-    report = analysis.check_lemma_suite(spec, states, n, seed)
-    return report.to_json() | {"suite": "lemmas"}
-
-
-def _suite_assumption2(n: int, seed: int) -> dict:
-    ok = True
-    out = {"suite": "assumption2", "cases": {}}
-    for dim, expected in ((1000, True), (2, False)):
-        report = analysis.check_assumption2(sphere(dim), n=n, seed=seed)
-        oracle = 2.0 / dim < theory.assumption_margin_rhs(2.0)
-        case_ok = report.holds == expected == oracle
-        ok = ok and case_ok
-        out["cases"][f"sphere_d{dim}"] = {
-            "holds": report.holds,
-            "margin": report.margin,
-            "expected": expected,
-            "ok": case_ok,
-        }
-    out["ok"] = ok
-    return out
-
-
-#: Sample count of each suite when ``--n`` is not given (invariance: seeds).
-_DEFAULT_N = {"invariance": 20, "lemmas": 100_000, "assumption2": 100_000, "drift": 20_000}
-
-
 def _cmd_verify(args) -> int:
-    n = _DEFAULT_N[args.suite] if args.n is None else args.n
-    if args.suite == "invariance":
-        report = harness.invariance_report(n_seeds=n, base_seed=args.seed or 20240)
-    elif args.suite == "lemmas":
-        report = _suite_lemmas(n, args.seed)
-    elif args.suite == "assumption2":
-        report = _suite_assumption2(n, args.seed)
-    else:
-        report = harness.drift_report(n=n, seed=args.seed or 77)
+    suite, n, seed = SUITES[args.suite]
+    report = suite(n if args.n is None else args.n, seed if args.seed is None else args.seed)
     print(json.dumps(report, indent=2, default=float))
     return 0 if report["ok"] else 2
 

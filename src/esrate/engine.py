@@ -47,6 +47,7 @@ __all__ = [
     "EsState",
     "Trajectory",
     "rng_stream",
+    "trial_seed",
     "p_target",
     "params_for_rule",
     "params_for_target",
@@ -72,7 +73,15 @@ ALPHA_RULES = ("const", "sqrt", "dim")
 
 def rng_stream(seed: int, *key: int) -> np.random.Generator:
     """PCG64 generator for stream ``key`` of the 64-bit ``seed``."""
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
+
+
+def trial_seed(base_seed: int, cell_index: int, trial: int) -> int:
+    """64-bit seed of a trial: the first word of the seed sequence of its stream."""
+    ss = rng_stream(base_seed, cell_index, trial).bit_generator.seed_seq
+    return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,6 @@ class RateEstimate:
     stderr: float
     window: tuple[int, int]
     series: str
-    trials_aggregated: int = 1
 
 
 def ols_slope(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:

@@ -304,6 +304,17 @@ class QExtremes:
     e_q: float
     strong_convexity: float
 
+    def __post_init__(self) -> None:
+        for name, ok, need in (
+            ("strong_convexity", self.strong_convexity > 0, "> 0"),
+            ("e_q", self.e_q > 0, "> 0"),
+            ("v_std_sup", self.v_std_sup >= 0, ">= 0"),
+            ("kappa_inf", self.kappa_inf >= 1, ">= 1"),
+        ):
+            value = getattr(self, name)
+            if not (ok and math.isfinite(value)):
+                raise ValueError(f"{name} must be finite and {need}, got {value!r}")
+
 
 @dataclass(frozen=True)
 class TheoryConstants:

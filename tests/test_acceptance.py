@@ -16,9 +16,10 @@ import pytest
 
 from esrate import analysis, theory
 from esrate.engine import params_for_rule, params_for_target
-from esrate.harness import ExperimentConfig, drift_report, invariance_report, run_experiment
+from esrate.harness import ExperimentConfig, run_experiment
 from esrate.objectives import hessian_family, sphere
 from esrate.rates import lower_rate_bound
+from esrate.verify import SUITES
 
 mpmath.mp.dps = 30
 
@@ -92,7 +93,8 @@ def test_criterion_3_alpha_insensitivity():
 
 
 def test_criterion_4_invariance_suite():
-    report = invariance_report(n_seeds=20, steps=500, base_seed=404)
+    suite, _, _ = SUITES["invariance"]
+    report = suite(20, 404)
     expected_checks = 3 * 20 * 6
     ok = report["ok"] and report["checks"] == expected_checks
     _report(4, "exact transform/translation invariance", ok,
@@ -150,7 +152,8 @@ def test_criterion_6_theory_constants():
 
 
 def test_criterion_7_drift_negativity():
-    report = drift_report(dim=100, target_success=0.3, n=100_000, seed=707)
+    suite, _, _ = SUITES["drift"]
+    report = suite(100_000, 707)
     problems = []
     for name, entry in report["regimes"].items():
         if entry["regime"] != name:

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import esrate
-from esrate import harness
+from esrate import harness, verify
 from esrate.cli import cli_main
 
 
@@ -55,6 +55,25 @@ def test_bounds_infeasible_exits_one(capsys):
     ])
     assert code == 1
     assert "feasible" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag,value,field",
+    [
+        ("--e-q", "0", "e_q"),
+        ("--L", "nan", "strong_convexity"),
+        ("--v-std", "-0.1", "v_std_sup"),
+        ("--kappa-inf", "0.5", "kappa_inf"),
+    ],
+)
+def test_bounds_rejects_bad_extremes(flag, value, field, capsys):
+    code = cli_main([
+        "bounds", "--dim", "1000", "--p-target", "0.45", "--alpha-rule", "dim",
+        "--q-low", "0.44", "--q-high", "0.47", flag, value,
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} must be") and err.count("\n") == 1
 
 
 def test_bounds_sup_with_trace(tmp_path, capsys):
@@ -137,10 +156,18 @@ def test_verify_drift_small(capsys):
     assert data["ok"]
 
 
+def test_verify_seed_zero_is_not_the_default(capsys):
+    outputs = []
+    for seed in ("0", "77"):
+        assert cli_main(["verify", "--suite", "drift", "--n", "1000", "--seed", seed]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] != outputs[1]
+
+
 def test_verify_failure_maps_to_exit_two(monkeypatch, capsys):
-    monkeypatch.setattr(
-        harness, "invariance_report",
-        lambda **kw: {"suite": "invariance", "ok": False, "mismatches": 1},
+    monkeypatch.setitem(
+        verify.SUITES, "invariance",
+        (lambda n, seed: {"suite": "invariance", "ok": False, "mismatches": 1}, 20, 20240),
     )
     assert cli_main(["verify", "--suite", "invariance"]) == 2
 
@@ -184,13 +211,26 @@ def test_bad_thread_count_exits_one(args, value, tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
-    "suite,n",
-    [("lemmas", "1"), ("lemmas", "-5"), ("lemmas", "2"), ("drift", "0"), ("invariance", "-3")],
+    "suite,n,seed,message",
+    [
+        pytest.param("lemmas", "1", None, "", id="lemmas-1"),
+        pytest.param("lemmas", "-5", None, "", id="lemmas--5"),
+        pytest.param("lemmas", "2", None, "", id="lemmas-2"),
+        pytest.param("drift", "0", None, "", id="drift-0"),
+        pytest.param("invariance", "-3", None, "", id="invariance--3"),
+        pytest.param("assumption2", "-3", None, "need n >= 1000", id="assumption2--3"),
+        pytest.param("assumption2", "999", None, "need n >= 1000", id="assumption2-999"),
+        pytest.param("invariance", "1", "-1", "seed must be", id="invariance-seed-1"),
+        pytest.param("lemmas", "1000", "-1", "seed must be", id="lemmas-seed-1"),
+        pytest.param("assumption2", "1000", "-1", "seed must be", id="assumption2-seed-1"),
+        pytest.param("drift", "1000", "-1", "seed must be", id="drift-seed-1"),
+    ],
 )
-def test_verify_rejects_bad_sample_count(suite, n, capsys):
-    assert cli_main(["verify", "--suite", suite, "--n", n]) == 1
+def test_verify_rejects_bad_sample_count(suite, n, seed, message, capsys):
+    seed_args = [] if seed is None else ["--seed", seed]
+    assert cli_main(["verify", "--suite", suite, "--n", n, *seed_args]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -22,7 +22,6 @@ from esrate.engine import (
     run,
     step,
 )
-from esrate.harness import invariance_report
 from esrate.objectives import (
     ALL_TRANSFORMS,
     CUBE_SHIFT,
@@ -32,6 +31,7 @@ from esrate.objectives import (
     perturbed_family,
     sphere,
 )
+from esrate.verify import invariance_report
 
 
 def test_p_target_one_fifth():

@@ -13,10 +13,8 @@ from esrate.harness import (
     ExperimentConfig,
     ResultRow,
     aggregate_cell,
-    drift_report,
     emit_csv,
     emit_plot,
-    invariance_report,
     read_csv,
     run_experiment,
 )
@@ -178,18 +176,3 @@ def test_budget_rule():
     cfg = ExperimentConfig(kinds=("h1",), dims=(10,), kappas=(0,))
     assert cfg.budget_for(10) == 20_000
     assert SMALL.budget_for(5) == 600
-
-
-def test_invariance_report_small():
-    report = invariance_report(n_seeds=2, steps=150, base_seed=3)
-    assert report["ok"]
-    assert report["mismatches"] == 0
-    assert report["checks"] == 3 * 2 * 6
-
-
-def test_drift_report_small():
-    report = drift_report(dim=40, n=10_000, seed=5)
-    assert report["ok"], report
-    assert set(report["regimes"]) == {"small", "reasonable", "large"}
-    for entry in report["regimes"].values():
-        assert entry["drift"] < 0

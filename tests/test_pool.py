@@ -7,7 +7,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from esrate import analysis, harness, pool
+from esrate import analysis, harness, pool, verify
 from esrate.objectives import hessian_family, perturbed_family, sphere
 
 
@@ -95,8 +95,8 @@ def _verification_results(seed: int) -> str:
         analysis.check_lemma_suite(spec, _lemma_states(spec, seed), 1000, seed),
         analysis.check_assumption2(pert, states=pert_states, n=1000, seed=seed),
         analysis.q_extremes(pert, n=1000, seed=seed, states=pert_states),
-        harness.drift_report(dim=10, n=1000, seed=seed),
-        harness.invariance_report([sphere(3), spec], n_seeds=2, steps=100, base_seed=seed),
+        verify.drift_report(dim=10, n=1000, seed=seed),
+        verify.invariance_report([sphere(3), spec], n_seeds=2, steps=100, base_seed=seed),
         [dataclasses.replace(row, wall_ms=0) for row in harness.run_experiment(cfg)],
     ]
     # repr spells every float exactly, NaN included.

@@ -33,7 +33,6 @@ from .engine import (
     params_for_target,
     rng_stream,
     run,
-    step,
 )
 from .harness import (
     ExperimentConfig,
@@ -46,21 +45,17 @@ from .objectives import (
     ObjectiveSpec,
     Transform,
     affine_pos,
-    from_json,
     hessian_family,
     make_composite,
     perturbed_family,
     quadratic_diag,
-    quadratic_perturbed,
     sphere,
-    to_json,
 )
 from .rates import (
     RateEstimate,
     estimate_cr,
     lower_rate_bound,
     scaled_rate,
-    scaled_rate_smoothness,
 )
 from .theory import (
     QExtremes,

@@ -368,14 +368,11 @@ def q_extremes(
     n: int = 100_000,
     seed: int = 0,
     states: list[EsState] | None = None,
-    conservative_e_q: bool = False,
 ) -> QExtremes:
     """State-space extremes of the curvature statistics.
 
     Exact and state-independent for diagonal quadratics.  For other kinds the
-    extremes are taken over a sampled state grid (an approximation); with
-    ``conservative_e_q`` the mean-curvature supremum is replaced by its
-    provable ceiling ``dim * U``.
+    extremes are taken over a sampled state grid (an approximation).
     """
     _require_plain(spec)
     if spec.is_quadratic:
@@ -383,15 +380,14 @@ def q_extremes(
         return QExtremes(
             v_std_sup=var / mean**2,
             kappa_inf=2.0,
-            e_q=spec.dim * spec.smoothness if conservative_e_q else mean,
+            e_q=mean,
             strong_convexity=spec.strong_convexity,
         )
     _, stats = _scan_grid(spec, states, n, seed)
-    e_q = spec.dim * spec.smoothness if conservative_e_q else max(s.mean_q for s in stats)
     return QExtremes(
         v_std_sup=max(s.v_std for s in stats),
         kappa_inf=min(s.kappa for s in stats),
-        e_q=e_q,
+        e_q=max(s.mean_q for s in stats),
         strong_convexity=spec.strong_convexity,
     )
 
@@ -456,15 +452,14 @@ def check_lemma_suite(
     states: list[EsState],
     n: int,
     seed: int,
-    epsilons: tuple[float, ...] = (0.1, 0.3, 0.5),
 ) -> LemmaReport:
     """Monte Carlo verification of the one-step inequalities at each state.
 
     Per state: curvature-moment bounds (mean within ``[dL, dU]``, variance at
     most ``4 d U^2``, half-split deviation at most ``sqrt(2/d) (U/L)`` of the
     mean), the expected-progress upper bound, the log-progress moment bound
-    ``(U/L)(1 + 1/(d-3))``, and the success-probability sandwich at each
-    slack value in ``epsilons``.  All comparisons carry a 3-stderr slack;
+    ``(U/L)(1 + 1/(d-3))``, and the success-probability sandwich at the
+    slack values 0.1, 0.3 and 0.5.  All comparisons carry a 3-stderr slack;
     checks whose error estimate is unusable are reported inconclusive.
 
     One z-stream per state is shared by all checks (common random numbers);
@@ -518,7 +513,7 @@ def check_lemma_suite(
         else:
             sbar = sigma * mean_q / gnorm
             v_std = stats.v_std
-        for eps in epsilons:
+        for eps in (0.1, 0.3, 0.5):
             low = std_normal_cdf(-0.5 * sbar * (1.0 + eps)) - v_std / eps**2
             high = std_normal_cdf(-0.5 * sbar * (1.0 - eps)) + v_std / eps**2
             checks.append(CheckResult.judge(f"success_prob_lower_eps{eps:g}", sid, low, p_hat, se_p))
@@ -540,29 +535,6 @@ class Assumption2Report:
     exact: bool
     kappa_consistent: bool
     states: list[dict] = field(default_factory=list)
-
-    def to_json(self) -> dict:
-        out = asdict(self)
-        out["holds"] = bool(self.holds)
-        out["checks"] = [
-            {
-                "name": "curvature_variance_ceiling",
-                "state_id": "sup",
-                "lhs": self.v_std_sup,
-                "rhs": self.rhs,
-                "stderr": 0.0,
-                "verdict": "pass" if self.holds else "fail",
-            },
-            {
-                "name": "kappa_at_least_one",
-                "state_id": "inf",
-                "lhs": 1.0,
-                "rhs": self.kappa_inf,
-                "stderr": 0.0,
-                "verdict": "pass" if self.kappa_consistent else "fail",
-            },
-        ]
-        return out
 
 
 def check_assumption2(

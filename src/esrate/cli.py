@@ -75,9 +75,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
+    if args.thin < 1:  # fail before simulating the whole budget
+        raise ValueError("thin must be >= 1")
     spec = harness.objective_for(args.objective, args.dim, args.kappa)
     params = params_for_rule(args.alpha_rule, args.dim, args.c)
-    budget = args.budget if args.budget is not None else 10000 + 1000 * args.dim
+    budget = args.budget if args.budget is not None else harness.default_budget(args.dim)
     init = init_default(spec, args.seed)
     traj = run(spec, params, init, budget, args.f_floor, args.seed)
     traj.to_csv(args.out, thin=args.thin)

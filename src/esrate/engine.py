@@ -51,7 +51,6 @@ __all__ = [
     "p_target",
     "params_for_rule",
     "params_for_target",
-    "step",
     "run",
     "init_default",
     "default_sigma0",
@@ -112,11 +111,10 @@ def p_target(params: EsParams) -> float:
     return down / (math.log(params.alpha_up) + down)
 
 
-def params_for_rule(rule: str, dim: int, c: float = 1.0, down_exponent: float = 0.25) -> EsParams:
+def params_for_rule(rule: str, dim: int, c: float = 1.0) -> EsParams:
     """Preset factors: ``alpha_up = exp(c)``, ``exp(c/sqrt(d))`` or ``exp(c/d)``.
 
-    ``alpha_down = alpha_up ** -down_exponent``; the default exponent 1/4
-    targets a success probability of 1/5.
+    ``alpha_down = alpha_up ** -0.25`` targets a success probability of 1/5.
     """
     if not dim >= 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
@@ -132,7 +130,7 @@ def params_for_rule(rule: str, dim: int, c: float = 1.0, down_exponent: float = 
         up = math.exp(log_up)
     except OverflowError:
         raise ValueError(f"alpha_up = exp({log_up:g}) exceeds the float range") from None
-    return EsParams(alpha_up=up, alpha_down=up**-down_exponent)
+    return EsParams(alpha_up=up, alpha_down=up**-0.25)
 
 
 def params_for_target(alpha_up: float, target: float) -> EsParams:
@@ -208,22 +206,6 @@ class Trajectory:
                 )
 
 
-def step(state: EsState, z: np.ndarray, spec: ObjectiveSpec, params: EsParams):
-    """One transition of the chain for a given mutation vector ``z``.
-
-    Returns ``(next_state, success)``.  Pure function of its inputs; ties
-    in the objective comparison accept the candidate.
-    """
-    z = np.asarray(z, dtype=float)
-    if z.shape != (spec.dim,):
-        raise ValueError(f"z has shape {z.shape}, expected ({spec.dim},)")
-    sigma = state.sigma
-    x = state.m + sigma * z
-    if spec.canonical_value(x) <= spec.canonical_value(state.m):
-        return EsState(x, state.log_sigma + math.log(params.alpha_up)), True
-    return EsState(state.m, state.log_sigma + math.log(params.alpha_down)), False
-
-
 def _log_norm(y: np.ndarray) -> float:
     """``log ||y||``; ``-inf`` only at ``y == 0``.
 
@@ -251,14 +233,18 @@ def run(
     below ``f_floor`` (recorded as ``stop_reason='f_floor'``, with
     ``t_final`` truncated to the stopping step); otherwise runs the full
     budget (``stop_reason='budget'``).  Raises ``ValueError`` for a start
-    at the optimum or with a non-finite objective value.
+    point not of shape ``(spec.dim,)``, at the optimum or with a non-finite
+    objective value.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     if not f_floor > 0:
         raise ValueError("f_floor must be positive")
+    m = np.asarray(init.m, dtype=float)
+    if m.shape != (spec.dim,):
+        raise ValueError(f"start point has shape {m.shape}, expected ({spec.dim},)")
     base, shift = spec.canonical()
-    y = np.asarray(init.m, dtype=float) - shift
+    y = m - shift
     if not np.any(y):
         raise ValueError("initial point must differ from the optimum")
     f_m = base.value(y)

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import rates
 from .engine import ALPHA_RULES, init_default, params_for_rule, run, trial_seed
-from .objectives import ObjectiveSpec, check_kappa, hessian_family, perturbed_family
+from .objectives import ObjectiveSpec, check_kappa, hessian_family, is_int, perturbed_family
 from .pool import fan_out
 
 # Kept for perfbench/workloads.py, which changes only with the benchmark.
@@ -49,10 +49,6 @@ CSV_HEADER = [
 OBJECTIVE_KINDS = ("h1", "h2", "h3", "perturbed")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def _is_real(value) -> bool:
     """An int or float that is finite as a float; bools excluded."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
@@ -61,6 +57,11 @@ def _is_real(value) -> bool:
         return math.isfinite(value)
     except OverflowError:  # an int beyond the float range
         return False
+
+
+def default_budget(dim: int) -> int:
+    """Steps of a run when no budget is given."""
+    return 10000 + 1000 * dim
 
 
 def objective_for(kind: str, dim: int, kappa: int) -> ObjectiveSpec:
@@ -82,7 +83,7 @@ class ExperimentConfig:
     c: float = 1.0
     trials: int = 10
     base_seed: int = 0
-    budget: int | None = None  # None -> 10000 + 1000*d
+    budget: int | None = None  # None -> default_budget(d)
     f_floor: float = 1e-100
     window_frac: float = 0.1
 
@@ -92,15 +93,15 @@ class ExperimentConfig:
         for kind in self.kinds:
             if kind not in OBJECTIVE_KINDS:
                 raise ValueError(f"unknown objective kind {kind!r}")
-        if not all(_is_int(dim) and dim >= 1 for dim in self.dims):
+        if not all(is_int(dim) and dim >= 1 for dim in self.dims):
             raise ValueError(f"dims must be positive integers, got {list(self.dims)}")
         for kappa in self.kappas:
             check_kappa(kappa)
         if self.alpha_rule not in ALPHA_RULES:
             raise ValueError(f"unknown alpha rule {self.alpha_rule!r}")
-        if not (_is_int(self.trials) and self.trials >= 1):
+        if not (is_int(self.trials) and self.trials >= 1):
             raise ValueError("trials must be a positive integer")
-        if not (_is_int(self.base_seed) and self.base_seed >= 0):
+        if not (is_int(self.base_seed) and self.base_seed >= 0):
             raise ValueError("base_seed must be a non-negative integer")
         for name in ("c", "f_floor", "window_frac"):
             value = getattr(self, name)
@@ -110,13 +111,13 @@ class ExperimentConfig:
             raise ValueError("window_frac must lie in (0, 1)")
         if not self.f_floor > 0:
             raise ValueError("f_floor must be positive")
-        if self.budget is not None and not (_is_int(self.budget) and self.budget >= 1):
+        if self.budget is not None and not (is_int(self.budget) and self.budget >= 1):
             raise ValueError("budget must be a positive integer")
         for dim in self.dims:
             params_for_rule(self.alpha_rule, dim, self.c)  # validates
 
     def budget_for(self, dim: int) -> int:
-        return self.budget if self.budget is not None else 10000 + 1000 * dim
+        return self.budget if self.budget is not None else default_budget(dim)
 
     def cells(self) -> list[tuple[int, str, int, int]]:
         return [
@@ -179,10 +180,7 @@ def _run_trial(cfg: ExperimentConfig, cell_index: int, kind: str, dim: int, kapp
     try:
         est = rates.estimate_cr(traj, cfg.window_frac)
         cr_hat, stderr = est.cr_hat, est.stderr
-        if spec.is_quadratic:
-            scaled = rates.scaled_rate(est, spec)
-        else:
-            scaled = rates.scaled_rate_smoothness(est, spec)
+        scaled = rates.scaled_rate(est, spec)
     except ValueError:
         cr_hat = stderr = scaled = math.nan
     wall_ms = int(round(1000.0 * (time.perf_counter() - start)))

@@ -34,14 +34,12 @@ __all__ = [
     "sphere",
     "hessian_family",
     "check_kappa",
-    "quadratic_perturbed",
+    "is_int",
     "perturbed_family",
     "make_composite",
-    "to_json",
-    "from_json",
 ]
 
-# Defaults for the perturbed family exposed through JSON and the CLI.
+# Defaults of :func:`perturbed_family`.
 PERTURB_AMP_DEFAULT = 0.5
 PERTURB_FREQ_DEFAULT = 3.0
 
@@ -76,22 +74,6 @@ class Transform:
             return y**3 + y
         # exp_minus_one; expm1 keeps monotonicity and precision near 0
         return np.expm1(y)
-
-    def encode(self) -> str:
-        if self.name == "affine":
-            return f"affine:{self.a!r}:{self.b!r}"
-        return self.name
-
-    @staticmethod
-    def decode(text: str) -> "Transform":
-        parts = text.split(":")
-        if parts[0] == "affine":
-            if len(parts) != 3:
-                raise ValueError(f"bad affine transform encoding {text!r}")
-            return Transform("affine", a=float(parts[1]), b=float(parts[2]))
-        if len(parts) != 1:
-            raise ValueError(f"bad transform encoding {text!r}")
-        return Transform(parts[0])
 
 
 IDENTITY = Transform("identity")
@@ -297,23 +279,15 @@ def hessian_family(kind: str, dim: int, kappa: int) -> ObjectiveSpec:
     return quadratic_diag(diag, family=kind, kappa=kappa)
 
 
+def is_int(value) -> bool:
+    """An int or numpy integer, never a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def check_kappa(kappa) -> None:
     """Raise ``ValueError`` unless ``kappa`` is an integer in ``[0, KAPPA_MAX]``."""
-    is_int = isinstance(kappa, (int, np.integer)) and not isinstance(kappa, bool)
-    if not (is_int and 0 <= kappa <= KAPPA_MAX):
+    if not (is_int(kappa) and 0 <= kappa <= KAPPA_MAX):
         raise ValueError(f"kappa must be an integer in [0, {KAPPA_MAX}], got {kappa!r}")
-
-
-def quadratic_perturbed(diag, amp: float, freq: float) -> ObjectiveSpec:
-    """Quadratic plus bounded trigonometric perturbation (non-quadratic member)."""
-    diag = np.asarray(diag, dtype=float)
-    return ObjectiveSpec(
-        kind="quadratic_perturbed",
-        dim=len(diag),
-        diag=diag,
-        perturb_amp=float(amp),
-        perturb_freq=float(freq),
-    )
 
 
 def perturbed_family(
@@ -342,50 +316,3 @@ def make_composite(base: ObjectiveSpec, transform: Transform, x_opt) -> Objectiv
         kind="composite", dim=base.dim, base=base, transform=transform, x_opt=x_opt
     )
 
-
-# -- JSON serialization -----------------------------------------------------
-
-
-def to_json(spec: ObjectiveSpec) -> dict:
-    """Serialize a spec to a plain dict (families, perturbed, composites)."""
-    if spec.kind == "composite":
-        return {
-            "kind": "composite",
-            "dim": spec.dim,
-            "base": to_json(spec.base),
-            "transform": spec.transform.encode(),
-            "x_opt": [float(v) for v in spec.x_opt],
-        }
-    if spec.family in ("h1", "h2", "h3"):
-        return {"kind": spec.family, "dim": spec.dim, "kappa": int(spec.kappa)}
-    if spec.kind == "quadratic_perturbed":
-        out = {
-            "kind": "perturbed",
-            "dim": spec.dim,
-            "perturb": {"M": spec.perturb_amp, "omega": spec.perturb_freq},
-        }
-        if spec.kappa is not None:
-            out["kappa"] = int(spec.kappa)
-        return out
-    raise ValueError("only family-tagged, perturbed or composite specs serialize")
-
-
-def from_json(obj: dict) -> ObjectiveSpec:
-    """Inverse of :func:`to_json`."""
-    kind = obj["kind"]
-    if kind in ("h1", "h2", "h3"):
-        return hessian_family(kind, int(obj["dim"]), int(obj.get("kappa", 0)))
-    if kind == "perturbed":
-        perturb = obj.get("perturb", {})
-        return perturbed_family(
-            int(obj["dim"]),
-            int(obj.get("kappa", 0)),
-            amp=float(perturb.get("M", PERTURB_AMP_DEFAULT)),
-            freq=float(perturb.get("omega", PERTURB_FREQ_DEFAULT)),
-        )
-    if kind == "composite":
-        base = from_json(obj["base"])
-        return make_composite(
-            base, Transform.decode(obj["transform"]), np.asarray(obj["x_opt"], float)
-        )
-    raise ValueError(f"unknown objective kind {kind!r}")

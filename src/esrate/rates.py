@@ -21,7 +21,6 @@ __all__ = [
     "estimate_cr",
     "lower_rate_bound",
     "scaled_rate",
-    "scaled_rate_smoothness",
 ]
 
 
@@ -100,14 +99,7 @@ def lower_rate_bound(dim: int) -> float:
 
 
 def scaled_rate(est: RateEstimate, spec: ObjectiveSpec) -> float:
-    """Rate scaled by ``trace(H)/L`` (diagonal quadratics only)."""
-    if not spec.is_quadratic:
-        raise ValueError(
-            "trace scaling needs a quadratic spec; use scaled_rate_smoothness"
-        )
-    return est.cr_hat * spec.trace_hessian / spec.strong_convexity
-
-
-def scaled_rate_smoothness(est: RateEstimate, spec: ObjectiveSpec) -> float:
-    """Rate scaled by ``d*U/L``, the non-quadratic fallback scaling."""
+    """Rate scaled by ``trace(H)/L`` on diagonal quadratics, by ``d*U/L`` otherwise."""
+    if spec.is_quadratic:
+        return est.cr_hat * spec.trace_hessian / spec.strong_convexity
     return est.cr_hat * spec.dim * spec.smoothness / spec.strong_convexity

@@ -21,6 +21,27 @@ def test_run_is_reproducible(tmp_path, capsys):
     assert "stop=" in capsys.readouterr().out
 
 
+def test_run_without_budget_uses_the_experiment_default(tmp_path, capsys):
+    # h1 at kappa 3 converges far too slowly to reach f_floor in this budget.
+    out = tmp_path / "t.csv"
+    assert cli_main(["run", "--objective", "h1", "--dim", "2", "--kappa", "3",
+                     "--out", str(out)]) == 0
+    budget = harness.ExperimentConfig(kinds=("h1",), dims=(2,), kappas=(3,)).budget_for(2)
+    assert f"T={budget} stop=budget" in capsys.readouterr().out
+
+
+def test_run_rejects_thin_before_simulating(tmp_path, monkeypatch, capsys):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the chain ran before --thin was checked")
+
+    monkeypatch.setattr("esrate.cli.run", no_run)
+    out = tmp_path / "t.csv"
+    assert cli_main(["run", "--objective", "h1", "--dim", "3", "--thin", "0",
+                     "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: thin must be >= 1\n"
+    assert not out.exists()
+
+
 def test_unknown_flag_exits_one(capsys):
     assert cli_main(["run", "--objective", "h1", "--dim", "3", "--bogus"]) == 1
     assert "usage" in capsys.readouterr().err

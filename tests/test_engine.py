@@ -20,7 +20,6 @@ from esrate.engine import (
     params_for_rule,
     params_for_target,
     run,
-    step,
 )
 from esrate.objectives import (
     ALL_TRANSFORMS,
@@ -66,33 +65,21 @@ def test_params_for_target_hits_probability():
     assert p_target(params) == pytest.approx(0.3, abs=1e-12)
 
 
-def test_step_accept():
-    state = EsState(np.array([1.0, 0.0]), math.log(0.1))
-    new, ok = step(state, np.array([-1.0, 0.0]), sphere(2), EsParams(math.e, math.e**-0.25))
-    assert ok
-    np.testing.assert_allclose(new.m, [0.9, 0.0])
-    assert new.log_sigma == pytest.approx(math.log(0.1) + 1.0)
-
-
-def test_step_reject():
-    state = EsState(np.array([1.0, 0.0]), math.log(0.1))
-    new, ok = step(state, np.array([1.0, 0.0]), sphere(2), EsParams(math.e, math.e**-0.25))
-    assert not ok
-    np.testing.assert_array_equal(new.m, state.m)
-    assert new.log_sigma == pytest.approx(math.log(0.1) - 0.25)
+def test_run_rejects_bad_start_shape():
+    params = EsParams(2.0, 0.5)
+    with pytest.raises(ValueError, match=r"shape \(3,\), expected \(2,\)"):
+        run(sphere(2), params, EsState(np.ones(3), 0.0), budget=10)
+    with pytest.raises(ValueError, match=r"shape \(2, 2\), expected \(2,\)"):
+        run(sphere(2), params, EsState(np.ones((2, 2)), 0.0), budget=10)
 
 
 def test_step_tie_accepts():
-    state = EsState(np.array([1.0, 0.0]), math.log(0.1))
-    new, ok = step(state, np.zeros(2), sphere(2), EsParams(math.e, math.e**-0.25))
-    assert ok
-    np.testing.assert_array_equal(new.m, state.m)
-
-
-def test_step_dimension_mismatch():
-    state = EsState(np.array([1.0, 0.0]), 0.0)
-    with pytest.raises(ValueError):
-        step(state, np.zeros(3), sphere(2), EsParams(2.0, 0.5))
+    # sigma = 1e-300 vanishes against m = 1: the candidate equals the incumbent bit for bit.
+    params = EsParams(math.e, math.e**-0.25)
+    traj = run(sphere(2), params, EsState(np.ones(2), math.log(1e-300)), budget=1)
+    assert traj.success[0]
+    assert traj.log_f[1] == traj.log_f[0]
+    assert traj.log_sigma[1] == traj.log_sigma[0] + math.log(params.alpha_up)
 
 
 def test_run_rejects_zero_budget():

@@ -10,7 +10,6 @@ from esrate.rates import (
     lower_rate_bound,
     ols_slope,
     scaled_rate,
-    scaled_rate_smoothness,
 )
 
 
@@ -93,13 +92,11 @@ def test_scaled_rate_uses_trace():
     assert scaled_rate(est, hessian_family("h1", 3, 1)) == pytest.approx(0.21)
 
 
-def test_scaled_rate_rejects_non_quadratic():
+def test_scaled_rate_uses_dim_times_smoothness_off_quadratics():
     est = estimate_cr(synthetic(1000, -0.01))
     spec = perturbed_family(4, 0)
-    with pytest.raises(ValueError):
-        scaled_rate(est, spec)
-    expected = 0.01 * 4 * spec.smoothness / spec.strong_convexity
-    assert scaled_rate_smoothness(est, spec) == pytest.approx(expected)
+    assert scaled_rate(est, spec) == est.cr_hat * 4 * spec.smoothness / spec.strong_convexity
+    assert scaled_rate(est, spec) == pytest.approx(0.01 * 4 * 1.5 / 0.5)
 
 
 def test_nonfinite_window_rejected():

@@ -363,6 +363,20 @@ def _scan_grid(
     return states, fan_out(estimate_q_stats, tasks)
 
 
+def _extremes(
+    spec: ObjectiveSpec, states: list[EsState] | None, n: int, seed: int
+) -> tuple[float, float, float, list[EsState], list[QStats]]:
+    """``(sup v_std, inf kappa, sup E[Q], states, stats)`` of :func:`q_extremes` and
+    :func:`check_assumption2`; diagonal quadratics use closed forms and scan no states."""
+    _require_plain(spec)
+    if spec.is_quadratic:
+        mean, var = quadratic_q_exact(spec)
+        return var / mean**2, 2.0, mean, [], []
+    states, stats = _scan_grid(spec, states, n, seed)
+    v_sup, kappa_inf = max(s.v_std for s in stats), min(s.kappa for s in stats)
+    return v_sup, kappa_inf, max(s.mean_q for s in stats), states, stats
+
+
 def q_extremes(
     spec: ObjectiveSpec,
     n: int = 100_000,
@@ -374,21 +388,9 @@ def q_extremes(
     Exact and state-independent for diagonal quadratics.  For other kinds the
     extremes are taken over a sampled state grid (an approximation).
     """
-    _require_plain(spec)
-    if spec.is_quadratic:
-        mean, var = quadratic_q_exact(spec)
-        return QExtremes(
-            v_std_sup=var / mean**2,
-            kappa_inf=2.0,
-            e_q=mean,
-            strong_convexity=spec.strong_convexity,
-        )
-    _, stats = _scan_grid(spec, states, n, seed)
+    v_sup, kappa_inf, e_q, _, _ = _extremes(spec, states, n, seed)
     return QExtremes(
-        v_std_sup=max(s.v_std for s in stats),
-        kappa_inf=min(s.kappa for s in stats),
-        e_q=max(s.mean_q for s in stats),
-        strong_convexity=spec.strong_convexity,
+        v_std_sup=v_sup, kappa_inf=kappa_inf, e_q=e_q, strong_convexity=spec.strong_convexity
     )
 
 
@@ -552,26 +554,16 @@ def check_assumption2(
     kinds estimate over a sampled state grid, whose states are included in
     the report for audit.
     """
-    _require_plain(spec)
-    if spec.is_quadratic:
-        v_sup, kappa_inf, consistent, rows = quadratic_v_std(spec), 2.0, True, []
-    else:
-        states, stats = _scan_grid(spec, states, n, seed)
-        v_sup = max(s.v_std for s in stats)
-        kappa_inf = min(s.kappa for s in stats)
-        consistent = not any(
-            s.kappa < 1.0 - 3.0 * s.kappa * math.hypot(s.se_mean / s.mean_q, s.se_half / s.half_mean_q)
-            for s in stats
-        )
-        rows = [
-            {
-                "m_norm": float(np.linalg.norm(st.m)),
-                "log_sigma": st.log_sigma,
-                "v_std": s.v_std,
-                "kappa": s.kappa,
-            }
-            for st, s in zip(states, stats)
-        ]
+    v_sup, kappa_inf, _, states, stats = _extremes(spec, states, n, seed)
+    consistent = not any(
+        s.kappa < 1.0 - 3.0 * s.kappa * math.hypot(s.se_mean / s.mean_q, s.se_half / s.half_mean_q)
+        for s in stats
+    )
+    rows = [
+        {"m_norm": float(np.linalg.norm(st.m)), "log_sigma": st.log_sigma,
+         "v_std": s.v_std, "kappa": s.kappa}
+        for st, s in zip(states, stats)
+    ]
     rhs = assumption_margin_rhs(kappa_inf)
     return Assumption2Report(
         holds=v_sup < rhs,

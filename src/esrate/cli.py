@@ -33,7 +33,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p_run = sub.add_parser("run", help="simulate one trajectory and write it as CSV")
-    p_run.add_argument("--objective", required=True, choices=harness.OBJECTIVE_KINDS)
+    p_run.add_argument("--objective", required=True, choices=tuple(harness.OBJECTIVE_KINDS))
     p_run.add_argument("--dim", type=int, required=True)
     p_run.add_argument("--kappa", type=int, default=0)
     p_run.add_argument("--alpha-rule", choices=ALPHA_RULES, default="const")

@@ -17,7 +17,8 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
+from functools import partial
 from itertools import product
 
 import numpy as np
@@ -41,12 +42,13 @@ __all__ = [
     "emit_plot",
 ]
 
-CSV_HEADER = [
-    "objective", "d", "kappa", "alpha_rule", "seed",
-    "cr_hat", "stderr", "scaled_rate", "stop_reason", "wall_ms",
-]
-
-OBJECTIVE_KINDS = ("h1", "h2", "h3", "perturbed")
+#: Objective kind -> builder of its spec from ``(dim, kappa)``.
+OBJECTIVE_KINDS = {
+    "h1": partial(hessian_family, "h1"),
+    "h2": partial(hessian_family, "h2"),
+    "h3": partial(hessian_family, "h3"),
+    "perturbed": perturbed_family,
+}
 
 
 def _is_real(value) -> bool:
@@ -65,11 +67,9 @@ def default_budget(dim: int) -> int:
 
 
 def objective_for(kind: str, dim: int, kappa: int) -> ObjectiveSpec:
-    if kind in ("h1", "h2", "h3"):
-        return hessian_family(kind, dim, kappa)
-    if kind == "perturbed":
-        return perturbed_family(dim, kappa)
-    raise ValueError(f"unknown objective kind {kind!r}")
+    if kind not in OBJECTIVE_KINDS:
+        raise ValueError(f"unknown objective kind {kind!r}")
+    return OBJECTIVE_KINDS[kind](dim, kappa)
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,7 @@ class ExperimentConfig:
         if not (self.kinds and self.dims and self.kappas):
             raise ValueError("objective grid must be nonempty")
         for kind in self.kinds:
-            if kind not in OBJECTIVE_KINDS:
+            if not isinstance(kind, str) or kind not in OBJECTIVE_KINDS:
                 raise ValueError(f"unknown objective kind {kind!r}")
         if not all(is_int(dim) and dim >= 1 for dim in self.dims):
             raise ValueError(f"dims must be positive integers, got {list(self.dims)}")
@@ -233,6 +233,11 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
 # -- CSV ------------------------------------------------------------------------
 
 
+_FIELDS = fields(ResultRow)
+CSV_HEADER = [f.name for f in _FIELDS]
+_PARSE = {"str": str, "int": int, "float": float}  # annotation -> parser
+
+
 def _fmt(x: float) -> str:
     return repr(float(x))
 
@@ -244,24 +249,17 @@ def emit_csv(rows: list[ResultRow], path) -> None:
         writer.writerow(CSV_HEADER)
         for r in rows:
             writer.writerow([
-                r.objective, r.d, r.kappa, r.alpha_rule, r.seed,
-                _fmt(r.cr_hat), _fmt(r.stderr), _fmt(r.scaled_rate),
-                r.stop_reason, r.wall_ms,
+                _fmt(getattr(r, f.name)) if f.type == "float" else getattr(r, f.name)
+                for f in _FIELDS
             ])
 
 
 def read_csv(path) -> list[ResultRow]:
-    rows = []
     with open(path, newline="") as fh:
-        for rec in csv.DictReader(fh):
-            rows.append(ResultRow(
-                objective=rec["objective"], d=int(rec["d"]), kappa=int(rec["kappa"]),
-                alpha_rule=rec["alpha_rule"], seed=rec["seed"],
-                cr_hat=float(rec["cr_hat"]), stderr=float(rec["stderr"]),
-                scaled_rate=float(rec["scaled_rate"]), stop_reason=rec["stop_reason"],
-                wall_ms=int(rec["wall_ms"]),
-            ))
-    return rows
+        return [
+            ResultRow(**{f.name: _PARSE[f.type](rec[f.name]) for f in _FIELDS})
+            for rec in csv.DictReader(fh)
+        ]
 
 
 # -- SVG plot ---------------------------------------------------------------------
@@ -352,7 +350,12 @@ def emit_plot(rows: list[ResultRow], path, y_field: str = "scaled_rate") -> None
             f'<text x="{_MARGIN["left"] + px_w - 4}" y="{y - 5:.2f}" '
             f'text-anchor="end" font-size="11" fill="#888">floor 0.1</text>'
         )
-    label = "scaled rate (trace/L)" if y_field == "scaled_rate" else "rate (nats/iter)"
+    if y_field == "cr_hat":
+        label = "rate (nats/iter)"
+    elif any(kind == "perturbed" for kind, _ in series):  # see rates.scaled_rate
+        label = "scaled rate (trace/L; perturbed: d&#183;U/L)"
+    else:
+        label = "scaled rate (trace/L)"
     parts.append(
         f'<text x="{_MARGIN["left"] + px_w / 2:.2f}" y="{_HEIGHT - 12}" '
         f'text-anchor="middle" font-size="13">dimension d</text>'

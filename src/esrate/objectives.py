@@ -172,12 +172,6 @@ class ObjectiveSpec:
         return float(np.sum(self.diag))
 
     @property
-    def optimum(self) -> np.ndarray:
-        if self.kind == "composite":
-            return self.x_opt
-        return np.zeros(self.dim)
-
-    @property
     def is_quadratic(self) -> bool:
         return self.kind == "quadratic_diag"
 

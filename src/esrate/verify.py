@@ -12,7 +12,15 @@ import math
 import numpy as np
 
 from . import analysis, theory
-from .engine import EsState, params_for_rule, params_for_target, rng_stream, run, trial_seed
+from .engine import (
+    EsState,
+    default_sigma0,
+    params_for_rule,
+    params_for_target,
+    rng_stream,
+    run,
+    trial_seed,
+)
 from .objectives import ALL_TRANSFORMS, ObjectiveSpec, hessian_family, make_composite, sphere
 from .pool import fan_out
 
@@ -36,8 +44,7 @@ def _invariance_checks(
         m0 = _dyadic(draw.standard_normal(spec.dim))
     shift = draw.integers(-5, 6, size=spec.dim).astype(float)
     params = params_for_rule("const", spec.dim)
-    sigma0 = float(np.linalg.norm(spec.gradient(m0))) / spec.trace_hessian
-    init = EsState(m=m0, log_sigma=math.log(sigma0))
+    init = EsState(m=m0, log_sigma=math.log(default_sigma0(spec, m0)))
     ref = run(spec, params, init, steps, f_floor=1e-280, seed=seed)
 
     def check(case: str, comp: ObjectiveSpec, start: EsState) -> dict:

@@ -271,6 +271,7 @@ def test_verify_rejects_bad_sample_count(suite, n, seed, message, capsys):
         ({"window_frac": None}, "window_frac must be"),
         ({"base_seed": 1.5}, "base_seed must be"),
         ({"base_seed": -1}, "base_seed must be"),
+        ({"kinds": [["h1"]]}, "unknown objective kind"),
     ],
 )
 def test_experiment_rejects_bad_config(bad, message, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tempfile
@@ -146,9 +147,14 @@ def test_plot_deterministic_and_annotated(tmp_path, small_rows):
     assert svg.startswith("<svg")
     assert "floor 0.1" in svg
     assert svg.count("<circle") > 4  # markers plus legend dots
+    assert ">scaled rate (trace/L)</text>" in svg
     plain = tmp_path / "cr.svg"
     emit_plot(small_rows, plain, y_field="cr_hat")
     assert "floor 0.1" not in plain.read_text()
+    # Perturbed cells are scaled by d*U/L, and the axis label says so.
+    mixed = small_rows + [dataclasses.replace(small_rows[-1], objective="perturbed")]
+    emit_plot(mixed, p2, y_field="scaled_rate")
+    assert ">scaled rate (trace/L; perturbed: d&#183;U/L)</text>" in p2.read_text()
 
 
 def test_plot_single_dimension_has_no_lines(tmp_path, small_rows):

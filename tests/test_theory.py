@@ -191,10 +191,21 @@ def test_thresholds_are_optima_and_crossings_are_sharp(q, log_frac, log_up, seed
         assert not condition(lower * (1 + 1e-9))
 
 
-def test_import_leaves_out_scipy_optimize():
-    # scipy.optimize pulls in scipy.linalg: about 0.3 s and 23 MB per process.
-    code = ("import sys, esrate.cli; "
-            "print(sorted({'scipy.optimize', 'scipy.linalg'} & set(sys.modules)))")
+@pytest.mark.parametrize(
+    "module, unloaded",
+    [
+        # scipy.optimize pulls in scipy.linalg: about 0.3 s and 23 MB per process.
+        ("esrate.cli", ["scipy.optimize", "scipy.linalg"]),
+        # The chain alone needs numpy only; the package imports no submodule for it.
+        ("esrate.engine", ["scipy", "scipy.*", "esrate.analysis", "esrate.theory",
+                           "esrate.harness"]),
+    ],
+    ids=["esrate.cli", "esrate.engine"],
+)
+def test_import_leaves_out_scipy_optimize(module, unloaded):
+    code = (f"import fnmatch, sys, {module}; "
+            f"print([m for m in sorted(sys.modules) if any(fnmatch.fnmatchcase(m, p) "
+            f"for p in {unloaded!r})])")
     src = os.path.dirname(os.path.dirname(esrate.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,

@@ -39,7 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .engine import EsParams, EsState, rng_stream
+from .engine import EsParams, EsState, default_sigma0, rng_stream
 from .objectives import ObjectiveSpec
 from .pool import fan_out
 from .theory import (
@@ -86,11 +86,10 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 @dataclass(frozen=True)
 class EstimateWithError:
-    """A Monte Carlo estimate with its standard error and sample count."""
+    """A Monte Carlo estimate with its standard error."""
 
     value: float
     stderr: float
-    n: int
 
 
 @dataclass(frozen=True)
@@ -107,7 +106,6 @@ class QStats:
     v_std: float
     half_mean_q: float
     kappa: float
-    n: int
     se_mean: float
     se_var: float
     se_half: float
@@ -245,7 +243,6 @@ def _q_stats(spec: ObjectiveSpec, moments: _Moments) -> QStats:
         v_std=var / mean**2,
         half_mean_q=half,
         kappa=mean / half,
-        n=moments.n,
         se_mean=moments.se(1.0),
         se_var=moments.se(-shift, 0.0, 1.0),
         se_half=moments.se(0.0, 1.0),
@@ -253,7 +250,7 @@ def _q_stats(spec: ObjectiveSpec, moments: _Moments) -> QStats:
 
 
 def _first_mean(moments: _Moments) -> EstimateWithError:
-    return EstimateWithError(value=float(moments.mean[0]), stderr=moments.se(1.0), n=moments.n)
+    return EstimateWithError(value=float(moments.mean[0]), stderr=moments.se(1.0))
 
 
 # -- estimators -------------------------------------------------------------------
@@ -318,13 +315,14 @@ def sigma_bar(spec: ObjectiveSpec, state: EsState, mean_q: float | None = None) 
     return state.sigma * mean_q / gnorm
 
 
-def state_at_sigma_bar(spec: ObjectiveSpec, m, target_sigma_bar: float,
-                       mean_q: float | None = None) -> EsState:
-    """State at point ``m`` whose normalized step size equals the target."""
-    mean_q = _plain_mean_q(spec, mean_q)
+def state_at_sigma_bar(spec: ObjectiveSpec, m, target_sigma_bar: float) -> EsState:
+    """State at point ``m`` whose normalized step size equals the target.
+
+    Needs a diagonal quadratic, whose ``E[Q]`` is the exact trace.
+    """
     m = np.asarray(m, dtype=float)
     gnorm = float(np.linalg.norm(spec.gradient(m)))
-    sigma = target_sigma_bar * gnorm / mean_q
+    sigma = target_sigma_bar * gnorm / spec.trace_hessian
     return EsState(m=m, log_sigma=math.log(sigma))
 
 
@@ -345,9 +343,7 @@ def default_state_grid(spec: ObjectiveSpec, count: int = 32, seed: int = 0) -> l
             direction = rng.standard_normal(spec.dim)
             direction /= np.linalg.norm(direction)
             m = dist * direction
-            base_sigma = float(np.linalg.norm(spec.gradient(m))) / (
-                spec.dim * spec.smoothness
-            )
+            base_sigma = default_sigma0(spec, m)
             for scale in (0.1, 1.0):
                 states.append(EsState(m=m, log_sigma=math.log(base_sigma * scale)))
     return states
@@ -586,7 +582,6 @@ class DriftEstimate:
 
     value: float
     stderr: float
-    n: int
     regime: str
 
 
@@ -624,7 +619,6 @@ def estimate_drift(
     constants: TheoryConstants,
     n: int,
     seed: int,
-    mean_q: float | None = None,
 ) -> DriftEstimate:
     """Sample mean of the one-step potential change from ``state``.
 
@@ -632,8 +626,7 @@ def estimate_drift(
     difference for each; the state's step-size regime is classified by
     :func:`regime_of`.
     """
-    if mean_q is None and not spec.is_quadratic:
-        mean_q = estimate_q_stats(spec, state, n, seed + 1).mean_q
+    mean_q = None if spec.is_quadratic else estimate_q_stats(spec, state, n, seed + 1).mean_q
     regime = regime_of(spec, state, params, constants, mean_q=mean_q)
     v0 = potential_value(state, spec, constants)
     la_up = math.log(params.alpha_up)
@@ -646,7 +639,7 @@ def estimate_drift(
         return [potential_from_values(f_next, ls_next, constants) - v0]
 
     est = _first_mean(_sample(spec, state, n, seed, potential_change))
-    return DriftEstimate(value=est.value, stderr=est.stderr, n=n, regime=regime)
+    return DriftEstimate(value=est.value, stderr=est.stderr, regime=regime)
 
 
 def _describe(spec: ObjectiveSpec) -> str:

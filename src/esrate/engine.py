@@ -175,10 +175,13 @@ class Trajectory:
     log_f: np.ndarray
     log_sigma: np.ndarray
     success: np.ndarray
-    t_final: int
     stop_reason: str
-    seed: int
     final_state: EsState
+
+    @property
+    def t_final(self) -> int:
+        """Number of steps taken."""
+        return len(self.success)
 
     def to_csv(self, path, thin: int = 1) -> None:
         """Write ``t,log_dist,log_f,log_sigma,success`` rows.
@@ -313,9 +316,7 @@ def run(
         log_f=log_f[: t + 1],
         log_sigma=log_sig[: t + 1],
         success=success[:t],
-        t_final=t,
         stop_reason=stop_reason,
-        seed=seed,
         final_state=EsState(y + shift, log_sigma),
     )
 

@@ -136,6 +136,8 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json(obj: dict) -> "ExperimentConfig":
+        if not isinstance(obj, dict):
+            raise ValueError(f"config must be a JSON object, got {type(obj).__name__}")
         known = {f for f in ExperimentConfig.__dataclass_fields__}
         unknown = set(obj) - known
         if unknown:

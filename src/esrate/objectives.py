@@ -39,10 +39,6 @@ __all__ = [
     "make_composite",
 ]
 
-# Defaults of :func:`perturbed_family`.
-PERTURB_AMP_DEFAULT = 0.5
-PERTURB_FREQ_DEFAULT = 3.0
-
 #: Largest condition exponent of the benchmark Hessians: 10.0**308 is finite.
 KAPPA_MAX = 308
 
@@ -284,20 +280,15 @@ def check_kappa(kappa) -> None:
         raise ValueError(f"kappa must be an integer in [0, {KAPPA_MAX}], got {kappa!r}")
 
 
-def perturbed_family(
-    dim: int,
-    kappa: int,
-    amp: float = PERTURB_AMP_DEFAULT,
-    freq: float = PERTURB_FREQ_DEFAULT,
-) -> ObjectiveSpec:
+def perturbed_family(dim: int, kappa: int) -> ObjectiveSpec:
     """Perturbed quadratic over the graded ``h2`` diagonal; the CLI's "perturbed"."""
     base = hessian_family("h2", dim, kappa)
     return ObjectiveSpec(
         kind="quadratic_perturbed",
         dim=dim,
         diag=base.diag,
-        perturb_amp=float(amp),
-        perturb_freq=float(freq),
+        perturb_amp=0.5,
+        perturb_freq=3.0,
         family="perturbed",
         kappa=kappa,
     )

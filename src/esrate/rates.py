@@ -31,7 +31,6 @@ class RateEstimate:
     cr_hat: float
     stderr: float
     window: tuple[int, int]
-    series: str
 
 
 def ols_slope(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
@@ -86,9 +85,7 @@ def estimate_cr(traj: Trajectory, window_frac: float = 0.1, series: str = "log_d
     if not np.all(np.isfinite(y)):
         raise ValueError("trajectory reached the optimum inside the window")
     slope, stderr = ols_slope(np.arange(start, end + 1), y)
-    return RateEstimate(
-        cr_hat=-slope, stderr=stderr, window=(start, end), series=series
-    )
+    return RateEstimate(cr_hat=-slope, stderr=stderr, window=(start, end))
 
 
 def lower_rate_bound(dim: int) -> float:

@@ -244,10 +244,7 @@ def feasible_q_interval(v_std_sup: float, kappa_inf: float) -> tuple[float, floa
     target = kappa_inf * _SQRT_2_OVER_PI
     lo = max(v_std_sup * (1.0 + 1e-9) + 1e-12, 1e-9)
     crossing = _crossing(lambda q: _b_low_value(q, v_std_sup) - target, lo, 0.5 - 1e-12)
-    lower = v_std_sup if crossing is None else crossing
-    if not lower < 0.5:
-        raise ValueError("feasible q interval is empty")
-    return lower, 0.5
+    return (v_std_sup if crossing is None else crossing), 0.5
 
 
 def feasible_q_high_interval(
@@ -267,8 +264,6 @@ def feasible_q_high_interval(
     )
     if lower is None:
         raise ValueError("no q_high qualifies for this q_low")
-    if not lower < 0.5:
-        raise ValueError("feasible q_high interval is empty")
     return lower, 0.5
 
 
@@ -366,7 +361,8 @@ def build_constants(
 
     Validates every feasibility requirement and raises ``ValueError`` naming
     the violated inequality.  Guarantees ``s < ell``, ``w > 0`` and
-    ``v in (0, 1]`` on success.
+    ``v in (0, 1]`` on success.  ``s < ell`` holds iff ``q_high`` lies
+    above the lower limit of :func:`feasible_q_high_interval`.
     """
     v_std = extremes.v_std_sup
     target = p_target(params)
@@ -375,22 +371,24 @@ def build_constants(
         raise ValueError(
             f"q_low={q_low} outside feasible interval ({iq_lower:.6g}, 0.5)"
         )
-    iqh_lower, _ = feasible_q_high_interval(q_low, v_std, params)
-    if not iqh_lower < q_high < 0.5:
-        raise ValueError(
-            f"q_high={q_high} outside feasible interval ({iqh_lower:.6g}, 0.5)"
-        )
     if not q_low < target < q_high:
         raise ValueError(
             f"q_low < p_target < q_high violated: "
             f"({q_low}, {target:.6g}, {q_high})"
+        )
+    if not q_high < 0.5 - v_std:  # the domain of b_high
+        raise ValueError(
+            f"q_high={q_high} outside feasible interval: need q_high < {0.5 - v_std:.6g}"
         )
     bh = b_high(q_high, v_std)
     bl = b_low(q_low, v_std)
     s = math.sqrt(2.0) * params.alpha_up * bh
     ell = math.sqrt(2.0) * params.alpha_down * bl
     if not s < ell:
-        raise ValueError(f"s < ell violated (s={s:.6g}, ell={ell:.6g})")
+        raise ValueError(
+            f"q_high={q_high} outside feasible interval for q_low={q_low}: "
+            f"s < ell violated (s={s:.6g}, ell={ell:.6g})"
+        )
     qf = q_floor(q_low, v_std)
     w, bound = _decrease_and_bound(extremes, params, q_low, q_high, bh, bl, qf)
     if not w > 0:
@@ -415,8 +413,10 @@ def build_constants(
     )
 
 
-def feasible_q_pair(extremes: QExtremes, params: EsParams) -> tuple[float, float]:
-    """A default admissible ``(q_low, q_high)`` pair straddling ``p_target``."""
+def _target_bracket(extremes: QExtremes, params: EsParams) -> tuple[float, float, float]:
+    """``(lower, p_target, cap)``: the feasible ``q_low`` interval is
+    ``(lower, 1/2)`` and contains ``p_target``; ``q_high`` stays below ``cap``,
+    inside the domain of :func:`b_high`.  Raises ``ValueError`` otherwise."""
     target = p_target(params)
     iq_lower, _ = feasible_q_interval(extremes.v_std_sup, extremes.kappa_inf)
     if not iq_lower < target < 0.5:
@@ -424,9 +424,17 @@ def feasible_q_pair(extremes: QExtremes, params: EsParams) -> tuple[float, float
             f"p_target={target:.6g} is not inside the feasible interval "
             f"({iq_lower:.6g}, 0.5)"
         )
+    cap = 0.5 - extremes.v_std_sup - 1e-9
+    if cap <= target:
+        raise ValueError("no admissible q_high above p_target")
+    return iq_lower, target, cap
+
+
+def feasible_q_pair(extremes: QExtremes, params: EsParams) -> tuple[float, float]:
+    """A default admissible ``(q_low, q_high)`` pair straddling ``p_target``."""
+    iq_lower, target, cap = _target_bracket(extremes, params)
     q_low = 0.5 * (iq_lower + target)
     iqh_lower, _ = feasible_q_high_interval(q_low, extremes.v_std_sup, params)
-    cap = 0.5 - extremes.v_std_sup - 1e-9
     floor = max(iqh_lower, target)
     if not floor < cap:
         raise ValueError("no admissible q_high above p_target")
@@ -474,18 +482,9 @@ def b_upper(extremes: QExtremes, params: EsParams, trace: list | None = None) ->
     appended.
     """
     v_std = extremes.v_std_sup
-    target = p_target(params)
-    iq_lower, _ = feasible_q_interval(v_std, extremes.kappa_inf)
-    if not iq_lower < target < 0.5:
-        raise ValueError(
-            f"p_target={target:.6g} is not inside the feasible interval "
-            f"({iq_lower:.6g}, 0.5); rate bound unsupported"
-        )
+    iq_lower, target, qh_cap = _target_bracket(extremes, params)
     pad = 1e-6 * (target - iq_lower)
     q_lows = np.linspace(iq_lower + pad, target - pad, _GRID)
-    qh_cap = 0.5 - v_std - 1e-9
-    if qh_cap <= target:
-        raise ValueError("no admissible q_high above p_target")
     hpad = 1e-6 * (qh_cap - target)
     q_highs = np.linspace(target + hpad, qh_cap - hpad, _GRID)
     bh_vals = np.array([b_high(q, v_std) for q in q_highs])
@@ -539,6 +538,4 @@ def b_upper(extremes: QExtremes, params: EsParams, trace: list | None = None) ->
         hi = min(qh_cap - hpad, qh + (qh_cap - target) / _GRID)
         qh, val_h = _golden_max(lambda b: eval_pair(ql, b), lo, hi, iters=40)
         value = max(value, val_l, val_h)
-    if not value > 0:
-        raise ValueError("rate bound failed to be positive")
     return float(value)

@@ -285,6 +285,17 @@ def test_experiment_rejects_bad_config(bad, message, tmp_path, capsys):
     assert not (out / "results.csv").exists()
 
 
+@pytest.mark.parametrize("text", ["null", "5", "[1, 2]", '"h1"'])
+def test_experiment_rejects_non_object_config(text, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    out = tmp_path / "out"
+    assert cli_main(["experiment", "--config", str(cfg_path), "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config must be a JSON object") and err.count("\n") == 1
+    assert not (out / "results.csv").exists()
+
+
 def test_run_rejects_kappa_beyond_float_range(tmp_path, capsys):
     args = ["run", "--objective", "h1", "--dim", "3", "--kappa", "400",
             "--out", str(tmp_path / "t.csv")]

@@ -8,6 +8,7 @@ from esrate.objectives import (
     CUBE_SHIFT,
     EXP_MINUS_ONE,
     IDENTITY,
+    ObjectiveSpec,
     Transform,
     affine_pos,
     hessian_family,
@@ -189,8 +190,8 @@ def test_nested_composites_rejected():
 
 
 def test_perturbation_must_keep_convexity():
-    with pytest.raises(ValueError):
-        perturbed_family(2, 0, amp=1.0)
+    with pytest.raises(ValueError, match="strong convexity"):
+        ObjectiveSpec(kind="quadratic_perturbed", dim=2, diag=np.ones(2), perturb_amp=1.0)
 
 
 def test_affine_transform_needs_positive_slope():

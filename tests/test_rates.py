@@ -23,9 +23,7 @@ def synthetic(t_final, slope, intercept=3.0, noise=None, seed=0):
         log_f=2.0 * log_dist,
         log_sigma=np.zeros(t_final + 1),
         success=np.zeros(t_final, dtype=bool),
-        t_final=t_final,
         stop_reason="budget",
-        seed=seed,
         final_state=EsState(np.ones(2), 0.0),
     )
 
@@ -105,8 +103,7 @@ def test_nonfinite_window_rejected():
     bad[950] = -np.inf
     broken = Trajectory(
         log_dist=bad, log_f=traj.log_f, log_sigma=traj.log_sigma,
-        success=traj.success, t_final=traj.t_final, stop_reason="budget",
-        seed=0, final_state=traj.final_state,
+        success=traj.success, stop_reason="budget", final_state=traj.final_state,
     )
     with pytest.raises(ValueError):
         estimate_cr(broken)

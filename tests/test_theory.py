@@ -338,9 +338,42 @@ def test_build_constants_names_violations():
         build_constants(_surrogate(100), params, 0.05, 0.45)
     with pytest.raises(ValueError, match="p_target"):
         build_constants(_surrogate(100), params, 0.35, 0.48)
+    # Above p_target, but below the q_high limit for q_low = 0.25 (about 0.4358).
+    with pytest.raises(ValueError, match="q_high=0.35 outside feasible interval"):
+        build_constants(_surrogate(100), params, 0.25, 0.35)
+    with pytest.raises(ValueError, match="q_high=0.5 outside feasible interval"):
+        build_constants(_surrogate(100), params, 0.25, 0.5)
+    # Below 1/2, but outside the domain 0.5 - v_std_sup of b_high.
+    noisy = QExtremes(v_std_sup=2.0 / 3000, kappa_inf=2.0, e_q=3000.0, strong_convexity=1.0)
+    with pytest.raises(ValueError, match="q_high=0.4995 outside feasible interval"):
+        build_constants(noisy, params, 0.29, 0.4995)
     one_fifth = EsParams(math.e, math.e**-0.25)
     with pytest.raises(ValueError, match="p_target"):
         build_constants(_surrogate(100), one_fifth, 0.25, 0.45)
+
+
+@pytest.mark.parametrize(
+    "extremes,admitted,rejected",
+    [
+        (_surrogate(100), 42, 91),
+        (QExtremes(v_std_sup=2.0 / 3000, kappa_inf=2.0, e_q=3000.0, strong_convexity=1.0), 65, 68),
+    ],
+)
+def test_build_constants_admits_exactly_the_pairs_b_upper_scores(extremes, admitted, rejected):
+    """``build_constants`` raises on a traced grid pair iff :func:`b_upper` scored
+    it ``-inf``, and otherwise returns the traced objective as its bound."""
+    params = params_for_target(math.e, 0.3)
+    trace = []
+    b_upper(extremes, params, trace=trace)
+    counts = [0, 0]
+    for q_low, q_high, objective in trace[::31]:
+        if objective == -math.inf:
+            with pytest.raises(ValueError):
+                build_constants(extremes, params, q_low, q_high)
+        else:
+            assert build_constants(extremes, params, q_low, q_high).b_upper == objective
+        counts[objective == -math.inf] += 1
+    assert counts == [admitted, rejected]
 
 
 def test_feasible_q_pair_straddles_target():

@@ -505,12 +505,8 @@ def check_lemma_suite(
         else:
             checks.append(CheckResult("log_progress_moment", sid, math.nan, math.nan, math.nan, "inconclusive"))
 
-        if spec.is_quadratic:
-            sbar = sigma * spec.trace_hessian / gnorm
-            v_std = quadratic_v_std(spec)
-        else:
-            sbar = sigma * mean_q / gnorm
-            v_std = stats.v_std
+        sbar = sigma_bar(spec, state, None if spec.is_quadratic else mean_q)
+        v_std = quadratic_v_std(spec) if spec.is_quadratic else stats.v_std
         for eps in (0.1, 0.3, 0.5):
             low = std_normal_cdf(-0.5 * sbar * (1.0 + eps)) - v_std / eps**2
             high = std_normal_cdf(-0.5 * sbar * (1.0 - eps)) + v_std / eps**2

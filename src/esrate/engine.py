@@ -222,6 +222,7 @@ def _log_norm(y: np.ndarray) -> float:
     return math.log(norm) if norm > 0 else -math.inf
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run(
     spec: ObjectiveSpec,
     params: EsParams,
@@ -237,7 +238,8 @@ def run(
     ``t_final`` truncated to the stopping step); otherwise runs the full
     budget (``stop_reason='budget'``).  Raises ``ValueError`` for a start
     point not of shape ``(spec.dim,)``, at the optimum or with a non-finite
-    objective value.
+    objective value, and once ``exp(log_sigma)`` overflows a float.  A
+    candidate whose value overflows to inf (or nan) rejects, silently.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -286,7 +288,11 @@ def run(
         ls = [log_sigma]
         for _ in range(k):
             ls.append(ls[-1] + la_dn)
-        xs = np.array([math.exp(v) for v in ls[:k]])[:, None] * zbuf[zi : zi + k]
+        try:
+            sigmas = [math.exp(v) for v in ls[:k]]  # ls decreases: only ls[0] can overflow
+        except OverflowError:
+            raise ValueError(f"step size overflows at step {t}: log_sigma={log_sigma!r}") from None
+        xs = np.array(sigmas)[:, None] * zbuf[zi : zi + k]
         xs += y
         # Steps t .. t+n-1 happen: all reject, or the last one accepts.
         for n, f_x in enumerate(base.value_many(xs).tolist(), 1):

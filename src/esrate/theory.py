@@ -5,8 +5,9 @@ This module turns the probabilistic bound constants into evaluable numbers:
 * high-accuracy standard-normal CDF and quantile;
 * the step-size threshold functions ``b_high`` / ``b_low`` (each an inner
   optimisation over a slack parameter ``eps``);
-* the feasibility intervals for the success-probability constants
-  ``q_low`` / ``q_high`` and the floor probability ``q_floor``;
+* the lower feasibility limits of the success-probability constants
+  ``q_low`` / ``q_high`` and the floor probability ``q_floor``, each a
+  threshold inverted in closed form (again one search over ``eps``);
 * the potential function, which augments ``log f(m)`` with penalties for a
   step size that is too small or too large relative to ``sqrt(L f(m))``;
 * the per-iteration rate bound obtained by maximising over admissible
@@ -18,6 +19,7 @@ immutable after construction and safe for concurrent reads.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
 
@@ -35,8 +37,8 @@ __all__ = [
     "b_high_at",
     "b_low_at",
     "assumption_margin_rhs",
-    "feasible_q_interval",
-    "feasible_q_high_interval",
+    "q_low_limit",
+    "q_high_limit",
     "q_floor",
     "QExtremes",
     "TheoryConstants",
@@ -109,55 +111,6 @@ def _golden_max(fn, lo: float, hi: float, iters: int = 64):
     return (c, fc) if fc >= fd else (d, fd)
 
 
-def _crossing(fn, lo: float, hi: float) -> float | None:
-    """Sign change of a decreasing ``fn`` on ``[lo, hi]``, to a few ulps.
-
-    Brent's method (Brent 1973, ch. 4): secant and inverse quadratic steps
-    inside the bracket ``[b, c]``, and a bisection whenever they shrink it
-    too slowly.  Returns the bracket end where ``fn >= 0``; ``hi`` if
-    ``fn(hi) >= 0``; ``None`` if ``fn(lo) < 0``.
-    """
-    a, fa = lo, fn(lo)
-    if fa < 0:
-        return None
-    b, fb = hi, fn(hi)
-    if fb >= 0:
-        return hi
-    c, fc = a, fa
-    d = e = b - a  # the last step and the one before it
-    while True:
-        if (fb >= 0) == (fc >= 0):
-            c, fc = a, fa
-            d = e = b - a
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        tol = 2.0 * math.ulp(b)
-        m = 0.5 * (c - b)
-        if abs(m) <= tol or fb == 0:
-            return b if fb >= 0 else c
-        if abs(e) >= tol and abs(fa) > abs(fb):
-            s = fb / fa
-            if a == c:  # secant
-                p, q = 2.0 * m * s, 1.0 - s
-            else:  # inverse quadratic through a, b and c
-                q, r = fa / fc, fb / fc
-                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0:
-                q = -q
-            p = abs(p)
-            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
-                e, d = d, p / q
-            else:
-                e = d = m
-        else:
-            e = d = m
-        a, fa = b, fb
-        b += d if abs(d) > tol else math.copysign(tol, m)
-        fb = fn(b)
-
-
 def b_high(q: float, v_std: float) -> float:
     """Largest normalized step size certified to keep success probability > q.
 
@@ -214,7 +167,7 @@ def b_low(q: float, v_std: float) -> float:
     return val
 
 
-# -- feasibility intervals ----------------------------------------------------
+# -- feasibility limits -------------------------------------------------------
 
 
 def assumption_margin_rhs(kappa_inf: float) -> float:
@@ -227,58 +180,75 @@ def assumption_margin_rhs(kappa_inf: float) -> float:
     return 0.25 * min(float(ndtr(z)) - 0.5, float(ndtr(-3.0 * z)))
 
 
-def feasible_q_interval(v_std_sup: float, kappa_inf: float) -> tuple[float, float]:
-    """Open interval of admissible ``q_low`` values, ``(lower, 1/2)``.
+def q_low_limit(v_std_sup: float, kappa_inf: float) -> float:
+    """Lower limit of the admissible ``q_low`` interval ``(lower, 1/2)``.
 
-    ``lower`` is the larger of ``v_std_sup`` and the crossing point where
-    ``b_low(q, v_std_sup)`` falls to ``kappa_inf * sqrt(2/pi)`` (``b_low`` is
-    decreasing in ``q``).
+    ``b_low(q, v) >= K = kappa_inf sqrt(2/pi)`` iff ``q <= H(eps) =
+    Phi(-K (1 - eps)/2) + v/eps^2`` for all ``eps`` in ``(0, 1)``.  ``H`` has
+    one stationary point, and ``inf H = Phi(-K/2)`` at ``v == 0``.  The limit
+    is ``inf H`` capped at ``1/2 - 1e-12``, or ``v_std_sup`` when ``inf H``
+    lies below ``max(v (1 + 1e-9) + 1e-12, 1e-9)``.
     """
     if kappa_inf < 1.0:
         raise ValueError("kappa_inf must be >= 1")
-    if not v_std_sup < assumption_margin_rhs(kappa_inf):
-        raise ValueError(
-            "curvature-variance condition violated: "
-            f"v_std_sup={v_std_sup} >= {assumption_margin_rhs(kappa_inf):.6g}"
-        )
-    target = kappa_inf * _SQRT_2_OVER_PI
-    lo = max(v_std_sup * (1.0 + 1e-9) + 1e-12, 1e-9)
-    crossing = _crossing(lambda q: _b_low_value(q, v_std_sup) - target, lo, 0.5 - 1e-12)
-    return (v_std_sup if crossing is None else crossing), 0.5
+    rhs = assumption_margin_rhs(kappa_inf)
+    if not v_std_sup < rhs:
+        raise ValueError("curvature-variance condition violated: "
+                         f"v_std_sup={v_std_sup} >= {rhs:.6g}")
+    half_k = 0.5 * kappa_inf * _SQRT_2_OVER_PI
+    lower = float(ndtr(-half_k))
+    if v_std_sup > 0.0:
+        # In log(eps): H(sqrt(v)) > 1 > 1/2 + v = H(1), so the minimum lies in (sqrt(v), 1).
+        lower = -_golden_max(lambda t: -float(ndtr(half_k * (math.exp(t) - 1.0)))
+                             - v_std_sup / math.exp(t) ** 2, 0.5 * math.log(v_std_sup), 0.0)[1]
+    if lower < max(v_std_sup * (1.0 + 1e-9) + 1e-12, 1e-9):
+        return v_std_sup
+    return min(lower, 0.5 - 1e-12)
 
 
-def feasible_q_high_interval(
-    q_low: float, v_std_sup: float, params: EsParams
-) -> tuple[float, float]:
-    """Open interval of admissible ``q_high`` values for a given ``q_low``.
+def _b_high_limit(reference: float, ratio: float, v_std_sup: float, cap: float,
+                  failure: str = "q_floor collapsed to zero; inputs violate feasibility") -> float:
+    """Infimum of ``{q : ratio * b_high(q, v) < reference}``, capped at
+    ``min(cap, 1/2 - v) - 1e-12``; raises ``ValueError(failure)`` below 1e-9.
 
-    The lower limit is the crossing point of
-    ``(alpha_up/alpha_down) * b_high(q, v) = b_low(q_low, v)`` (the left
-    side decreases in ``q``).  At ``v_std_sup == 0`` it equals
-    ``Phi((alpha_down/alpha_up) * quantile(q_low))``.
+    The test holds iff ``q > G(eps) = Phi(-c (1 + eps)) - v/eps^2`` for all
+    ``eps > 0``, with ``c = reference/(2 ratio)``; so the infimum is
+    ``sup G``, which is ``Phi(-c)`` at ``v == 0`` and less otherwise.
     """
-    ratio = math.exp(params.log_ratio)
-    reference = b_low(q_low, v_std_sup)
-    lower = _crossing(
-        lambda q: ratio * b_high(q, v_std_sup) - reference, 1e-9, 0.5 - v_std_sup - 1e-12
-    )
-    if lower is None:
-        raise ValueError("no q_high qualifies for this q_low")
-    return lower, 0.5
+    c = reference / (2.0 * ratio)
+    sup = float(ndtr(-c))
+    if v_std_sup > 0.0 and sup >= 1e-9:  # else Phi(-c), maybe underflowed, is too low
+        # In log(eps).  G > 0 needs eps > sqrt(v/Phi(-c)).  G' has the sign of
+        # log(2v/eps^3) + c^2 (1 + eps)^2/2 + const, which falls up to eps_m,
+        # where c^2 eps (1 + eps) = 3, and rises after: the interior maximum
+        # of G lies left of eps_m, and right of it G < max(G(eps_m), 0).
+        lo = 0.5 * math.log(v_std_sup / sup)
+        hi = math.log((math.sqrt(1.0 + 12.0 / c**2) - 1.0) / 2.0)
+        sup = -math.inf if lo >= hi else _golden_max(
+            lambda t: float(ndtr(-c * (1.0 + math.exp(t)))) - v_std_sup / math.exp(t) ** 2,
+            lo, hi)[1]
+    if not sup >= 1e-9:
+        raise ValueError(failure)
+    return min(sup, min(cap, 0.5 - v_std_sup) - 1e-12)
+
+
+def q_high_limit(q_low: float, v_std_sup: float, params: EsParams) -> float:
+    """Lower limit of the admissible ``q_high`` interval ``(lower, 1/2)``.
+
+    The crossing of ``(alpha_up/alpha_down) b_high(q, v) = b_low(q_low, v)``;
+    ``Phi((alpha_down/alpha_up) quantile(q_low))`` at ``v_std_sup == 0``.
+    """
+    return _b_high_limit(b_low(q_low, v_std_sup), math.exp(params.log_ratio), v_std_sup,
+                         0.5, "no q_high qualifies for this q_low")
 
 
 def q_floor(q_low: float, v_std_sup: float) -> float:
     """Smallest success probability certified throughout the non-large regime.
 
-    The infimum of ``{q : b_high(q, v) < b_low(q_low, v)}``; equals ``q_low``
-    at ``v_std_sup == 0`` and stays positive.
+    The infimum of ``{q : b_high(q, v) < b_low(q_low, v)}``, below ``q_low``;
+    equals ``q_low`` at ``v_std_sup == 0`` and stays positive.
     """
-    reference = b_low(q_low, v_std_sup)
-    hi = min(q_low, 0.5 - v_std_sup) - 1e-12
-    lower = _crossing(lambda q: b_high(q, v_std_sup) - reference, 1e-9, hi)
-    if lower is None:
-        raise ValueError("q_floor collapsed to zero; inputs violate feasibility")
-    return lower
+    return _b_high_limit(b_low(q_low, v_std_sup), 1.0, v_std_sup, q_low)
 
 
 # -- constants ----------------------------------------------------------------
@@ -362,11 +332,11 @@ def build_constants(
     Validates every feasibility requirement and raises ``ValueError`` naming
     the violated inequality.  Guarantees ``s < ell``, ``w > 0`` and
     ``v in (0, 1]`` on success.  ``s < ell`` holds iff ``q_high`` lies
-    above the lower limit of :func:`feasible_q_high_interval`.
+    above :func:`q_high_limit`.
     """
     v_std = extremes.v_std_sup
     target = p_target(params)
-    iq_lower, _ = feasible_q_interval(v_std, extremes.kappa_inf)
+    iq_lower = q_low_limit(v_std, extremes.kappa_inf)
     if not iq_lower < q_low < 0.5:
         raise ValueError(
             f"q_low={q_low} outside feasible interval ({iq_lower:.6g}, 0.5)"
@@ -418,7 +388,7 @@ def _target_bracket(extremes: QExtremes, params: EsParams) -> tuple[float, float
     ``(lower, 1/2)`` and contains ``p_target``; ``q_high`` stays below ``cap``,
     inside the domain of :func:`b_high`.  Raises ``ValueError`` otherwise."""
     target = p_target(params)
-    iq_lower, _ = feasible_q_interval(extremes.v_std_sup, extremes.kappa_inf)
+    iq_lower = q_low_limit(extremes.v_std_sup, extremes.kappa_inf)
     if not iq_lower < target < 0.5:
         raise ValueError(
             f"p_target={target:.6g} is not inside the feasible interval "
@@ -434,8 +404,7 @@ def feasible_q_pair(extremes: QExtremes, params: EsParams) -> tuple[float, float
     """A default admissible ``(q_low, q_high)`` pair straddling ``p_target``."""
     iq_lower, target, cap = _target_bracket(extremes, params)
     q_low = 0.5 * (iq_lower + target)
-    iqh_lower, _ = feasible_q_high_interval(q_low, extremes.v_std_sup, params)
-    floor = max(iqh_lower, target)
+    floor = max(q_high_limit(q_low, extremes.v_std_sup, params), target)
     if not floor < cap:
         raise ValueError("no admissible q_high above p_target")
     q_high = 0.5 * (floor + cap)
@@ -490,14 +459,10 @@ def b_upper(extremes: QExtremes, params: EsParams, trace: list | None = None) ->
     bh_vals = np.array([b_high(q, v_std) for q in q_highs])
     ratio = math.exp(params.log_ratio)
 
-    low_cache: dict[float, tuple[float, float]] = {}
-
+    @functools.cache
     def low_side(ql: float) -> tuple[float, float]:
-        if ql not in low_cache:
-            bl = _b_low_value(ql, v_std)
-            qf = q_floor(ql, v_std) if bl <= _B_LOW_CAP else math.nan
-            low_cache[ql] = (bl, qf)
-        return low_cache[ql]
+        bl = _b_low_value(ql, v_std)
+        return bl, (_b_high_limit(bl, 1.0, v_std, ql) if bl <= _B_LOW_CAP else math.nan)
 
     def objective(ql: float, qh: float, bh: float) -> float:
         bl, qf = low_side(ql)

@@ -301,3 +301,11 @@ def test_run_rejects_kappa_beyond_float_range(tmp_path, capsys):
             "--out", str(tmp_path / "t.csv")]
     assert cli_main(args) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_run_rejects_step_size_overflow(tmp_path, capsys):
+    args = ["run", "--objective", "h1", "--dim", "1", "--c", "709", "--budget", "50",
+            "--seed", "1", "--out", str(tmp_path / "t.csv")]
+    assert cli_main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: step size overflows at step 26") and err.count("\n") == 1

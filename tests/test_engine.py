@@ -271,6 +271,14 @@ def test_run_survives_squared_norm_underflow():
     assert traj.log_dist[-1] == math.log(abs(traj.final_state.m[0]))
 
 
+def test_run_rejects_step_size_overflow():
+    # alpha_up = e^709: the first success past log_sigma = 0.78 leaves the float range.
+    spec = hessian_family("h1", 1, 0)
+    params = params_for_rule("const", 1, 709.0)
+    with pytest.raises(ValueError, match=r"at step 26: log_sigma=709\.91"):
+        run(spec, params, init_default(spec, 1), 50, seed=1)
+
+
 def test_run_draws_no_more_rows_than_steps():
     # A full Z_BLOCK x 10^4 buffer of draws would take 82 MB.
     dim = 10_000

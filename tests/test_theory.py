@@ -15,18 +15,20 @@ from esrate.engine import EsParams, EsState, params_for_rule, params_for_target,
 from esrate.objectives import sphere
 from esrate.theory import (
     QExtremes,
+    _b_low_value,
+    assumption_margin_rhs,
     b_high,
     b_high_at,
     b_low,
     b_low_at,
     b_upper,
     build_constants,
-    feasible_q_high_interval,
-    feasible_q_interval,
     feasible_q_pair,
     potential_from_values,
     potential_value,
     q_floor,
+    q_high_limit,
+    q_low_limit,
     std_normal_cdf,
     std_normal_quantile,
 )
@@ -178,8 +180,7 @@ def test_thresholds_are_optima_and_crossings_are_sharp(q, log_frac, log_up, seed
     ratio = math.exp(params.log_ratio)
     for condition, crossing in (
         (lambda x: b_high(x, v) >= reference, lambda: q_floor(q, v)),
-        (lambda x: ratio * b_high(x, v) >= reference,
-         lambda: feasible_q_high_interval(q, v, params)[0]),
+        (lambda x: ratio * b_high(x, v) >= reference, lambda: q_high_limit(q, v, params)),
     ):
         try:
             lower = crossing()
@@ -189,6 +190,15 @@ def test_thresholds_are_optima_and_crossings_are_sharp(q, log_frac, log_up, seed
         assume(lower * (1 + 1e-9) < 0.5 - v)
         assert condition(lower * (1 - 1e-9))
         assert not condition(lower * (1 + 1e-9))
+
+    # The q_low limit, at a curvature-variance bound spanning eight decades
+    # below its Assumption 2 ceiling: b_low >= kappa sqrt(2/pi) just below it.
+    kappa = rng.uniform(1.0, 4.0)
+    v = assumption_margin_rhs(kappa) * 10.0 ** rng.uniform(-8.0, 0.0)
+    target = kappa * SQRT_2_OVER_PI
+    lower = q_low_limit(v, kappa)
+    assert _b_low_value(lower * (1 - 1e-9), v) >= target
+    assert _b_low_value(lower * (1 + 1e-9), v) < target
 
 
 @pytest.mark.parametrize(
@@ -231,8 +241,7 @@ def _b_high_oracle(q, v, n=400_001):
 
 
 def test_feasible_q_interval_zero_variance():
-    lower, upper = feasible_q_interval(0.0, 2.0)
-    assert upper == 0.5
+    lower = q_low_limit(0.0, 2.0)
     assert lower == pytest.approx(std_normal_cdf(-SQRT_2_OVER_PI), abs=1e-6)
 
 
@@ -246,7 +255,7 @@ def test_feasible_q_interval_small_variance_matches_grid_oracle():
             a = mid
         else:
             b = mid
-    lower, _ = feasible_q_interval(0.002, 2.0)
+    lower = q_low_limit(0.002, 2.0)
     assert lower == pytest.approx(0.5 * (a + b), abs=1e-4)
     assert 0.30 < lower < 0.31
 
@@ -255,22 +264,21 @@ def test_feasible_q_interval_huge_kappa_degenerates():
     # At large kappa no q satisfies the crossing condition, so the lower
     # limit falls back to v_std_sup; only v_std_sup = 0 keeps the margin
     # precondition satisfiable there (its ceiling vanishes with kappa).
-    lower, _ = feasible_q_interval(0.0, 20.0)
+    lower = q_low_limit(0.0, 20.0)
     assert lower == 0.0
 
 
 def test_feasible_q_interval_rejects_large_variance():
     with pytest.raises(ValueError):
-        feasible_q_interval(0.2, 2.0)
+        q_low_limit(0.2, 2.0)
 
 
 def test_feasible_q_high_interval_zero_variance_closed_form():
     params = EsParams(math.e, math.e**-0.25)
-    lower, upper = feasible_q_high_interval(0.25, 0.0, params)
+    lower = q_high_limit(0.25, 0.0, params)
     expected = std_normal_cdf(
         (params.alpha_down / params.alpha_up) * std_normal_quantile(0.25)
     )
-    assert upper == 0.5
     assert lower == pytest.approx(expected, abs=1e-9)
     assert lower == pytest.approx(0.4234, abs=1e-4)
 
@@ -278,14 +286,23 @@ def test_feasible_q_high_interval_zero_variance_closed_form():
 def test_feasible_q_high_interval_grows_with_ratio():
     # A larger up/down ratio moves the crossing toward 1/2 (every small q
     # qualifies, so the supremum of qualifying q grows).
-    small = feasible_q_high_interval(0.25, 0.0, EsParams(math.exp(0.011), math.exp(-0.01)))[0]
-    large = feasible_q_high_interval(0.25, 0.0, EsParams(math.exp(2.0), math.exp(-2.0)))[0]
+    small = q_high_limit(0.25, 0.0, EsParams(math.exp(0.011), math.exp(-0.01)))
+    large = q_high_limit(0.25, 0.0, EsParams(math.exp(2.0), math.exp(-2.0)))
     assert small < large < 0.5
     assert small == pytest.approx(0.25, abs=0.01)
 
 
 def test_q_floor_zero_variance_equals_q_low():
     assert q_floor(0.25, 0.0) == pytest.approx(0.25, abs=1e-9)
+
+
+def test_limits_reject_an_underflowing_normal_tail():
+    # b_low(0.2, v) is about 1.8e4 here, so Phi(-b_low/2) underflows to 0.
+    v = 0.2 * (1 - 1e-3)
+    with pytest.raises(ValueError, match="collapsed"):
+        q_floor(0.2, v)
+    with pytest.raises(ValueError, match="no q_high qualifies"):
+        q_high_limit(0.2, v, params_for_target(math.e, 0.3))
 
 
 def test_q_floor_with_variance_matches_grid_oracle():

@@ -65,7 +65,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--sup", action="store_true",
                           help="also maximise the rate bound over (q_low, q_high)")
     p_bounds.add_argument("--trace-out", default=None,
-                          help="CSV path for the grid-search trace (with --sup)")
+                          help="CSV path for the (q_low, q_high) points the search "
+                               "evaluated (with --sup)")
 
     p_verify = sub.add_parser("verify", help="run a verification suite; exit 2 on failure")
     p_verify.add_argument("--suite", required=True, choices=tuple(SUITES))
@@ -108,6 +109,8 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    if args.trace_out and not args.sup:
+        raise ValueError("--trace-out needs --sup")
     e_q = args.e_q if args.e_q is not None else args.dim * args.U
     extremes = theory.QExtremes(
         v_std_sup=args.v_std, kappa_inf=args.kappa_inf, e_q=e_q,

@@ -49,7 +49,8 @@ def fan_out(fn, tasks) -> list:
     Results come back in task order.  ``fn`` and every task must pickle, so
     ``fn`` is a module-level function.  One task, one worker, or a call from
     inside a pool worker runs inline, so pools never nest.  Each call starts
-    and stops its own pool.
+    and stops its own pool.  Workers fork where the platform can, so they
+    inherit the loaded modules instead of importing numpy and scipy again.
     """
     tasks = list(tasks)
     if multiprocessing.parent_process() is not None:
@@ -57,5 +58,7 @@ def fan_out(fn, tasks) -> list:
     workers = min(worker_count(), len(tasks))
     if workers <= 1:
         return [fn(*task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+    with ProcessPoolExecutor(max_workers=workers,
+                             mp_context=multiprocessing.get_context(method)) as pool:
         return list(pool.map(fn, *zip(*tasks), chunksize=1))

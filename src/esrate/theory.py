@@ -10,8 +10,9 @@ This module turns the probabilistic bound constants into evaluable numbers:
   threshold inverted in closed form (again one search over ``eps``);
 * the potential function, which augments ``log f(m)`` with penalties for a
   step size that is too small or too large relative to ``sqrt(L f(m))``;
-* the per-iteration rate bound obtained by maximising over admissible
-  ``(q_low, q_high)`` pairs.
+* the per-iteration rate bound, maximised over admissible ``(q_low, q_high)``
+  pairs by one golden-section search over ``q_low``, with the best
+  ``q_high`` for each ``q_low`` in closed form.
 
 All functions here are pure and deterministic; ``TheoryConstants`` is
 immutable after construction and safe for concurrent reads.
@@ -19,7 +20,6 @@ immutable after construction and safe for concurrent reads.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import asdict, dataclass
 
@@ -52,8 +52,6 @@ __all__ = [
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 #: b_low values beyond this are reported as divergent.
 _B_LOW_CAP = 1e6
-#: Points per axis of the (q_low, q_high) scan in :func:`b_upper`.
-_GRID = 64
 
 
 def std_normal_cdf(x):
@@ -137,16 +135,6 @@ def b_high(q: float, v_std: float) -> float:
     return _golden_max(lambda t: b_high_at(q, v_std, math.exp(t)), lo, hi)[1]
 
 
-def _b_low_value(q: float, v_std: float) -> float:
-    if v_std == 0.0:
-        return 2.0 * float(ndtri(1.0 - q))
-    lo = math.sqrt(v_std / q) * (1.0 + 1e-9)
-    hi = 1.0 - 1e-12
-    if lo >= hi:
-        return math.inf
-    return -_golden_max(lambda e: -b_low_at(q, v_std, e), lo, hi)[1]
-
-
 def b_low(q: float, v_std: float) -> float:
     """Smallest normalized step size certified to keep success probability < q.
 
@@ -159,9 +147,13 @@ def b_low(q: float, v_std: float) -> float:
         raise ValueError("q must lie in (0, 1/2)")
     if v_std < 0.0:
         raise ValueError("v_std must be nonnegative")
-    if v_std > 0.0 and not v_std < q:
+    if v_std == 0.0:
+        return 2.0 * float(ndtri(1.0 - q))
+    if not v_std < q:
         raise ValueError(f"need v_std < q (v_std={v_std}, q={q})")
-    val = _b_low_value(q, v_std)
+    lo = math.sqrt(v_std / q) * (1.0 + 1e-9)
+    hi = 1.0 - 1e-12
+    val = math.inf if lo >= hi else -_golden_max(lambda e: -b_low_at(q, v_std, e), lo, hi)[1]
     if val > _B_LOW_CAP:
         raise ValueError(f"b_low exceeds {_B_LOW_CAP:g}; treated as divergent")
     return val
@@ -180,14 +172,27 @@ def assumption_margin_rhs(kappa_inf: float) -> float:
     return 0.25 * min(float(ndtr(z)) - 0.5, float(ndtr(-3.0 * z)))
 
 
+def _b_low_limit(reference: float, v_std_sup: float) -> float:
+    """Supremum of ``{q : b_low(q, v) > reference}``: the infimum over ``eps``
+    in ``(0, 1)`` of ``H(eps) = Phi(-reference (1 - eps)/2) + v/eps^2``.
+
+    ``H`` has one stationary point, and ``inf H = Phi(-reference/2)`` at ``v == 0``.
+    """
+    half = 0.5 * reference
+    if v_std_sup == 0.0:
+        return float(ndtr(-half))
+    # In log(eps): H(sqrt(v)) > 1 > 1/2 + v = H(1), so the minimum lies in (sqrt(v), 1).
+    return -_golden_max(lambda t: -float(ndtr(half * (math.exp(t) - 1.0)))
+                        - v_std_sup / math.exp(t) ** 2, 0.5 * math.log(v_std_sup), 0.0)[1]
+
+
 def q_low_limit(v_std_sup: float, kappa_inf: float) -> float:
     """Lower limit of the admissible ``q_low`` interval ``(lower, 1/2)``.
 
-    ``b_low(q, v) >= K = kappa_inf sqrt(2/pi)`` iff ``q <= H(eps) =
-    Phi(-K (1 - eps)/2) + v/eps^2`` for all ``eps`` in ``(0, 1)``.  ``H`` has
-    one stationary point, and ``inf H = Phi(-K/2)`` at ``v == 0``.  The limit
-    is ``inf H`` capped at ``1/2 - 1e-12``, or ``v_std_sup`` when ``inf H``
-    lies below ``max(v (1 + 1e-9) + 1e-12, 1e-9)``.
+    ``b_low(q, v) >= K = kappa_inf sqrt(2/pi)`` iff ``q <= inf H``, with ``H``
+    as in :func:`_b_low_limit`.  The limit is ``inf H`` capped at
+    ``1/2 - 1e-12``, or ``v_std_sup`` when ``inf H`` lies below
+    ``max(v (1 + 1e-9) + 1e-12, 1e-9)``.
     """
     if kappa_inf < 1.0:
         raise ValueError("kappa_inf must be >= 1")
@@ -195,12 +200,7 @@ def q_low_limit(v_std_sup: float, kappa_inf: float) -> float:
     if not v_std_sup < rhs:
         raise ValueError("curvature-variance condition violated: "
                          f"v_std_sup={v_std_sup} >= {rhs:.6g}")
-    half_k = 0.5 * kappa_inf * _SQRT_2_OVER_PI
-    lower = float(ndtr(-half_k))
-    if v_std_sup > 0.0:
-        # In log(eps): H(sqrt(v)) > 1 > 1/2 + v = H(1), so the minimum lies in (sqrt(v), 1).
-        lower = -_golden_max(lambda t: -float(ndtr(half_k * (math.exp(t) - 1.0)))
-                             - v_std_sup / math.exp(t) ** 2, 0.5 * math.log(v_std_sup), 0.0)[1]
+    lower = _b_low_limit(kappa_inf * _SQRT_2_OVER_PI, v_std_sup)
     if lower < max(v_std_sup * (1.0 + 1e-9) + 1e-12, 1e-9):
         return v_std_sup
     return min(lower, 0.5 - 1e-12)
@@ -443,64 +443,46 @@ def potential_value(state: EsState, spec: ObjectiveSpec, constants: TheoryConsta
 def b_upper(extremes: QExtremes, params: EsParams, trace: list | None = None) -> float:
     """Per-iteration convergence-rate bound, maximised over admissible pairs.
 
-    Runs a ``_GRID x _GRID`` scan of ``(q_low, q_high)`` followed by local
-    golden-section refinement in each coordinate.  Raises ``ValueError``
-    when ``p_target`` falls outside the feasible interval (the bound is
-    then unsupported at these parameters).  If ``trace`` is a list, one
-    ``(q_low, q_high, objective)`` triple per scanned grid point is
-    appended.
+    The bound is ``min(w/4, log_ratio) min(p - q_low, q_high - p) / 2``
+    with ``w = a(q_low) b_high(q_high)``.  For each ``q_low`` the best
+    ``q_high`` is ``max(edge+, min(max(q*, q_c), 2p - q_low, cap))``: ``q*``
+    maximises ``b_high(q) (q - p)``, ``w/4`` falls to ``log_ratio`` at
+    ``q_c``, ``2p - q_low`` is the kink of the second ``min``, and ``edge+``
+    lies just above :func:`q_high_limit`.  One golden-section search over
+    ``q_low`` then runs from :func:`q_low_limit` to ``p``, or to where no
+    ``q_high`` below ``cap`` is admissible if that comes first.
+
+    Raises ``ValueError`` when ``p_target`` falls outside the feasible
+    interval (the bound is then unsupported at these parameters).  If
+    ``trace`` is a list, one ``(q_low, q_high, objective)`` triple per
+    evaluated ``q_low`` is appended.
     """
     v_std = extremes.v_std_sup
-    iq_lower, target, qh_cap = _target_bracket(extremes, params)
-    pad = 1e-6 * (target - iq_lower)
-    q_lows = np.linspace(iq_lower + pad, target - pad, _GRID)
-    hpad = 1e-6 * (qh_cap - target)
-    q_highs = np.linspace(target + hpad, qh_cap - hpad, _GRID)
-    bh_vals = np.array([b_high(q, v_std) for q in q_highs])
+    iq_lower, target, cap = _target_bracket(extremes, params)
     ratio = math.exp(params.log_ratio)
+    hi = min(target, _b_low_limit(ratio * b_high(cap, v_std), v_std))
+    if not iq_lower < hi:
+        raise ValueError("no admissible (q_low, q_high) pair: "
+                         f"q_low would lie in ({iq_lower:.6g}, {hi:.6g})")
+    q_star = _golden_max(lambda q: b_high(q, v_std) * (q - target), target, cap)[0]
+    scale = extremes.strong_convexity / extremes.e_q
 
-    @functools.cache
-    def low_side(ql: float) -> tuple[float, float]:
-        bl = _b_low_value(ql, v_std)
-        return bl, (_b_high_limit(bl, 1.0, v_std, ql) if bl <= _B_LOW_CAP else math.nan)
-
-    def objective(ql: float, qh: float, bh: float) -> float:
-        bl, qf = low_side(ql)
-        # (ql, qh) is admissible iff qh lies above the interval crossing,
-        # i.e. ratio * b_high(qh) < b_low(ql).
-        if bl > _B_LOW_CAP or ratio * bh >= bl:
-            return -math.inf
-        w, bound = _decrease_and_bound(extremes, params, ql, qh, bh, bl, qf)
-        return bound if w > 0 else -math.inf
-
-    best = (-math.inf, None, None)
-    for ql in q_lows:
-        ql = float(ql)
-        if low_side(ql)[0] > _B_LOW_CAP:
-            continue
-        for qh, bh in zip(q_highs, bh_vals):
-            obj = objective(ql, qh, bh)
-            if trace is not None:
-                trace.append((ql, float(qh), float(obj)))
-            if obj > best[0]:
-                best = (obj, ql, float(qh))
-
-    value, ql, qh = best
-    if value <= 0 or ql is None:
-        raise ValueError("no admissible (q_low, q_high) pair found on the grid")
-
-    def eval_pair(a, b):
+    def objective(ql: float) -> float:
+        bl = b_low(ql, v_std)
+        qf = _b_high_limit(bl, 1.0, v_std, ql)
+        a = scale * (_SQRT_2_OVER_PI - bl / extremes.kappa_inf) * qf / 2.0
         try:
-            return objective(a, b, b_high(b, v_std))
-        except ValueError:
-            return -math.inf
+            q_c = _b_high_limit(4.0 * params.log_ratio / a, 1.0, v_std, cap)
+        except ValueError:  # w/4 < log_ratio for every q_high
+            q_c = -math.inf
+        edge = _b_high_limit(bl, ratio, v_std, 0.5)
+        qh = max(edge * (1.0 + 1e-12), min(max(q_star, q_c), 2.0 * target - ql, cap))
+        bound = _decrease_and_bound(extremes, params, ql, qh, b_high(qh, v_std), bl, qf)[1]
+        if trace is not None:
+            trace.append((ql, qh, bound))
+        return bound
 
-    for _ in range(2):  # coordinate-wise refinement
-        lo = max(iq_lower + pad, ql - (target - iq_lower) / _GRID)
-        hi = min(target - pad, ql + (target - iq_lower) / _GRID)
-        ql, val_l = _golden_max(lambda a: eval_pair(a, qh), lo, hi, iters=40)
-        lo = max(target + hpad, qh - (qh_cap - target) / _GRID)
-        hi = min(qh_cap - hpad, qh + (qh_cap - target) / _GRID)
-        qh, val_h = _golden_max(lambda b: eval_pair(ql, b), lo, hi, iters=40)
-        value = max(value, val_l, val_h)
+    value = _golden_max(objective, iq_lower, hi)[1]
+    if not value > 0:
+        raise ValueError("no admissible (q_low, q_high) pair found")
     return float(value)

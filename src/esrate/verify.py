@@ -1,8 +1,9 @@
 """Verification suites behind ``esrate verify``, all in one table, :data:`SUITES`.
 
-Each suite returns a JSON-able report with an ``ok`` verdict.  Loops over
-independent streams fan out over :func:`esrate.pool.fan_out` and merge in task
-order, so every report is bit-identical for any worker count.
+Each suite returns a JSON-able report with an ``ok`` verdict and the ``n``
+and ``seed`` it ran with.  Loops over independent streams fan out over
+:func:`esrate.pool.fan_out` and merge in task order, so every report is
+bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -96,6 +97,8 @@ def invariance_report(
     failed = [c for c in checks if not c["ok"]]
     return {
         "suite": "invariance",
+        "n": n_seeds,
+        "seed": base_seed,
         "checks": len(checks),
         "mismatches": len(failed),
         "ok": not failed,
@@ -118,7 +121,7 @@ def _assumption2(n: int, seed: int) -> dict:
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     ok = True
-    out = {"suite": "assumption2", "cases": {}}
+    out = {"suite": "assumption2", "n": n, "seed": seed, "cases": {}}
     for dim, expected in ((1000, True), (2, False)):
         report = analysis.check_assumption2(sphere(dim), n=n, seed=seed)
         oracle = 2.0 / dim < theory.assumption_margin_rhs(2.0)
@@ -192,6 +195,8 @@ def drift_report(dim: int = 100, n: int = 100_000, seed: int = 77) -> dict:
     return {
         "suite": "drift",
         "dim": dim,
+        "n": n,
+        "seed": seed,
         "p_target": target_success,
         "constants": constants.as_dict(),
         "regimes": results,

@@ -110,7 +110,18 @@ def test_bounds_sup_with_trace(tmp_path, capsys):
     assert data["b_upper_sup"] > 0
     lines = trace.read_text().strip().splitlines()
     assert lines[0] == "q_low,q_high,objective"
-    assert len(lines) > 64
+    assert max(float(line.split(",")[2]) for line in lines[1:]) == data["b_upper_sup"]
+
+
+def test_bounds_trace_out_needs_sup(tmp_path, capsys):
+    trace = tmp_path / "trace.csv"
+    code = cli_main([
+        "bounds", "--dim", "3000", "--alpha-rule", "dim", "--p-target", "0.3",
+        "--q-low", "0.25", "--q-high", "0.45", "--trace-out", str(trace),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == "error: --trace-out needs --sup\n"
+    assert not trace.exists()
 
 
 def test_experiment_end_to_end(tmp_path, capsys):

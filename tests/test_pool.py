@@ -1,4 +1,5 @@
 import dataclasses
+import multiprocessing
 import os
 from unittest import mock
 
@@ -54,6 +55,32 @@ def _pid():
 
 def _pids_of_nested_fan_out(_):
     return os.getpid(), pool.fan_out(_pid, [(), (), ()])
+
+
+def test_fan_out_forks_where_the_platform_can(threads, monkeypatch):
+    """Python 3.14 makes forkserver the POSIX default, whose workers import
+    numpy and scipy again; ``fan_out`` asks for fork wherever it exists."""
+    threads("2")
+    contexts = []
+
+    class Recorder:
+        def __init__(self, max_workers, mp_context=None):
+            contexts.append(mp_context)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(pool, "ProcessPoolExecutor", Recorder)
+    assert pool.fan_out(_square, [(2,), (3,)]) == [4, 9]
+    forks = "fork" in multiprocessing.get_all_start_methods()
+    expected = "fork" if forks else multiprocessing.get_start_method()
+    assert contexts[0].get_start_method() == expected
 
 
 def test_fan_out_keeps_task_order(threads):

@@ -15,7 +15,6 @@ from esrate.engine import EsParams, EsState, params_for_rule, params_for_target,
 from esrate.objectives import sphere
 from esrate.theory import (
     QExtremes,
-    _b_low_value,
     assumption_margin_rhs,
     b_high,
     b_high_at,
@@ -197,8 +196,8 @@ def test_thresholds_are_optima_and_crossings_are_sharp(q, log_frac, log_up, seed
     v = assumption_margin_rhs(kappa) * 10.0 ** rng.uniform(-8.0, 0.0)
     target = kappa * SQRT_2_OVER_PI
     lower = q_low_limit(v, kappa)
-    assert _b_low_value(lower * (1 - 1e-9), v) >= target
-    assert _b_low_value(lower * (1 + 1e-9), v) < target
+    assert b_low(lower * (1 - 1e-9), v) >= target
+    assert b_low(lower * (1 + 1e-9), v) < target
 
 
 @pytest.mark.parametrize(
@@ -370,27 +369,21 @@ def test_build_constants_names_violations():
 
 
 @pytest.mark.parametrize(
-    "extremes,admitted,rejected",
+    "extremes",
     [
-        (_surrogate(100), 42, 91),
-        (QExtremes(v_std_sup=2.0 / 3000, kappa_inf=2.0, e_q=3000.0, strong_convexity=1.0), 65, 68),
+        _surrogate(100),
+        QExtremes(v_std_sup=2.0 / 3000, kappa_inf=2.0, e_q=3000.0, strong_convexity=1.0),
     ],
 )
-def test_build_constants_admits_exactly_the_pairs_b_upper_scores(extremes, admitted, rejected):
-    """``build_constants`` raises on a traced grid pair iff :func:`b_upper` scored
-    it ``-inf``, and otherwise returns the traced objective as its bound."""
+def test_build_constants_admits_exactly_the_pairs_b_upper_scores(extremes):
+    """Every pair :func:`b_upper` traces is admissible, ``build_constants``
+    returns its traced objective bit for bit, and the best of them is the bound."""
     params = params_for_target(math.e, 0.3)
     trace = []
-    b_upper(extremes, params, trace=trace)
-    counts = [0, 0]
-    for q_low, q_high, objective in trace[::31]:
-        if objective == -math.inf:
-            with pytest.raises(ValueError):
-                build_constants(extremes, params, q_low, q_high)
-        else:
-            assert build_constants(extremes, params, q_low, q_high).b_upper == objective
-        counts[objective == -math.inf] += 1
-    assert counts == [admitted, rejected]
+    bound = b_upper(extremes, params, trace=trace)
+    for q_low, q_high, objective in trace:
+        assert build_constants(extremes, params, q_low, q_high).b_upper == objective
+    assert max(objective for _, _, objective in trace) == bound
 
 
 def test_feasible_q_pair_straddles_target():
@@ -513,3 +506,77 @@ def test_b_upper_beats_fixed_pairs():
     for q_low, q_high in ((0.25, 0.45), (0.28, 0.4), (0.22, 0.47)):
         fixed = build_constants(extremes, params, q_low, q_high).b_upper
         assert best >= fixed - 1e-12
+
+
+def _scan_best(extremes, params, coarse=16, rounds=8, window=9):
+    """Best ``build_constants`` bound on a coarse grid of ``(q_low, q_high)``,
+    then on ``window x window`` grids spanning one coarser cell either side of
+    the best point so far, each round four times finer than the last."""
+    target = p_target(params)
+    lower = q_low_limit(extremes.v_std_sup, extremes.kappa_inf)
+    cap = 0.5 - extremes.v_std_sup - 1e-9
+
+    def best_on(q_lows, q_highs):
+        best = (-math.inf, None, None)
+        for q_low in q_lows:
+            for q_high in q_highs:
+                try:
+                    value = build_constants(extremes, params, float(q_low), float(q_high)).b_upper
+                except ValueError:  # an inadmissible pair
+                    continue
+                best = max(best, (value, q_low, q_high), key=lambda t: t[0])
+        return best
+
+    step_l, step_h = (target - lower) / coarse, (cap - target) / coarse
+    best = best_on(lower + step_l * np.arange(1, coarse), target + step_h * np.arange(1, coarse))
+    offsets = np.linspace(-1.0, 1.0, window)
+    for _ in range(rounds):
+        _, q_low, q_high = best
+        best = max(best, best_on(q_low + step_l * offsets, q_high + step_h * offsets),
+                   key=lambda t: t[0])
+        step_l, step_h = step_l * 2 / (window - 1), step_h * 2 / (window - 1)
+    return best[0]
+
+
+@pytest.mark.parametrize("dim", [3000, 10_000])
+@pytest.mark.parametrize("target", [0.3, 0.45])
+@pytest.mark.parametrize("noisy", [False, True])
+def test_b_upper_reaches_the_scan_maximum(dim, target, noisy):
+    """A coordinate search stalls on the kink of ``min(p - q_low, q_high - p)``;
+    the bound must reach the best pair of a zooming ``build_constants`` scan."""
+    extremes = QExtremes(v_std_sup=2.0 / dim if noisy else 0.0, kappa_inf=2.0,
+                         e_q=float(dim), strong_convexity=1.0)
+    params = params_for_target(math.exp(1.0 / dim), target)
+    best = _scan_best(extremes, params)
+    assert b_upper(extremes, params) >= best * (1 - 1e-6)
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(
+    log_dim=st.floats(min_value=2.0, max_value=5.0),
+    v_frac=st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=0.99)),
+    kappa=st.floats(min_value=1.5, max_value=3.0),
+    target_frac=st.floats(min_value=0.01, max_value=0.99),
+    s=st.floats(min_value=0.1, max_value=10.0),
+)
+def test_b_upper_dominates_admissible_pairs(log_dim, v_frac, kappa, target_frac, s):
+    dim = 10.0**log_dim
+    v = v_frac * assumption_margin_rhs(kappa)
+    extremes = QExtremes(v_std_sup=v, kappa_inf=kappa, e_q=dim, strong_convexity=1.0)
+    lower, cap = q_low_limit(v, kappa), 0.5 - v - 1e-9
+    target = lower + target_frac * (cap - lower)
+    params = params_for_target(math.exp(s / dim), target)
+    assume(lower < p_target(params) < cap)
+    bound = b_upper(extremes, params)
+    # log_ratio = s / (dim (1 - p)) keeps the bound below s / (2 dim), and
+    # w/4 keeps it below 1/dim; at alpha_up = e^(1/dim) both read 1/dim.
+    assert 0.0 < bound <= min(s, 1.0) / dim
+    pairs = [feasible_q_pair(extremes, params)]
+    pairs += [(lower + (target - lower) * i / 10, target + (cap - target) * j / 10)
+              for i in range(1, 10) for j in range(1, 10)]
+    for q_low, q_high in pairs:
+        try:
+            fixed = build_constants(extremes, params, q_low, q_high).b_upper
+        except ValueError:  # an inadmissible scan point
+            continue
+        assert fixed <= bound * (1 + 1e-9)

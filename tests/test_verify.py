@@ -25,6 +25,19 @@ def test_drift_report_small():
                                     ("assumption2", 1000), ("drift", 1000)])
 def test_suite_entry_matches_cli_output(name, n, capsys):
     suite, _, seed = SUITES[name]
-    expected = json.dumps(suite(n, seed), indent=2, default=float) + "\n"
+    report = suite(n, seed)
+    assert (report["n"], report["seed"]) == (n, seed)
+    expected = json.dumps(report, indent=2, default=float) + "\n"
     assert cli_main(["verify", "--suite", name, "--n", str(n)]) == 0
     assert capsys.readouterr().out == expected
+
+
+def test_invariance_report_depends_on_the_seed(capsys):
+    """Every check passes at both seeds, so only the seed key tells the reports apart."""
+    outputs = []
+    for seed in ("0", "13"):
+        assert cli_main(["verify", "--suite", "invariance", "--n", "2", "--seed", seed]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] != outputs[1]
+    assert [json.loads(out)["seed"] for out in outputs] == [0, 13]
+

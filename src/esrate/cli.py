@@ -60,10 +60,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--c", type=float, default=1.0)
     p_bounds.add_argument("--p-target", type=float, default=None,
                           help="pick alpha_down to hit this success probability")
-    p_bounds.add_argument("--q-low", type=float, required=True)
-    p_bounds.add_argument("--q-high", type=float, required=True)
+    p_bounds.add_argument("--q-low", type=float, default=None,
+                          help="fixed pair for the constants; needed unless --sup")
+    p_bounds.add_argument("--q-high", type=float, default=None)
     p_bounds.add_argument("--sup", action="store_true",
-                          help="also maximise the rate bound over (q_low, q_high)")
+                          help="maximise the rate bound over (q_low, q_high)")
     p_bounds.add_argument("--trace-out", default=None,
                           help="CSV path for the (q_low, q_high) points the search "
                                "evaluated (with --sup)")
@@ -111,6 +112,9 @@ def _cmd_experiment(args) -> int:
 def _cmd_bounds(args) -> int:
     if args.trace_out and not args.sup:
         raise ValueError("--trace-out needs --sup")
+    pair = (args.q_low, args.q_high)
+    if pair.count(None) == 1 or (not args.sup and None in pair):
+        raise ValueError("give --q-low and --q-high together; only --sup runs without them")
     e_q = args.e_q if args.e_q is not None else args.dim * args.U
     extremes = theory.QExtremes(
         v_std_sup=args.v_std, kappa_inf=args.kappa_inf, e_q=e_q,
@@ -119,10 +123,12 @@ def _cmd_bounds(args) -> int:
     params = params_for_rule(args.alpha_rule, args.dim, args.c)
     if args.p_target is not None:
         params = params_for_target(params.alpha_up, args.p_target)
-    constants = theory.build_constants(extremes, params, args.q_low, args.q_high)
-    out = constants.as_dict()
+    out = {}
+    if args.q_low is not None:
+        constants = theory.build_constants(extremes, params, args.q_low, args.q_high)
+        out = constants.as_dict()
+        out["w_over_l_ratio"] = constants.w / (args.L / e_q)
     out["p_target"] = theory.p_target(params)
-    out["w_over_l_ratio"] = constants.w / (args.L / e_q)
     if args.sup:
         trace = [] if args.trace_out else None
         out["b_upper_sup"] = theory.b_upper(extremes, params, trace=trace)

@@ -12,19 +12,23 @@ Determinism contract
 All randomness flows through :func:`rng_stream`: a PCG64 generator seeded by
 ``numpy.random.SeedSequence(entropy=seed, spawn_key=key)``.  Normal variates
 come from ``Generator.standard_normal``, one row of ``dim`` draws per
-step; :func:`run` draws them in blocks of at most ``Z_BLOCK`` rows, fewer
+step; each chain draws them in blocks of at most ``Z_BLOCK`` rows, fewer
 when fewer steps are left, and the generator fills rows in stream order,
 so the block size never enters the results.  Identical ``(spec, params,
 init, budget, seed)`` always reproduce bit-identical trajectories, and
 distinct spawn keys give independent streams, so trials may run in
 parallel in any order.
 
-:func:`run` evaluates candidates in batches of up to ``SPEC_ROWS`` rows.
+Each chain evaluates candidates in batches of up to ``SPEC_ROWS`` rows.
 While steps reject, the incumbent stays put and ``log(sigma)`` only adds
 ``log(alpha_down)``, so the candidates of a whole rejection run are known
 from the drawn rows in advance; a batch is cut at its first acceptance.
-Every float is computed as a one-step-at-a-time loop computes it, so
-``SPEC_ROWS`` and ``SPEC_ELEMS`` never enter the results.
+:func:`run_many` steps chains of one dimension and canonical kind in
+lockstep: each round stacks every live chain's batch into one evaluation,
+which pays numpy's per-call cost once for the group.  :func:`run` is its
+one-chain call.  Every float is computed as a one-step-at-a-time loop
+computes it, so ``SPEC_ROWS``, ``SPEC_ELEMS`` and the grouping never
+enter the results.
 
 Composite objectives are simulated in canonical coordinates: the chain
 tracks ``m - x_opt`` and compares pre-transform values, which is equivalent
@@ -36,11 +40,13 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .objectives import ObjectiveSpec
+from .objectives import ObjectiveSpec, stack_evaluator
 
 __all__ = [
     "EsParams",
@@ -52,17 +58,20 @@ __all__ = [
     "params_for_rule",
     "params_for_target",
     "run",
+    "run_many",
+    "lockstep_width",
     "init_default",
     "default_sigma0",
     "ALPHA_RULES",
 ]
 
-#: Most rows of standard-normal draws per block inside :func:`run`.
+#: Most rows of standard-normal draws per block of one chain.
 Z_BLOCK = 1024
 
-#: Most candidates :func:`run` evaluates in one batch (see the module notes),
-#: and the most elements of one batch.  Near a success rate of 1/5 about half
-#: of an 8-row batch lies past its first acceptance; from ``dim`` of a few
+#: Most candidates a chain evaluates in one batch (see the module notes),
+#: and the most elements of one batch, which also bound a lockstep round
+#: (:func:`lockstep_width`).  Near a success rate of 1/5 about half of an
+#: 8-row batch lies past its first acceptance; from ``dim`` of a few
 #: thousand on, evaluating those rows costs more than the calls they save.
 SPEC_ROWS = 8
 SPEC_ELEMS = 8192
@@ -209,20 +218,199 @@ class Trajectory:
                 )
 
 
-def _log_norm(y: np.ndarray) -> float:
-    """``log ||y||``; ``-inf`` only at ``y == 0``.
+def _log_norm(y: np.ndarray, sq: float | None = None) -> float:
+    """``log ||y||`` from the squared norm ``sq`` (computed when not given);
+    ``-inf`` only at ``y == 0``.
 
     Below about 1e-162 the squared norm underflows to 0, and the scaled
     ``math.hypot`` takes over.
     """
-    sq = float(np.dot(y, y))
+    if sq is None:
+        sq = float(np.dot(y, y))
     if sq > 0:
         return 0.5 * math.log(sq)
     norm = math.hypot(*y)
     return math.log(norm) if norm > 0 else -math.inf
 
 
-@np.errstate(over="ignore", invalid="ignore")
+class _Chain:
+    """One chain of :func:`run_many` while it steps.
+
+    Keeps only what its trajectory cannot rebuild: the steps that accepted
+    and ``log ||y||`` and ``log f`` after each (the start values first).
+    Rejected steps repeat those values, and ``log_sigma`` is the running sum
+    of one ``log(alpha)`` per step, so :meth:`trajectory` restores every
+    series exactly.
+    """
+
+    __slots__ = ("index", "base", "shift", "y0", "la_up", "la_dn", "budget", "f_floor",
+                 "rng", "cap", "t", "f_m", "log_sigma0", "log_sigma", "ls", "k", "zbuf", "zi",
+                 "acc_t", "acc_d", "acc_f", "stop_reason")
+
+    def __init__(self, index: int, spec: ObjectiveSpec, params: EsParams, init: EsState,
+                 budget: int, f_floor: float = 1e-100, seed: int = 0) -> None:
+        if budget < 1:
+            raise ValueError("budget must be >= 1")
+        if not f_floor > 0:
+            raise ValueError("f_floor must be positive")
+        m = np.asarray(init.m, dtype=float)
+        if m.shape != (spec.dim,):
+            raise ValueError(f"start point has shape {m.shape}, expected ({spec.dim},)")
+        self.base, self.shift = spec.canonical()
+        self.y0 = m - self.shift
+        if not np.any(self.y0):
+            raise ValueError("initial point must differ from the optimum")
+        self.f_m = self.base.value(self.y0)
+        if not math.isfinite(self.f_m):
+            raise ValueError(f"objective value at the initial point is not finite ({self.f_m})")
+        self.index = index
+        self.la_up = math.log(params.alpha_up)
+        self.la_dn = math.log(params.alpha_down)
+        self.budget = budget
+        self.f_floor = f_floor
+        self.rng = rng_stream(seed)
+        # A start already below the floor takes one step and stops.
+        self.cap = _rows(spec.dim) if self.f_m >= f_floor else 1
+        self.t = 0
+        self.log_sigma0 = self.log_sigma = float(init.log_sigma)
+        self.zbuf = np.empty((0, spec.dim))
+        self.zi = 0
+        self.acc_t = array("q")
+        self.acc_d = array("d", [_log_norm(self.y0)])
+        self.acc_f = array("d", [math.log(self.f_m)])
+        self.stop_reason = "budget"
+
+    def draw(self, sigmas: list, zs: np.ndarray, s: int) -> None:
+        """Append this round's ``len(zs[s])`` step sizes to ``sigmas`` and put
+        its normals in ``zs[s]``; the first ``k`` make the candidates.
+
+        They are the next ``k`` steps' if all of them reject: the incumbent
+        stays and ``log(sigma)`` falls by one step at a time, summed in the
+        order of a per-step loop, so every float is that loop's.
+        """
+        zi = self.zi
+        if zi == len(self.zbuf):
+            self.zbuf = self.rng.standard_normal((min(Z_BLOCK, self.budget - self.t),
+                                                  zs.shape[2]))
+            self.zi = zi = 0
+        k = min(self.cap, len(self.zbuf) - zi, self.budget - self.t)
+        v = self.log_sigma
+        la_dn = self.la_dn
+        ls = [v]
+        for _ in range(zs.shape[1] - 1):
+            v += la_dn
+            ls.append(v)
+        try:
+            sigmas.extend(map(math.exp, ls))  # ls falls: only ls[0] can overflow
+        except OverflowError:
+            raise ValueError(
+                f"step size overflows at step {self.t}: log_sigma={self.log_sigma!r}"
+            ) from None
+        zs[s, :k] = self.zbuf[zi : zi + k]
+        self.ls = ls
+        self.k = k
+
+    def step(self, values: list, sqs: list | None, xs: np.ndarray, y: np.ndarray,
+             s: int) -> bool:
+        """Take this round's steps up to the first acceptance, which moves the
+        incumbent ``y[s]`` to its candidate ``xs[s]`` (squared norms ``sqs``,
+        if given); True once the chain stops."""
+        ls = self.ls
+        k = self.k
+        f_m = self.f_m
+        for n in range(1, k + 1):
+            f_x = values[n - 1]
+            if f_x <= f_m:
+                self.acc_t.append(self.t + n - 1)
+                y[s] = xs[s, n - 1]
+                self.f_m = f_m = f_x
+                self.acc_d.append(_log_norm(y[s], sqs and sqs[n - 1]))
+                self.acc_f.append(math.log(f_x) if f_x > 0 else -math.inf)
+                self.log_sigma = ls[n - 1] + self.la_up
+                break
+        else:
+            self.log_sigma = ls[k - 1] + self.la_dn
+        self.t += n
+        self.zi += n
+        if f_m < self.f_floor:
+            self.stop_reason = "f_floor"
+            return True
+        return self.t == self.budget
+
+    def trajectory(self, y: np.ndarray) -> Trajectory:
+        """The recorded series of the stopped chain, whose incumbent is ``y``."""
+        t = self.t
+        steps = np.array(self.acc_t, dtype=np.int64)
+        success = np.zeros(t, dtype=bool)
+        success[steps] = True
+        held = np.diff(steps, prepend=-1, append=t)  # states that hold each value
+        log_sigma = np.full(t + 1, self.la_dn)
+        log_sigma[0] = self.log_sigma0
+        log_sigma[steps + 1] = self.la_up
+        return Trajectory(
+            log_dist=np.repeat(np.array(self.acc_d), held),
+            log_f=np.repeat(np.array(self.acc_f), held),
+            log_sigma=np.cumsum(log_sigma),
+            success=success,
+            stop_reason=self.stop_reason,
+            final_state=EsState(y + self.shift, self.log_sigma),
+        )
+
+
+def _rows(dim: int) -> int:
+    """Most candidates of one chain evaluated in one batch."""
+    return max(1, min(SPEC_ROWS, SPEC_ELEMS // dim))
+
+
+def lockstep_width(dim: int) -> int:
+    """Most chains of dimension ``dim`` that :func:`run_many` should step
+    together: one round's batch stays within ``SPEC_ELEMS`` elements."""
+    return max(1, SPEC_ELEMS // (_rows(dim) * dim))
+
+
+def run_many(chains) -> Iterator[tuple[int, Trajectory]]:
+    """Step several chains in lockstep; yield ``(i, trajectory)`` as chain ``i`` stops.
+
+    ``chains`` holds ``(spec, params, init, budget[, f_floor[, seed]])``
+    tuples, the arguments of :func:`run`, and each trajectory equals that
+    call's bit for bit.  Every round gathers each live chain's candidates
+    into one ``(chains, rows, dim)`` batch, evaluated by one call of
+    :func:`esrate.objectives.stack_evaluator`; so all canonical specs must
+    share ``kind`` and ``dim`` (else ``ValueError``).  Live chains keep the
+    leading rows of every array, so each gather is a basic slice.
+    """
+    live = [_Chain(i, *chain) for i, chain in enumerate(chains)]
+    evaluate = stack_evaluator([c.base for c in live])
+    rows = max(c.cap for c in live)
+    dim = live[0].base.dim
+    y = np.array([c.y0 for c in live])
+    while live:
+        shape = (len(live), rows, 1)
+        xs = np.zeros((len(live), rows, dim))  # rows past a chain's k are ignored
+        y3 = y[:, None, :]
+        stopped = []
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or nan candidates reject
+            while not stopped:
+                sigmas = []
+                for s, c in enumerate(live):
+                    c.draw(sigmas, xs, s)
+                xs *= np.array(sigmas).reshape(shape)
+                xs += y3
+                # Once chains share a round, one vecdot of the batch is cheaper
+                # than a dot product per accepted candidate.
+                sqs = np.vecdot(xs, xs).tolist() if len(live) > 1 else [None]
+                for s, values in enumerate(evaluate(xs).tolist()):
+                    if live[s].step(values, sqs[s], xs, y, s):
+                        stopped.append(s)
+        for s in stopped:
+            yield live[s].index, live[s].trajectory(y[s])
+        keep = [s for s in range(len(live)) if s not in stopped]
+        live = [live[s] for s in keep]
+        if live:
+            y = y[keep]
+            evaluate = stack_evaluator([c.base for c in live])
+
+
 def run(
     spec: ObjectiveSpec,
     params: EsParams,
@@ -240,91 +428,10 @@ def run(
     point not of shape ``(spec.dim,)``, at the optimum or with a non-finite
     objective value, and once ``exp(log_sigma)`` overflows a float.  A
     candidate whose value overflows to inf (or nan) rejects, silently.
+    This is the one-chain call of :func:`run_many`.
     """
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    if not f_floor > 0:
-        raise ValueError("f_floor must be positive")
-    m = np.asarray(init.m, dtype=float)
-    if m.shape != (spec.dim,):
-        raise ValueError(f"start point has shape {m.shape}, expected ({spec.dim},)")
-    base, shift = spec.canonical()
-    y = m - shift
-    if not np.any(y):
-        raise ValueError("initial point must differ from the optimum")
-    f_m = base.value(y)
-    if not math.isfinite(f_m):
-        raise ValueError(f"objective value at the initial point is not finite ({f_m})")
-    la_up = math.log(params.alpha_up)
-    la_dn = math.log(params.alpha_down)
-    log_sigma = float(init.log_sigma)
-    log_d = _log_norm(y)
-    log_fm = math.log(f_m)
-
-    log_dist = np.empty(budget + 1)
-    log_f = np.empty(budget + 1)
-    log_sig = np.empty(budget + 1)
-    success = np.zeros(budget, dtype=bool)
-    log_dist[0] = log_d
-    log_f[0] = log_fm
-    log_sig[0] = log_sigma
-
-    rng = rng_stream(seed)
-    dim = base.dim
-    stop_reason = "budget"
-    # Rows per batch; a start already below the floor takes one step and stops.
-    cap = max(1, min(SPEC_ROWS, SPEC_ELEMS // dim)) if f_m >= f_floor else 1
-    t = 0
-    zbuf = np.empty((0, dim))
-    zi = 0
-    while t < budget:
-        if zi == len(zbuf):
-            zbuf = rng.standard_normal((min(Z_BLOCK, budget - t), dim))
-            zi = 0
-        # The candidates of the next k steps if all of them reject: the
-        # incumbent stays and log(sigma) falls by one step at a time, summed
-        # in the order of a per-step loop, so every float is that loop's.
-        k = min(cap, len(zbuf) - zi, budget - t)
-        ls = [log_sigma]
-        for _ in range(k):
-            ls.append(ls[-1] + la_dn)
-        try:
-            sigmas = [math.exp(v) for v in ls[:k]]  # ls decreases: only ls[0] can overflow
-        except OverflowError:
-            raise ValueError(f"step size overflows at step {t}: log_sigma={log_sigma!r}") from None
-        xs = np.array(sigmas)[:, None] * zbuf[zi : zi + k]
-        xs += y
-        # Steps t .. t+n-1 happen: all reject, or the last one accepts.
-        for n, f_x in enumerate(base.value_many(xs).tolist(), 1):
-            if f_x <= f_m:
-                break
-        log_dist[t + 1 : t + n + 1] = log_d
-        log_f[t + 1 : t + n + 1] = log_fm
-        if f_x <= f_m:
-            ls[n] = ls[n - 1] + la_up
-            success[t + n - 1] = True
-            y = xs[n - 1]
-            f_m = f_x
-            log_d = _log_norm(y)
-            log_fm = math.log(f_m) if f_m > 0 else -math.inf
-            log_dist[t + n] = log_d
-            log_f[t + n] = log_fm
-        log_sig[t + 1 : t + n + 1] = ls[1 : n + 1]
-        log_sigma = ls[n]
-        t += n
-        zi += n
-        if f_m < f_floor:
-            stop_reason = "f_floor"
-            break
-
-    return Trajectory(
-        log_dist=log_dist[: t + 1],
-        log_f=log_f[: t + 1],
-        log_sigma=log_sig[: t + 1],
-        success=success[:t],
-        stop_reason=stop_reason,
-        final_state=EsState(y + shift, log_sigma),
-    )
+    ((_, traj),) = run_many([(spec, params, init, budget, f_floor, seed)])
+    return traj
 
 
 def default_sigma0(spec: ObjectiveSpec, m0: np.ndarray) -> float:

@@ -6,10 +6,11 @@ pair owns an independent RNG stream keyed by ``(base_seed, cell_index,
 trial_index)``, so results are bit-stable regardless of execution order or
 worker count.
 
-Trials of :func:`run_experiment` fan out over one process pool
+Trials of :func:`run_experiment` step in lockstep groups
+(:func:`esrate.engine.run_many`); the groups fan out over one process pool
 (:func:`esrate.pool.fan_out`, sized by ``ES_RATE_THREADS``; 1 runs them in
-process) and merge in task order.  The verification suites live in
-:mod:`esrate.verify`.
+process), largest first, and their rows merge back in grid-then-seed order.
+The verification suites live in :mod:`esrate.verify`.
 """
 
 from __future__ import annotations
@@ -24,7 +25,14 @@ from itertools import product
 import numpy as np
 
 from . import rates
-from .engine import ALPHA_RULES, init_default, params_for_rule, run, trial_seed
+from .engine import (
+    ALPHA_RULES,
+    init_default,
+    lockstep_width,
+    params_for_rule,
+    run_many,
+    trial_seed,
+)
 from .objectives import ObjectiveSpec, check_kappa, hessian_family, is_int, perturbed_family
 from .pool import fan_out
 
@@ -42,12 +50,14 @@ __all__ = [
     "emit_plot",
 ]
 
-#: Objective kind -> builder of its spec from ``(dim, kappa)``.
+#: Objective kind -> (the ``kind`` of its specs, builder of its spec from
+#: ``(dim, kappa)``).  Trials of one dimension and spec kind step in lockstep;
+#: the table names the spec kind so that grouping builds no spec.
 OBJECTIVE_KINDS = {
-    "h1": partial(hessian_family, "h1"),
-    "h2": partial(hessian_family, "h2"),
-    "h3": partial(hessian_family, "h3"),
-    "perturbed": perturbed_family,
+    "h1": ("quadratic_diag", partial(hessian_family, "h1")),
+    "h2": ("quadratic_diag", partial(hessian_family, "h2")),
+    "h3": ("quadratic_diag", partial(hessian_family, "h3")),
+    "perturbed": ("quadratic_perturbed", perturbed_family),
 }
 
 
@@ -69,7 +79,7 @@ def default_budget(dim: int) -> int:
 def objective_for(kind: str, dim: int, kappa: int) -> ObjectiveSpec:
     if kind not in OBJECTIVE_KINDS:
         raise ValueError(f"unknown objective kind {kind!r}")
-    return OBJECTIVE_KINDS[kind](dim, kappa)
+    return OBJECTIVE_KINDS[kind][1](dim, kappa)
 
 
 @dataclass(frozen=True)
@@ -153,7 +163,13 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ResultRow:
-    """One CSV row: a single trial, or a cell aggregate (seed == 'agg')."""
+    """One CSV row: a single trial, or a cell aggregate (seed == 'agg').
+
+    ``wall_ms`` is the only field that is not a function of the config.  A
+    trial's value is its share of its lockstep group's wall time (set-up,
+    simulation and fits), the group's time divided by its chain count; an
+    aggregate's is the sum over its trials.
+    """
 
     objective: str
     d: int
@@ -171,26 +187,37 @@ class ResultRow:
         return self.seed == "agg"
 
 
-def _run_trial(cfg: ExperimentConfig, cell_index: int, kind: str, dim: int, kappa: int,
-               trial: int) -> ResultRow:
-    spec = objective_for(kind, dim, kappa)
-    params = params_for_rule(cfg.alpha_rule, dim, cfg.c)
-    seed = trial_seed(cfg.base_seed, cell_index, trial)
+def _run_group(cfg: ExperimentConfig, dim: int,
+               trials: list[tuple[int, int, str, int, int]]) -> list[tuple[int, ResultRow]]:
+    """Run and fit the trials ``(job, cell_index, kind, kappa, trial)`` of one
+    lockstep group; return ``(job, row)`` pairs.
+
+    Each chain is fitted as it stops, so only the live chains' records are
+    held.  Every trial's ``wall_ms`` is its share of the group's wall time.
+    """
     start = time.perf_counter()
-    init = init_default(spec, seed)
-    traj = run(spec, params, init, cfg.budget_for(dim), cfg.f_floor, seed)
-    try:
-        est = rates.estimate_cr(traj, cfg.window_frac)
-        cr_hat, stderr = est.cr_hat, est.stderr
-        scaled = rates.scaled_rate(est, spec)
-    except ValueError:
-        cr_hat = stderr = scaled = math.nan
-    wall_ms = int(round(1000.0 * (time.perf_counter() - start)))
-    return ResultRow(
-        objective=kind, d=dim, kappa=kappa, alpha_rule=cfg.alpha_rule,
-        seed=str(trial), cr_hat=cr_hat, stderr=stderr, scaled_rate=scaled,
-        stop_reason=traj.stop_reason, wall_ms=wall_ms,
-    )
+    params = params_for_rule(cfg.alpha_rule, dim, cfg.c)
+    chains = []
+    for _, cell_index, kind, kappa, trial in trials:
+        spec = objective_for(kind, dim, kappa)
+        seed = trial_seed(cfg.base_seed, cell_index, trial)
+        chains.append((spec, params, init_default(spec, seed), cfg.budget_for(dim),
+                       cfg.f_floor, seed))
+    fits = {}
+    for i, traj in run_many(chains):
+        try:
+            est = rates.estimate_cr(traj, cfg.window_frac)
+            fit = (est.cr_hat, est.stderr, rates.scaled_rate(est, chains[i][0]))
+        except ValueError:
+            fit = (math.nan, math.nan, math.nan)
+        fits[i] = (*fit, traj.stop_reason)
+    wall_ms = int(round(1000.0 * (time.perf_counter() - start) / len(trials)))
+    return [
+        (job, ResultRow(objective=kind, d=dim, kappa=kappa, alpha_rule=cfg.alpha_rule,
+                        seed=str(trial), cr_hat=fits[i][0], stderr=fits[i][1],
+                        scaled_rate=fits[i][2], stop_reason=fits[i][3], wall_ms=wall_ms))
+        for i, (job, _, kind, kappa, trial) in enumerate(trials)
+    ]
 
 
 def aggregate_cell(trial_rows: list[ResultRow]) -> ResultRow:
@@ -217,16 +244,29 @@ def aggregate_cell(trial_rows: list[ResultRow]) -> ResultRow:
 def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     """Run the full grid; per-trial rows in grid-then-seed order, plus one
     aggregate row after each cell.  Deterministic given ``base_seed``
-    (wall_ms aside), independent of the worker count."""
-    jobs = [
-        (cfg, cell_index, kind, dim, kappa, trial)
-        for (cell_index, kind, dim, kappa) in cfg.cells()
-        for trial in range(cfg.trials)
+    (wall_ms aside), independent of the worker count and of the grouping.
+
+    Trials of one dimension and canonical objective kind step together in
+    :func:`esrate.engine.run_many`, in groups of at most
+    :func:`esrate.engine.lockstep_width` chains taken in grid order.  The
+    groups go to the pool largest first by summed budget, so the longest
+    tasks start first.
+    """
+    groups: dict[tuple[int, str], list[tuple]] = {}
+    for cell_index, kind, dim, kappa in cfg.cells():
+        members = groups.setdefault((dim, OBJECTIVE_KINDS[kind][0]), [])
+        members.extend((cell_index * cfg.trials + trial, cell_index, kind, kappa, trial)
+                       for trial in range(cfg.trials))
+    tasks = [
+        (cfg, dim, members[i : i + lockstep_width(dim)])
+        for (dim, _), members in groups.items()
+        for i in range(0, len(members), lockstep_width(dim))
     ]
-    trial_rows = fan_out(_run_trial, jobs)
+    tasks.sort(key=lambda task: -len(task[2]) * cfg.budget_for(task[1]))
+    rows_by_job = dict(pair for rows in fan_out(_run_group, tasks) for pair in rows)
     rows: list[ResultRow] = []
-    for i in range(0, len(trial_rows), cfg.trials):
-        cell_rows = trial_rows[i : i + cfg.trials]
+    for i in range(0, len(rows_by_job), cfg.trials):
+        cell_rows = [rows_by_job[job] for job in range(i, i + cfg.trials)]
         rows.extend(cell_rows)
         rows.append(aggregate_cell(cell_rows))
     return rows

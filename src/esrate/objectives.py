@@ -18,7 +18,8 @@ concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -37,6 +38,7 @@ __all__ = [
     "is_int",
     "perturbed_family",
     "make_composite",
+    "stack_evaluator",
 ]
 
 #: Largest condition exponent of the benchmark Hessians: 10.0**308 is finite.
@@ -200,17 +202,12 @@ class ObjectiveSpec:
         """Objective values for a batch of points, shape ``(n, dim)``.
 
         For the quadratic kinds row ``i`` equals ``value(xs[i])`` bit for
-        bit: ``vecdot`` reduces each row in ``np.dot``'s order, and the
-        cosine sum runs along the row like the 1-D sum.
+        bit; they are a stack of one spec (:func:`stack_evaluator`).
         """
         xs = self._check_dim(xs)
-        if self.kind == "quadratic_diag":
-            return 0.5 * np.vecdot(self.diag * xs, xs)
-        if self.kind == "quadratic_perturbed":
-            quad = 0.5 * np.vecdot(self.diag * xs, xs)
-            amp, freq = self.perturb_amp, self.perturb_freq
-            return quad + (amp / freq**2) * np.sum(1.0 - np.cos(freq * xs), axis=1)
-        return np.asarray(self.transform(self.base.value_many(xs - self.x_opt)))
+        if self.kind == "composite":
+            return np.asarray(self.transform(self.base.value_many(xs - self.x_opt)))
+        return stack_evaluator([self])(xs[None])[0]
 
     def canonical_value(self, x) -> float:
         """Pre-transform value: base objective at ``x - x_opt`` for composites."""
@@ -227,6 +224,44 @@ class ObjectiveSpec:
             return self.diag * x
         amp, freq = self.perturb_amp, self.perturb_freq
         return self.diag * x + (amp / freq) * np.sin(freq * x)
+
+
+def _values(diag, xs, coef=None, freq=None):
+    """``0.5 * <diag * x, x>`` along the last axis of ``xs``, plus
+    ``coef * sum(1 - cos(freq * x))`` when ``coef`` is given.
+
+    The one formula behind :meth:`ObjectiveSpec.value_many` and
+    :func:`stack_evaluator`: ``vecdot`` reduces each row in ``np.dot``'s
+    order and the cosine sum runs along the row like the 1-D sum, so every
+    row equals :meth:`ObjectiveSpec.value` bit for bit.
+    """
+    quad = 0.5 * np.vecdot(diag * xs, xs)
+    if coef is None:
+        return quad
+    return quad + coef * np.sum(1.0 - np.cos(freq * xs), axis=-1)
+
+
+def stack_evaluator(specs):
+    """Evaluator of a stack of quadratic specs that share ``kind`` and ``dim``.
+
+    The returned function maps ``xs`` of shape ``(len(specs), n, dim)`` to
+    values of shape ``(len(specs), n)``, with ``[i, j]`` equal to
+    ``specs[i].value(xs[i, j])`` bit for bit: each spec's diagonal (and
+    perturbation) broadcasts over its own rows.  Raises ``ValueError`` for
+    an empty stack, mixed kinds or dims, and composites.
+    """
+    kinds = {(s.kind, s.dim) for s in specs}
+    if len(kinds) != 1:
+        raise ValueError(f"a stack needs one kind and dim, got {sorted(kinds)}")
+    kind, _ = kinds.pop()
+    if kind == "composite":
+        raise ValueError("stack the canonical base specs of composites")
+    diag = np.stack([s.diag for s in specs])[:, None, :]
+    if kind == "quadratic_diag":
+        return partial(_values, diag)
+    coef = np.array([s.perturb_amp / s.perturb_freq**2 for s in specs])[:, None]
+    freq = np.array([s.perturb_freq for s in specs])[:, None, None]
+    return partial(_values, diag, coef=coef, freq=freq)
 
 
 def quadratic_diag(diag, family: str | None = None, kappa: int | None = None) -> ObjectiveSpec:

@@ -207,9 +207,12 @@ def q_low_limit(v_std_sup: float, kappa_inf: float) -> float:
 
 
 def _b_high_limit(reference: float, ratio: float, v_std_sup: float, cap: float,
-                  failure: str = "q_floor collapsed to zero; inputs violate feasibility") -> float:
+                  failure: str | None = "q_floor collapsed to zero; inputs violate feasibility"
+                  ) -> float:
     """Infimum of ``{q : ratio * b_high(q, v) < reference}``, capped at
-    ``min(cap, 1/2 - v) - 1e-12``; raises ``ValueError(failure)`` below 1e-9.
+    ``min(cap, 1/2 - v) - 1e-12``.  Below 1e-9 it raises
+    ``ValueError(failure)``, or with ``failure=None`` returns a limit in
+    ``[0, 1e-9)``: then every ``q`` from 1e-9 on qualifies.
 
     The test holds iff ``q > G(eps) = Phi(-c (1 + eps)) - v/eps^2`` for all
     ``eps > 0``, with ``c = reference/(2 ratio)``; so the infimum is
@@ -228,7 +231,9 @@ def _b_high_limit(reference: float, ratio: float, v_std_sup: float, cap: float,
             lambda t: float(ndtr(-c * (1.0 + math.exp(t)))) - v_std_sup / math.exp(t) ** 2,
             lo, hi)[1]
     if not sup >= 1e-9:
-        raise ValueError(failure)
+        if failure:
+            raise ValueError(failure)
+        sup = max(sup, 0.0)
     return min(sup, min(cap, 0.5 - v_std_sup) - 1e-12)
 
 
@@ -238,8 +243,8 @@ def q_high_limit(q_low: float, v_std_sup: float, params: EsParams) -> float:
     The crossing of ``(alpha_up/alpha_down) b_high(q, v) = b_low(q_low, v)``;
     ``Phi((alpha_down/alpha_up) quantile(q_low))`` at ``v_std_sup == 0``.
     """
-    return _b_high_limit(b_low(q_low, v_std_sup), math.exp(params.log_ratio), v_std_sup,
-                         0.5, "no q_high qualifies for this q_low")
+    return _b_high_limit(b_low(q_low, v_std_sup), math.exp(params.log_ratio), v_std_sup, 0.5,
+                         failure=None)
 
 
 def q_floor(q_low: float, v_std_sup: float) -> float:

@@ -113,6 +113,27 @@ def test_bounds_sup_with_trace(tmp_path, capsys):
     assert max(float(line.split(",")[2]) for line in lines[1:]) == data["b_upper_sup"]
 
 
+def test_bounds_sup_needs_no_fixed_pair(capsys):
+    # The fixed pair 0.25/0.45 is infeasible here, but the supremum needs none.
+    base = ["bounds", "--dim", "3000", "--v-std", "0.0006", "--alpha-rule", "dim",
+            "--p-target", "0.3"]
+    assert cli_main([*base, "--sup"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["b_upper_sup"] > 0
+    assert set(data) == {"b_upper_sup", "p_target"}
+    assert cli_main([*base, "--q-low", "0.25", "--q-high", "0.45", "--sup"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: q_low=0.25 outside feasible") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("pair", [[], ["--q-low", "0.25"], ["--q-high", "0.45"]])
+def test_bounds_without_sup_needs_the_pair(pair, capsys):
+    code = cli_main(["bounds", "--dim", "1000", "--p-target", "0.3", *pair])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: give --q-low and --q-high together") and err.count("\n") == 1
+
+
 def test_bounds_trace_out_needs_sup(tmp_path, capsys):
     trace = tmp_path / "trace.csv"
     code = cli_main([

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from esrate.engine import (
     params_for_rule,
     params_for_target,
     run,
+    run_many,
 )
 from esrate.objectives import (
     ALL_TRANSFORMS,
@@ -452,3 +454,96 @@ def test_results_independent_of_block_size(kind, dim, rule, budget, f_floor, see
             mp.setattr(engine, "SPEC_ROWS", rows)
             mp.setattr(engine, "SPEC_ELEMS", elems)
             _assert_same(run(spec, params, init, budget, f_floor, seed), ref)
+
+
+# -- lockstep groups ------------------------------------------------------------------------
+
+
+def _run_group(chains):
+    """Every ``(i, trajectory)`` of :func:`run_many`, checking between yields
+    that no floating-point error state leaks to the caller."""
+    out = {}
+    errstate = np.geterr()
+    for i, traj in run_many(chains):
+        assert np.geterr() == errstate and i not in out
+        out[i] = traj
+    assert sorted(out) == list(range(len(chains)))
+    return out
+
+
+def _check_group_against_reference(chains):
+    got = _run_group(chains)
+    for i, chain in enumerate(chains):
+        with np.errstate(over="ignore", invalid="ignore"):  # the oracle's scalar inf
+            ref = _reference_run(*chain)
+        _assert_same(got[i], ref)
+    return got
+
+
+def test_run_many_matches_per_step_loop_in_a_mixed_group():
+    dim = 6
+    chains = []
+    for i, (fam, kappa) in enumerate(product(("h1", "h2", "h3"), (0, 2, 6))):
+        spec = hessian_family(fam, dim, kappa)
+        params = params_for_rule(ALPHA_RULES[i % 3], dim)
+        # Unequal budgets, the longest past two Z_BLOCK refills, and floors
+        # that stop some chains early: the group's edge is ragged.
+        budget = (60, 900, 2 * Z_BLOCK + 37)[i % 3]
+        f_floor = (1e-6, 1e-30, 1e-300)[i // 3]
+        chains.append((spec, params, init_default(spec, i), budget, f_floor, i))
+    params = params_for_rule("const", dim)
+    # A composite, stepped in canonical coordinates.
+    comp = make_composite(hessian_family("h2", dim, 2), EXP_MINUS_ONE, np.arange(dim) - 2.5)
+    chains.append((comp, params, init_default(comp, 40), 1500, 1e-20, 40))
+    # A start below the floor takes one step.
+    chains.append((sphere(dim), params, EsState(np.full(dim, 1e-60), 0.0), 100, 1e-100, 41))
+    # Candidates of norm ~1e160 overflow to inf and reject, until sigma falls.
+    chains.append((hessian_family("h1", dim, 6), params,
+                   EsState(np.full(dim, 1e140), math.log(1e160)), 400, 1e-100, 42))
+    got = _check_group_against_reference(chains)
+    assert {t.stop_reason for t in got.values()} == {"budget", "f_floor"}
+    assert max(t.t_final for t in got.values()) > 2 * Z_BLOCK
+    assert got[10].t_final == 1 and got[10].stop_reason == "f_floor"
+    assert not got[11].success[:100].any() and got[11].success.any()
+
+
+def test_run_many_matches_per_step_loop_on_perturbed_groups():
+    dim = 9
+    chains = []
+    for i, kappa in enumerate((0, 2, 6, 2)):
+        spec = perturbed_family(dim, kappa)
+        chains.append((spec, params_for_rule("sqrt", dim), init_default(spec, i),
+                       700 + 300 * i, 1e-12, 50 + i))
+    comp = make_composite(perturbed_family(dim, 1), CUBE_SHIFT, np.ones(dim))
+    chains.append((comp, params_for_rule("sqrt", dim), init_default(comp, 9), 1200, 1e-12, 9))
+    _check_group_against_reference(chains)
+
+
+def test_run_many_rejects_mixed_groups():
+    params = params_for_rule("const", 3)
+    for specs in ((sphere(3), sphere(4)), (sphere(3), perturbed_family(3, 0))):
+        chains = [(spec, params, init_default(spec, 0), 10) for spec in specs]
+        with pytest.raises(ValueError, match="one kind and dim"):
+            next(run_many(chains))
+
+
+def test_run_many_memory_stays_bounded():
+    # Twelve chains at d = 30 as run_experiment groups them.  Each keeps its
+    # acceptances only while it steps; three full float records per live
+    # chain would add about 11.5 MB.
+    dim = 30
+    params = params_for_rule("const", dim)
+    chains = []
+    for i, (fam, kappa, _) in enumerate(product(("h1", "h2", "h3"), (0, 2), range(2))):
+        spec = hessian_family(fam, dim, kappa)
+        chains.append((spec, params, init_default(spec, i), 40_000, 5e-324, i))
+    steps = 0
+    tracemalloc.start()
+    try:
+        for _, traj in run_many(chains):
+            steps += traj.t_final
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert steps == 12 * 40_000
+    assert peak < 8e6

@@ -6,16 +6,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
+from esrate import engine
 from esrate.harness import (
     CSV_HEADER,
+    OBJECTIVE_KINDS,
     ExperimentConfig,
     ResultRow,
     aggregate_cell,
     emit_csv,
     emit_plot,
+    objective_for,
     read_csv,
     run_experiment,
 )
@@ -178,7 +181,45 @@ def test_plot_requires_data(tmp_path):
         emit_plot([], tmp_path / "x.svg")
 
 
+@pytest.mark.parametrize("kind", sorted(OBJECTIVE_KINDS))
+def test_objective_kinds_name_the_kind_of_their_specs(kind):
+    for dim, kappa in ((1, 0), (7, 2)):
+        assert objective_for(kind, dim, kappa).kind == OBJECTIVE_KINDS[kind][0]
+
+
 def test_budget_rule():
     cfg = ExperimentConfig(kinds=("h1",), dims=(10,), kappas=(0,))
     assert cfg.budget_for(10) == 20_000
     assert SMALL.budget_for(5) == 600
+
+
+# Each example runs two experiments; shrinking would rerun them for no simpler case.
+@settings(max_examples=8, deadline=None, database=None, derandomize=True,
+          phases=[Phase.explicit, Phase.generate])
+@given(
+    kinds=st.lists(st.sampled_from(["h1", "h2", "h3", "perturbed"]), min_size=1, max_size=3,
+                   unique=True),
+    dims=st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=2, unique=True),
+    kappas=st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=2, unique=True),
+    trials=st.integers(min_value=1, max_value=3),
+    budget=st.integers(min_value=50, max_value=1500),
+    f_floor=st.sampled_from([1e-100, 1e-12, 1e-4]),
+    base_seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(kinds=["h1", "perturbed", "h3"], dims=[7, 3], kappas=[0, 2], trials=2, budget=400,
+         f_floor=1e-12, base_seed=5)
+def test_rows_independent_of_lockstep_grouping(kinds, dims, kappas, trials, budget, f_floor,
+                                               base_seed):
+    cfg = ExperimentConfig(kinds=tuple(kinds), dims=tuple(dims), kappas=tuple(kappas),
+                           trials=trials, budget=budget, f_floor=f_floor, base_seed=base_seed)
+
+    grouped = [dataclasses.replace(r, wall_ms=0) for r in run_experiment(cfg)]
+    order = [(kind, d, kappa, seed) for _, kind, d, kappa in cfg.cells()
+             for seed in [*map(str, range(trials)), "agg"]]
+    assert [(r.objective, r.d, r.kappa, r.seed) for r in grouped] == order
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "SPEC_ELEMS", 1)  # every group one chain of one-row batches
+        assert engine.lockstep_width(max(dims)) == 1
+        single = [dataclasses.replace(r, wall_ms=0) for r in run_experiment(cfg)]
+    # repr spells every float exactly, NaN included.
+    assert repr(single) == repr(grouped)

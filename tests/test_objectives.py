@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from esrate.objectives import (
     perturbed_family,
     quadratic_diag,
     sphere,
+    stack_evaluator,
 )
 
 RNG = np.random.default_rng(1234)
@@ -109,6 +111,26 @@ def test_value_many_matches_value_per_row(kind, dim):
         xs = rng.standard_normal((k, dim)) * 10.0 ** rng.uniform(-3, 3, size=(k, 1))
         values = spec.value_many(xs)
         assert [float(v) for v in values] == [spec.value(x) for x in xs]
+    # A stack of mixed diagonals (and, for the perturbed kind, mixed
+    # perturbations) evaluates each spec on its own rows, bit for bit.
+    if kind == "perturbed":
+        specs = [perturbed_family(dim, kappa) for kappa in (0, 2, 6)]
+        specs.append(dataclasses.replace(specs[1], perturb_amp=0.25, perturb_freq=7.0))
+    else:
+        specs = [hessian_family(fam, dim, kappa) for fam in ("h1", "h2", "h3") for kappa in (0, 6)]
+    for k in (1, 8):
+        xs = rng.standard_normal((len(specs), k, dim)) * 10.0 ** rng.uniform(-3, 3, (1, k, 1))
+        values = stack_evaluator(specs)(xs)
+        assert values.shape == (len(specs), k)
+        for i, spec in enumerate(specs):
+            assert [float(v) for v in values[i]] == [spec.value(x) for x in xs[i]]
+
+
+def test_stack_evaluator_rejects_mixed_stacks():
+    for specs in ([sphere(3), sphere(4)], [sphere(3), perturbed_family(3, 0)],
+                  [make_composite(sphere(3), IDENTITY, np.zeros(3))], []):
+        with pytest.raises(ValueError):
+            stack_evaluator(specs)
 
 
 def test_identity_composite_matches_base():

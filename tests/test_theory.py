@@ -183,7 +183,9 @@ def test_thresholds_are_optima_and_crossings_are_sharp(q, log_frac, log_up, seed
     ):
         try:
             lower = crossing()
-        except ValueError:  # the condition fails on the whole bracket
+        except ValueError:  # no q_floor is certified
+            lower = 0.0
+        if lower < 1e-9:  # the condition fails on the whole bracket
             assert not condition(1e-9)
             continue
         assume(lower * (1 + 1e-9) < 0.5 - v)
@@ -296,12 +298,20 @@ def test_q_floor_zero_variance_equals_q_low():
 
 
 def test_limits_reject_an_underflowing_normal_tail():
-    # b_low(0.2, v) is about 1.8e4 here, so Phi(-b_low/2) underflows to 0.
+    # b_low(0.2, v) is about 1.8e4 here, so Phi(-b_low/2) underflows to 0:
+    # no q_floor is certified, while every q_high qualifies.
     v = 0.2 * (1 - 1e-3)
     with pytest.raises(ValueError, match="collapsed"):
         q_floor(0.2, v)
-    with pytest.raises(ValueError, match="no q_high qualifies"):
-        q_high_limit(0.2, v, params_for_target(math.e, 0.3))
+    assert q_high_limit(0.2, v, params_for_target(math.e, 0.3)) == 0.0
+
+
+def test_q_high_limit_when_every_q_high_qualifies():
+    # The crossing lies below 1e-9, so the whole admissible range qualifies.
+    params = params_for_target(math.exp(1e-4), 0.3)
+    q = q_high_limit(1e-10, 0.0, params)
+    assert 0.0 <= q < 1e-9
+    assert math.exp(params.log_ratio) * b_high(max(q, 0.01), 0.0) < b_low(1e-10, 0.0)
 
 
 def test_q_floor_with_variance_matches_grid_oracle():

@@ -218,15 +218,13 @@ class Trajectory:
                 )
 
 
-def _log_norm(y: np.ndarray, sq: float | None = None) -> float:
-    """``log ||y||`` from the squared norm ``sq`` (computed when not given);
-    ``-inf`` only at ``y == 0``.
+def _log_norm(y: np.ndarray) -> float:
+    """``log ||y||``; ``-inf`` only at ``y == 0``.
 
     Below about 1e-162 the squared norm underflows to 0, and the scaled
     ``math.hypot`` takes over.
     """
-    if sq is None:
-        sq = float(np.dot(y, y))
+    sq = float(np.dot(y, y))
     if sq > 0:
         return 0.5 * math.log(sq)
     norm = math.hypot(*y)
@@ -310,11 +308,10 @@ class _Chain:
         self.ls = ls
         self.k = k
 
-    def step(self, values: list, sqs: list | None, xs: np.ndarray, y: np.ndarray,
-             s: int) -> bool:
+    def step(self, values: list, xs: np.ndarray, y: np.ndarray, s: int) -> bool:
         """Take this round's steps up to the first acceptance, which moves the
-        incumbent ``y[s]`` to its candidate ``xs[s]`` (squared norms ``sqs``,
-        if given); True once the chain stops."""
+        incumbent ``y[s]`` to its candidate in ``xs[s]``; True once the chain
+        stops."""
         ls = self.ls
         k = self.k
         f_m = self.f_m
@@ -324,7 +321,7 @@ class _Chain:
                 self.acc_t.append(self.t + n - 1)
                 y[s] = xs[s, n - 1]
                 self.f_m = f_m = f_x
-                self.acc_d.append(_log_norm(y[s], sqs and sqs[n - 1]))
+                self.acc_d.append(_log_norm(y[s]))
                 self.acc_f.append(math.log(f_x) if f_x > 0 else -math.inf)
                 self.log_sigma = ls[n - 1] + self.la_up
                 break
@@ -396,11 +393,8 @@ def run_many(chains) -> Iterator[tuple[int, Trajectory]]:
                     c.draw(sigmas, xs, s)
                 xs *= np.array(sigmas).reshape(shape)
                 xs += y3
-                # Once chains share a round, one vecdot of the batch is cheaper
-                # than a dot product per accepted candidate.
-                sqs = np.vecdot(xs, xs).tolist() if len(live) > 1 else [None]
                 for s, values in enumerate(evaluate(xs).tolist()):
-                    if live[s].step(values, sqs[s], xs, y, s):
+                    if live[s].step(values, xs, y, s):
                         stopped.append(s)
         for s in stopped:
             yield live[s].index, live[s].trajectory(y[s])

@@ -34,7 +34,7 @@ from .engine import (
     trial_seed,
 )
 from .objectives import ObjectiveSpec, check_kappa, hessian_family, is_int, perturbed_family
-from .pool import fan_out
+from .pool import fan_out, worker_count
 
 # Kept for perfbench/workloads.py, which changes only with the benchmark.
 from .verify import drift_report, invariance_report  # noqa: F401
@@ -50,14 +50,12 @@ __all__ = [
     "emit_plot",
 ]
 
-#: Objective kind -> (the ``kind`` of its specs, builder of its spec from
-#: ``(dim, kappa)``).  Trials of one dimension and spec kind step in lockstep;
-#: the table names the spec kind so that grouping builds no spec.
+#: Objective kind -> builder of its spec from ``(dim, kappa)``.
 OBJECTIVE_KINDS = {
-    "h1": ("quadratic_diag", partial(hessian_family, "h1")),
-    "h2": ("quadratic_diag", partial(hessian_family, "h2")),
-    "h3": ("quadratic_diag", partial(hessian_family, "h3")),
-    "perturbed": ("quadratic_perturbed", perturbed_family),
+    "h1": partial(hessian_family, "h1"),
+    "h2": partial(hessian_family, "h2"),
+    "h3": partial(hessian_family, "h3"),
+    "perturbed": perturbed_family,
 }
 
 
@@ -79,7 +77,7 @@ def default_budget(dim: int) -> int:
 def objective_for(kind: str, dim: int, kappa: int) -> ObjectiveSpec:
     if kind not in OBJECTIVE_KINDS:
         raise ValueError(f"unknown objective kind {kind!r}")
-    return OBJECTIVE_KINDS[kind][1](dim, kappa)
+    return OBJECTIVE_KINDS[kind](dim, kappa)
 
 
 @dataclass(frozen=True)
@@ -247,21 +245,23 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     (wall_ms aside), independent of the worker count and of the grouping.
 
     Trials of one dimension and canonical objective kind step together in
-    :func:`esrate.engine.run_many`, in groups of at most
-    :func:`esrate.engine.lockstep_width` chains taken in grid order.  The
-    groups go to the pool largest first by summed budget, so the longest
-    tasks start first.
+    :func:`esrate.engine.run_many`, taken in grid order in groups of at most
+    :func:`esrate.engine.lockstep_width` chains, and of at most a
+    :func:`esrate.pool.worker_count` share of their kind, so that every
+    worker gets a group.  The groups go to the pool largest first by summed
+    budget, so the longest tasks start first.
     """
     groups: dict[tuple[int, str], list[tuple]] = {}
     for cell_index, kind, dim, kappa in cfg.cells():
-        members = groups.setdefault((dim, OBJECTIVE_KINDS[kind][0]), [])
+        members = groups.setdefault((dim, objective_for(kind, dim, kappa).kind), [])
         members.extend((cell_index * cfg.trials + trial, cell_index, kind, kappa, trial)
                        for trial in range(cfg.trials))
-    tasks = [
-        (cfg, dim, members[i : i + lockstep_width(dim)])
-        for (dim, _), members in groups.items()
-        for i in range(0, len(members), lockstep_width(dim))
-    ]
+    workers = worker_count()
+    tasks = []
+    for (dim, _), members in groups.items():
+        width = min(lockstep_width(dim), -(-len(members) // workers))
+        tasks.extend((cfg, dim, members[i : i + width])
+                     for i in range(0, len(members), width))
     tasks.sort(key=lambda task: -len(task[2]) * cfg.budget_for(task[1]))
     rows_by_job = dict(pair for rows in fan_out(_run_group, tasks) for pair in rows)
     rows: list[ResultRow] = []

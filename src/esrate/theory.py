@@ -206,13 +206,10 @@ def q_low_limit(v_std_sup: float, kappa_inf: float) -> float:
     return min(lower, 0.5 - 1e-12)
 
 
-def _b_high_limit(reference: float, ratio: float, v_std_sup: float, cap: float,
-                  failure: str | None = "q_floor collapsed to zero; inputs violate feasibility"
-                  ) -> float:
+def _b_high_limit(reference: float, ratio: float, v_std_sup: float, cap: float) -> float:
     """Infimum of ``{q : ratio * b_high(q, v) < reference}``, capped at
-    ``min(cap, 1/2 - v) - 1e-12``.  Below 1e-9 it raises
-    ``ValueError(failure)``, or with ``failure=None`` returns a limit in
-    ``[0, 1e-9)``: then every ``q`` from 1e-9 on qualifies.
+    ``min(cap, 1/2 - v) - 1e-12``.  Below 1e-9 the infimum is returned
+    as a value in ``[0, 1e-9)``: then every ``q`` from 1e-9 on qualifies.
 
     The test holds iff ``q > G(eps) = Phi(-c (1 + eps)) - v/eps^2`` for all
     ``eps > 0``, with ``c = reference/(2 ratio)``; so the infimum is
@@ -230,11 +227,7 @@ def _b_high_limit(reference: float, ratio: float, v_std_sup: float, cap: float,
         sup = -math.inf if lo >= hi else _golden_max(
             lambda t: float(ndtr(-c * (1.0 + math.exp(t)))) - v_std_sup / math.exp(t) ** 2,
             lo, hi)[1]
-    if not sup >= 1e-9:
-        if failure:
-            raise ValueError(failure)
-        sup = max(sup, 0.0)
-    return min(sup, min(cap, 0.5 - v_std_sup) - 1e-12)
+    return min(max(sup, 0.0), min(cap, 0.5 - v_std_sup) - 1e-12)
 
 
 def q_high_limit(q_low: float, v_std_sup: float, params: EsParams) -> float:
@@ -243,8 +236,7 @@ def q_high_limit(q_low: float, v_std_sup: float, params: EsParams) -> float:
     The crossing of ``(alpha_up/alpha_down) b_high(q, v) = b_low(q_low, v)``;
     ``Phi((alpha_down/alpha_up) quantile(q_low))`` at ``v_std_sup == 0``.
     """
-    return _b_high_limit(b_low(q_low, v_std_sup), math.exp(params.log_ratio), v_std_sup, 0.5,
-                         failure=None)
+    return _b_high_limit(b_low(q_low, v_std_sup), math.exp(params.log_ratio), v_std_sup, 0.5)
 
 
 def q_floor(q_low: float, v_std_sup: float) -> float:
@@ -253,7 +245,16 @@ def q_floor(q_low: float, v_std_sup: float) -> float:
     The infimum of ``{q : b_high(q, v) < b_low(q_low, v)}``, below ``q_low``;
     equals ``q_low`` at ``v_std_sup == 0`` and stays positive.
     """
-    return _b_high_limit(b_low(q_low, v_std_sup), 1.0, v_std_sup, q_low)
+    return _q_floor_at(b_low(q_low, v_std_sup), v_std_sup, q_low)
+
+
+def _q_floor_at(b_low_value: float, v_std_sup: float, q_low: float) -> float:
+    """:func:`q_floor` from ``b_low(q_low, v_std_sup)``; raises ``ValueError``
+    where it falls below 1e-9."""
+    floor = _b_high_limit(b_low_value, 1.0, v_std_sup, q_low)
+    if not floor >= 1e-9:
+        raise ValueError("q_floor collapsed to zero; inputs violate feasibility")
+    return floor
 
 
 # -- constants ----------------------------------------------------------------
@@ -474,12 +475,9 @@ def b_upper(extremes: QExtremes, params: EsParams, trace: list | None = None) ->
 
     def objective(ql: float) -> float:
         bl = b_low(ql, v_std)
-        qf = _b_high_limit(bl, 1.0, v_std, ql)
+        qf = _q_floor_at(bl, v_std, ql)
         a = scale * (_SQRT_2_OVER_PI - bl / extremes.kappa_inf) * qf / 2.0
-        try:
-            q_c = _b_high_limit(4.0 * params.log_ratio / a, 1.0, v_std, cap)
-        except ValueError:  # w/4 < log_ratio for every q_high
-            q_c = -math.inf
+        q_c = _b_high_limit(4.0 * params.log_ratio / a, 1.0, v_std, cap)
         edge = _b_high_limit(bl, ratio, v_std, 0.5)
         qh = max(edge * (1.0 + 1e-12), min(max(q_star, q_c), 2.0 * target - ql, cap))
         bound = _decrease_and_bound(extremes, params, ql, qh, b_high(qh, v_std), bl, qf)[1]

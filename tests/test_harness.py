@@ -12,13 +12,11 @@ from hypothesis import strategies as st
 from esrate import engine
 from esrate.harness import (
     CSV_HEADER,
-    OBJECTIVE_KINDS,
     ExperimentConfig,
     ResultRow,
     aggregate_cell,
     emit_csv,
     emit_plot,
-    objective_for,
     read_csv,
     run_experiment,
 )
@@ -181,12 +179,6 @@ def test_plot_requires_data(tmp_path):
         emit_plot([], tmp_path / "x.svg")
 
 
-@pytest.mark.parametrize("kind", sorted(OBJECTIVE_KINDS))
-def test_objective_kinds_name_the_kind_of_their_specs(kind):
-    for dim, kappa in ((1, 0), (7, 2)):
-        assert objective_for(kind, dim, kappa).kind == OBJECTIVE_KINDS[kind][0]
-
-
 def test_budget_rule():
     cfg = ExperimentConfig(kinds=("h1",), dims=(10,), kappas=(0,))
     assert cfg.budget_for(10) == 20_000
@@ -213,7 +205,9 @@ def test_rows_independent_of_lockstep_grouping(kinds, dims, kappas, trials, budg
     cfg = ExperimentConfig(kinds=tuple(kinds), dims=tuple(dims), kappas=tuple(kappas),
                            trials=trials, budget=budget, f_floor=f_floor, base_seed=base_seed)
 
-    grouped = [dataclasses.replace(r, wall_ms=0) for r in run_experiment(cfg)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("ES_RATE_THREADS", "1")  # one worker: groups as wide as lockstep_width
+        grouped = [dataclasses.replace(r, wall_ms=0) for r in run_experiment(cfg)]
     order = [(kind, d, kappa, seed) for _, kind, d, kappa in cfg.cells()
              for seed in [*map(str, range(trials)), "agg"]]
     assert [(r.objective, r.d, r.kappa, r.seed) for r in grouped] == order

@@ -116,6 +116,13 @@ def _require_plain(spec: ObjectiveSpec) -> None:
         raise ValueError("curvature estimators operate on non-composite specs")
 
 
+def _check_sample(n: int, seed: int) -> None:
+    """Reject a sample size or seed that :func:`_sample` cannot draw."""
+    if n < 1000:
+        raise ValueError(f"need n >= 1000 mutation rows for stable estimates, got {n}")
+    rng_stream(seed)  # raises for a negative seed
+
+
 # -- the Monte Carlo kernel ------------------------------------------------------
 
 
@@ -204,8 +211,7 @@ def _sample(spec: ObjectiveSpec, state: EsState, n: int, seed: int, columns, *ke
     draws mutation rows.
     """
     _require_plain(spec)
-    if n < 1000:
-        raise ValueError(f"need n >= 1000 mutation rows for stable estimates, got {n}")
+    _check_sample(n, seed)
     if not np.any(state.m):
         raise ValueError("state must be off-optimum")
     rng = rng_stream(seed, *key)
@@ -363,8 +369,10 @@ def _extremes(
     spec: ObjectiveSpec, states: list[EsState] | None, n: int, seed: int
 ) -> tuple[float, float, float, list[EsState], list[QStats]]:
     """``(sup v_std, inf kappa, sup E[Q], states, stats)`` of :func:`q_extremes` and
-    :func:`check_assumption2`; diagonal quadratics use closed forms and scan no states."""
+    :func:`check_assumption2`; diagonal quadratics use closed forms and scan no states,
+    but ``n`` and ``seed`` are checked as if they did."""
     _require_plain(spec)
+    _check_sample(n, seed)
     if spec.is_quadratic:
         mean, var = quadratic_q_exact(spec)
         return var / mean**2, 2.0, mean, [], []
@@ -544,7 +552,8 @@ def check_assumption2(
     evaluated at the estimated ``kappa_inf``.  Diagonal quadratics use the
     exact closed forms (``v_std = 2 tr(H^2)/tr(H)^2``, ``kappa = 2``); other
     kinds estimate over a sampled state grid, whose states are included in
-    the report for audit.
+    the report for audit.  Every kind rejects ``n < 1000`` and a negative
+    ``seed``, as the sampled path must.
     """
     v_sup, kappa_inf, _, states, stats = _extremes(spec, states, n, seed)
     consistent = not any(

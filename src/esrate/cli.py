@@ -55,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--v-std", type=float, default=0.0)
     p_bounds.add_argument("--kappa-inf", type=float, default=2.0)
     p_bounds.add_argument("--e-q", type=float, default=None,
-                          help="mean-curvature supremum; defaults to dim*U")
+                          help="mean-curvature supremum in [dim*L, dim*U]; defaults to dim*U")
     p_bounds.add_argument("--alpha-rule", choices=ALPHA_RULES, default="const")
     p_bounds.add_argument("--c", type=float, default=1.0)
     p_bounds.add_argument("--p-target", type=float, default=None,
@@ -120,6 +120,10 @@ def _cmd_bounds(args) -> int:
         v_std_sup=args.v_std, kappa_inf=args.kappa_inf, e_q=e_q,
         strong_convexity=args.L,
     )
+    # Q lies between L||z||^2 and U||z||^2 on every path, so E[Q] in [d L, d U].
+    if not args.dim * args.L <= e_q <= args.dim * args.U:
+        raise ValueError(f"e_q={e_q:g} must lie in [dim*L, dim*U] = "
+                         f"[{args.dim * args.L:g}, {args.dim * args.U:g}]")
     params = params_for_rule(args.alpha_rule, args.dim, args.c)
     if args.p_target is not None:
         params = params_for_target(params.alpha_up, args.p_target)

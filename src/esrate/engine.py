@@ -432,14 +432,22 @@ def default_sigma0(spec: ObjectiveSpec, m0: np.ndarray) -> float:
     """Initial step size for a start point: gradient norm over curvature mass.
 
     Divides by the Hessian trace for diagonal quadratics and by ``dim * U``
-    otherwise (composites defer to their base at canonical coordinates).
+    otherwise; composites have no gradient, so pass their canonical base
+    (as :func:`init_default` does).  Where the squared gradient norm
+    overflows, the scaled ``math.hypot`` takes over; a gradient or curvature
+    mass beyond the float range raises ``ValueError``.
     """
-    base, shift = spec.canonical()
-    y0 = np.asarray(m0, dtype=float) - shift
-    grad_norm = float(np.linalg.norm(base.gradient(y0)))
-    if base.is_quadratic:
-        return grad_norm / base.trace_hessian
-    return grad_norm / (base.dim * base.smoothness)
+    with np.errstate(over="ignore"):
+        grad = spec.gradient(m0)
+        grad_norm = float(np.linalg.norm(grad))
+        if grad_norm == math.inf:
+            grad_norm = math.hypot(*grad)
+        mass = spec.trace_hessian if spec.is_quadratic else spec.dim * spec.smoothness
+    sigma = grad_norm / mass
+    if not 0 < sigma < math.inf:
+        raise ValueError(f"no default step size: gradient norm {grad_norm:g} "
+                         f"over curvature mass {mass:g} at the start point")
+    return sigma
 
 
 def init_default(spec: ObjectiveSpec, seed: int) -> EsState:
@@ -453,5 +461,4 @@ def init_default(spec: ObjectiveSpec, seed: int) -> EsState:
     y0 = rng.standard_normal(base.dim)
     while not np.any(y0):  # at the optimum only with probability zero
         y0 = rng.standard_normal(base.dim)
-    m0 = y0 + shift
-    return EsState(m=m0, log_sigma=math.log(default_sigma0(spec, m0)))
+    return EsState(m=y0 + shift, log_sigma=math.log(default_sigma0(base, y0)))

@@ -24,12 +24,7 @@ from functools import partial
 import numpy as np
 
 __all__ = [
-    "Transform",
-    "IDENTITY",
-    "CUBE_SHIFT",
-    "EXP_MINUS_ONE",
-    "affine_pos",
-    "ALL_TRANSFORMS",
+    "TRANSFORMS",
     "ObjectiveSpec",
     "quadratic_diag",
     "sphere",
@@ -45,47 +40,14 @@ __all__ = [
 KAPPA_MAX = 308
 
 
-@dataclass(frozen=True, eq=False)
-class Transform:
-    """A strictly increasing scalar map used to wrap objectives.
-
-    ``name`` is one of ``identity``, ``affine``, ``cube_shift``,
-    ``exp_minus_one``.  ``affine`` uses ``y -> a*y + b`` with ``a > 0``.
-    """
-
-    name: str
-    a: float = 1.0
-    b: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.name not in ("identity", "affine", "cube_shift", "exp_minus_one"):
-            raise ValueError(f"unknown transform {self.name!r}")
-        if self.name == "affine" and not self.a > 0:
-            raise ValueError("affine transform requires slope a > 0")
-
-    def __call__(self, y):
-        if self.name == "identity":
-            return y
-        if self.name == "affine":
-            return self.a * y + self.b
-        if self.name == "cube_shift":
-            return y**3 + y
-        # exp_minus_one; expm1 keeps monotonicity and precision near 0
-        return np.expm1(y)
-
-
-IDENTITY = Transform("identity")
-CUBE_SHIFT = Transform("cube_shift")
-EXP_MINUS_ONE = Transform("exp_minus_one")
-
-
-def affine_pos(a: float, b: float) -> Transform:
-    """Strictly increasing affine transform ``y -> a*y + b`` with ``a > 0``."""
-    return Transform("affine", a=float(a), b=float(b))
-
-
-#: One representative of every transform variant (affine with generic params).
-ALL_TRANSFORMS = (IDENTITY, affine_pos(2.0, 3.0), CUBE_SHIFT, EXP_MINUS_ONE)
+#: Strictly increasing scalar maps by name; a composite stores one name.
+#: Runs never evaluate them: the engine compares a composite's base values.
+TRANSFORMS = {
+    "identity": lambda y: y,
+    "affine": lambda y: 2.0 * y + 3.0,
+    "cube_shift": lambda y: y**3 + y,
+    "exp_minus_one": np.expm1,  # keeps monotonicity and precision near 0
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,6 +63,7 @@ class ObjectiveSpec:
     For ``quadratic_perturbed`` the value is
     ``0.5*sum(diag_i x_i^2) + (amp/freq^2) * sum(1 - cos(freq*x_i))``,
     whose Hessian eigenvalues are within ``amp`` of the base diagonal.
+    A ``composite`` is ``TRANSFORMS[transform](base.value(x - x_opt))``.
 
     Arrays are not defensively copied; treat specs as read-only.
     """
@@ -111,7 +74,7 @@ class ObjectiveSpec:
     perturb_amp: float = 0.0
     perturb_freq: float = 1.0
     base: "ObjectiveSpec | None" = None
-    transform: Transform | None = None
+    transform: str | None = None
     x_opt: np.ndarray | None = None
     family: str | None = None
     kappa: int | None = None
@@ -133,8 +96,10 @@ class ObjectiveSpec:
                         "(min diagonal entry must exceed amp)"
                     )
         elif self.kind == "composite":
-            if self.base is None or self.transform is None or self.x_opt is None:
-                raise ValueError("composite needs base, transform and x_opt")
+            if self.base is None or self.x_opt is None:
+                raise ValueError("composite needs base and x_opt")
+            if self.transform not in TRANSFORMS:
+                raise ValueError(f"unknown transform {self.transform!r}")
             if self.base.kind == "composite":
                 raise ValueError("nesting composites is not supported")
             if self.base.dim != self.dim or len(self.x_opt) != self.dim:
@@ -196,7 +161,7 @@ class ObjectiveSpec:
             quad = 0.5 * float(np.dot(self.diag * x, x))
             amp, freq = self.perturb_amp, self.perturb_freq
             return quad + (amp / freq**2) * float(np.sum(1.0 - np.cos(freq * x)))
-        return float(self.transform(self.base.value(x - self.x_opt)))
+        return float(TRANSFORMS[self.transform](self.base.value(x - self.x_opt)))
 
     def value_many(self, xs: np.ndarray) -> np.ndarray:
         """Objective values for a batch of points, shape ``(n, dim)``.
@@ -206,14 +171,8 @@ class ObjectiveSpec:
         """
         xs = self._check_dim(xs)
         if self.kind == "composite":
-            return np.asarray(self.transform(self.base.value_many(xs - self.x_opt)))
+            return np.asarray(TRANSFORMS[self.transform](self.base.value_many(xs - self.x_opt)))
         return stack_evaluator([self])(xs[None])[0]
-
-    def canonical_value(self, x) -> float:
-        """Pre-transform value: base objective at ``x - x_opt`` for composites."""
-        if self.kind == "composite":
-            return self.base.value(self._check_dim(x) - self.x_opt)
-        return self.value(x)
 
     def gradient(self, x) -> np.ndarray:
         """Exact gradient; unsupported for composites (never needed by the ES)."""
@@ -329,8 +288,9 @@ def perturbed_family(dim: int, kappa: int) -> ObjectiveSpec:
     )
 
 
-def make_composite(base: ObjectiveSpec, transform: Transform, x_opt) -> ObjectiveSpec:
-    """Wrap ``base`` in a strictly increasing transform and shift its optimum."""
+def make_composite(base: ObjectiveSpec, transform: str, x_opt) -> ObjectiveSpec:
+    """Wrap ``base`` in the transform named ``transform`` (a key of
+    :data:`TRANSFORMS`) and shift its optimum to ``x_opt``."""
     x_opt = np.asarray(x_opt, dtype=float)
     return ObjectiveSpec(
         kind="composite", dim=base.dim, base=base, transform=transform, x_opt=x_opt

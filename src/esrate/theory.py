@@ -437,7 +437,8 @@ def potential_from_values(f_values, log_sigmas, constants: TheoryConstants):
 
 def potential_value(state: EsState, spec: ObjectiveSpec, constants: TheoryConstants) -> float:
     """Potential of one chain state; always >= log f(m)."""
-    f_m = spec.canonical_value(state.m)
+    base, shift = spec.canonical()
+    f_m = base.value(state.m - shift)
     if not f_m > 0:
         raise ValueError("potential requires a state away from the optimum")
     return float(potential_from_values(f_m, state.log_sigma, constants))

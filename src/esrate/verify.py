@@ -22,7 +22,7 @@ from .engine import (
     run,
     trial_seed,
 )
-from .objectives import ALL_TRANSFORMS, ObjectiveSpec, hessian_family, make_composite, sphere
+from .objectives import TRANSFORMS, ObjectiveSpec, hessian_family, make_composite, sphere
 from .pool import fan_out
 
 __all__ = ["SUITES", "invariance_report", "drift_report"]
@@ -60,13 +60,13 @@ def _invariance_checks(
         return {"spec": spec_idx, "seed": s, "case": case, "ok": ok}
 
     checks = [
-        check(f"transform:{tr.name}", make_composite(spec, tr, np.zeros(spec.dim)), init)
-        for tr in ALL_TRANSFORMS
+        check(f"transform:{name}", make_composite(spec, name, np.zeros(spec.dim)), init)
+        for name in TRANSFORMS
     ]
     shifted = EsState(m=m0 + shift, log_sigma=init.log_sigma)
-    checks.append(check("translation", make_composite(spec, ALL_TRANSFORMS[0], shift), shifted))
+    checks.append(check("translation", make_composite(spec, "identity", shift), shifted))
     checks.append(
-        check("translation+transform", make_composite(spec, ALL_TRANSFORMS[2], shift), shifted)
+        check("translation+transform", make_composite(spec, "cube_shift", shift), shifted)
     )
     return checks
 
@@ -115,11 +115,6 @@ def _lemmas(n: int, seed: int) -> dict:
 
 
 def _assumption2(n: int, seed: int) -> dict:
-    # The sphere cases are exact and draw no rows; reject what sampling would.
-    if n < 1000:
-        raise ValueError(f"need n >= 1000 mutation rows for stable estimates, got {n}")
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     ok = True
     out = {"suite": "assumption2", "n": n, "seed": seed, "cases": {}}
     for dim, expected in ((1000, True), (2, False)):

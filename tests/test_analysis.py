@@ -29,7 +29,6 @@ from esrate.objectives import (
     perturbed_family,
     quadratic_diag,
     sphere,
-    IDENTITY,
 )
 
 RNG = np.random.default_rng(8)
@@ -84,7 +83,7 @@ def test_sample_q_tiny_sigma_rejected_for_perturbed():
 
 
 def test_sample_q_composite_rejected():
-    comp = make_composite(sphere(2), IDENTITY, np.zeros(2))
+    comp = make_composite(sphere(2), "identity", np.zeros(2))
     with pytest.raises(ValueError):
         sample_Q(comp, _state([1.0, 0.0], 1.0), np.ones(2))
 
@@ -282,6 +281,15 @@ def test_assumption2_sphere_low_dimension_fails():
     assert not report.holds
     assert report.v_std_sup == pytest.approx(1.0, rel=1e-15)
     assert report.margin == pytest.approx(theory.assumption_margin_rhs(2.0) - 1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("n, seed, message", [(5, 0, "need n >= 1000"),
+                                               (1000, -1, "seed must be")])
+def test_assumption2_exact_path_checks_n_and_seed(n, seed, message):
+    # The sphere draws no rows, but takes only what the sampled path would.
+    for spec in (sphere(1000), perturbed_family(4, 0)):
+        with pytest.raises(ValueError, match=message):
+            check_assumption2(spec, n=n, seed=seed)
 
 
 def test_assumption2_sampled_path_for_perturbed():

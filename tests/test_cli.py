@@ -42,6 +42,21 @@ def test_run_rejects_thin_before_simulating(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kappa, code", [(154, 0), (200, 0), (308, 1)])
+def test_run_at_huge_kappa_starts_or_fails_cleanly(kappa, code, tmp_path, capsys):
+    # From kappa 154 on the squared gradient norm overflows; at 308 (d = 3,
+    # seed 0) the gradient itself does.
+    out = tmp_path / "t.csv"
+    assert cli_main(["run", "--objective", "h1", "--dim", "3", "--kappa", str(kappa),
+                     "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if code == 0:
+        assert err == "" and out.exists()
+    else:
+        assert err.startswith("error: no default step size: gradient norm inf")
+        assert err.count("\n") == 1
+
+
 def test_unknown_flag_exits_one(capsys):
     assert cli_main(["run", "--objective", "h1", "--dim", "3", "--bogus"]) == 1
     assert "usage" in capsys.readouterr().err
@@ -95,6 +110,15 @@ def test_bounds_rejects_bad_extremes(flag, value, field, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {field} must be") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("extremes", [["--L", "1000", "--e-q", "1"], ["--L", "2", "--U", "1"]])
+def test_bounds_rejects_mean_curvature_outside_its_range(extremes, capsys):
+    # Q lies between L||z||^2 and U||z||^2, so e_q must lie in [d L, d U].
+    code = cli_main(["bounds", "--dim", "1000", *extremes, "--sup", "--p-target", "0.3"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: e_q=") and err.count("\n") == 1
 
 
 def test_bounds_sup_with_trace(tmp_path, capsys):

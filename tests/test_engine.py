@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from esrate import engine
+from esrate import engine, objectives
 from esrate.engine import (
     ALPHA_RULES,
     Z_BLOCK,
@@ -24,9 +24,7 @@ from esrate.engine import (
     run_many,
 )
 from esrate.objectives import (
-    ALL_TRANSFORMS,
-    CUBE_SHIFT,
-    EXP_MINUS_ONE,
+    TRANSFORMS,
     hessian_family,
     make_composite,
     perturbed_family,
@@ -169,7 +167,7 @@ def test_translation_equivariance_states():
     shift = rng.integers(-4, 5, size=6).astype(float)
     init = EsState(m0, math.log(0.5))
     base = run(spec, params, init, 400, seed=9)
-    comp = make_composite(spec, CUBE_SHIFT, shift)
+    comp = make_composite(spec, "cube_shift", shift)
     moved = run(comp, params, EsState(m0 + shift, math.log(0.5)), 400, seed=9)
     assert np.array_equal(base.log_dist, moved.log_dist)
     assert np.array_equal(base.log_f, moved.log_f)
@@ -181,7 +179,7 @@ def test_translation_equivariance_states():
 @given(
     kind=st.sampled_from(["h1", "h2", "h3", "perturbed"]),
     dim=st.integers(min_value=1, max_value=12),
-    transform=st.sampled_from(ALL_TRANSFORMS),
+    transform=st.sampled_from(list(TRANSFORMS)),
     data=st.data(),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
@@ -203,6 +201,25 @@ def test_runs_invariant_under_transforms_and_integer_shifts(kind, dim, transform
     ))
 
 
+def test_composites_never_evaluate_their_transform(monkeypatch):
+    # The engine steps a composite's base, so a transform that cannot be
+    # evaluated changes neither the start nor the run.
+    def broken(y):
+        raise AssertionError("a transform was evaluated")
+
+    monkeypatch.setitem(objectives.TRANSFORMS, "cube_shift", broken)
+    base = hessian_family("h2", 5, 1)
+    shift = np.arange(5.0) - 2.0
+    init = init_default(base, 3)
+    moved = init_default(make_composite(base, "cube_shift", shift), 3)
+    np.testing.assert_array_equal(moved.m, init.m + shift)
+    assert moved.log_sigma == init.log_sigma
+    comp = make_composite(base, "cube_shift", np.zeros(5))
+    params = params_for_rule("const", 5)
+    _assert_same(run(comp, params, init_default(comp, 3), 800, seed=3),
+                 run(base, params, init, 800, seed=3))
+
+
 def test_default_sigma0_sphere():
     assert default_sigma0(sphere(2), np.array([3.0, 4.0])) == pytest.approx(2.5)
 
@@ -219,6 +236,18 @@ def test_default_sigma0_perturbed_fallback():
     m0 = np.ones(4)
     expected = float(np.linalg.norm(spec.gradient(m0))) / (4 * spec.smoothness)
     assert default_sigma0(spec, m0) == pytest.approx(expected, rel=1e-15)
+
+
+def test_default_sigma0_survives_an_overflowing_squared_norm():
+    # The squared norm of a gradient of ~1e154 entries overflows; the norm does not.
+    spec = hessian_family("h1", 3, 200)
+    m0 = np.array([0.5, 1.0, -2.0])
+    expected = math.hypot(1e200, 2e200) / spec.trace_hessian
+    assert default_sigma0(spec, m0) == pytest.approx(expected, rel=1e-15)
+    with pytest.raises(ValueError, match="gradient norm inf over"):
+        default_sigma0(hessian_family("h1", 3, 308), np.array([1.0, 2.0, 2.0]))
+    with pytest.raises(ValueError, match="over curvature mass inf"):
+        default_sigma0(hessian_family("h1", 3, 308), np.full(3, 0.5))
 
 
 def test_init_default_reproducible_and_off_optimum():
@@ -421,7 +450,7 @@ def test_run_matches_per_step_loop_in_narrow_batches():
 def test_run_matches_per_step_loop_on_composite():
     base = perturbed_family(5, 1)
     shift = np.array([0.5, -2.0, 3.0, 0.0, 1.25])
-    spec = make_composite(base, EXP_MINUS_ONE, shift)
+    spec = make_composite(base, "exp_minus_one", shift)
     init = init_default(spec, 4)
     _check_against_reference(spec, params_for_rule("sqrt", 5), init, 1500, seed=4)
 
@@ -493,7 +522,7 @@ def test_run_many_matches_per_step_loop_in_a_mixed_group():
         chains.append((spec, params, init_default(spec, i), budget, f_floor, i))
     params = params_for_rule("const", dim)
     # A composite, stepped in canonical coordinates.
-    comp = make_composite(hessian_family("h2", dim, 2), EXP_MINUS_ONE, np.arange(dim) - 2.5)
+    comp = make_composite(hessian_family("h2", dim, 2), "exp_minus_one", np.arange(dim) - 2.5)
     chains.append((comp, params, init_default(comp, 40), 1500, 1e-20, 40))
     # A start below the floor takes one step.
     chains.append((sphere(dim), params, EsState(np.full(dim, 1e-60), 0.0), 100, 1e-100, 41))
@@ -514,7 +543,7 @@ def test_run_many_matches_per_step_loop_on_perturbed_groups():
         spec = perturbed_family(dim, kappa)
         chains.append((spec, params_for_rule("sqrt", dim), init_default(spec, i),
                        700 + 300 * i, 1e-12, 50 + i))
-    comp = make_composite(perturbed_family(dim, 1), CUBE_SHIFT, np.ones(dim))
+    comp = make_composite(perturbed_family(dim, 1), "cube_shift", np.ones(dim))
     chains.append((comp, params_for_rule("sqrt", dim), init_default(comp, 9), 1200, 1e-12, 9))
     _check_group_against_reference(chains)
 

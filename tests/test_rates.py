@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from esrate.engine import EsState, Trajectory, init_default, params_for_rule, run
-from esrate.objectives import EXP_MINUS_ONE, hessian_family, make_composite, perturbed_family, sphere
+from esrate.objectives import hessian_family, make_composite, perturbed_family, sphere
 from esrate.rates import (
     estimate_cr,
     lower_rate_bound,
@@ -63,7 +63,7 @@ def test_rate_invariant_under_monotone_transform():
     params = params_for_rule("const", 6)
     init = init_default(spec, 4)
     base = run(spec, params, init, 3000, seed=4)
-    comp = make_composite(spec, EXP_MINUS_ONE, np.zeros(6))
+    comp = make_composite(spec, "exp_minus_one", np.zeros(6))
     wrapped = run(comp, params, init, 3000, seed=4)
     assert estimate_cr(base).cr_hat == estimate_cr(wrapped).cr_hat
 

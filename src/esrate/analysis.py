@@ -317,7 +317,7 @@ def sigma_bar(spec: ObjectiveSpec, state: EsState, mean_q: float | None = None) 
     ``mean_q`` (an estimate).
     """
     mean_q = _plain_mean_q(spec, mean_q)
-    gnorm = float(np.linalg.norm(spec.gradient(state.m)))
+    gnorm = spec.gradient_norm(state.m)
     return state.sigma * mean_q / gnorm
 
 
@@ -327,7 +327,7 @@ def state_at_sigma_bar(spec: ObjectiveSpec, m, target_sigma_bar: float) -> EsSta
     Needs a diagonal quadratic, whose ``E[Q]`` is the exact trace.
     """
     m = np.asarray(m, dtype=float)
-    gnorm = float(np.linalg.norm(spec.gradient(m)))
+    gnorm = spec.gradient_norm(m)
     sigma = target_sigma_bar * gnorm / spec.trace_hessian
     return EsState(m=m, log_sigma=math.log(sigma))
 
@@ -480,7 +480,7 @@ def check_lemma_suite(
     for idx, (state, moments) in enumerate(zip(states, fan_out(_sample, tasks))):
         sid = str(idx)
         f_m = spec.value(state.m)
-        gnorm = float(np.linalg.norm(spec.gradient(state.m)))
+        gnorm = spec.gradient_norm(state.m)
         sigma = state.sigma
         stats = _q_stats(spec, moments)
         mean_q, var_q, se_mean = stats.mean_q, stats.var_q, stats.se_mean
@@ -604,7 +604,7 @@ def regime_of(
     """
     mean_q = _plain_mean_q(spec, mean_q)
     f_m = spec.value(state.m)
-    gnorm = float(np.linalg.norm(spec.gradient(state.m)))
+    gnorm = spec.gradient_norm(state.m)
     small_cap = constants.s * math.sqrt(constants.strong_convexity * f_m) / (
         params.alpha_up * constants.e_q
     )

@@ -41,12 +41,13 @@ from __future__ import annotations
 import csv
 import math
 from array import array
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .objectives import ObjectiveSpec, stack_evaluator
+from .pool import worker_count
 
 __all__ = [
     "EsParams",
@@ -60,6 +61,7 @@ __all__ = [
     "run",
     "run_many",
     "lockstep_width",
+    "lockstep_groups",
     "init_default",
     "default_sigma0",
     "ALPHA_RULES",
@@ -365,6 +367,18 @@ def lockstep_width(dim: int) -> int:
     return max(1, SPEC_ELEMS // (_rows(dim) * dim))
 
 
+def lockstep_groups(items: Sequence, dim: int, chains_each: int = 1) -> list[Sequence]:
+    """``items`` cut in order into the pool tasks of :func:`run_many` groups.
+
+    Each item steps ``chains_each`` chains of dimension ``dim``.  A group
+    holds at most :func:`lockstep_width` chains (but at least one item) and
+    at most a worker's share of the items, their count over
+    :func:`esrate.pool.worker_count` rounded up, so every worker gets a group.
+    """
+    width = min(max(1, lockstep_width(dim) // chains_each), -(-len(items) // worker_count()))
+    return [items[i : i + width] for i in range(0, len(items), width)]
+
+
 def run_many(chains) -> Iterator[tuple[int, Trajectory]]:
     """Step several chains in lockstep; yield ``(i, trajectory)`` as chain ``i`` stops.
 
@@ -433,15 +447,12 @@ def default_sigma0(spec: ObjectiveSpec, m0: np.ndarray) -> float:
 
     Divides by the Hessian trace for diagonal quadratics and by ``dim * U``
     otherwise; composites have no gradient, so pass their canonical base
-    (as :func:`init_default` does).  Where the squared gradient norm
-    overflows, the scaled ``math.hypot`` takes over; a gradient or curvature
+    (as :func:`init_default` does).  A gradient norm
+    (:meth:`~esrate.objectives.ObjectiveSpec.gradient_norm`) or curvature
     mass beyond the float range raises ``ValueError``.
     """
+    grad_norm = spec.gradient_norm(m0)
     with np.errstate(over="ignore"):
-        grad = spec.gradient(m0)
-        grad_norm = float(np.linalg.norm(grad))
-        if grad_norm == math.inf:
-            grad_norm = math.hypot(*grad)
         mass = spec.trace_hessian if spec.is_quadratic else spec.dim * spec.smoothness
     sigma = grad_norm / mass
     if not 0 < sigma < math.inf:

@@ -28,13 +28,13 @@ from . import rates
 from .engine import (
     ALPHA_RULES,
     init_default,
-    lockstep_width,
+    lockstep_groups,
     params_for_rule,
     run_many,
     trial_seed,
 )
 from .objectives import ObjectiveSpec, check_kappa, hessian_family, is_int, perturbed_family
-from .pool import fan_out, worker_count
+from .pool import fan_out
 
 # Kept for perfbench/workloads.py, which changes only with the benchmark.
 from .verify import drift_report, invariance_report  # noqa: F401
@@ -245,23 +245,17 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     (wall_ms aside), independent of the worker count and of the grouping.
 
     Trials of one dimension and canonical objective kind step together in
-    :func:`esrate.engine.run_many`, taken in grid order in groups of at most
-    :func:`esrate.engine.lockstep_width` chains, and of at most a
-    :func:`esrate.pool.worker_count` share of their kind, so that every
-    worker gets a group.  The groups go to the pool largest first by summed
-    budget, so the longest tasks start first.
+    :func:`esrate.engine.run_many`, cut in grid order by
+    :func:`esrate.engine.lockstep_groups`.  The groups go to the pool
+    largest first by summed budget, so the longest tasks start first.
     """
     groups: dict[tuple[int, str], list[tuple]] = {}
     for cell_index, kind, dim, kappa in cfg.cells():
         members = groups.setdefault((dim, objective_for(kind, dim, kappa).kind), [])
         members.extend((cell_index * cfg.trials + trial, cell_index, kind, kappa, trial)
                        for trial in range(cfg.trials))
-    workers = worker_count()
-    tasks = []
-    for (dim, _), members in groups.items():
-        width = min(lockstep_width(dim), -(-len(members) // workers))
-        tasks.extend((cfg, dim, members[i : i + width])
-                     for i in range(0, len(members), width))
+    tasks = [(cfg, dim, group) for (dim, _), members in groups.items()
+             for group in lockstep_groups(members, dim)]
     tasks.sort(key=lambda task: -len(task[2]) * cfg.budget_for(task[1]))
     rows_by_job = dict(pair for rows in fan_out(_run_group, tasks) for pair in rows)
     rows: list[ResultRow] = []

@@ -184,6 +184,17 @@ class ObjectiveSpec:
         amp, freq = self.perturb_amp, self.perturb_freq
         return self.diag * x + (amp / freq) * np.sin(freq * x)
 
+    def gradient_norm(self, x) -> float:
+        """``||gradient(x)||``, silently ``inf`` past the float range.
+
+        Where the squared norm overflows (a gradient entry near 1e154, say
+        ``kappa >= 154``), the scaled ``math.hypot`` takes over.
+        """
+        with np.errstate(over="ignore"):
+            grad = self.gradient(x)
+            norm = float(np.linalg.norm(grad))
+        return norm if math.isfinite(norm) else math.hypot(*grad)
+
 
 def _values(diag, xs, coef=None, freq=None):
     """``0.5 * <diag * x, x>`` along the last axis of ``xs``, plus

@@ -16,10 +16,11 @@ from . import analysis, theory
 from .engine import (
     EsState,
     default_sigma0,
+    lockstep_groups,
     params_for_rule,
     params_for_target,
     rng_stream,
-    run,
+    run_many,
     trial_seed,
 )
 from .objectives import TRANSFORMS, ObjectiveSpec, hessian_family, make_composite, sphere
@@ -34,11 +35,13 @@ def _dyadic(x: np.ndarray, bits: int = 26) -> np.ndarray:
     return np.round(x * 2.0**bits) / 2.0**bits
 
 
-def _invariance_checks(
-    spec: ObjectiveSpec, spec_idx: int, s: int, steps: int, base_seed: int
-) -> list[dict]:
-    """The check dicts of one ``(spec, seed)`` pair of :func:`invariance_report`."""
-    seed = trial_seed(base_seed, spec_idx, s)
+#: What each seed's composites do to its reference run, in chain order.
+_CASES = (*(f"transform:{name}" for name in TRANSFORMS), "translation", "translation+transform")
+
+
+def _invariance_chains(spec: ObjectiveSpec, seed: int, steps: int) -> list[tuple]:
+    """The :func:`esrate.engine.run_many` chains of one seed: the reference
+    run of ``spec``, then one composite per entry of :data:`_CASES`."""
     draw = rng_stream(seed, 9)
     m0 = _dyadic(draw.standard_normal(spec.dim))
     while not np.any(m0):
@@ -46,28 +49,40 @@ def _invariance_checks(
     shift = draw.integers(-5, 6, size=spec.dim).astype(float)
     params = params_for_rule("const", spec.dim)
     init = EsState(m=m0, log_sigma=math.log(default_sigma0(spec, m0)))
-    ref = run(spec, params, init, steps, f_floor=1e-280, seed=seed)
-
-    def check(case: str, comp: ObjectiveSpec, start: EsState) -> dict:
-        traj = run(comp, params, start, steps, f_floor=1e-280, seed=seed)
-        ok = (
-            np.array_equal(ref.log_dist, traj.log_dist)
-            and np.array_equal(ref.log_f, traj.log_f)
-            and np.array_equal(ref.log_sigma, traj.log_sigma)
-            and np.array_equal(ref.success, traj.success)
-            and ref.stop_reason == traj.stop_reason
-        )
-        return {"spec": spec_idx, "seed": s, "case": case, "ok": ok}
-
-    checks = [
-        check(f"transform:{name}", make_composite(spec, name, np.zeros(spec.dim)), init)
-        for name in TRANSFORMS
-    ]
     shifted = EsState(m=m0 + shift, log_sigma=init.log_sigma)
-    checks.append(check("translation", make_composite(spec, "identity", shift), shifted))
-    checks.append(
-        check("translation+transform", make_composite(spec, "cube_shift", shift), shifted)
-    )
+    runs = [(spec, init)]
+    runs += [(make_composite(spec, name, np.zeros(spec.dim)), init) for name in TRANSFORMS]
+    runs.append((make_composite(spec, "identity", shift), shifted))
+    runs.append((make_composite(spec, "cube_shift", shift), shifted))
+    return [(comp, params, start, steps, 1e-280, seed) for comp, start in runs]
+
+
+def _invariance_group(
+    spec: ObjectiveSpec, spec_idx: int, seeds: range, steps: int, base_seed: int
+) -> list[dict]:
+    """The check dicts of some seeds of one spec of :func:`invariance_report`.
+
+    Every chain of those seeds steps in one :func:`esrate.engine.run_many`
+    call, and each composite's trajectory is compared with its seed's
+    reference here, so no trajectory leaves the worker.
+    """
+    chains = [chain for s in seeds
+              for chain in _invariance_chains(spec, trial_seed(base_seed, spec_idx, s), steps)]
+    trajs = dict(run_many(chains))
+    per_seed = 1 + len(_CASES)
+    checks = []
+    for j, s in enumerate(seeds):
+        ref = trajs[j * per_seed]
+        for i, case in enumerate(_CASES, start=j * per_seed + 1):
+            traj = trajs[i]
+            ok = (
+                np.array_equal(ref.log_dist, traj.log_dist)
+                and np.array_equal(ref.log_f, traj.log_f)
+                and np.array_equal(ref.log_sigma, traj.log_sigma)
+                and np.array_equal(ref.success, traj.success)
+                and ref.stop_reason == traj.stop_reason
+            )
+            checks.append({"spec": spec_idx, "seed": s, "case": case, "ok": ok})
     return checks
 
 
@@ -81,19 +96,20 @@ def invariance_report(
 
     For each spec and seed, the reference run is compared against runs of
     every transform composite (same optimum) and of a translated composite
-    with an integer shift; recorded series must match bit for bit.  Each
-    ``(spec, seed)`` pair is one pool task.
+    with an integer shift; recorded series must match bit for bit.  A pool
+    task is a group of whole seeds of one spec, cut by
+    :func:`esrate.engine.lockstep_groups`, whose chains step in lockstep.
     """
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
     if specs is None:
         specs = [sphere(8), hessian_family("h1", 5, 1), hessian_family("h3", 6, 1)]
     tasks = [
-        (spec, spec_idx, s, steps, base_seed)
+        (spec, spec_idx, seeds, steps, base_seed)
         for spec_idx, spec in enumerate(specs)
-        for s in range(n_seeds)
+        for seeds in lockstep_groups(range(n_seeds), spec.dim, 1 + len(_CASES))
     ]
-    checks = [c for per_seed in fan_out(_invariance_checks, tasks) for c in per_seed]
+    checks = [c for group in fan_out(_invariance_group, tasks) for c in group]
     failed = [c for c in checks if not c["ok"]]
     return {
         "suite": "invariance",

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -457,3 +458,16 @@ def test_expected_progress_stderr_is_per_row_delta_method():
     expected = per_row.std(ddof=1) / math.sqrt(n)
     assert check.stderr > 0.0
     assert check.stderr == pytest.approx(expected, rel=1e-9)
+
+
+def test_state_helpers_survive_an_overflowing_squared_gradient_norm():
+    # The squared norm of a gradient of ~1e200 entries overflows; the norm does not.
+    spec = hessian_family("h1", 3, 200)
+    m = np.array([0.5, 1.0, -2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        state = state_at_sigma_bar(spec, m, 1.0)
+        round_trip = sigma_bar(spec, state)
+    assert state.sigma == pytest.approx(math.hypot(1e200, 2e200) / spec.trace_hessian,
+                                        rel=1e-15)
+    assert round_trip == pytest.approx(1.0, rel=1e-15)

@@ -41,6 +41,14 @@ def test_gradient_zero_at_origin():
         np.testing.assert_allclose(spec.gradient(np.zeros(4)), np.zeros(4))
 
 
+def test_gradient_norm_is_numpys_where_its_square_is_finite():
+    rng = np.random.default_rng(5)
+    for spec in (sphere(4), hessian_family("h1", 5, 1), hessian_family("h3", 6, 1),
+                 perturbed_family(7, 1)):
+        x = rng.standard_normal(spec.dim) * 3.0
+        assert spec.gradient_norm(x) == float(np.linalg.norm(spec.gradient(x)))
+
+
 def test_perturbed_gradient_matches_finite_differences():
     spec = perturbed_family(6, 1)
     for _ in range(20):

@@ -1,8 +1,12 @@
 import json
 
 import pytest
+from hypothesis import Phase, example, given, settings
+from hypothesis import strategies as st
 
+from esrate import engine, pool, verify
 from esrate.cli import cli_main
+from esrate.objectives import hessian_family, perturbed_family
 from esrate.verify import SUITES, drift_report, invariance_report
 
 
@@ -11,6 +15,51 @@ def test_invariance_report_small():
     assert report["ok"]
     assert report["mismatches"] == 0
     assert report["checks"] == 3 * 2 * 6
+
+
+def test_invariance_report_catches_an_inexact_translation(monkeypatch):
+    """Without the dyadic start, adding the shift and subtracting it back rounds,
+    so exactly the translated runs must stop matching their reference."""
+    monkeypatch.setattr(verify, "_dyadic", lambda x: x)
+    report = invariance_report(n_seeds=3, steps=100, base_seed=5)
+    assert report["checks"] == 3 * 3 * 6
+    assert not report["ok"]
+    assert [(c["spec"], c["seed"], c["case"]) for c in report["details"]] == [
+        (spec, seed, case) for spec in range(3) for seed in range(3)
+        for case in ("translation", "translation+transform")
+    ]
+
+
+# Each example runs six reports; shrinking would rerun them for no simpler case.
+@settings(max_examples=5, deadline=None, database=None, derandomize=True,
+          phases=[Phase.explicit, Phase.generate])
+@given(
+    dims=st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=3),
+    n_seeds=st.integers(min_value=1, max_value=9),
+    steps=st.integers(min_value=1, max_value=200),
+    base_seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(dims=[3, 40, 9], n_seeds=7, steps=150, base_seed=5)
+def test_invariance_report_independent_of_lockstep_grouping(dims, n_seeds, steps, base_seed):
+    kinds = ("h1", "h3", "perturbed")
+    specs = [perturbed_family(d, 1) if kinds[i % 3] == "perturbed"
+             else hessian_family(kinds[i % 3], d, 1) for i, d in enumerate(dims)]
+    reports = {}
+    for name, threads, spec_elems in (("one worker", "1", engine.SPEC_ELEMS),
+                                      ("two workers", "2", engine.SPEC_ELEMS),
+                                      ("one seed per group", "2", 1)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pool, "_usable_cpus", lambda: 2)
+            mp.setenv("ES_RATE_THREADS", threads)
+            mp.setattr(engine, "SPEC_ELEMS", spec_elems)
+            exact = invariance_report(specs, n_seeds, steps, base_seed)
+            # An inexact start makes translated runs mismatch, so that the
+            # details' order is checked too.
+            mp.setattr(verify, "_dyadic", lambda x: x)
+            reports[name] = (exact, invariance_report(specs, n_seeds, steps, base_seed))
+    assert reports["one worker"][0]["ok"]
+    assert reports["two workers"] == reports["one worker"]
+    assert reports["one seed per group"] == reports["one worker"]
 
 
 def test_drift_report_small():

@@ -68,7 +68,6 @@ __all__ = [
     "DriftEstimate",
     "estimate_drift",
     "q_extremes",
-    "default_state_grid",
     "state_at_sigma_bar",
     "sigma_bar",
 ]
@@ -332,19 +331,18 @@ def state_at_sigma_bar(spec: ObjectiveSpec, m, target_sigma_bar: float) -> EsSta
     return EsState(m=m, log_sigma=math.log(sigma))
 
 
-def default_state_grid(spec: ObjectiveSpec, count: int = 32, seed: int = 0) -> list[EsState]:
-    """States spanning distances ``1e-3 .. 1e3`` times ``sqrt(d)`` from the optimum.
+def _state_grid(spec: ObjectiveSpec, seed: int) -> list[EsState]:
+    """The 32 scanned states: 8 distances ``1e-3 .. 1e3`` times ``sqrt(d)``
+    from the optimum, 2 random directions each, at 0.1 and 1 times the
+    default step size.
 
     Coarse coverage for the state-space extremes of non-quadratic specs;
     the suprema/infima derived from it are approximations and the sampled
     states are reported for audit.
     """
-    _require_plain(spec)
     rng = rng_stream(seed, 7)
-    n_dist = max(count // 4, 1)
-    dists = np.geomspace(1e-3, 1e3, n_dist) * math.sqrt(spec.dim)
     states = []
-    for dist in dists:
+    for dist in np.geomspace(1e-3, 1e3, 8) * math.sqrt(spec.dim):
         for _ in range(2):
             direction = rng.standard_normal(spec.dim)
             direction /= np.linalg.norm(direction)
@@ -355,18 +353,8 @@ def default_state_grid(spec: ObjectiveSpec, count: int = 32, seed: int = 0) -> l
     return states
 
 
-def _scan_grid(
-    spec: ObjectiveSpec, states: list[EsState] | None, n: int, seed: int
-) -> tuple[list[EsState], list[QStats]]:
-    """Remainder statistics at each state (by default the sampled state grid)."""
-    if states is None:
-        states = default_state_grid(spec, seed=seed)
-    tasks = [(spec, st, n, seed + 101 + i) for i, st in enumerate(states)]
-    return states, fan_out(estimate_q_stats, tasks)
-
-
 def _extremes(
-    spec: ObjectiveSpec, states: list[EsState] | None, n: int, seed: int
+    spec: ObjectiveSpec, n: int, seed: int
 ) -> tuple[float, float, float, list[EsState], list[QStats]]:
     """``(sup v_std, inf kappa, sup E[Q], states, stats)`` of :func:`q_extremes` and
     :func:`check_assumption2`; diagonal quadratics use closed forms and scan no states,
@@ -376,23 +364,20 @@ def _extremes(
     if spec.is_quadratic:
         mean, var = quadratic_q_exact(spec)
         return var / mean**2, 2.0, mean, [], []
-    states, stats = _scan_grid(spec, states, n, seed)
+    states = _state_grid(spec, seed)
+    tasks = [(spec, st, n, seed + 101 + i) for i, st in enumerate(states)]
+    stats = fan_out(estimate_q_stats, tasks)
     v_sup, kappa_inf = max(s.v_std for s in stats), min(s.kappa for s in stats)
     return v_sup, kappa_inf, max(s.mean_q for s in stats), states, stats
 
 
-def q_extremes(
-    spec: ObjectiveSpec,
-    n: int = 100_000,
-    seed: int = 0,
-    states: list[EsState] | None = None,
-) -> QExtremes:
+def q_extremes(spec: ObjectiveSpec, n: int = 100_000, seed: int = 0) -> QExtremes:
     """State-space extremes of the curvature statistics.
 
     Exact and state-independent for diagonal quadratics.  For other kinds the
-    extremes are taken over a sampled state grid (an approximation).
+    extremes are taken over the 32 sampled states of the scan (an approximation).
     """
-    v_sup, kappa_inf, e_q, _, _ = _extremes(spec, states, n, seed)
+    v_sup, kappa_inf, e_q, _, _ = _extremes(spec, n, seed)
     return QExtremes(
         v_std_sup=v_sup, kappa_inf=kappa_inf, e_q=e_q, strong_convexity=spec.strong_convexity
     )
@@ -539,23 +524,18 @@ class Assumption2Report:
     states: list[dict] = field(default_factory=list)
 
 
-def check_assumption2(
-    spec: ObjectiveSpec,
-    states: list[EsState] | None = None,
-    n: int = 100_000,
-    seed: int = 0,
-) -> Assumption2Report:
+def check_assumption2(spec: ObjectiveSpec, n: int = 100_000, seed: int = 0) -> Assumption2Report:
     """Check the curvature-variance smallness condition for a spec.
 
     Compares the state-space supremum of ``v_std`` against
     ``min(Phi(k/(2 sqrt(2 pi))) - 1/2, 1 - Phi(3k/(2 sqrt(2 pi)))) / 4``
     evaluated at the estimated ``kappa_inf``.  Diagonal quadratics use the
     exact closed forms (``v_std = 2 tr(H^2)/tr(H)^2``, ``kappa = 2``); other
-    kinds estimate over a sampled state grid, whose states are included in
-    the report for audit.  Every kind rejects ``n < 1000`` and a negative
+    kinds estimate over the 32 sampled states of the scan, which are
+    included in the report for audit.  Every kind rejects ``n < 1000`` and a negative
     ``seed``, as the sampled path must.
     """
-    v_sup, kappa_inf, _, states, stats = _extremes(spec, states, n, seed)
+    v_sup, kappa_inf, _, states, stats = _extremes(spec, n, seed)
     consistent = not any(
         s.kappa < 1.0 - 3.0 * s.kappa * math.hypot(s.se_mean / s.mean_q, s.se_half / s.half_mean_q)
         for s in stats

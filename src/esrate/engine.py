@@ -12,8 +12,10 @@ Determinism contract
 All randomness flows through :func:`rng_stream`: a PCG64 generator seeded by
 ``numpy.random.SeedSequence(entropy=seed, spawn_key=key)``.  Normal variates
 come from ``Generator.standard_normal``, one row of ``dim`` draws per
-step; each chain draws them in blocks of at most ``Z_BLOCK`` rows, fewer
-when fewer steps are left, and the generator fills rows in stream order,
+step; each chain draws them in blocks of at most ``SPEC_ELEMS // dim``
+rows (at least one), fewer when fewer steps are left, so a block stays
+within ``SPEC_ELEMS`` elements whatever the dimension.  Rows a batch did
+not use lead the next block.  The generator fills rows in stream order,
 so the block size never enters the results.  Identical ``(spec, params,
 init, budget, seed)`` always reproduce bit-identical trajectories, and
 distinct spawn keys give independent streams, so trials may run in
@@ -67,14 +69,12 @@ __all__ = [
     "ALPHA_RULES",
 ]
 
-#: Most rows of standard-normal draws per block of one chain.
-Z_BLOCK = 1024
-
 #: Most candidates a chain evaluates in one batch (see the module notes),
 #: and the most elements of one batch, which also bound a lockstep round
-#: (:func:`lockstep_width`).  Near a success rate of 1/5 about half of an
-#: 8-row batch lies past its first acceptance; from ``dim`` of a few
-#: thousand on, evaluating those rows costs more than the calls they save.
+#: (:func:`lockstep_width`) and a chain's block of normal draws.  Near a
+#: success rate of 1/5 about half of an 8-row batch lies past its first
+#: acceptance; from ``dim`` of a few thousand on, evaluating those rows
+#: costs more than the calls they save.
 SPEC_ROWS = 8
 SPEC_ELEMS = 8192
 
@@ -289,11 +289,14 @@ class _Chain:
         order of a per-step loop, so every float is that loop's.
         """
         zi = self.zi
-        if zi == len(self.zbuf):
-            self.zbuf = self.rng.standard_normal((min(Z_BLOCK, self.budget - self.t),
-                                                  zs.shape[2]))
+        k = min(self.cap, self.budget - self.t)
+        left = len(self.zbuf) - zi
+        if left < k:  # the unused rows lead the next block, so no batch is cut short
+            dim = zs.shape[2]
+            fresh = self.rng.standard_normal(
+                (min(max(1, SPEC_ELEMS // dim), self.budget - self.t - left), dim))
+            self.zbuf = np.concatenate((self.zbuf[zi:], fresh))
             self.zi = zi = 0
-        k = min(self.cap, len(self.zbuf) - zi, self.budget - self.t)
         v = self.log_sigma
         la_dn = self.la_dn
         ls = [v]

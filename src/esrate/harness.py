@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from functools import partial
 from itertools import product
 
@@ -150,6 +150,9 @@ class ExperimentConfig:
         unknown = set(obj) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        missing = {f.name for f in fields(ExperimentConfig) if f.default is MISSING} - set(obj)
+        if missing:
+            raise ValueError(f"missing config keys: {sorted(missing)}")
         obj = dict(obj)
         for key in ("kinds", "dims", "kappas"):
             if key in obj:

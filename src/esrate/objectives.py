@@ -39,6 +39,11 @@ __all__ = [
 #: Largest condition exponent of the benchmark Hessians: 10.0**308 is finite.
 KAPPA_MAX = 308
 
+#: Amplitude and frequency of the ``quadratic_perturbed`` kind's cosine term.
+PERTURB_AMP = 0.5
+PERTURB_FREQ = 3.0
+_PERTURB_COEF = PERTURB_AMP / PERTURB_FREQ**2
+
 
 #: Strictly increasing scalar maps by name; a composite stores one name.
 #: Runs never evaluate them: the engine compares a composite's base values.
@@ -61,8 +66,9 @@ class ObjectiveSpec:
     For ``quadratic_diag`` the Hessian diagonal is ``diag``; ``family`` and
     ``kappa`` record the benchmark family the spec was built from, when any.
     For ``quadratic_perturbed`` the value is
-    ``0.5*sum(diag_i x_i^2) + (amp/freq^2) * sum(1 - cos(freq*x_i))``,
-    whose Hessian eigenvalues are within ``amp`` of the base diagonal.
+    ``0.5*sum(diag_i x_i^2) + (amp/freq^2) * sum(1 - cos(freq*x_i))`` with
+    ``amp = PERTURB_AMP`` and ``freq = PERTURB_FREQ``, whose Hessian
+    eigenvalues are within ``amp`` of the base diagonal.
     A ``composite`` is ``TRANSFORMS[transform](base.value(x - x_opt))``.
 
     Arrays are not defensively copied; treat specs as read-only.
@@ -71,8 +77,6 @@ class ObjectiveSpec:
     kind: str
     dim: int
     diag: np.ndarray | None = None
-    perturb_amp: float = 0.0
-    perturb_freq: float = 1.0
     base: "ObjectiveSpec | None" = None
     transform: str | None = None
     x_opt: np.ndarray | None = None
@@ -88,9 +92,7 @@ class ObjectiveSpec:
             if not np.all(np.asarray(self.diag) > 0):
                 raise ValueError("Hessian diagonal entries must be positive")
             if self.kind == "quadratic_perturbed":
-                if self.perturb_amp < 0 or self.perturb_freq <= 0:
-                    raise ValueError("need perturb_amp >= 0 and perturb_freq > 0")
-                if float(np.min(self.diag)) - self.perturb_amp <= 0:
+                if float(np.min(self.diag)) - PERTURB_AMP <= 0:
                     raise ValueError(
                         "perturbation amplitude destroys strong convexity "
                         "(min diagonal entry must exceed amp)"
@@ -115,7 +117,7 @@ class ObjectiveSpec:
         if self.kind == "quadratic_diag":
             return float(np.min(self.diag))
         if self.kind == "quadratic_perturbed":
-            return float(np.min(self.diag)) - self.perturb_amp
+            return float(np.min(self.diag)) - PERTURB_AMP
         return self.base.strong_convexity
 
     @property
@@ -124,7 +126,7 @@ class ObjectiveSpec:
         if self.kind == "quadratic_diag":
             return float(np.max(self.diag))
         if self.kind == "quadratic_perturbed":
-            return float(np.max(self.diag)) + self.perturb_amp
+            return float(np.max(self.diag)) + PERTURB_AMP
         return self.base.smoothness
 
     @property
@@ -159,8 +161,7 @@ class ObjectiveSpec:
             return 0.5 * float(np.dot(self.diag * x, x))
         if self.kind == "quadratic_perturbed":
             quad = 0.5 * float(np.dot(self.diag * x, x))
-            amp, freq = self.perturb_amp, self.perturb_freq
-            return quad + (amp / freq**2) * float(np.sum(1.0 - np.cos(freq * x)))
+            return quad + _PERTURB_COEF * float(np.sum(1.0 - np.cos(PERTURB_FREQ * x)))
         return float(TRANSFORMS[self.transform](self.base.value(x - self.x_opt)))
 
     def value_many(self, xs: np.ndarray) -> np.ndarray:
@@ -181,8 +182,7 @@ class ObjectiveSpec:
         x = self._check_dim(x)
         if self.kind == "quadratic_diag":
             return self.diag * x
-        amp, freq = self.perturb_amp, self.perturb_freq
-        return self.diag * x + (amp / freq) * np.sin(freq * x)
+        return self.diag * x + (PERTURB_AMP / PERTURB_FREQ) * np.sin(PERTURB_FREQ * x)
 
     def gradient_norm(self, x) -> float:
         """``||gradient(x)||``, silently ``inf`` past the float range.
@@ -196,19 +196,20 @@ class ObjectiveSpec:
         return norm if math.isfinite(norm) else math.hypot(*grad)
 
 
-def _values(diag, xs, coef=None, freq=None):
-    """``0.5 * <diag * x, x>`` along the last axis of ``xs``, plus
-    ``coef * sum(1 - cos(freq * x))`` when ``coef`` is given.
+def _values(diag, xs):
+    """``0.5 * <diag * x, x>`` along the last axis of ``xs``.
 
     The one formula behind :meth:`ObjectiveSpec.value_many` and
     :func:`stack_evaluator`: ``vecdot`` reduces each row in ``np.dot``'s
-    order and the cosine sum runs along the row like the 1-D sum, so every
-    row equals :meth:`ObjectiveSpec.value` bit for bit.
+    order, so every row equals :meth:`ObjectiveSpec.value` bit for bit.
     """
-    quad = 0.5 * np.vecdot(diag * xs, xs)
-    if coef is None:
-        return quad
-    return quad + coef * np.sum(1.0 - np.cos(freq * xs), axis=-1)
+    return 0.5 * np.vecdot(diag * xs, xs)
+
+
+def _perturbed_values(diag, xs):
+    """:func:`_values` plus the cosine term of ``quadratic_perturbed``, summed
+    along the row like the 1-D sum of :meth:`ObjectiveSpec.value`."""
+    return _values(diag, xs) + _PERTURB_COEF * np.sum(1.0 - np.cos(PERTURB_FREQ * xs), axis=-1)
 
 
 def stack_evaluator(specs):
@@ -216,9 +217,9 @@ def stack_evaluator(specs):
 
     The returned function maps ``xs`` of shape ``(len(specs), n, dim)`` to
     values of shape ``(len(specs), n)``, with ``[i, j]`` equal to
-    ``specs[i].value(xs[i, j])`` bit for bit: each spec's diagonal (and
-    perturbation) broadcasts over its own rows.  Raises ``ValueError`` for
-    an empty stack, mixed kinds or dims, and composites.
+    ``specs[i].value(xs[i, j])`` bit for bit: each spec's diagonal
+    broadcasts over its own rows.  Raises ``ValueError`` for an empty
+    stack, mixed kinds or dims, and composites.
     """
     kinds = {(s.kind, s.dim) for s in specs}
     if len(kinds) != 1:
@@ -227,11 +228,7 @@ def stack_evaluator(specs):
     if kind == "composite":
         raise ValueError("stack the canonical base specs of composites")
     diag = np.stack([s.diag for s in specs])[:, None, :]
-    if kind == "quadratic_diag":
-        return partial(_values, diag)
-    coef = np.array([s.perturb_amp / s.perturb_freq**2 for s in specs])[:, None]
-    freq = np.array([s.perturb_freq for s in specs])[:, None, None]
-    return partial(_values, diag, coef=coef, freq=freq)
+    return partial(_values if kind == "quadratic_diag" else _perturbed_values, diag)
 
 
 def quadratic_diag(diag, family: str | None = None, kappa: int | None = None) -> ObjectiveSpec:
@@ -292,8 +289,6 @@ def perturbed_family(dim: int, kappa: int) -> ObjectiveSpec:
         kind="quadratic_perturbed",
         dim=dim,
         diag=base.diag,
-        perturb_amp=0.5,
-        perturb_freq=3.0,
         family="perturbed",
         kappa=kappa,
     )

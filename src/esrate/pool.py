@@ -2,8 +2,9 @@
 
 Experiment trial groups and invariance seed groups (each chain of a
 lockstep group keeps its stream; :func:`esrate.engine.lockstep_groups`
-cuts both), lemma-suite states, grid-scan states and drift regimes each
-own their RNG streams, so they can run in any process and in any order.  :func:`fan_out` maps a function over such tasks and
+cuts both), lemma-suite states, the scanned states of Assumption 2 and
+drift regimes each own their RNG streams, so they can run in any process
+and in any order.  :func:`fan_out` maps a function over such tasks and
 returns the results in task order, so results never depend on the worker
 count.  ``ES_RATE_THREADS`` sets that count (default: the usable CPUs, at
 most 8); 1 runs everything in the calling process.

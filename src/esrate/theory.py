@@ -90,14 +90,14 @@ def b_low_at(q: float, v_std: float, eps: float) -> float:
     return 2.0 * float(ndtri(arg)) / (1.0 - eps)
 
 
-def _golden_max(fn, lo: float, hi: float, iters: int = 64):
-    """``(x, fn(x))`` at the maximum of a unimodal ``fn`` (golden section)."""
+def _golden_max(fn, lo: float, hi: float):
+    """``(x, fn(x))`` at the maximum of a unimodal ``fn`` (64 golden-section steps)."""
     ratio = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - ratio * (b - a)
     d = a + ratio * (b - a)
     fc, fd = fn(c), fn(d)
-    for _ in range(iters):
+    for _ in range(64):
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - ratio * (b - a)

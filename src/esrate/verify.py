@@ -29,10 +29,10 @@ from .pool import fan_out
 __all__ = ["SUITES", "invariance_report", "drift_report"]
 
 
-def _dyadic(x: np.ndarray, bits: int = 26) -> np.ndarray:
-    # Exactly representable on the 2^-bits grid, so adding an integer shift
+def _dyadic(x: np.ndarray) -> np.ndarray:
+    # Exactly representable on the 2^-26 grid, so adding an integer shift
     # and subtracting it back are both exact in binary64.
-    return np.round(x * 2.0**bits) / 2.0**bits
+    return np.round(x * 2.0**26) / 2.0**26
 
 
 #: What each seed's composites do to its reference run, in chain order.
@@ -87,10 +87,7 @@ def _invariance_group(
 
 
 def invariance_report(
-    specs: list[ObjectiveSpec] | None = None,
-    n_seeds: int = 20,
-    steps: int = 500,
-    base_seed: int = 20240,
+    specs: list[ObjectiveSpec] | None = None, *, n_seeds: int, steps: int = 500, base_seed: int
 ) -> dict:
     """Exact-equality battery: transforms and translations must not change runs.
 
@@ -148,7 +145,7 @@ def _assumption2(n: int, seed: int) -> dict:
     return out
 
 
-def drift_report(dim: int = 100, n: int = 100_000, seed: int = 77) -> dict:
+def drift_report(dim: int = 100, *, n: int, seed: int) -> dict:
     """Three-regime potential-drift battery on the sphere.
 
     Constants are built from the large-dimension surrogate extremes

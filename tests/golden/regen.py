@@ -1,0 +1,63 @@
+"""Golden outputs: the fixture ``golden.json`` and the function that recomputes it.
+
+``tests/test_golden.py`` compares :func:`outputs` with the committed fixture
+exactly.  A change that moves results on purpose regenerates the fixture
+with::
+
+    PYTHONPATH=src python tests/golden/regen.py
+
+and quotes the largest relative change in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import asdict
+from pathlib import Path
+
+import numpy as np
+
+from esrate import analysis, harness
+from esrate.objectives import perturbed_family
+from esrate.verify import SUITES
+
+FIXTURE = Path(__file__).with_name("golden.json")
+
+#: Suite name -> the small ``n`` its fixture runs at; each suite keeps its default seed.
+SUITE_N = {"invariance": 4, "lemmas": 2000, "assumption2": 1000, "drift": 2000}
+
+#: A 2 x 2 x 2 grid with a non-quadratic kind, 3 trials per cell.
+EXPERIMENT = harness.ExperimentConfig(
+    kinds=("h1", "perturbed"), dims=(5, 12), kappas=(0, 2), trials=3, budget=3000
+)
+
+
+def versions() -> dict:
+    """The numpy and OpenBLAS builds that the floats depend on."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}"}
+
+
+def outputs() -> dict:
+    """Every golden output, decoded from JSON as the fixture is."""
+    out = {}
+    for name, n in SUITE_N.items():
+        suite, _, seed = SUITES[name]
+        out[f"verify:{name}"] = suite(n, seed)
+    out["check_assumption2:perturbed(30,2)"] = asdict(
+        analysis.check_assumption2(perturbed_family(30, 2), n=5000, seed=31))
+    out["q_extremes:perturbed(12,1)"] = asdict(
+        analysis.q_extremes(perturbed_family(12, 1), n=2000, seed=2))
+    rows = [asdict(row) for row in harness.run_experiment(EXPERIMENT)]
+    out["experiment"] = [{k: v for k, v in row.items() if k != "wall_ms"} for row in rows]
+    return json.loads(json.dumps(out, default=float))
+
+
+def main() -> None:
+    text = json.dumps({"versions": versions(), "outputs": outputs()}, indent=1, sort_keys=True)
+    FIXTURE.write_text(text + "\n")
+    print(f"wrote {FIXTURE}")
+
+
+if __name__ == "__main__":
+    main()

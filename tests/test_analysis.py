@@ -11,7 +11,6 @@ from esrate.analysis import (
     _Chunk,
     check_assumption2,
     check_lemma_suite,
-    default_state_grid,
     estimate_drift,
     estimate_log_progress,
     estimate_q_stats,
@@ -295,12 +294,11 @@ def test_assumption2_exact_path_checks_n_and_seed(n, seed, message):
 
 def test_assumption2_sampled_path_for_perturbed():
     spec = perturbed_family(24, 0)
-    states = default_state_grid(spec, count=8, seed=4)
-    report = check_assumption2(spec, states=states, n=20_000, seed=4)
+    report = check_assumption2(spec, n=20_000, seed=4)
     assert not report.exact
     assert report.kappa_consistent
     assert report.holds == (report.margin > 0)
-    assert len(report.states) == len(states)
+    assert len(report.states) == 32
     assert report.kappa_inf == pytest.approx(2.0, rel=0.1)
 
 
@@ -323,21 +321,19 @@ def test_q_extremes_exact_for_quadratics():
 
 def test_q_extremes_share_assumption2_scan():
     spec = perturbed_family(12, 1)
-    states = default_state_grid(spec, count=8, seed=2)
-    for kwargs in ({"states": states}, {}):
-        ex = q_extremes(spec, n=2_000, seed=2, **kwargs)
-        report = check_assumption2(spec, n=2_000, seed=2, **kwargs)
-        assert ex.v_std_sup == report.v_std_sup
-        assert ex.kappa_inf == report.kappa_inf
+    ex = q_extremes(spec, n=2_000, seed=2)
+    report = check_assumption2(spec, n=2_000, seed=2)
+    assert ex.v_std_sup == report.v_std_sup == max(s["v_std"] for s in report.states)
+    assert ex.kappa_inf == report.kappa_inf == min(s["kappa"] for s in report.states)
 
 
-def test_default_state_grid_spans_distances():
-    spec = perturbed_family(6, 0)
-    states = default_state_grid(spec, count=32, seed=1)
-    assert len(states) == 32
-    norms = sorted(float(np.linalg.norm(s.m)) for s in states)
-    assert norms[0] == pytest.approx(1e-3 * math.sqrt(6), rel=1e-9)
-    assert norms[-1] == pytest.approx(1e3 * math.sqrt(6), rel=1e-9)
+def test_state_grid_spans_distances():
+    # 8 distances from 1e-3 to 1e3 times sqrt(d), 2 directions and 2 step sizes each.
+    report = check_assumption2(perturbed_family(6, 0), n=1000, seed=1)
+    norms = np.array([s["m_norm"] for s in report.states])
+    expected = np.repeat(np.geomspace(1e-3, 1e3, 8), 4) * math.sqrt(6)
+    np.testing.assert_allclose(norms, expected, rtol=1e-9)
+    assert len({s["log_sigma"] for s in report.states}) == 32
 
 
 @pytest.fixture(scope="module")

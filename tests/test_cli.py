@@ -208,6 +208,20 @@ def test_missing_config_exits_one():
     assert cli_main(["experiment", "--config", "/nonexistent.json", "--out-dir", "/tmp/x"]) == 1
 
 
+def test_config_without_required_keys_exits_one(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"dims": [3], "kappas": [0]}))
+    src = os.path.dirname(os.path.dirname(esrate.__file__))
+    out = subprocess.run(
+        [sys.executable, "-m", "esrate", "experiment", "--config", str(cfg_path),
+         "--out-dir", str(tmp_path / "out")],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 1
+    assert "error: missing config keys: ['kinds']" in out.stderr.splitlines()
+    assert "Traceback" not in out.stderr
+
+
 def test_verify_invariance_passes(capsys):
     assert cli_main(["verify", "--suite", "invariance", "--n", "2"]) == 0
     data = json.loads(capsys.readouterr().out)

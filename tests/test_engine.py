@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from esrate import engine, objectives
 from esrate.engine import (
     ALPHA_RULES,
-    Z_BLOCK,
     EsParams,
     EsState,
     Trajectory,
@@ -311,18 +310,20 @@ def test_run_rejects_step_size_overflow():
 
 
 def test_run_draws_no_more_rows_than_steps():
-    # A full Z_BLOCK x 10^4 buffer of draws would take 82 MB.
+    # A block of normal draws holds at most SPEC_ELEMS elements, one row at
+    # d = 10^4; a block of 1024 rows would take 82 MB, held twice across a refill.
     dim = 10_000
     spec = hessian_family("h1", dim, 0)
     init = init_default(spec, 0)
-    tracemalloc.start()
-    try:
-        traj = run(spec, params_for_rule("const", dim), init, 10)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert traj.t_final == 10
-    assert peak < 5e6
+    for budget in (10, 2000):
+        tracemalloc.start()
+        try:
+            traj = run(spec, params_for_rule("const", dim), init, budget)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.t_final == budget
+        assert peak < 5e6, (budget, peak)
 
 
 def test_params_for_rule_rejects_bad_input():
@@ -334,6 +335,10 @@ def test_params_for_rule_rejects_bad_input():
 
 
 # -- bit-identity against a one-step-at-a-time loop --------------------------------------
+
+
+#: Rows of a chain's block of normal draws at d = 10.
+_BLOCK_D10 = engine.SPEC_ELEMS // 10
 
 
 def _reference_run(spec, params, init, budget, f_floor=1e-100, seed=0):
@@ -361,14 +366,8 @@ def _reference_run(spec, params, init, budget, f_floor=1e-100, seed=0):
     rng = engine.rng_stream(seed)
     stop_reason = "budget"
     t = 0
-    zi = Z_BLOCK
-    zbuf = None
     while t < budget:
-        if zi == Z_BLOCK:
-            zbuf = rng.standard_normal((Z_BLOCK, base.dim))
-            zi = 0
-        x = y + math.exp(log_sigma) * zbuf[zi]
-        zi += 1
+        x = y + math.exp(log_sigma) * rng.standard_normal(base.dim)
         f_x = value(x)
         if f_x <= f_m:
             y = x
@@ -433,7 +432,7 @@ def test_run_matches_per_step_loop_on_f_floor_stop():
 
 def test_run_matches_per_step_loop_across_z_blocks():
     spec = hessian_family("h2", 10, 2)
-    budget = 3 * Z_BLOCK + 379
+    budget = 3 * _BLOCK_D10 + 379
     traj = _check_against_reference(spec, params_for_rule("const", 10), init_default(spec, 1),
                                     budget, 1e-300, seed=1)
     assert traj.stop_reason == "budget" and traj.t_final == budget
@@ -466,11 +465,11 @@ def test_run_matches_per_step_loop_from_below_floor():
     kind=st.sampled_from(["h1", "h2", "h3", "perturbed"]),
     dim=st.integers(min_value=1, max_value=12),
     rule=st.sampled_from(ALPHA_RULES),
-    budget=st.integers(min_value=1, max_value=2 * Z_BLOCK + 100),
+    budget=st.integers(min_value=1, max_value=2 * _BLOCK_D10 + 100),
     f_floor=st.sampled_from([1e-300, 1e-30, 1e-6]),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
-@example(kind="h2", dim=3, rule="const", budget=2 * Z_BLOCK + 100, f_floor=1e-300, seed=0)
+@example(kind="h2", dim=3, rule="const", budget=2 * _BLOCK_D10 + 100, f_floor=1e-300, seed=0)
 def test_results_independent_of_block_size(kind, dim, rule, budget, f_floor, seed):
     spec = _family(kind, dim, 2)
     params = params_for_rule(rule, dim)
@@ -515,9 +514,9 @@ def test_run_many_matches_per_step_loop_in_a_mixed_group():
     for i, (fam, kappa) in enumerate(product(("h1", "h2", "h3"), (0, 2, 6))):
         spec = hessian_family(fam, dim, kappa)
         params = params_for_rule(ALPHA_RULES[i % 3], dim)
-        # Unequal budgets, the longest past two Z_BLOCK refills, and floors
-        # that stop some chains early: the group's edge is ragged.
-        budget = (60, 900, 2 * Z_BLOCK + 37)[i % 3]
+        # Unequal budgets, the longest past two refills of a chain's block of
+        # normals, and floors that stop some chains early: the group's edge is ragged.
+        budget = (60, 900, 2 * (engine.SPEC_ELEMS // dim) + 37)[i % 3]
         f_floor = (1e-6, 1e-30, 1e-300)[i // 3]
         chains.append((spec, params, init_default(spec, i), budget, f_floor, i))
     params = params_for_rule("const", dim)
@@ -531,7 +530,7 @@ def test_run_many_matches_per_step_loop_in_a_mixed_group():
                    EsState(np.full(dim, 1e140), math.log(1e160)), 400, 1e-100, 42))
     got = _check_group_against_reference(chains)
     assert {t.stop_reason for t in got.values()} == {"budget", "f_floor"}
-    assert max(t.t_final for t in got.values()) > 2 * Z_BLOCK
+    assert max(t.t_final for t in got.values()) > 2 * (engine.SPEC_ELEMS // dim)
     assert got[10].t_final == 1 and got[10].stop_reason == "f_floor"
     assert not got[11].success[:100].any() and got[11].success.any()
 

@@ -45,6 +45,8 @@ def test_config_validation():
         ExperimentConfig(kinds=("h9",), dims=(5,), kappas=(0,))
     with pytest.raises(ValueError):
         ExperimentConfig.from_json({"kinds": ["h1"], "dims": [5], "kappas": [0], "bogus": 1})
+    with pytest.raises(ValueError, match=r"missing config keys: \['kappas', 'kinds'\]"):
+        ExperimentConfig.from_json({"dims": [5]})
 
 
 def test_grid_counts(small_rows):

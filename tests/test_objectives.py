@@ -1,10 +1,11 @@
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from esrate.objectives import (
+    PERTURB_AMP,
+    PERTURB_FREQ,
     TRANSFORMS,
     ObjectiveSpec,
     hessian_family,
@@ -114,11 +115,9 @@ def test_value_many_matches_value_per_row(kind, dim):
         xs = rng.standard_normal((k, dim)) * 10.0 ** rng.uniform(-3, 3, size=(k, 1))
         values = spec.value_many(xs)
         assert [float(v) for v in values] == [spec.value(x) for x in xs]
-    # A stack of mixed diagonals (and, for the perturbed kind, mixed
-    # perturbations) evaluates each spec on its own rows, bit for bit.
+    # A stack of mixed diagonals evaluates each spec on its own rows, bit for bit.
     if kind == "perturbed":
         specs = [perturbed_family(dim, kappa) for kappa in (0, 2, 6)]
-        specs.append(dataclasses.replace(specs[1], perturb_amp=0.25, perturb_freq=7.0))
     else:
         specs = [hessian_family(fam, dim, kappa) for fam in ("h1", "h2", "h3") for kappa in (0, 6)]
     for k in (1, 8):
@@ -178,7 +177,7 @@ def test_convexity_smoothness_sandwich(spec):
     fy = spec.value_many(ys)
     grads = xs * spec.diag
     if spec.kind == "quadratic_perturbed":
-        grads = grads + (spec.perturb_amp / spec.perturb_freq) * np.sin(spec.perturb_freq * xs)
+        grads = grads + (PERTURB_AMP / PERTURB_FREQ) * np.sin(PERTURB_FREQ * xs)
     inner = np.einsum("ij,ij->i", ys - xs, grads)
     sq = np.einsum("ij,ij->i", ys - xs, ys - xs)
     tol = 1e-9 * (1.0 + np.abs(fy))
@@ -216,7 +215,7 @@ def test_nested_composites_rejected():
 
 def test_perturbation_must_keep_convexity():
     with pytest.raises(ValueError, match="strong convexity"):
-        ObjectiveSpec(kind="quadratic_perturbed", dim=2, diag=np.ones(2), perturb_amp=1.0)
+        ObjectiveSpec(kind="quadratic_perturbed", dim=2, diag=np.full(2, PERTURB_AMP))
 
 
 def test_make_composite_rejects_unknown_transform():

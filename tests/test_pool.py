@@ -114,14 +114,13 @@ def _lemma_states(spec, seed):
 def _verification_results(seed: int) -> str:
     spec = hessian_family("h1", 5, 1)
     pert = perturbed_family(4, 1)
-    pert_states = analysis.default_state_grid(pert, count=8, seed=seed)
     cfg = harness.ExperimentConfig(
         kinds=("h1", "h3"), dims=(3,), kappas=(0, 1), trials=2, base_seed=seed, budget=300,
     )
     results = [
         analysis.check_lemma_suite(spec, _lemma_states(spec, seed), 1000, seed),
-        analysis.check_assumption2(pert, states=pert_states, n=1000, seed=seed),
-        analysis.q_extremes(pert, n=1000, seed=seed, states=pert_states),
+        analysis.check_assumption2(pert, n=1000, seed=seed),
+        analysis.q_extremes(pert, n=1000, seed=seed),
         verify.drift_report(dim=10, n=1000, seed=seed),
         verify.invariance_report([sphere(3), spec], n_seeds=2, steps=100, base_seed=seed),
         [dataclasses.replace(row, wall_ms=0) for row in harness.run_experiment(cfg)],

@@ -52,11 +52,12 @@ def test_invariance_report_independent_of_lockstep_grouping(dims, n_seeds, steps
             mp.setattr(pool, "_usable_cpus", lambda: 2)
             mp.setenv("ES_RATE_THREADS", threads)
             mp.setattr(engine, "SPEC_ELEMS", spec_elems)
-            exact = invariance_report(specs, n_seeds, steps, base_seed)
+            exact = invariance_report(specs, n_seeds=n_seeds, steps=steps, base_seed=base_seed)
             # An inexact start makes translated runs mismatch, so that the
             # details' order is checked too.
             mp.setattr(verify, "_dyadic", lambda x: x)
-            reports[name] = (exact, invariance_report(specs, n_seeds, steps, base_seed))
+            reports[name] = (exact, invariance_report(specs, n_seeds=n_seeds, steps=steps,
+                                                      base_seed=base_seed))
     assert reports["one worker"][0]["ok"]
     assert reports["two workers"] == reports["one worker"]
     assert reports["one seed per group"] == reports["one worker"]

@@ -371,7 +371,7 @@ def _extremes(
     return v_sup, kappa_inf, max(s.mean_q for s in stats), states, stats
 
 
-def q_extremes(spec: ObjectiveSpec, n: int = 100_000, seed: int = 0) -> QExtremes:
+def q_extremes(spec: ObjectiveSpec, *, n: int, seed: int) -> QExtremes:
     """State-space extremes of the curvature statistics.
 
     Exact and state-independent for diagonal quadratics.  For other kinds the
@@ -524,7 +524,7 @@ class Assumption2Report:
     states: list[dict] = field(default_factory=list)
 
 
-def check_assumption2(spec: ObjectiveSpec, n: int = 100_000, seed: int = 0) -> Assumption2Report:
+def check_assumption2(spec: ObjectiveSpec, *, n: int, seed: int) -> Assumption2Report:
     """Check the curvature-variance smallness condition for a spec.
 
     Compares the state-space supremum of ``v_std`` against

@@ -8,10 +8,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from pathlib import Path
 
-from . import harness, rates, theory
-from .engine import ALPHA_RULES, init_default, params_for_rule, params_for_target, run
+from . import harness, pool, rates, theory
+from .engine import ALPHA_RULES, init_default, p_target, params_for_rule, params_for_target, run
 from .verify import SUITES
 
 __all__ = ["cli_main", "main"]
@@ -100,12 +101,24 @@ def _cmd_experiment(args) -> int:
     cfg = harness.ExperimentConfig.from_json(json.loads(Path(args.config).read_text()))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    start = time.perf_counter()
     rows = harness.run_experiment(cfg)
+    simulated = time.perf_counter()
     harness.emit_csv(rows, out_dir / "results.csv")
-    harness.emit_plot(rows, out_dir / "scaled_rate.svg", y_field="scaled_rate")
-    harness.emit_plot(rows, out_dir / "cr_hat.svg", y_field="cr_hat")
     n_agg = sum(1 for r in rows if r.is_aggregate)
     print(f"wrote {out_dir}/results.csv ({len(rows) - n_agg} trials, {n_agg} cells)")
+    skipped = []
+    for field in ("scaled_rate", "cr_hat"):
+        path = out_dir / f"{field}.svg"
+        try:
+            harness.emit_plot(rows, path, y_field=field)
+        except ValueError as exc:  # no aggregate row with a finite positive value
+            skipped.append(path.name)
+            print(f"skipped {path.name}: {exc}")
+    wall_s = {"simulate": simulated - start, "write": time.perf_counter() - simulated}
+    manifest = {"config": cfg.to_json(), "worker_count": pool.worker_count(),
+                "skipped_plots": skipped, "wall_s": wall_s}
+    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return 0
 
 
@@ -132,7 +145,7 @@ def _cmd_bounds(args) -> int:
         constants = theory.build_constants(extremes, params, args.q_low, args.q_high)
         out = constants.as_dict()
         out["w_over_l_ratio"] = constants.w / (args.L / e_q)
-    out["p_target"] = theory.p_target(params)
+    out["p_target"] = p_target(params)
     if args.sup:
         trace = [] if args.trace_out else None
         out["b_upper_sup"] = theory.b_upper(extremes, params, trace=trace)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import math
-import time
 from dataclasses import MISSING, asdict, dataclass, fields
 from functools import partial
 from itertools import product
@@ -166,10 +165,7 @@ class ExperimentConfig:
 class ResultRow:
     """One CSV row: a single trial, or a cell aggregate (seed == 'agg').
 
-    ``wall_ms`` is the only field that is not a function of the config.  A
-    trial's value is its share of its lockstep group's wall time (set-up,
-    simulation and fits), the group's time divided by its chain count; an
-    aggregate's is the sum over its trials.
+    Every field is a function of the config, so ``results.csv`` is too.
     """
 
     objective: str
@@ -181,7 +177,6 @@ class ResultRow:
     stderr: float
     scaled_rate: float
     stop_reason: str
-    wall_ms: int
 
     @property
     def is_aggregate(self) -> bool:
@@ -191,12 +186,11 @@ class ResultRow:
 def _run_group(cfg: ExperimentConfig, dim: int,
                trials: list[tuple[int, int, str, int, int]]) -> list[tuple[int, ResultRow]]:
     """Run and fit the trials ``(job, cell_index, kind, kappa, trial)`` of one
-    lockstep group; return ``(job, row)`` pairs.
+    lockstep group; return ``(job, row)`` pairs in the order the chains stop.
 
-    Each chain is fitted as it stops, so only the live chains' records are
-    held.  Every trial's ``wall_ms`` is its share of the group's wall time.
+    Each chain is fitted, and its row made, as it stops, so only the live
+    chains' records are held.
     """
-    start = time.perf_counter()
     params = params_for_rule(cfg.alpha_rule, dim, cfg.c)
     chains = []
     for _, cell_index, kind, kappa, trial in trials:
@@ -204,21 +198,17 @@ def _run_group(cfg: ExperimentConfig, dim: int,
         seed = trial_seed(cfg.base_seed, cell_index, trial)
         chains.append((spec, params, init_default(spec, seed), cfg.budget_for(dim),
                        cfg.f_floor, seed))
-    fits = {}
+    rows = []
     for i, traj in run_many(chains):
+        job, _, kind, kappa, trial = trials[i]
         try:
             est = rates.estimate_cr(traj, cfg.window_frac)
             fit = (est.cr_hat, est.stderr, rates.scaled_rate(est, chains[i][0]))
         except ValueError:
             fit = (math.nan, math.nan, math.nan)
-        fits[i] = (*fit, traj.stop_reason)
-    wall_ms = int(round(1000.0 * (time.perf_counter() - start) / len(trials)))
-    return [
-        (job, ResultRow(objective=kind, d=dim, kappa=kappa, alpha_rule=cfg.alpha_rule,
-                        seed=str(trial), cr_hat=fits[i][0], stderr=fits[i][1],
-                        scaled_rate=fits[i][2], stop_reason=fits[i][3], wall_ms=wall_ms))
-        for i, (job, _, kind, kappa, trial) in enumerate(trials)
-    ]
+        rows.append((job, ResultRow(kind, dim, kappa, cfg.alpha_rule, str(trial), *fit,
+                                    traj.stop_reason)))
+    return rows
 
 
 def aggregate_cell(trial_rows: list[ResultRow]) -> ResultRow:
@@ -238,14 +228,13 @@ def aggregate_cell(trial_rows: list[ResultRow]) -> ResultRow:
         objective=first.objective, d=first.d, kappa=first.kappa,
         alpha_rule=first.alpha_rule, seed="agg", cr_hat=mean, stderr=stderr,
         scaled_rate=scaled_mean, stop_reason="",
-        wall_ms=sum(r.wall_ms for r in trial_rows),
     )
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     """Run the full grid; per-trial rows in grid-then-seed order, plus one
-    aggregate row after each cell.  Deterministic given ``base_seed``
-    (wall_ms aside), independent of the worker count and of the grouping.
+    aggregate row after each cell.  Deterministic given ``base_seed``,
+    independent of the worker count and of the grouping.
 
     Trials of one dimension and canonical objective kind step together in
     :func:`esrate.engine.run_many`, cut in grid order by
@@ -277,10 +266,6 @@ CSV_HEADER = [f.name for f in _FIELDS]
 _PARSE = {"str": str, "int": int, "float": float}  # annotation -> parser
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def emit_csv(rows: list[ResultRow], path) -> None:
     """Write rows under the fixed header; floats keep full precision."""
     with open(path, "w", newline="") as fh:
@@ -288,7 +273,7 @@ def emit_csv(rows: list[ResultRow], path) -> None:
         writer.writerow(CSV_HEADER)
         for r in rows:
             writer.writerow([
-                _fmt(getattr(r, f.name)) if f.type == "float" else getattr(r, f.name)
+                repr(float(getattr(r, f.name))) if f.type == "float" else getattr(r, f.name)
                 for f in _FIELDS
             ])
 
@@ -331,7 +316,7 @@ def emit_plot(rows: list[ResultRow], path, y_field: str = "scaled_rate") -> None
         if math.isfinite(y) and y > 0:
             series.setdefault((r.objective, r.kappa), []).append((r.d, y))
     if not series:
-        raise ValueError("no aggregate rows with positive values to plot")
+        raise ValueError(f"no aggregate row has a finite positive {y_field}")
     xs = [d for pts in series.values() for d, _ in pts]
     ys = [y for pts in series.values() for _, y in pts]
     if y_field == "scaled_rate":

@@ -157,12 +157,9 @@ class ObjectiveSpec:
     def value(self, x) -> float:
         """Objective value at a single point ``x``."""
         x = self._check_dim(x)
-        if self.kind == "quadratic_diag":
-            return 0.5 * float(np.dot(self.diag * x, x))
-        if self.kind == "quadratic_perturbed":
-            quad = 0.5 * float(np.dot(self.diag * x, x))
-            return quad + _PERTURB_COEF * float(np.sum(1.0 - np.cos(PERTURB_FREQ * x)))
-        return float(TRANSFORMS[self.transform](self.base.value(x - self.x_opt)))
+        if self.kind == "composite":
+            return float(TRANSFORMS[self.transform](self.base.value(x - self.x_opt)))
+        return float(_FORMULAS[self.kind](self.diag, x))
 
     def value_many(self, xs: np.ndarray) -> np.ndarray:
         """Objective values for a batch of points, shape ``(n, dim)``.
@@ -199,17 +196,21 @@ class ObjectiveSpec:
 def _values(diag, xs):
     """``0.5 * <diag * x, x>`` along the last axis of ``xs``.
 
-    The one formula behind :meth:`ObjectiveSpec.value_many` and
-    :func:`stack_evaluator`: ``vecdot`` reduces each row in ``np.dot``'s
-    order, so every row equals :meth:`ObjectiveSpec.value` bit for bit.
+    The one quadratic formula of :meth:`ObjectiveSpec.value`, ``value_many``
+    and :func:`stack_evaluator`; ``vecdot`` reduces a batch row as it does a
+    single point, so every row equals ``value`` bit for bit.
     """
     return 0.5 * np.vecdot(diag * xs, xs)
 
 
 def _perturbed_values(diag, xs):
     """:func:`_values` plus the cosine term of ``quadratic_perturbed``, summed
-    along the row like the 1-D sum of :meth:`ObjectiveSpec.value`."""
+    along the last axis of ``xs``."""
     return _values(diag, xs) + _PERTURB_COEF * np.sum(1.0 - np.cos(PERTURB_FREQ * xs), axis=-1)
+
+
+#: Non-composite kind -> its formula of ``(diag, xs)``.
+_FORMULAS = {"quadratic_diag": _values, "quadratic_perturbed": _perturbed_values}
 
 
 def stack_evaluator(specs):
@@ -228,7 +229,7 @@ def stack_evaluator(specs):
     if kind == "composite":
         raise ValueError("stack the canonical base specs of composites")
     diag = np.stack([s.diag for s in specs])[:, None, :]
-    return partial(_values if kind == "quadratic_diag" else _perturbed_values, diag)
+    return partial(_FORMULAS[kind], diag)
 
 
 def quadratic_diag(diag, family: str | None = None, kappa: int | None = None) -> ObjectiveSpec:

@@ -17,6 +17,7 @@ from .engine import (
     EsState,
     default_sigma0,
     lockstep_groups,
+    p_target,
     params_for_rule,
     params_for_target,
     rng_stream,
@@ -169,7 +170,7 @@ def drift_report(dim: int = 100, *, n: int, seed: int) -> dict:
         "reasonable": 0.5 * (constants.b_high + constants.b_low),
         "large": 2.0 * constants.b_low,
     }
-    target = theory.p_target(params)
+    target = p_target(params)
     gain_cap = min(constants.w / 4.0, params.log_ratio)
     regime_bound = {
         "small": gain_cap * (target - q_high),

@@ -11,13 +11,17 @@ and quotes the largest relative change in CHANGES.md.
 
 from __future__ import annotations
 
+import io
 import json
+import tempfile
+from contextlib import redirect_stdout
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from esrate import analysis, harness
+from esrate.cli import cli_main
 from esrate.objectives import perturbed_family
 from esrate.verify import SUITES
 
@@ -31,11 +35,24 @@ EXPERIMENT = harness.ExperimentConfig(
     kinds=("h1", "perturbed"), dims=(5, 12), kappas=(0, 2), trials=3, budget=3000
 )
 
+#: ``esrate bounds`` at one ``v_std > 0`` setting, searching the rate bound's supremum.
+BOUNDS = ["bounds", "--dim", "3000", "--v-std", "0.0006667", "--p-target", "0.3", "--sup"]
+
 
 def versions() -> dict:
     """The numpy and OpenBLAS builds that the floats depend on."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}"}
+
+
+def bounds_outputs() -> tuple[dict, list[str]]:
+    """The JSON that :data:`BOUNDS` prints and the lines of its ``--trace-out`` CSV."""
+    with tempfile.TemporaryDirectory() as tmp:
+        trace = Path(tmp) / "trace.csv"
+        with redirect_stdout(io.StringIO()) as stdout:
+            if cli_main([*BOUNDS, "--trace-out", str(trace)]) != 0:
+                raise RuntimeError(f"esrate {' '.join(BOUNDS)} failed")
+        return json.loads(stdout.getvalue()), trace.read_text().splitlines()
 
 
 def outputs() -> dict:
@@ -48,8 +65,8 @@ def outputs() -> dict:
         analysis.check_assumption2(perturbed_family(30, 2), n=5000, seed=31))
     out["q_extremes:perturbed(12,1)"] = asdict(
         analysis.q_extremes(perturbed_family(12, 1), n=2000, seed=2))
-    rows = [asdict(row) for row in harness.run_experiment(EXPERIMENT)]
-    out["experiment"] = [{k: v for k, v in row.items() if k != "wall_ms"} for row in rows]
+    out["experiment"] = [asdict(row) for row in harness.run_experiment(EXPERIMENT)]
+    out["bounds"], out["bounds:trace"] = bounds_outputs()
     return json.loads(json.dumps(out, default=float))
 
 

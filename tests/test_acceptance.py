@@ -173,14 +173,14 @@ def test_criterion_8_curvature_variance_checker():
     z = 1.0 / math.sqrt(2 * math.pi)
     rhs_oracle = 0.25 * float(min(mpmath.ncdf(z) - mpmath.mpf(1) / 2, 1 - mpmath.ncdf(3 * z)))
     problems = []
-    high = analysis.check_assumption2(sphere(1000))
+    high = analysis.check_assumption2(sphere(1000), n=100_000, seed=0)
     if not (high.holds and high.exact):
         problems.append("d=1000 should hold")
     if abs(high.v_std_sup - 0.002) > 1e-15:
         problems.append(f"d=1000 v_std {high.v_std_sup}")
     if abs(high.margin - (rhs_oracle - 0.002)) > 1e-12:
         problems.append(f"d=1000 margin {high.margin:.6f} vs oracle {rhs_oracle - 0.002:.6f}")
-    low = analysis.check_assumption2(sphere(2))
+    low = analysis.check_assumption2(sphere(2), n=100_000, seed=0)
     if low.holds:
         problems.append("d=2 should fail")
     if abs(low.v_std_sup - 1.0) > 1e-15:

@@ -267,7 +267,7 @@ def test_lemma_suite_small_dimension_moment_inconclusive():
 
 
 def test_assumption2_sphere_high_dimension_holds():
-    report = check_assumption2(sphere(1000))
+    report = check_assumption2(sphere(1000), n=100_000, seed=0)
     assert report.exact
     assert report.holds
     assert report.v_std_sup == pytest.approx(2.0 / 1000, rel=1e-15)
@@ -276,7 +276,7 @@ def test_assumption2_sphere_high_dimension_holds():
 
 
 def test_assumption2_sphere_low_dimension_fails():
-    report = check_assumption2(sphere(2))
+    report = check_assumption2(sphere(2), n=100_000, seed=0)
     assert report.exact
     assert not report.holds
     assert report.v_std_sup == pytest.approx(1.0, rel=1e-15)
@@ -311,7 +311,7 @@ def test_quadratic_v_std_closed_form():
 
 def test_q_extremes_exact_for_quadratics():
     spec = hessian_family("h3", 20, 2)
-    ex = q_extremes(spec)
+    ex = q_extremes(spec, n=100_000, seed=0)
     mean, var = quadratic_q_exact(spec)
     assert ex.e_q == mean
     assert ex.v_std_sup == var / mean**2

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import esrate
-from esrate import harness, verify
+from esrate import harness, pool, verify
 from esrate.cli import cli_main
 
 
@@ -184,6 +184,33 @@ def test_experiment_end_to_end(tmp_path, capsys):
     rows = harness.read_csv(out / "results.csv")
     assert sum(1 for r in rows if r.is_aggregate) == 1
     assert sum(1 for r in rows if not r.is_aggregate) == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert harness.ExperimentConfig.from_json(manifest["config"]) == \
+        harness.ExperimentConfig.from_json(cfg)
+    assert manifest["worker_count"] == pool.worker_count()
+    assert manifest["skipped_plots"] == []
+    assert sorted(manifest["wall_s"]) == ["simulate", "write"]
+    assert all(t >= 0 for t in manifest["wall_s"].values())
+
+
+# Budget 5 is too short to fit a rate; f_floor 1e300 stops every chain at its start.
+@pytest.mark.parametrize("extra", [{"budget": 5}, {"f_floor": 1e300}], ids=["budget", "f_floor"])
+def test_experiment_without_rates_skips_the_plots(extra, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"kinds": ["h1"], "dims": [5], "kappas": [0], "trials": 2,
+                                    **extra}))
+    out = tmp_path / "out"
+    assert cli_main(["experiment", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "results.csv"]
+    assert all(math.isnan(r.cr_hat) for r in harness.read_csv(out / "results.csv"))
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["skipped_plots"] == ["scaled_rate.svg", "cr_hat.svg"]
+    assert "skipped scaled_rate.svg: no aggregate row has a finite positive scaled_rate" \
+        in captured.out.splitlines()
+    assert "skipped cr_hat.svg: no aggregate row has a finite positive cr_hat" \
+        in captured.out.splitlines()
 
 
 def test_experiment_reruns_identically(tmp_path):
@@ -195,12 +222,7 @@ def test_experiment_reruns_identically(tmp_path):
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
     cli_main(["experiment", "--config", str(cfg_path), "--out-dir", str(out1)])
     cli_main(["experiment", "--config", str(cfg_path), "--out-dir", str(out2)])
-
-    def strip_wall(path):
-        lines = path.read_text().splitlines()
-        return [",".join(line.split(",")[:-1]) for line in lines]
-
-    assert strip_wall(out1 / "results.csv") == strip_wall(out2 / "results.csv")
+    assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
     assert (out1 / "scaled_rate.svg").read_bytes() == (out2 / "scaled_rate.svg").read_bytes()
 
 

@@ -1,4 +1,5 @@
-"""Committed golden outputs: small verify suites, Assumption 2 scans and an experiment."""
+"""Committed golden outputs: small verify suites, Assumption 2 scans, an experiment and a
+bounds search with its trace."""
 
 import importlib.util
 import json

@@ -112,7 +112,6 @@ _ROWS = st.builds(
     stderr=st.floats(),
     scaled_rate=st.floats(),
     stop_reason=st.sampled_from(["budget", "f_floor", ""]),
-    wall_ms=st.integers(min_value=0, max_value=10**9),
 )
 
 
@@ -168,7 +167,7 @@ def test_plot_single_dimension_has_no_lines(tmp_path, small_rows):
 
 def test_plot_lines_appear_with_two_dimensions(tmp_path):
     rows = [
-        ResultRow("h1", d, 0, "const", "agg", 0.1 / d, 0.0, 0.1, "", 1)
+        ResultRow("h1", d, 0, "const", "agg", 0.1 / d, 0.0, 0.1, "")
         for d in (10, 100)
     ]
     path = tmp_path / "line.svg"
@@ -209,13 +208,13 @@ def test_rows_independent_of_lockstep_grouping(kinds, dims, kappas, trials, budg
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("ES_RATE_THREADS", "1")  # one worker: groups as wide as lockstep_width
-        grouped = [dataclasses.replace(r, wall_ms=0) for r in run_experiment(cfg)]
+        grouped = run_experiment(cfg)
     order = [(kind, d, kappa, seed) for _, kind, d, kappa in cfg.cells()
              for seed in [*map(str, range(trials)), "agg"]]
     assert [(r.objective, r.d, r.kappa, r.seed) for r in grouped] == order
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "SPEC_ELEMS", 1)  # every group one chain of one-row batches
         assert engine.lockstep_width(max(dims)) == 1
-        single = [dataclasses.replace(r, wall_ms=0) for r in run_experiment(cfg)]
+        single = run_experiment(cfg)
     # repr spells every float exactly, NaN included.
     assert repr(single) == repr(grouped)

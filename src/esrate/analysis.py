@@ -40,7 +40,7 @@ from functools import cached_property
 import numpy as np
 
 from .engine import EsParams, EsState, default_sigma0, rng_stream
-from .objectives import ObjectiveSpec
+from .objectives import ObjectiveSpec, stack_evaluator
 from .pool import fan_out
 from .theory import (
     QExtremes,
@@ -165,12 +165,20 @@ class _Moments:
 
 
 class _Chunk:
-    """A block of mutation rows ``zs`` at ``state``, with ``fx = f(m + sigma zs)``."""
+    """A block of mutation rows ``zs`` at ``state``, with ``fx = f(m + sigma zs)``.
 
-    def __init__(self, spec: ObjectiveSpec, state: EsState, zs: np.ndarray) -> None:
-        self.spec, self.state, self.zs = spec, state, zs
+    ``xs`` and ``scratch`` are work arrays of the shape of ``zs``: ``xs``
+    receives the candidates ``m + sigma zs`` and ``scratch`` the elementwise
+    temporaries of the objective and of the row norms, so no chunk-sized
+    array is allocated per chunk.  They hold nothing a column reads.
+    """
+
+    def __init__(self, spec: ObjectiveSpec, state: EsState, zs: np.ndarray,
+                 xs: np.ndarray, scratch: np.ndarray) -> None:
+        self.spec, self.state, self.zs, self.scratch = spec, state, zs, scratch
         self.f_m = spec.value(state.m)
-        self.fx = spec.value_many(state.m + state.sigma * zs)
+        np.add(state.m, np.multiply(state.sigma, zs, out=xs), out=xs)
+        self.fx = stack_evaluator([spec])(xs[None], scratch[None])[0]
         self.success = self.fx <= self.f_m
 
     @cached_property
@@ -190,7 +198,9 @@ class _Chunk:
         """
         m, sigma, zs = self.state.m, self.state.sigma, self.zs
         q = (2.0 / sigma**2) * (self.fx - self.f_m - sigma * self.zg)
-        tiny = sigma * np.linalg.norm(zs, axis=1) < CANCELLATION_GUARD * np.linalg.norm(m)
+        # np.linalg.norm(zs, axis=1) for real input, with its square in the scratch
+        norms = np.sqrt(np.add.reduce(np.multiply(zs, zs, out=self.scratch), axis=1))
+        tiny = sigma * norms < CANCELLATION_GUARD * np.linalg.norm(m)
         if np.any(tiny):
             if not self.spec.is_quadratic:
                 raise ValueError(
@@ -215,10 +225,12 @@ def _sample(spec: ObjectiveSpec, state: EsState, n: int, seed: int, columns, *ke
         raise ValueError("state must be off-optimum")
     rng = rng_stream(seed, *key)
     rows = max(1, ELEMS // spec.dim)
+    zs, xs, scratch = np.empty((3, min(rows, n), spec.dim))
     moments = None
     for start in range(0, n, rows):
-        zs = rng.standard_normal((min(rows, n - start), spec.dim))
-        cols = np.array(columns(_Chunk(spec, state, zs)), dtype=float)
+        k = min(rows, n - start)
+        rng.standard_normal(out=zs[:k])
+        cols = np.array(columns(_Chunk(spec, state, zs[:k], xs[:k], scratch[:k])), dtype=float)
         if moments is None:
             moments = _Moments(len(cols))
         moments.add(cols)

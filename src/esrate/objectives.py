@@ -193,20 +193,25 @@ class ObjectiveSpec:
         return norm if math.isfinite(norm) else math.hypot(*grad)
 
 
-def _values(diag, xs):
+def _values(diag, xs, scratch=None):
     """``0.5 * <diag * x, x>`` along the last axis of ``xs``.
 
     The one quadratic formula of :meth:`ObjectiveSpec.value`, ``value_many``
     and :func:`stack_evaluator`; ``vecdot`` reduces a batch row as it does a
-    single point, so every row equals ``value`` bit for bit.
+    single point, so every row equals ``value`` bit for bit.  ``scratch``, an
+    array of the broadcast shape of ``diag * xs``, receives the elementwise
+    temporaries, so a caller that evaluates many batches allocates them once;
+    the values do not change.
     """
-    return 0.5 * np.vecdot(diag * xs, xs)
+    return 0.5 * np.vecdot(np.multiply(diag, xs, out=scratch), xs)
 
 
-def _perturbed_values(diag, xs):
+def _perturbed_values(diag, xs, scratch=None):
     """:func:`_values` plus the cosine term of ``quadratic_perturbed``, summed
-    along the last axis of ``xs``."""
-    return _values(diag, xs) + _PERTURB_COEF * np.sum(1.0 - np.cos(PERTURB_FREQ * xs), axis=-1)
+    along the last axis of ``xs``; ``scratch`` as for :func:`_values`."""
+    quad = _values(diag, xs, scratch)
+    cos = np.cos(np.multiply(PERTURB_FREQ, xs, out=scratch), out=scratch)
+    return quad + _PERTURB_COEF * np.sum(np.subtract(1.0, cos, out=cos), axis=-1)
 
 
 #: Non-composite kind -> its formula of ``(diag, xs)``.
@@ -216,8 +221,9 @@ _FORMULAS = {"quadratic_diag": _values, "quadratic_perturbed": _perturbed_values
 def stack_evaluator(specs):
     """Evaluator of a stack of quadratic specs that share ``kind`` and ``dim``.
 
-    The returned function maps ``xs`` of shape ``(len(specs), n, dim)`` to
-    values of shape ``(len(specs), n)``, with ``[i, j]`` equal to
+    The returned function maps ``xs`` of shape ``(len(specs), n, dim)``, and
+    an optional scratch array of that shape, to values of shape
+    ``(len(specs), n)``, with ``[i, j]`` equal to
     ``specs[i].value(xs[i, j])`` bit for bit: each spec's diagonal
     broadcasts over its own rows.  Raises ``ValueError`` for an empty
     stack, mixed kinds or dims, and composites.

@@ -40,7 +40,8 @@ def _state(m, sigma):
 
 def sample_Q(spec, state, z):
     """The kernel's remainder ``Q`` on a one-row batch."""
-    return float(_Chunk(spec, state, np.asarray(z, dtype=float)[None, :]).q[0])
+    zs = np.asarray(z, dtype=float)[None, :]
+    return float(_Chunk(spec, state, zs, np.empty_like(zs), np.empty_like(zs)).q[0])
 
 
 # -- the kernel's remainder on one-row batches -----------------------------------
@@ -423,9 +424,9 @@ def test_se_var_matches_two_pass_long_double_reference():
     stats = estimate_q_stats(spec, state, n, seed)
     # the same rows, drawn and evaluated in the kernel's chunks
     rng, rows = rng_stream(seed), max(1, analysis.ELEMS // spec.dim)
+    chunks = [rng.standard_normal((min(rows, n - s), spec.dim)) for s in range(0, n, rows)]
     q = np.concatenate([
-        _Chunk(spec, state, rng.standard_normal((min(rows, n - s), spec.dim))).q
-        for s in range(0, n, rows)
+        _Chunk(spec, state, zs, np.empty_like(zs), np.empty_like(zs)).q for zs in chunks
     ]).astype(np.longdouble)
     dev = q - q.mean()
     m2, m4 = (dev**2).mean(), (dev**4).mean()

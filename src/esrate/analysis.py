@@ -10,32 +10,39 @@ Estimators below compute its moments, the success probability and the
 log-progress of one step, and verify the lemma-level inequalities with a
 three-standard-error slack.
 
-Every estimator runs on one kernel.  It draws ``n`` standard-normal mutation
-rows from ``rng_stream(seed, ...)`` in chunks of ``max(1, ELEMS // d)`` rows,
-evaluates the objective (and, where needed, ``Q``) once per chunk, and merges
-the estimator's per-row columns into one accumulator of the count, the mean
-vector and the centred co-moment matrix.  Each value and its standard error
-are read from that accumulator: a mean with ``sqrt(s^2 / n)`` (``s^2`` with
-``n - 1`` degrees of freedom), a smooth function of several means by the
-delta method.  Estimators are pure given ``(inputs, seed)``.  The draws do
-not depend on how rows are split into chunks, so the chunk size changes
-results only through floating-point rounding and is not part of the
-determinism contract.  Paired comparisons reuse one z-stream (common random
-numbers).
+Every estimator runs on one kernel.  A state's ``n`` standard-normal
+mutation rows split into sub-stream blocks of ``max(1, SUB_ELEMS // d)``
+rows, and block ``b`` draws from ``rng_stream(seed, *key, b)``.  A block
+draws and evaluates its rows in chunks of ``max(1, ELEMS // d)`` rows, into
+three work arrays (normals, candidates, scratch) allocated once per block,
+and merges the estimator's per-row columns into one accumulator of the
+count, the mean vector and the centred co-moment matrix.  The blocks of a
+state then merge in block order by the same update.  Each value and its
+standard error are read from the merged accumulator: a mean with
+``sqrt(s^2 / n)`` (``s^2`` with ``n - 1`` degrees of freedom), a smooth
+function of several means by the delta method.  Paired comparisons reuse
+one z-stream (common random numbers).
 
-The loops over independent streams fan out over one process pool
-(:func:`esrate.pool.fan_out`, sized by ``ES_RATE_THREADS``): the states of
-:func:`check_lemma_suite` and the scanned states behind
-:func:`check_assumption2` and :func:`q_extremes`.  Every state owns its
-stream and results merge in state order, so they do not depend on the
-worker count.
+Determinism contract: estimators are pure given ``(inputs, seed)``, and
+``SUB_ELEMS`` is part of it, since it fixes which stream draws each row.
+``ELEMS`` is not: the draws do not depend on how a block's rows split into
+chunks, so the chunk size changes results only through floating-point
+rounding.
+
+Every ``(state, block)`` pair is one task of one process pool
+(:func:`esrate.pool.fan_out`, sized by ``ES_RATE_THREADS``): the blocks of a
+single state, of the states of :func:`check_lemma_suite`, and of the
+scanned states behind :func:`check_assumption2` and :func:`q_extremes`.
+Every block owns its stream and blocks merge in task order, so results do
+not depend on the worker count.  Input is checked before any pool starts.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from functools import cached_property
+from functools import cached_property, partial, reduce
+from itertools import islice
 
 import numpy as np
 
@@ -53,6 +60,7 @@ from .theory import (
 
 __all__ = [
     "ELEMS",
+    "SUB_ELEMS",
     "EstimateWithError",
     "QStats",
     "estimate_q_stats",
@@ -73,8 +81,13 @@ __all__ = [
 ]
 
 #: Mutation-row elements per chunk: a chunk holds ``max(1, ELEMS // d)`` rows,
-#: so each chunk-sized temporary stays near 2 MB whatever the dimension.
+#: so each of a block's three work arrays stays near 2 MB whatever the dimension.
 ELEMS = 2**18
+
+#: Mutation-row elements per sub-stream block: a state's rows split into
+#: blocks of ``max(1, SUB_ELEMS // d)`` rows, each with its own stream and
+#: pool task.  Unlike ``ELEMS``, it fixes which rows are drawn.
+SUB_ELEMS = 2**21
 
 #: Below this ratio of step length to distance, the generic remainder formula
 #: loses too many digits to cancellation.
@@ -128,26 +141,26 @@ def _check_sample(n: int, seed: int) -> None:
 class _Moments:
     """Count, mean vector and centred co-moment matrix of per-row columns.
 
-    Blocks merge by the pairwise update of Chan, Golub & LeVeque, "Updating
-    formulae and a pairwise algorithm for computing sample variances"
-    (1979), so no raw power sums are kept.
+    Built from a ``(k, rows)`` block of column values.  Blocks merge by the
+    pairwise update of Chan, Golub & LeVeque, "Updating formulae and a
+    pairwise algorithm for computing sample variances" (1979), so no raw
+    power sums are kept.
     """
 
-    def __init__(self, k: int) -> None:
-        self.n = 0
-        self.mean = np.zeros(k)
-        self.comoment = np.zeros((k, k))
+    def __init__(self, cols: np.ndarray) -> None:
+        self.n = cols.shape[1]
+        self.mean = cols.mean(axis=1)
+        dev = cols - self.mean[:, None]
+        self.comoment = dev @ dev.T
 
-    def add(self, cols: np.ndarray) -> None:
-        """Merge a ``(k, rows)`` block of column values."""
-        rows = cols.shape[1]
-        mean = cols.mean(axis=1)
-        dev = cols - mean[:, None]
-        delta = mean - self.mean
-        total = self.n + rows
-        self.comoment += dev @ dev.T + np.outer(delta, delta) * (self.n * rows / total)
-        self.mean += delta * (rows / total)
+    def merge(self, other: "_Moments") -> "_Moments":
+        """Fold ``other``'s rows into these moments, as if they followed them; returns ``self``."""
+        total = self.n + other.n
+        delta = other.mean - self.mean
+        self.comoment += other.comoment + np.outer(delta, delta) * (self.n * other.n / total)
+        self.mean += delta * (other.n / total)
         self.n = total
+        return self
 
     def var(self, i: int) -> float:
         """Sample variance of column ``i``."""
@@ -165,7 +178,7 @@ class _Moments:
 
 
 class _Chunk:
-    """A block of mutation rows ``zs`` at ``state``, with ``fx = f(m + sigma zs)``.
+    """A chunk of mutation rows ``zs`` at ``state``, with ``fx = f(m + sigma zs)``.
 
     ``xs`` and ``scratch`` are work arrays of the shape of ``zs``: ``xs``
     receives the candidates ``m + sigma zs`` and ``scratch`` the elementwise
@@ -212,29 +225,46 @@ class _Chunk:
         return q
 
 
-def _sample(spec: ObjectiveSpec, state: EsState, n: int, seed: int, columns, *key: int) -> _Moments:
-    """Merged moments of ``columns(chunk)`` over ``n`` mutation rows.
+def _block(spec: ObjectiveSpec, state: EsState, rows: int, columns, key: tuple) -> _Moments:
+    """Merged moments of ``columns(chunk)`` over ``rows`` mutation rows of ``rng_stream(*key)``.
 
-    Rows come from ``rng_stream(seed, *key)``; ``columns`` maps a
-    :class:`_Chunk` to a list of per-row arrays.  This is the only loop that
-    draws mutation rows.
+    This is the only loop that draws mutation rows.  It draws and evaluates
+    them in chunks of ``max(1, ELEMS // d)`` rows, into work arrays
+    allocated once per call.
     """
-    _require_plain(spec)
-    _check_sample(n, seed)
-    if not np.any(state.m):
-        raise ValueError("state must be off-optimum")
-    rng = rng_stream(seed, *key)
-    rows = max(1, ELEMS // spec.dim)
-    zs, xs, scratch = np.empty((3, min(rows, n), spec.dim))
+    rng = rng_stream(*key)
+    chunk = max(1, ELEMS // spec.dim)
+    zs, xs, scratch = np.empty((3, min(chunk, rows), spec.dim))
     moments = None
-    for start in range(0, n, rows):
-        k = min(rows, n - start)
+    for start in range(0, rows, chunk):
+        k = min(chunk, rows - start)
         rng.standard_normal(out=zs[:k])
         cols = np.array(columns(_Chunk(spec, state, zs[:k], xs[:k], scratch[:k])), dtype=float)
-        if moments is None:
-            moments = _Moments(len(cols))
-        moments.add(cols)
+        moments = _Moments(cols) if moments is None else moments.merge(_Moments(cols))
     return moments
+
+
+def _sample(spec: ObjectiveSpec, columns, jobs) -> list[_Moments]:
+    """Merged moments of ``columns(chunk)`` for each ``(state, n, seed, key)`` job.
+
+    ``columns`` maps a :class:`_Chunk` to a list of per-row arrays and must
+    pickle.  A job's ``n`` rows split into blocks of ``max(1, SUB_ELEMS //
+    d)`` rows, and block ``b`` draws from ``rng_stream(seed, *key, b)``.
+    Every block of every job is one :func:`esrate.pool.fan_out` task, and
+    each job's blocks merge in block order.  Input is checked here, before
+    any pool starts.
+    """
+    _require_plain(spec)
+    for state, n, seed, _ in jobs:
+        _check_sample(n, seed)
+        if not np.any(state.m):
+            raise ValueError("state must be off-optimum")
+    rows = max(1, SUB_ELEMS // spec.dim)
+    tasks = [[(spec, state, min(rows, n - start), columns, (seed, *key, b))
+              for b, start in enumerate(range(0, n, rows))]
+             for state, n, seed, key in jobs]
+    blocks = iter(fan_out(_block, [task for job in tasks for task in job]))
+    return [reduce(_Moments.merge, islice(blocks, len(job))) for job in tasks]
 
 
 def _q_columns(chunk: _Chunk) -> list[np.ndarray]:
@@ -292,12 +322,16 @@ def quadratic_v_std(spec: ObjectiveSpec) -> float:
 
 def estimate_q_stats(spec: ObjectiveSpec, state: EsState, n: int, seed: int) -> QStats:
     """Sample moments of the remainder over ``n`` standard-normal mutations."""
-    return _q_stats(spec, _sample(spec, state, n, seed, _q_columns))
+    return _q_stats(spec, _sample(spec, _q_columns, [(state, n, seed, ())])[0])
 
 
 def estimate_success_prob(spec: ObjectiveSpec, state: EsState, n: int, seed: int) -> EstimateWithError:
     """Fraction of mutations whose candidate is no worse, with its stderr."""
-    return _first_mean(_sample(spec, state, n, seed, lambda ch: [ch.success]))
+    return _first_mean(_sample(spec, _success, [(state, n, seed, ())])[0])
+
+
+def _success(chunk: _Chunk) -> list[np.ndarray]:
+    return [chunk.success]
 
 
 def _log_gain(chunk: _Chunk) -> list[np.ndarray]:
@@ -307,7 +341,7 @@ def _log_gain(chunk: _Chunk) -> list[np.ndarray]:
 
 def estimate_log_progress(spec: ObjectiveSpec, state: EsState, n: int, seed: int) -> EstimateWithError:
     """Mean one-step decrease of ``log f`` (zero on rejected steps); nonpositive."""
-    return _first_mean(_sample(spec, state, n, seed, _log_gain))
+    return _first_mean(_sample(spec, _log_gain, [(state, n, seed, ())])[0])
 
 
 # -- state helpers -------------------------------------------------------------
@@ -377,8 +411,8 @@ def _extremes(
         mean, var = quadratic_q_exact(spec)
         return var / mean**2, 2.0, mean, [], []
     states = _state_grid(spec, seed)
-    tasks = [(spec, st, n, seed + 101 + i) for i, st in enumerate(states)]
-    stats = fan_out(estimate_q_stats, tasks)
+    jobs = [(st, n, seed + 101 + i, ()) for i, st in enumerate(states)]
+    stats = [_q_stats(spec, moments) for moments in _sample(spec, _q_columns, jobs)]
     v_sup, kappa_inf = max(s.v_std for s in stats), min(s.kappa for s in stats)
     return v_sup, kappa_inf, max(s.mean_q for s in stats), states, stats
 
@@ -400,7 +434,12 @@ def q_extremes(spec: ObjectiveSpec, *, n: int, seed: int) -> QExtremes:
 
 @dataclass(frozen=True)
 class CheckResult:
-    """One verified inequality: passes iff ``lhs <= rhs + 3*stderr``."""
+    """One verified inequality: passes iff ``lhs <= rhs + 3*stderr``.
+
+    ``tight`` marks an inequality that holds with equality at the state, so
+    its one-sided test fails with probability ``Phi(-3)``, about 0.135%, by
+    design.
+    """
 
     name: str
     state_id: str
@@ -408,14 +447,17 @@ class CheckResult:
     rhs: float
     stderr: float
     verdict: str
+    tight: bool = False
 
     @staticmethod
-    def judge(name: str, state_id: str, lhs: float, rhs: float, stderr: float) -> "CheckResult":
+    def judge(
+        name: str, state_id: str, lhs: float, rhs: float, stderr: float, tight: bool = False
+    ) -> "CheckResult":
         if not (math.isfinite(lhs) and math.isfinite(rhs) and math.isfinite(stderr)):
             verdict = "inconclusive"
         else:
             verdict = "pass" if lhs <= rhs + 3.0 * stderr else "fail"
-        return CheckResult(name, state_id, lhs, rhs, stderr, verdict)
+        return CheckResult(name, state_id, lhs, rhs, stderr, verdict, tight)
 
 
 @dataclass(frozen=True)
@@ -433,11 +475,14 @@ class LemmaReport:
         return [c for c in self.checks if c.verdict == "fail"]
 
     def to_json(self) -> dict:
+        """The report, with ``expected_failures``: the failures expected with
+        no defect, ``Phi(-3)`` per tight check."""
         return {
             "spec": self.spec,
             "n": self.n,
             "seed": self.seed,
             "ok": self.ok,
+            "expected_failures": sum(c.tight for c in self.checks) * std_normal_cdf(-3.0),
             "checks": [asdict(c) for c in self.checks],
         }
 
@@ -463,18 +508,24 @@ def check_lemma_suite(
     mean), the expected-progress upper bound, the log-progress moment bound
     ``(U/L)(1 + 1/(d-3))``, and the success-probability sandwich at the
     slack values 0.1, 0.3 and 0.5.  All comparisons carry a 3-stderr slack;
-    checks whose error estimate is unusable are reported inconclusive.
+    checks whose error estimate is unusable are reported inconclusive.  On a
+    diagonal quadratic ``E[Q] = Tr(H)``, so the lower (upper) mean bound is
+    tight iff ``Tr(H) = d L`` (``d U``), that is, iff every ``h_i`` equals
+    ``L`` (``U``), as on the sphere.
 
     One z-stream per state is shared by all checks (common random numbers);
     the paired progress comparison takes its error by the delta method.
-    States are sampled in parallel by :func:`esrate.pool.fan_out`; the checks
-    are built from the returned moments in state order.
+    The blocks of every state are sampled in parallel by
+    :func:`esrate.pool.fan_out`; the checks are built from the merged
+    moments in state order.
     """
     d = spec.dim
     lmod, umod = spec.strong_convexity, spec.smoothness
-    tasks = [(spec, state, n, seed, _lemma_columns, idx) for idx, state in enumerate(states)]
+    tight_lower = spec.is_quadratic and bool(np.all(spec.diag == lmod))
+    tight_upper = spec.is_quadratic and bool(np.all(spec.diag == umod))
+    jobs = [(state, n, seed, (idx,)) for idx, state in enumerate(states)]
     checks: list[CheckResult] = []
-    for idx, (state, moments) in enumerate(zip(states, fan_out(_sample, tasks))):
+    for idx, (state, moments) in enumerate(zip(states, _sample(spec, _lemma_columns, jobs))):
         sid = str(idx)
         f_m = spec.value(state.m)
         gnorm = spec.gradient_norm(state.m)
@@ -485,8 +536,12 @@ def check_lemma_suite(
         rel_mean, mom_mean, p_hat = (float(x) for x in moments.mean[3:])
         se_p = moments.se(0.0, 0.0, 0.0, 0.0, 0.0, 1.0)
 
-        checks.append(CheckResult.judge("curvature_mean_lower", sid, d * lmod, mean_q, se_mean))
-        checks.append(CheckResult.judge("curvature_mean_upper", sid, mean_q, d * umod, se_mean))
+        checks.append(
+            CheckResult.judge("curvature_mean_lower", sid, d * lmod, mean_q, se_mean, tight_lower)
+        )
+        checks.append(
+            CheckResult.judge("curvature_mean_upper", sid, mean_q, d * umod, se_mean, tight_upper)
+        )
         checks.append(
             CheckResult.judge("curvature_variance", sid, var_q, 4.0 * d * umod**2, stats.se_var)
         )
@@ -625,18 +680,19 @@ def estimate_drift(
     """
     mean_q = None if spec.is_quadratic else estimate_q_stats(spec, state, n, seed + 1).mean_q
     regime = regime_of(spec, state, params, constants, mean_q=mean_q)
-    v0 = potential_value(state, spec, constants)
-    la_up = math.log(params.alpha_up)
-    la_dn = math.log(params.alpha_down)
-
-    def potential_change(chunk: _Chunk) -> list[np.ndarray]:
-        succ = chunk.success
-        f_next = np.where(succ, np.maximum(chunk.fx, 1e-300), chunk.f_m)
-        ls_next = state.log_sigma + np.where(succ, la_up, la_dn)
-        return [potential_from_values(f_next, ls_next, constants) - v0]
-
-    est = _first_mean(_sample(spec, state, n, seed, potential_change))
+    columns = partial(_potential_change, params, constants, potential_value(state, spec, constants))
+    est = _first_mean(_sample(spec, columns, [(state, n, seed, ())])[0])
     return DriftEstimate(value=est.value, stderr=est.stderr, regime=regime)
+
+
+def _potential_change(
+    params: EsParams, constants: TheoryConstants, v0: float, chunk: _Chunk
+) -> list[np.ndarray]:
+    """The potential after each row's step, less its value ``v0`` before it."""
+    succ = chunk.success
+    f_next = np.where(succ, np.maximum(chunk.fx, 1e-300), chunk.f_m)
+    step = np.where(succ, math.log(params.alpha_up), math.log(params.alpha_down))
+    return [potential_from_values(f_next, chunk.state.log_sigma + step, constants) - v0]
 
 
 def _describe(spec: ObjectiveSpec) -> str:

@@ -6,13 +6,16 @@ with::
 
     PYTHONPATH=src python tests/golden/regen.py
 
-and quotes the largest relative change in CHANGES.md.
+and quotes the largest relative change in CHANGES.md.  Before it writes,
+the script prints, for each output key, how many floats moved against the
+committed fixture and the largest relative change among them.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import math
 import tempfile
 from contextlib import redirect_stdout
 from dataclasses import asdict
@@ -70,8 +73,40 @@ def outputs() -> dict:
     return json.loads(json.dumps(out, default=float))
 
 
+def _floats(value, path: str = "") -> dict:
+    """``{path: value}`` of every float in a decoded JSON value."""
+    if isinstance(value, dict):
+        return {p: x for k, v in value.items() for p, x in _floats(v, f"{path}.{k}").items()}
+    if isinstance(value, list):
+        return {p: x for i, v in enumerate(value) for p, x in _floats(v, f"{path}[{i}]").items()}
+    return {path: value} if isinstance(value, float) else {}
+
+
+def float_changes(old, new) -> str:
+    """How many floats at the same path moved from ``old`` to ``new`` (NaN equals NaN),
+    the largest relative change among them, and how many paths only one side has."""
+    before, after = _floats(old), _floats(new)
+    shared = before.keys() & after.keys()
+    moved = [p for p in shared
+             if before[p] != after[p] and not (math.isnan(before[p]) and math.isnan(after[p]))]
+    text = f"{len(moved)} of {len(shared)} floats moved"
+    if moved:
+        rel = {p: abs(after[p] - before[p]) / abs(before[p]) if before[p] else math.inf
+               for p in moved}
+        worst = max(rel, key=rel.get)
+        text += f", largest relative change {rel[worst]:.3g} at {worst or '.'}"
+    if before.keys() != after.keys():
+        text += f"; {len(after.keys() - shared)} added, {len(before.keys() - shared)} removed"
+    return text
+
+
 def main() -> None:
-    text = json.dumps({"versions": versions(), "outputs": outputs()}, indent=1, sort_keys=True)
+    new = outputs()
+    if FIXTURE.exists():
+        old = json.loads(FIXTURE.read_text())["outputs"]
+        for key in sorted(old.keys() | new.keys()):
+            print(f"{key}: {float_changes(old.get(key), new.get(key))}")
+    text = json.dumps({"versions": versions(), "outputs": new}, indent=1, sort_keys=True)
     FIXTURE.write_text(text + "\n")
     print(f"wrote {FIXTURE}")
 

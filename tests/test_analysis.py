@@ -1,5 +1,7 @@
 import math
+import resource
 import warnings
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from esrate import analysis, theory
 from esrate.analysis import (
     _Chunk,
+    _Moments,
     check_assumption2,
     check_lemma_suite,
     estimate_drift,
@@ -422,9 +425,13 @@ def test_se_var_matches_two_pass_long_double_reference():
     state = state_at_sigma_bar(spec, np.random.default_rng(11).standard_normal(1000), 1.0)
     n, seed = 20_000, 4
     stats = estimate_q_stats(spec, state, n, seed)
-    # the same rows, drawn and evaluated in the kernel's chunks
-    rng, rows = rng_stream(seed), max(1, analysis.ELEMS // spec.dim)
-    chunks = [rng.standard_normal((min(rows, n - s), spec.dim)) for s in range(0, n, rows)]
+    # the same rows, drawn block by block and evaluated in the kernel's chunks
+    block, rows = analysis.SUB_ELEMS // spec.dim, analysis.ELEMS // spec.dim
+    chunks = []
+    for b, start in enumerate(range(0, n, block)):
+        rng, size = rng_stream(seed, b), min(block, n - start)
+        chunks += [rng.standard_normal((min(rows, size - s), spec.dim)) for s in range(0, size, rows)]
+    assert len(chunks) > 1 + n // block  # several blocks, several chunks in each
     q = np.concatenate([
         _Chunk(spec, state, zs, np.empty_like(zs), np.empty_like(zs)).q for zs in chunks
     ]).astype(np.longdouble)
@@ -443,7 +450,10 @@ def test_expected_progress_stderr_is_per_row_delta_method():
     check = next(c for c in report.checks if c.name == "expected_progress_bound")
 
     sigma, f_m, grad = state.sigma, spec.value(m), spec.gradient(m)
-    zs = rng_stream(seed, 0).standard_normal((n, 10))
+    # state 0's rows: blocks of SUB_ELEMS // d rows, block b from stream (seed, 0, b)
+    block = analysis.SUB_ELEMS // 10
+    zs = np.concatenate([rng_stream(seed, 0, b).standard_normal((min(block, n - start), 10))
+                         for b, start in enumerate(range(0, n, block))])
     fx = spec.value_many(m + sigma * zs)
     succ = fx <= f_m
     rel = np.where(succ, fx / f_m - 1.0, 0.0)
@@ -468,3 +478,67 @@ def test_state_helpers_survive_an_overflowing_squared_gradient_norm():
     assert state.sigma == pytest.approx(math.hypot(1e200, 2e200) / spec.trace_hessian,
                                         rel=1e-15)
     assert round_trip == pytest.approx(1.0, rel=1e-15)
+
+
+def test_merged_blocks_equal_one_pass_over_their_concatenation():
+    rng = np.random.default_rng(17)
+    blocks = []
+    for rows in (1, 2, 7, 500, 64):
+        x = rng.standard_normal(rows)
+        blocks.append(np.array([x + 5.0, 1e3 * (x**2 + rng.standard_normal(rows)) + 40.0,
+                                1e-2 * (x - rng.standard_normal(rows)) - 0.3]))
+    merged = reduce(_Moments.merge, [_Moments(b) for b in blocks])
+    whole = _Moments(np.concatenate(blocks, axis=1))
+    assert merged.n == whole.n == 574
+    np.testing.assert_allclose(merged.mean, whole.mean, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(merged.comoment, whole.comoment, rtol=1e-12, atol=0.0)
+
+
+def test_kernel_reuses_its_work_arrays(monkeypatch):
+    # Fresh chunk-sized temporaries cost about 97k minor page faults here.
+    monkeypatch.setenv("ES_RATE_THREADS", "1")
+    spec = sphere(1000)
+    state = state_at_sigma_bar(spec, np.random.default_rng(1).standard_normal(1000), 1.0)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    estimate_q_stats(spec, state, 20_000, seed=3)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 78_000 // 4
+
+
+def _no_pool(fn, tasks):
+    raise AssertionError("a pool started on bad input")
+
+
+_SAMPLERS = {
+    "q_stats": estimate_q_stats,
+    "success_prob": estimate_success_prob,
+    "log_progress": estimate_log_progress,
+    "lemma_suite": lambda spec, state, n, seed: check_lemma_suite(spec, [state], n, seed),
+}
+
+
+@pytest.mark.parametrize("sampler", _SAMPLERS.values(), ids=_SAMPLERS.keys())
+@pytest.mark.parametrize("spec, m, n, seed, message", [
+    (make_composite(sphere(3), "identity", np.zeros(3)), np.ones(3), 1000, 0, "non-composite"),
+    (sphere(3), np.ones(3), 999, 0, "need n >= 1000"),
+    (sphere(3), np.ones(3), 1000, -1, "seed must be"),
+    (sphere(3), np.zeros(3), 1000, 0, "off-optimum"),
+], ids=["composite", "small_n", "negative_seed", "at_optimum"])
+def test_bad_input_fails_before_any_pool_starts(monkeypatch, sampler, spec, m, n, seed, message):
+    monkeypatch.setattr(analysis, "fan_out", _no_pool)
+    with pytest.raises(ValueError, match=message):
+        sampler(spec, _state(m, 1.0), n, seed)
+
+
+@pytest.mark.parametrize("spec, tight", [
+    (sphere(6), {"curvature_mean_lower", "curvature_mean_upper"}),
+    (quadratic_diag([2.0] * 6), {"curvature_mean_lower", "curvature_mean_upper"}),
+    (hessian_family("h1", 6, 1), set()),
+    (perturbed_family(6, 0), set()),
+], ids=["sphere", "flat", "h1", "perturbed"])
+def test_tight_checks_are_the_mean_bounds_of_a_flat_hessian(spec, tight):
+    states = [_state(np.ones(6), 0.5), _state(np.arange(1.0, 7.0), 2.0)]
+    report = check_lemma_suite(spec, states, 1000, seed=1)
+    assert {(c.name, c.state_id) for c in report.checks if c.tight} == {
+        (name, sid) for name in tight for sid in ("0", "1")}
+    by_design = 2 * len(tight) * theory.std_normal_cdf(-3.0)
+    assert report.to_json()["expected_failures"] == pytest.approx(by_design, rel=1e-15)

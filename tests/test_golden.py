@@ -58,3 +58,11 @@ def test_outputs_match_the_committed_fixture():
             message += (f"; the fixture was made with {fixture['versions']}, "
                         f"this run uses {regen.versions()}")
         raise AssertionError(message)
+
+
+def test_float_changes_counts_moved_floats_and_names_the_largest():
+    old = {"a": [1.0, math.nan, 4], "b": 2.0}
+    new = {"a": [1.5, math.nan, 5], "b": 2.0, "c": 1.0}
+    assert regen.float_changes(old, new) == \
+        "1 of 3 floats moved, largest relative change 0.5 at .a[0]; 1 added, 0 removed"
+    assert regen.float_changes(old, old) == "0 of 3 floats moved"

@@ -113,11 +113,13 @@ def _cmd_experiment(args) -> int:
         try:
             harness.emit_plot(rows, path, y_field=field)
         except ValueError as exc:  # no aggregate row with a finite positive value
+            path.unlink(missing_ok=True)  # an earlier run's plot would not match results.csv
             skipped.append(path.name)
             print(f"skipped {path.name}: {exc}")
     wall_s = {"simulate": simulated - start, "write": time.perf_counter() - simulated}
-    manifest = {"config": cfg.to_json(), "worker_count": pool.worker_count(),
-                "skipped_plots": skipped, "wall_s": wall_s}
+    groups = len(harness.lockstep_tasks(cfg))
+    manifest = {"config": cfg.to_json(), "worker_count": pool.processes(groups),
+                "lockstep_groups": groups, "skipped_plots": skipped, "wall_s": wall_s}
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return 0
 

@@ -43,6 +43,7 @@ __all__ = [
     "ResultRow",
     "CSV_HEADER",
     "objective_for",
+    "lockstep_tasks",
     "run_experiment",
     "emit_csv",
     "read_csv",
@@ -231,15 +232,13 @@ def aggregate_cell(trial_rows: list[ResultRow]) -> ResultRow:
     )
 
 
-def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
-    """Run the full grid; per-trial rows in grid-then-seed order, plus one
-    aggregate row after each cell.  Deterministic given ``base_seed``,
-    independent of the worker count and of the grouping.
+def lockstep_tasks(cfg: ExperimentConfig) -> list[tuple]:
+    """The pool tasks of :func:`run_experiment`, one per lockstep group.
 
     Trials of one dimension and canonical objective kind step together in
     :func:`esrate.engine.run_many`, cut in grid order by
-    :func:`esrate.engine.lockstep_groups`.  The groups go to the pool
-    largest first by summed budget, so the longest tasks start first.
+    :func:`esrate.engine.lockstep_groups`.  The groups come largest first by
+    summed budget, so the longest tasks start first.
     """
     groups: dict[tuple[int, str], list[tuple]] = {}
     for cell_index, kind, dim, kappa in cfg.cells():
@@ -249,7 +248,17 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     tasks = [(cfg, dim, group) for (dim, _), members in groups.items()
              for group in lockstep_groups(members, dim)]
     tasks.sort(key=lambda task: -len(task[2]) * cfg.budget_for(task[1]))
-    rows_by_job = dict(pair for rows in fan_out(_run_group, tasks) for pair in rows)
+    return tasks
+
+
+def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
+    """Run the full grid; per-trial rows in grid-then-seed order, plus one
+    aggregate row after each cell.  Deterministic given ``base_seed``,
+    independent of the worker count and of the grouping.
+
+    The lockstep groups of :func:`lockstep_tasks` go to the pool.
+    """
+    rows_by_job = dict(pair for rows in fan_out(_run_group, lockstep_tasks(cfg)) for pair in rows)
     rows: list[ResultRow] = []
     for i in range(0, len(rows_by_job), cfg.trials):
         cell_rows = [rows_by_job[job] for job in range(i, i + cfg.trials)]

@@ -2,8 +2,9 @@
 
 Experiment trial groups and invariance seed groups (each chain of a
 lockstep group keeps its stream; :func:`esrate.engine.lockstep_groups`
-cuts both), lemma-suite states, the scanned states of Assumption 2 and
-drift regimes each own their RNG streams, so they can run in any process
+cuts both), the sub-stream blocks of Monte Carlo states (lemma-suite
+states, the scanned states of Assumption 2, single estimates) and drift
+regimes each own their RNG streams, so they can run in any process
 and in any order.  :func:`fan_out` maps a function over such tasks and
 returns the results in task order, so results never depend on the worker
 count.  ``ES_RATE_THREADS`` sets that count (default: the usable CPUs, at
@@ -16,7 +17,7 @@ import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 
-__all__ = ["worker_count", "fan_out"]
+__all__ = ["worker_count", "processes", "fan_out"]
 
 
 def _usable_cpus() -> int:
@@ -45,6 +46,17 @@ def worker_count() -> int:
     return min(count, cpus)
 
 
+def processes(tasks: int) -> int:
+    """How many processes :func:`fan_out` runs ``tasks`` tasks in.
+
+    ``min(worker_count(), tasks)``, or 1 when the tasks run inline: one
+    task, one worker, or a call from inside a pool worker.
+    """
+    if multiprocessing.parent_process() is not None:
+        return 1
+    return max(1, min(worker_count(), tasks))
+
+
 def fan_out(fn, tasks) -> list:
     """``[fn(*task) for task in tasks]``, spread over up to :func:`worker_count` processes.
 
@@ -55,10 +67,8 @@ def fan_out(fn, tasks) -> list:
     inherit the loaded modules instead of importing numpy and scipy again.
     """
     tasks = list(tasks)
-    if multiprocessing.parent_process() is not None:
-        return [fn(*task) for task in tasks]
-    workers = min(worker_count(), len(tasks))
-    if workers <= 1:
+    workers = processes(len(tasks))
+    if workers == 1:
         return [fn(*task) for task in tasks]
     method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
     with ProcessPoolExecutor(max_workers=workers,

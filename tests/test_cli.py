@@ -187,7 +187,9 @@ def test_experiment_end_to_end(tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert harness.ExperimentConfig.from_json(manifest["config"]) == \
         harness.ExperimentConfig.from_json(cfg)
-    assert manifest["worker_count"] == pool.worker_count()
+    groups = len(harness.lockstep_tasks(harness.ExperimentConfig.from_json(cfg)))
+    assert manifest["lockstep_groups"] == groups
+    assert manifest["worker_count"] == min(pool.worker_count(), groups)
     assert manifest["skipped_plots"] == []
     assert sorted(manifest["wall_s"]) == ["simulate", "write"]
     assert all(t >= 0 for t in manifest["wall_s"].values())
@@ -200,6 +202,8 @@ def test_experiment_without_rates_skips_the_plots(extra, tmp_path, capsys):
     cfg_path.write_text(json.dumps({"kinds": ["h1"], "dims": [5], "kappas": [0], "trials": 2,
                                     **extra}))
     out = tmp_path / "out"
+    out.mkdir()
+    (out / "cr_hat.svg").write_text("<svg>an earlier run's plot</svg>\n")
     assert cli_main(["experiment", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
@@ -211,6 +215,21 @@ def test_experiment_without_rates_skips_the_plots(extra, tmp_path, capsys):
         in captured.out.splitlines()
     assert "skipped cr_hat.svg: no aggregate row has a finite positive cr_hat" \
         in captured.out.splitlines()
+
+
+@pytest.mark.parametrize("trials, groups", [(1, 1), (2, 2)])
+def test_manifest_counts_the_processes_that_ran(trials, groups, tmp_path, monkeypatch):
+    # One lockstep group runs inline; two split over two workers.
+    monkeypatch.setattr(pool, "_usable_cpus", lambda: 3)
+    monkeypatch.setenv("ES_RATE_THREADS", "2")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"kinds": ["h1"], "dims": [4], "kappas": [0],
+                                    "trials": trials, "budget": 300}))
+    out = tmp_path / "out"
+    assert cli_main(["experiment", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["lockstep_groups"] == groups
+    assert manifest["worker_count"] == groups
 
 
 def test_experiment_reruns_identically(tmp_path):

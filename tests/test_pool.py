@@ -93,8 +93,10 @@ def test_fan_out_keeps_task_order(threads):
 def test_fan_out_runs_inline_for_one_worker_or_one_task(threads):
     threads("1")
     assert pool.fan_out(_pid, [(), ()]) == [os.getpid()] * 2
+    assert pool.processes(2) == 1
     threads("2")
     assert pool.fan_out(_pid, [()]) == [os.getpid()]
+    assert [pool.processes(tasks) for tasks in (0, 1, 2, 5)] == [1, 1, 2, 2]
 
 
 def test_fan_out_inside_a_worker_runs_inline(threads):

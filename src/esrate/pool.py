@@ -64,7 +64,7 @@ def fan_out(fn, tasks) -> list:
     ``fn`` is a module-level function.  One task, one worker, or a call from
     inside a pool worker runs inline, so pools never nest.  Each call starts
     and stops its own pool.  Workers fork where the platform can, so they
-    inherit the loaded modules instead of importing numpy and scipy again.
+    inherit the loaded modules instead of importing numpy again.
     """
     tasks = list(tasks)
     workers = processes(len(tasks))

@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .engine import EsParams, EsState, p_target
 from .objectives import ObjectiveSpec
@@ -52,23 +52,28 @@ __all__ = [
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 #: b_low values beyond this are reported as divergent.
 _B_LOW_CAP = 1e6
+#: The standard normal quantile: Wichura's AS 241 (Applied Statistics 37(3), 1988).
+_quantile = NormalDist().inv_cdf
+
+
+def _cdf(x: float) -> float:
+    """The standard normal CDF, via ``erfc`` (``NormalDist().cdf`` is 0 below x = -8.3)."""
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
 def std_normal_cdf(x):
-    """Standard normal CDF, absolute error well below 1e-12.
+    """Standard normal CDF, relative error below 1e-12 from x = -37.5 up (subnormal below).
 
     Accepts scalars or arrays; scalars return floats.
     """
-    out = ndtr(x)
-    return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
+    return _cdf(x) if np.ndim(x) == 0 else np.vectorize(_cdf, otypes=[float])(x)
 
 def std_normal_quantile(p):
-    """Inverse standard normal CDF on (0, 1); rejects endpoints."""
+    """Inverse standard normal CDF of a scalar or array; rejects p outside (0, 1) and NaN."""
     arr = np.asarray(p, dtype=float)
-    if np.any(arr <= 0.0) or np.any(arr >= 1.0):
+    if not np.all((0.0 < arr) & (arr < 1.0)):
         raise ValueError("quantile argument must lie strictly inside (0, 1)")
-    out = ndtri(arr)
-    return float(out) if np.isscalar(p) or np.ndim(p) == 0 else out
+    return _quantile(float(arr)) if arr.ndim == 0 else np.vectorize(_quantile, otypes=[float])(arr)
 
 
 # -- step-size threshold functions -------------------------------------------
@@ -79,7 +84,7 @@ def b_high_at(q: float, v_std: float, eps: float) -> float:
     arg = 1.0 - (q + v_std / eps**2)
     if not 0.0 < arg < 1.0:
         return -math.inf
-    return 2.0 * float(ndtri(arg)) / (1.0 + eps)
+    return 2.0 * _quantile(arg) / (1.0 + eps)
 
 
 def b_low_at(q: float, v_std: float, eps: float) -> float:
@@ -87,7 +92,7 @@ def b_low_at(q: float, v_std: float, eps: float) -> float:
     arg = 1.0 - (q - v_std / eps**2)
     if not 0.0 < arg < 1.0 or not eps < 1.0:
         return math.inf
-    return 2.0 * float(ndtri(arg)) / (1.0 - eps)
+    return 2.0 * _quantile(arg) / (1.0 - eps)
 
 
 def _golden_max(fn, lo: float, hi: float):
@@ -122,7 +127,7 @@ def b_high(q: float, v_std: float) -> float:
     if v_std < 0.0:
         raise ValueError("v_std must be nonnegative")
     if v_std == 0.0:
-        return 2.0 * float(ndtri(1.0 - q))
+        return 2.0 * _quantile(1.0 - q)
     if not v_std < (1.0 - 2.0 * q) / 2.0:
         raise ValueError(
             f"eps domain admits no positive value: need v_std < (1-2q)/2 "
@@ -148,7 +153,7 @@ def b_low(q: float, v_std: float) -> float:
     if v_std < 0.0:
         raise ValueError("v_std must be nonnegative")
     if v_std == 0.0:
-        return 2.0 * float(ndtri(1.0 - q))
+        return 2.0 * _quantile(1.0 - q)
     if not v_std < q:
         raise ValueError(f"need v_std < q (v_std={v_std}, q={q})")
     lo = math.sqrt(v_std / q) * (1.0 + 1e-9)
@@ -169,7 +174,7 @@ def assumption_margin_rhs(kappa_inf: float) -> float:
     the upper tail is evaluated as ``Phi(-3z)`` to avoid rounding it to zero.
     """
     z = kappa_inf / (2.0 * math.sqrt(2.0 * math.pi))
-    return 0.25 * min(float(ndtr(z)) - 0.5, float(ndtr(-3.0 * z)))
+    return 0.25 * min(_cdf(z) - 0.5, _cdf(-3.0 * z))
 
 
 def _b_low_limit(reference: float, v_std_sup: float) -> float:
@@ -180,9 +185,9 @@ def _b_low_limit(reference: float, v_std_sup: float) -> float:
     """
     half = 0.5 * reference
     if v_std_sup == 0.0:
-        return float(ndtr(-half))
+        return _cdf(-half)
     # In log(eps): H(sqrt(v)) > 1 > 1/2 + v = H(1), so the minimum lies in (sqrt(v), 1).
-    return -_golden_max(lambda t: -float(ndtr(half * (math.exp(t) - 1.0)))
+    return -_golden_max(lambda t: -_cdf(half * (math.exp(t) - 1.0))
                         - v_std_sup / math.exp(t) ** 2, 0.5 * math.log(v_std_sup), 0.0)[1]
 
 
@@ -216,7 +221,7 @@ def _b_high_limit(reference: float, ratio: float, v_std_sup: float, cap: float) 
     ``sup G``, which is ``Phi(-c)`` at ``v == 0`` and less otherwise.
     """
     c = reference / (2.0 * ratio)
-    sup = float(ndtr(-c))
+    sup = _cdf(-c)
     if v_std_sup > 0.0 and sup >= 1e-9:  # else Phi(-c), maybe underflowed, is too low
         # In log(eps).  G > 0 needs eps > sqrt(v/Phi(-c)).  G' has the sign of
         # log(2v/eps^3) + c^2 (1 + eps)^2/2 + const, which falls up to eps_m,
@@ -225,7 +230,7 @@ def _b_high_limit(reference: float, ratio: float, v_std_sup: float, cap: float) 
         lo = 0.5 * math.log(v_std_sup / sup)
         hi = math.log((math.sqrt(1.0 + 12.0 / c**2) - 1.0) / 2.0)
         sup = -math.inf if lo >= hi else _golden_max(
-            lambda t: float(ndtr(-c * (1.0 + math.exp(t)))) - v_std_sup / math.exp(t) ** 2,
+            lambda t: _cdf(-c * (1.0 + math.exp(t))) - v_std_sup / math.exp(t) ** 2,
             lo, hi)[1]
     return min(max(sup, 0.0), min(cap, 0.5 - v_std_sup) - 1e-12)
 
@@ -320,12 +325,8 @@ class TheoryConstants:
 
 def _decrease_and_bound(extremes, params, q_low, q_high, bh, bl, qf):
     """``(w, bound)``: the well-adapted expected decrease and the rate bound."""
-    w = (
-        (extremes.strong_convexity / extremes.e_q)
-        * (bh / 2.0)
-        * (_SQRT_2_OVER_PI - bl / extremes.kappa_inf)
-        * qf
-    )
+    w = ((extremes.strong_convexity / extremes.e_q) * (bh / 2.0)
+         * (_SQRT_2_OVER_PI - bl / extremes.kappa_inf) * qf)
     target = p_target(params)
     return w, 0.5 * min(w / 4.0, params.log_ratio) * min(target - q_low, q_high - target)
 
@@ -431,8 +432,7 @@ def potential_from_values(f_values, log_sigmas, constants: TheoryConstants):
     half = 0.5 * (math.log(constants.strong_convexity) + log_f)
     small = math.log(constants.s) + half - log_sig - math.log(constants.e_q)
     large = log_sig + math.log(constants.e_q) - math.log(constants.ell) - half
-    out = log_f + constants.v * (np.maximum(small, 0.0) + np.maximum(large, 0.0))
-    return out
+    return log_f + constants.v * (np.maximum(small, 0.0) + np.maximum(large, 0.0))
 
 
 def potential_value(state: EsState, spec: ObjectiveSpec, constants: TheoryConstants) -> float:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import platform
 import tempfile
 from contextlib import redirect_stdout
 from dataclasses import asdict
@@ -43,9 +44,11 @@ BOUNDS = ["bounds", "--dim", "3000", "--v-std", "0.0006667", "--p-target", "0.3"
 
 
 def versions() -> dict:
-    """The numpy and OpenBLAS builds that the floats depend on."""
+    """The builds that the floats depend on: numpy and its BLAS, Python (``statistics``
+    supplies the normal quantile) and the C library (its libm supplies ``math.erfc``)."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}"}
+    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}",
+            "python": platform.python_version(), "libc": " ".join(platform.libc_ver())}
 
 
 def bounds_outputs() -> tuple[dict, list[str]]:
@@ -74,11 +77,17 @@ def outputs() -> dict:
 
 
 def _floats(value, path: str = "") -> dict:
-    """``{path: value}`` of every float in a decoded JSON value."""
+    """``{path: value}`` of every float in a decoded JSON value, the cells of a
+    numeric CSV row such as a ``--trace-out`` line included."""
     if isinstance(value, dict):
         return {p: x for k, v in value.items() for p, x in _floats(v, f"{path}.{k}").items()}
     if isinstance(value, list):
         return {p: x for i, v in enumerate(value) for p, x in _floats(v, f"{path}[{i}]").items()}
+    if isinstance(value, str) and "," in value:
+        try:
+            return {f"{path}[{i}]": float(x) for i, x in enumerate(value.split(","))}
+        except ValueError:
+            return {}
     return {path: value} if isinstance(value, float) else {}
 
 

@@ -66,3 +66,6 @@ def test_float_changes_counts_moved_floats_and_names_the_largest():
     assert regen.float_changes(old, new) == \
         "1 of 3 floats moved, largest relative change 0.5 at .a[0]; 1 added, 0 removed"
     assert regen.float_changes(old, old) == "0 of 3 floats moved"
+    rows = ["q,objective", "0.25,1e-10", "0.5,2e-10"]
+    assert regen.float_changes(rows, [rows[0], rows[1], "0.5,3e-10"]) == \
+        "1 of 4 floats moved, largest relative change 0.5 at [2][1]"

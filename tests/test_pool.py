@@ -58,7 +58,7 @@ def _pids_of_nested_fan_out(_):
 
 def test_fan_out_forks_where_the_platform_can(threads, monkeypatch):
     """Python 3.14 makes forkserver the POSIX default, whose workers import
-    numpy and scipy again; ``fan_out`` asks for fork wherever it exists."""
+    numpy again; ``fan_out`` asks for fork wherever it exists."""
     threads("2")
     contexts = []
 

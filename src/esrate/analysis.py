@@ -10,31 +10,36 @@ Estimators below compute its moments, the success probability and the
 log-progress of one step, and verify the lemma-level inequalities with a
 three-standard-error slack.
 
-Every estimator runs on one kernel.  A state's ``n`` standard-normal
-mutation rows split into sub-stream blocks of ``max(1, SUB_ELEMS // d)``
-rows, and block ``b`` draws from ``rng_stream(seed, *key, b)``.  A block
-draws and evaluates its rows in chunks of ``max(1, ELEMS // d)`` rows, into
-three work arrays (normals, candidates, scratch) allocated once per block,
-and merges the estimator's per-row columns into one accumulator of the
-count, the mean vector and the centred co-moment matrix.  The blocks of a
-state then merge in block order by the same update.  Each value and its
-standard error are read from the merged accumulator: a mean with
-``sqrt(s^2 / n)`` (``s^2`` with ``n - 1`` degrees of freedom), a smooth
-function of several means by the delta method.  Paired comparisons reuse
-one z-stream (common random numbers).
+Every estimator runs on one kernel.  A call draws one stream of ``n``
+standard-normal mutation rows, shared by every state it evaluates (common
+random numbers: the states of :func:`check_lemma_suite`, the scanned states
+behind :func:`check_assumption2` and :func:`q_extremes`, or the one state of
+a single estimate).  The rows split into sub-stream blocks of ``max(1,
+SUB_ELEMS // d)`` rows, and block ``b`` draws from ``rng_stream(seed, b)``.
+A block draws its rows in chunks of ``max(1, ELEMS // d)`` rows, into three
+work arrays (normals, candidates, scratch) allocated once per block,
+evaluates each chunk at every state in turn, and merges each state's
+per-row columns into its own accumulator of the count, the mean vector and
+the centred co-moment matrix.  A state's blocks then merge in block order
+by the same update.  Each value and its standard error are read from the
+merged accumulator: a mean with ``sqrt(s^2 / n)`` (``s^2`` with ``n - 1``
+degrees of freedom), a smooth function of several means by the delta
+method.
 
 Determinism contract: estimators are pure given ``(inputs, seed)``, and
 ``SUB_ELEMS`` is part of it, since it fixes which stream draws each row.
 ``ELEMS`` is not: the draws do not depend on how a block's rows split into
 chunks, so the chunk size changes results only through floating-point
-rounding.
+rounding.  A state's results do not depend on the other states of its call:
+they equal those of a call at that state alone.
 
-Every ``(state, block)`` pair is one task of one process pool
-(:func:`esrate.pool.fan_out`, sized by ``ES_RATE_THREADS``): the blocks of a
-single state, of the states of :func:`check_lemma_suite`, and of the
-scanned states behind :func:`check_assumption2` and :func:`q_extremes`.
-Every block owns its stream and blocks merge in task order, so results do
-not depend on the worker count.  Input is checked before any pool starts.
+Every pair of a block and a contiguous slice of the call's states is one
+task of one process pool (:func:`esrate.pool.fan_out`, sized by
+``ES_RATE_THREADS``).  A slice holds all the states unless the call has
+fewer blocks than pool processes; then the states split into enough slices
+to give every process a task.  A state's rows, chunks and merge order do
+not depend on the slicing, so results do not depend on the worker count.
+Input is checked before any pool starts.
 """
 
 from __future__ import annotations
@@ -42,13 +47,12 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 from functools import cached_property, partial, reduce
-from itertools import islice
 
 import numpy as np
 
 from .engine import EsParams, EsState, default_sigma0, rng_stream
 from .objectives import ObjectiveSpec, stack_evaluator
-from .pool import fan_out
+from .pool import fan_out, processes
 from .theory import (
     QExtremes,
     TheoryConstants,
@@ -84,9 +88,9 @@ __all__ = [
 #: so each of a block's three work arrays stays near 2 MB whatever the dimension.
 ELEMS = 2**18
 
-#: Mutation-row elements per sub-stream block: a state's rows split into
-#: blocks of ``max(1, SUB_ELEMS // d)`` rows, each with its own stream and
-#: pool task.  Unlike ``ELEMS``, it fixes which rows are drawn.
+#: Mutation-row elements per sub-stream block: a call's rows split into
+#: blocks of ``max(1, SUB_ELEMS // d)`` rows, each with its own stream.
+#: Unlike ``ELEMS``, it fixes which rows are drawn.
 SUB_ELEMS = 2**21
 
 #: Below this ratio of step length to distance, the generic remainder formula
@@ -225,46 +229,59 @@ class _Chunk:
         return q
 
 
-def _block(spec: ObjectiveSpec, state: EsState, rows: int, columns, key: tuple) -> _Moments:
-    """Merged moments of ``columns(chunk)`` over ``rows`` mutation rows of ``rng_stream(*key)``.
+def _block(spec: ObjectiveSpec, states: list[EsState], rows: int, columns, seed: int,
+           b: int) -> list[_Moments]:
+    """Merged moments of ``columns(chunk)`` at each state over the ``rows`` rows of block ``b``.
 
-    This is the only loop that draws mutation rows.  It draws and evaluates
-    them in chunks of ``max(1, ELEMS // d)`` rows, into work arrays
-    allocated once per call.
+    This is the only loop that draws mutation rows, from ``rng_stream(seed,
+    b)``.  It draws them in chunks of ``max(1, ELEMS // d)`` rows, into work
+    arrays allocated once per call, and evaluates each chunk at every state
+    in turn, so a row is drawn once however many states read it.  Returns
+    one :class:`_Moments` per state.
     """
-    rng = rng_stream(*key)
+    rng = rng_stream(seed, b)
     chunk = max(1, ELEMS // spec.dim)
     zs, xs, scratch = np.empty((3, min(chunk, rows), spec.dim))
     moments = None
     for start in range(0, rows, chunk):
         k = min(chunk, rows - start)
         rng.standard_normal(out=zs[:k])
-        cols = np.array(columns(_Chunk(spec, state, zs[:k], xs[:k], scratch[:k])), dtype=float)
-        moments = _Moments(cols) if moments is None else moments.merge(_Moments(cols))
+        new = [_Moments(np.array(columns(_Chunk(spec, state, zs[:k], xs[:k], scratch[:k])),
+                                 dtype=float))
+               for state in states]
+        moments = new if moments is None else [m.merge(c) for m, c in zip(moments, new)]
     return moments
 
 
-def _sample(spec: ObjectiveSpec, columns, jobs) -> list[_Moments]:
-    """Merged moments of ``columns(chunk)`` for each ``(state, n, seed, key)`` job.
+def _sample(spec: ObjectiveSpec, columns, states: list[EsState], n: int,
+            seed: int) -> list[_Moments]:
+    """Merged moments of ``columns(chunk)`` at each state over one stream of ``n`` rows.
 
     ``columns`` maps a :class:`_Chunk` to a list of per-row arrays and must
-    pickle.  A job's ``n`` rows split into blocks of ``max(1, SUB_ELEMS //
-    d)`` rows, and block ``b`` draws from ``rng_stream(seed, *key, b)``.
-    Every block of every job is one :func:`esrate.pool.fan_out` task, and
-    each job's blocks merge in block order.  Input is checked here, before
-    any pool starts.
+    pickle.  The call's ``n`` rows split into blocks of ``max(1, SUB_ELEMS //
+    d)`` rows, and block ``b`` draws from ``rng_stream(seed, b)`` for every
+    state.  A :func:`esrate.pool.fan_out` task is one block and a contiguous
+    slice of the states; with fewer blocks than pool processes, the states
+    split into enough slices to give every process a task.  A state's rows,
+    chunks and block merge order do not depend on the slicing, so neither do
+    its moments.  Input is checked here, before any pool starts.
     """
     _require_plain(spec)
-    for state, n, seed, _ in jobs:
-        _check_sample(n, seed)
-        if not np.any(state.m):
-            raise ValueError("state must be off-optimum")
+    _check_sample(n, seed)
+    if not states:
+        raise ValueError("need at least one state")
+    if not all(np.any(state.m) for state in states):
+        raise ValueError("state must be off-optimum")
     rows = max(1, SUB_ELEMS // spec.dim)
-    tasks = [[(spec, state, min(rows, n - start), columns, (seed, *key, b))
-              for b, start in enumerate(range(0, n, rows))]
-             for state, n, seed, key in jobs]
-    blocks = iter(fan_out(_block, [task for job in tasks for task in job]))
-    return [reduce(_Moments.merge, islice(blocks, len(job))) for job in tasks]
+    blocks = [(b, min(rows, n - start)) for b, start in enumerate(range(0, n, rows))]
+    parts = min(len(states), math.ceil(processes(len(blocks) * len(states)) / len(blocks)))
+    cuts = [len(states) * i // parts for i in range(parts + 1)]
+    slices = [states[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+    results = iter(fan_out(_block, [(spec, part, size, columns, seed, b)
+                                    for b, size in blocks for part in slices]))
+    # Each block's moments at every state, in state order; a state's blocks merge in block order.
+    per_block = [[m for _ in slices for m in next(results)] for _ in blocks]
+    return [reduce(_Moments.merge, moments) for moments in zip(*per_block)]
 
 
 def _q_columns(chunk: _Chunk) -> list[np.ndarray]:
@@ -322,12 +339,12 @@ def quadratic_v_std(spec: ObjectiveSpec) -> float:
 
 def estimate_q_stats(spec: ObjectiveSpec, state: EsState, n: int, seed: int) -> QStats:
     """Sample moments of the remainder over ``n`` standard-normal mutations."""
-    return _q_stats(spec, _sample(spec, _q_columns, [(state, n, seed, ())])[0])
+    return _q_stats(spec, _sample(spec, _q_columns, [state], n, seed)[0])
 
 
 def estimate_success_prob(spec: ObjectiveSpec, state: EsState, n: int, seed: int) -> EstimateWithError:
     """Fraction of mutations whose candidate is no worse, with its stderr."""
-    return _first_mean(_sample(spec, _success, [(state, n, seed, ())])[0])
+    return _first_mean(_sample(spec, _success, [state], n, seed)[0])
 
 
 def _success(chunk: _Chunk) -> list[np.ndarray]:
@@ -341,7 +358,7 @@ def _log_gain(chunk: _Chunk) -> list[np.ndarray]:
 
 def estimate_log_progress(spec: ObjectiveSpec, state: EsState, n: int, seed: int) -> EstimateWithError:
     """Mean one-step decrease of ``log f`` (zero on rejected steps); nonpositive."""
-    return _first_mean(_sample(spec, _log_gain, [(state, n, seed, ())])[0])
+    return _first_mean(_sample(spec, _log_gain, [state], n, seed)[0])
 
 
 # -- state helpers -------------------------------------------------------------
@@ -411,8 +428,10 @@ def _extremes(
         mean, var = quadratic_q_exact(spec)
         return var / mean**2, 2.0, mean, [], []
     states = _state_grid(spec, seed)
-    jobs = [(st, n, seed + 101 + i, ()) for i, st in enumerate(states)]
-    stats = [_q_stats(spec, moments) for moments in _sample(spec, _q_columns, jobs)]
+    # One stream for the whole scan; not the call seed's own, whose block 7 is
+    # the stream that drew the scan's directions.
+    stats = [_q_stats(spec, moments)
+             for moments in _sample(spec, _q_columns, states, n, seed + 101)]
     v_sup, kappa_inf = max(s.v_std for s in stats), min(s.kappa for s in stats)
     return v_sup, kappa_inf, max(s.mean_q for s in stats), states, stats
 
@@ -421,7 +440,8 @@ def q_extremes(spec: ObjectiveSpec, *, n: int, seed: int) -> QExtremes:
     """State-space extremes of the curvature statistics.
 
     Exact and state-independent for diagonal quadratics.  For other kinds the
-    extremes are taken over the 32 sampled states of the scan (an approximation).
+    extremes are taken over the 32 sampled states of the scan (an approximation),
+    which share one z-stream of ``n`` rows, as in :func:`check_assumption2`.
     """
     v_sup, kappa_inf, e_q, _, _ = _extremes(spec, n, seed)
     return QExtremes(
@@ -513,19 +533,21 @@ def check_lemma_suite(
     tight iff ``Tr(H) = d L`` (``d U``), that is, iff every ``h_i`` equals
     ``L`` (``U``), as on the sphere.
 
-    One z-stream per state is shared by all checks (common random numbers);
-    the paired progress comparison takes its error by the delta method.
-    The blocks of every state are sampled in parallel by
-    :func:`esrate.pool.fan_out`; the checks are built from the merged
-    moments in state order.
+    One z-stream per call is shared by every state and every check (common
+    random numbers), so a state's checks equal those of a call at that state
+    alone; the paired progress comparison takes its error by the delta
+    method.  Each block of the stream is drawn once and evaluated at every
+    state, in parallel over :func:`esrate.pool.fan_out`; the checks are
+    built from the merged moments in state order.  An empty ``states``
+    raises ``ValueError``.
     """
     d = spec.dim
     lmod, umod = spec.strong_convexity, spec.smoothness
     tight_lower = spec.is_quadratic and bool(np.all(spec.diag == lmod))
     tight_upper = spec.is_quadratic and bool(np.all(spec.diag == umod))
-    jobs = [(state, n, seed, (idx,)) for idx, state in enumerate(states)]
     checks: list[CheckResult] = []
-    for idx, (state, moments) in enumerate(zip(states, _sample(spec, _lemma_columns, jobs))):
+    samples = _sample(spec, _lemma_columns, states, n, seed)
+    for idx, (state, moments) in enumerate(zip(states, samples)):
         sid = str(idx)
         f_m = spec.value(state.m)
         gnorm = spec.gradient_norm(state.m)
@@ -599,8 +621,9 @@ def check_assumption2(spec: ObjectiveSpec, *, n: int, seed: int) -> Assumption2R
     evaluated at the estimated ``kappa_inf``.  Diagonal quadratics use the
     exact closed forms (``v_std = 2 tr(H^2)/tr(H)^2``, ``kappa = 2``); other
     kinds estimate over the 32 sampled states of the scan, which are
-    included in the report for audit.  Every kind rejects ``n < 1000`` and a negative
-    ``seed``, as the sampled path must.
+    included in the report for audit; the states share one z-stream of ``n``
+    rows (common random numbers), drawn once per block.  Every kind rejects
+    ``n < 1000`` and a negative ``seed``, as the sampled path must.
     """
     v_sup, kappa_inf, _, states, stats = _extremes(spec, n, seed)
     consistent = not any(
@@ -681,7 +704,7 @@ def estimate_drift(
     mean_q = None if spec.is_quadratic else estimate_q_stats(spec, state, n, seed + 1).mean_q
     regime = regime_of(spec, state, params, constants, mean_q=mean_q)
     columns = partial(_potential_change, params, constants, potential_value(state, spec, constants))
-    est = _first_mean(_sample(spec, columns, [(state, n, seed, ())])[0])
+    est = _first_mean(_sample(spec, columns, [state], n, seed)[0])
     return DriftEstimate(value=est.value, stderr=est.stderr, regime=regime)
 
 

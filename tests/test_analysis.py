@@ -1,6 +1,7 @@
 import math
 import resource
 import warnings
+from dataclasses import astuple, replace
 from functools import reduce
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from esrate import analysis, theory
+from esrate import analysis, pool, theory
 from esrate.analysis import (
     _Chunk,
     _Moments,
@@ -450,9 +451,9 @@ def test_expected_progress_stderr_is_per_row_delta_method():
     check = next(c for c in report.checks if c.name == "expected_progress_bound")
 
     sigma, f_m, grad = state.sigma, spec.value(m), spec.gradient(m)
-    # state 0's rows: blocks of SUB_ELEMS // d rows, block b from stream (seed, 0, b)
+    # the call's rows: blocks of SUB_ELEMS // d rows, block b from stream (seed, b)
     block = analysis.SUB_ELEMS // 10
-    zs = np.concatenate([rng_stream(seed, 0, b).standard_normal((min(block, n - start), 10))
+    zs = np.concatenate([rng_stream(seed, b).standard_normal((min(block, n - start), 10))
                          for b, start in enumerate(range(0, n, block))])
     fx = spec.value_many(m + sigma * zs)
     succ = fx <= f_m
@@ -542,3 +543,75 @@ def test_tight_checks_are_the_mean_bounds_of_a_flat_hessian(spec, tight):
         (name, sid) for name in tight for sid in ("0", "1")}
     by_design = 2 * len(tight) * theory.std_normal_cdf(-3.0)
     assert report.to_json()["expected_failures"] == pytest.approx(by_design, rel=1e-15)
+
+
+def test_empty_state_list_fails_before_any_pool_starts(monkeypatch):
+    monkeypatch.setattr(analysis, "fan_out", _no_pool)
+    with pytest.raises(ValueError, match="at least one state"):
+        check_lemma_suite(sphere(5), [], 1000, 0)
+
+
+# -- one row stream per call, shared by its states ------------------------------------
+
+
+def _suite_states(spec):
+    m = np.random.default_rng(5).standard_normal(spec.dim)
+    return [_state(m, 0.05), _state(m, 0.5), _state(2.0 * m, 2.0), _state(-m, 0.3)]
+
+
+@pytest.mark.parametrize("spec", [hessian_family("h1", 8, 1), perturbed_family(8, 1)],
+                         ids=["h1", "perturbed"])
+def test_each_state_of_a_suite_gets_the_checks_of_a_suite_at_it_alone(spec):
+    states = _suite_states(spec)
+    joint = check_lemma_suite(spec, states, 3_000, seed=9).checks
+    alone = [c for st in states for c in check_lemma_suite(spec, [st], 3_000, seed=9).checks]
+    # repr spells every float exactly, NaN included.
+    assert [repr(astuple(replace(c, state_id=""))) for c in joint] == [
+        repr(astuple(replace(c, state_id=""))) for c in alone]
+    per_state = len(joint) // len(states)
+    assert [c.state_id for c in joint] == [str(i) for i in range(4) for _ in range(per_state)]
+
+
+class _CountingGenerator:
+    """A generator that adds the size of every ``standard_normal`` draw to ``drawn``."""
+
+    def __init__(self, rng, drawn):
+        self.rng, self.drawn = rng, drawn
+
+    def standard_normal(self, *args, **kwargs):
+        out = self.rng.standard_normal(*args, **kwargs)
+        self.drawn.append(out.size)
+        return out
+
+
+def test_a_suite_draws_its_rows_once_for_all_states(monkeypatch):
+    monkeypatch.setenv("ES_RATE_THREADS", "1")
+    drawn = []
+    monkeypatch.setattr(analysis, "rng_stream",
+                        lambda *key: _CountingGenerator(rng_stream(*key), drawn))
+    spec, n = hessian_family("h1", 1000, 1), 5_000  # three sub-stream blocks
+    assert n > 2 * (analysis.SUB_ELEMS // spec.dim)
+    report = check_lemma_suite(spec, _suite_states(spec)[:3], n, seed=2)
+    assert len(report.checks) == 3 * 12
+    assert sum(drawn) == n * spec.dim
+
+
+def test_a_one_block_suite_gives_every_worker_a_task(monkeypatch):
+    monkeypatch.setattr(pool, "_usable_cpus", lambda: 2)
+    spec = hessian_family("h1", 10, 1)
+    assert 2_000 <= analysis.SUB_ELEMS // spec.dim  # one sub-stream block
+    states = _suite_states(spec)[:3]
+    monkeypatch.setenv("ES_RATE_THREADS", "1")
+    inline = check_lemma_suite(spec, states, 2_000, seed=3)
+    tasks = []
+
+    def spy(fn, jobs):
+        jobs = list(jobs)
+        tasks.append(len(jobs))
+        return pool.fan_out(fn, jobs)
+
+    monkeypatch.setattr(analysis, "fan_out", spy)
+    monkeypatch.setenv("ES_RATE_THREADS", "2")
+    report = check_lemma_suite(spec, states, 2_000, seed=3)
+    assert len(tasks) == 1 and tasks[0] >= 2
+    assert repr(report) == repr(inline)

@@ -12,10 +12,11 @@ three-standard-error slack.
 
 Every estimator runs on one kernel.  A call draws one stream of ``n``
 standard-normal mutation rows, shared by every state it evaluates (common
-random numbers: the states of :func:`check_lemma_suite`, the scanned states
-behind :func:`check_assumption2` and :func:`q_extremes`, or the one state of
-a single estimate).  The rows split into sub-stream blocks of ``max(1,
-SUB_ELEMS // d)`` rows, and block ``b`` draws from ``rng_stream(seed, b)``.
+random numbers: the states of :func:`check_lemma_suite` and
+:func:`estimate_drift`, the scanned states behind :func:`check_assumption2`
+and :func:`q_extremes`, or the one state of a single estimate).  The rows
+split into sub-stream blocks of ``max(1, SUB_ELEMS // d)`` rows, and block
+``b`` draws from ``rng_stream(seed, 0, b)``.
 A block draws its rows in chunks of ``max(1, ELEMS // d)`` rows, into three
 work arrays (normals, candidates, scratch) allocated once per block,
 evaluates each chunk at every state in turn, and merges each state's
@@ -28,6 +29,9 @@ method.
 
 Determinism contract: estimators are pure given ``(inputs, seed)``, and
 ``SUB_ELEMS`` is part of it, since it fixes which stream draws each row.
+Mutation rows come only from the two-element keys ``(0, b)`` of the call's
+seed; the one-element keys ``rng_stream(seed, k)`` are left to the draws of
+the states themselves, so no state coincides with a row of its own call.
 ``ELEMS`` is not: the draws do not depend on how a block's rows split into
 chunks, so the chunk size changes results only through floating-point
 rounding.  A state's results do not depend on the other states of its call:
@@ -58,7 +62,6 @@ from .theory import (
     TheoryConstants,
     assumption_margin_rhs,
     potential_from_values,
-    potential_value,
     std_normal_cdf,
 )
 
@@ -234,12 +237,12 @@ def _block(spec: ObjectiveSpec, states: list[EsState], rows: int, columns, seed:
     """Merged moments of ``columns(chunk)`` at each state over the ``rows`` rows of block ``b``.
 
     This is the only loop that draws mutation rows, from ``rng_stream(seed,
-    b)``.  It draws them in chunks of ``max(1, ELEMS // d)`` rows, into work
-    arrays allocated once per call, and evaluates each chunk at every state
+    0, b)``.  It draws them in chunks of ``max(1, ELEMS // d)`` rows, into
+    work arrays allocated once per call, and evaluates each chunk at every state
     in turn, so a row is drawn once however many states read it.  Returns
     one :class:`_Moments` per state.
     """
-    rng = rng_stream(seed, b)
+    rng = rng_stream(seed, 0, b)
     chunk = max(1, ELEMS // spec.dim)
     zs, xs, scratch = np.empty((3, min(chunk, rows), spec.dim))
     moments = None
@@ -259,10 +262,10 @@ def _sample(spec: ObjectiveSpec, columns, states: list[EsState], n: int,
 
     ``columns`` maps a :class:`_Chunk` to a list of per-row arrays and must
     pickle.  The call's ``n`` rows split into blocks of ``max(1, SUB_ELEMS //
-    d)`` rows, and block ``b`` draws from ``rng_stream(seed, b)`` for every
-    state.  A :func:`esrate.pool.fan_out` task is one block and a contiguous
-    slice of the states; with fewer blocks than pool processes, the states
-    split into enough slices to give every process a task.  A state's rows,
+    d)`` rows, and block ``b`` draws from ``rng_stream(seed, 0, b)`` for
+    every state.  A :func:`esrate.pool.fan_out` task is one block and a
+    contiguous slice of the states; with fewer blocks than pool processes,
+    the states split into enough slices to give every process a task.  A state's rows,
     chunks and block merge order do not depend on the slicing, so neither do
     its moments.  Input is checked here, before any pool starts.
     """
@@ -428,10 +431,7 @@ def _extremes(
         mean, var = quadratic_q_exact(spec)
         return var / mean**2, 2.0, mean, [], []
     states = _state_grid(spec, seed)
-    # One stream for the whole scan; not the call seed's own, whose block 7 is
-    # the stream that drew the scan's directions.
-    stats = [_q_stats(spec, moments)
-             for moments in _sample(spec, _q_columns, states, n, seed + 101)]
+    stats = [_q_stats(spec, moments) for moments in _sample(spec, _q_columns, states, n, seed)]
     v_sup, kappa_inf = max(s.v_std for s in stats), min(s.kappa for s in stats)
     return v_sup, kappa_inf, max(s.mean_q for s in stats), states, stats
 
@@ -689,33 +689,38 @@ def regime_of(
 
 def estimate_drift(
     spec: ObjectiveSpec,
-    state: EsState,
+    states: list[EsState],
     params: EsParams,
     constants: TheoryConstants,
     n: int,
     seed: int,
-) -> DriftEstimate:
-    """Sample mean of the one-step potential change from ``state``.
+) -> list[DriftEstimate]:
+    """Sample mean of the one-step potential change from each state.
 
-    Simulates ``n`` independent transitions and evaluates the potential
-    difference for each; the state's step-size regime is classified by
-    :func:`regime_of`.
+    ``n`` transitions on one z-stream shared by every state, as in
+    :func:`check_lemma_suite`; a state's estimate equals that of a call at it
+    alone.  Regimes come from :func:`regime_of`, which on non-quadratic specs
+    reads ``E[Q]`` from the same rows.
     """
-    mean_q = None if spec.is_quadratic else estimate_q_stats(spec, state, n, seed + 1).mean_q
-    regime = regime_of(spec, state, params, constants, mean_q=mean_q)
-    columns = partial(_potential_change, params, constants, potential_value(state, spec, constants))
-    est = _first_mean(_sample(spec, columns, [state], n, seed)[0])
-    return DriftEstimate(value=est.value, stderr=est.stderr, regime=regime)
+    samples = _sample(spec, partial(_potential_change, params, constants), states, n, seed)
+    estimates = []
+    for state, moments in zip(states, samples):
+        mean_q = None if spec.is_quadratic else float(moments.mean[1])
+        regime = regime_of(spec, state, params, constants, mean_q)
+        estimates.append(DriftEstimate(float(moments.mean[0]), moments.se(1.0), regime))
+    return estimates
 
 
-def _potential_change(
-    params: EsParams, constants: TheoryConstants, v0: float, chunk: _Chunk
-) -> list[np.ndarray]:
-    """The potential after each row's step, less its value ``v0`` before it."""
+def _potential_change(params: EsParams, constants: TheoryConstants,
+                      chunk: _Chunk) -> list[np.ndarray]:
+    """The change of the potential over each row's step, then ``Q`` on non-quadratic specs."""
     succ = chunk.success
     f_next = np.where(succ, np.maximum(chunk.fx, 1e-300), chunk.f_m)
     step = np.where(succ, math.log(params.alpha_up), math.log(params.alpha_down))
-    return [potential_from_values(f_next, chunk.state.log_sigma + step, constants) - v0]
+    log_sigma = chunk.state.log_sigma
+    v0 = potential_from_values(chunk.f_m, log_sigma, constants)
+    change = potential_from_values(f_next, log_sigma + step, constants) - v0
+    return [change] if chunk.spec.is_quadratic else [change, chunk.q]
 
 
 def _describe(spec: ObjectiveSpec) -> str:

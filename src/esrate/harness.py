@@ -213,7 +213,7 @@ def _run_group(cfg: ExperimentConfig, dim: int,
 
 
 def aggregate_cell(trial_rows: list[ResultRow]) -> ResultRow:
-    """Mean rate and trial-scatter stderr over one cell's trial rows."""
+    """Mean rate and trial-scatter stderr (NaN below two finite rates) of one cell's trials."""
     first = trial_rows[0]
     values = np.array([r.cr_hat for r in trial_rows])
     scaled = np.array([r.scaled_rate for r in trial_rows])
@@ -221,7 +221,7 @@ def aggregate_cell(trial_rows: list[ResultRow]) -> ResultRow:
     if np.any(good):
         mean = float(values[good].mean())
         k = int(good.sum())
-        stderr = float(values[good].std(ddof=1) / math.sqrt(k)) if k > 1 else 0.0
+        stderr = float(values[good].std(ddof=1) / math.sqrt(k)) if k > 1 else math.nan
         scaled_mean = float(scaled[good].mean())
     else:
         mean = stderr = scaled_mean = math.nan

@@ -26,8 +26,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .engine import EsParams, EsState, p_target
-from .objectives import ObjectiveSpec
+from .engine import EsParams, p_target
 
 __all__ = [
     "std_normal_cdf",
@@ -44,7 +43,6 @@ __all__ = [
     "TheoryConstants",
     "build_constants",
     "feasible_q_pair",
-    "potential_value",
     "potential_from_values",
     "b_upper",
 ]
@@ -433,15 +431,6 @@ def potential_from_values(f_values, log_sigmas, constants: TheoryConstants):
     small = math.log(constants.s) + half - log_sig - math.log(constants.e_q)
     large = log_sig + math.log(constants.e_q) - math.log(constants.ell) - half
     return log_f + constants.v * (np.maximum(small, 0.0) + np.maximum(large, 0.0))
-
-
-def potential_value(state: EsState, spec: ObjectiveSpec, constants: TheoryConstants) -> float:
-    """Potential of one chain state; always >= log f(m)."""
-    base, shift = spec.canonical()
-    f_m = base.value(state.m - shift)
-    if not f_m > 0:
-        raise ValueError("potential requires a state away from the optimum")
-    return float(potential_from_values(f_m, state.log_sigma, constants))
 
 
 # -- rate bound ----------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Verification suites behind ``esrate verify``, all in one table, :data:`SUITES`.
 
 Each suite returns a JSON-able report with an ``ok`` verdict and the ``n``
-and ``seed`` it ran with.  Loops over independent streams fan out over
+and ``seed`` it ran with.  Suites draw their states from one-element keys
+``rng_stream(seed, k)``, which no Monte Carlo row uses, and the drift regimes
+are the states of one kernel call.  Independent streams fan out over
 :func:`esrate.pool.fan_out` and merge in task order, so every report is
 bit-identical for any worker count.
 """
@@ -74,7 +76,7 @@ def _invariance_group(
     checks = []
     for j, s in enumerate(seeds):
         ref = trajs[j * per_seed]
-        for i, case in enumerate(_CASES, start=j * per_seed + 1):
+        for i, case in enumerate(_CASES, start=1 + j * per_seed):
             traj = trajs[i]
             ok = (
                 np.array_equal(ref.log_dist, traj.log_dist)
@@ -152,9 +154,10 @@ def drift_report(dim: int = 100, *, n: int, seed: int) -> dict:
     Constants are built from the large-dimension surrogate extremes
     (``v_std = 0``, ``kappa = 2``, mean curvature = trace) with success
     target 0.3 inside ``(q_low, q_high) = (0.25, 0.45)``; the drift itself
-    is estimated on the actual sphere of the given dimension.  Expected: a
-    negative mean change in all regimes with 3-stderr margin, and at most
-    ``-w/4`` (plus slack) in the well-adapted regime.
+    is estimated on the actual sphere of the given dimension, at the three
+    planted regimes' states in one :func:`esrate.analysis.estimate_drift`
+    call.  Expected: a negative mean change in all regimes with 3-stderr
+    margin, and at most ``-w/4`` (plus slack) in the well-adapted regime.
     """
     target_success, q_low, q_high = 0.3, 0.25, 0.45
     spec = sphere(dim)
@@ -177,11 +180,8 @@ def drift_report(dim: int = 100, *, n: int, seed: int) -> dict:
         "large": gain_cap * (q_low - target),
         "reasonable": -constants.w / 4.0,
     }
-    tasks = [
-        (spec, analysis.state_at_sigma_bar(spec, m, sbar), params, constants, n, seed + 10 + i)
-        for i, sbar in enumerate(sbar_by_regime.values())
-    ]
-    estimates = fan_out(analysis.estimate_drift, tasks)
+    states = [analysis.state_at_sigma_bar(spec, m, sbar) for sbar in sbar_by_regime.values()]
+    estimates = analysis.estimate_drift(spec, states, params, constants, n, seed)
     results = {}
     ok = True
     for (name, sbar), est in zip(sbar_by_regime.items(), estimates):

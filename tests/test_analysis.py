@@ -341,14 +341,16 @@ def test_state_grid_spans_distances():
     assert len({s["log_sigma"] for s in report.states}) == 32
 
 
+def _drift_constants():
+    """``(params, constants)`` of the drift battery's surrogate at d = 50."""
+    params = params_for_target(math.exp(1.0 / 50), 0.3)
+    extremes = theory.QExtremes(0.0, 2.0, 50.0, 1.0)
+    return params, theory.build_constants(extremes, params, 0.25, 0.45)
+
+
 @pytest.fixture(scope="module")
 def drift_setup():
-    dim = 50
-    spec = sphere(dim)
-    params = params_for_target(math.exp(1.0 / dim), 0.3)
-    extremes = theory.QExtremes(0.0, 2.0, float(dim), 1.0)
-    constants = theory.build_constants(extremes, params, 0.25, 0.45)
-    return spec, params, constants
+    return sphere(50), *_drift_constants()
 
 
 def test_regime_classification(drift_setup):
@@ -365,7 +367,7 @@ def test_regime_classification(drift_setup):
 def test_drift_negative_in_reasonable_regime(drift_setup):
     spec, params, constants = drift_setup
     state = state_at_sigma_bar(spec, np.full(50, 1.0), 0.5 * (constants.b_high + constants.b_low))
-    est = estimate_drift(spec, state, params, constants, 20_000, seed=21)
+    [est] = estimate_drift(spec, [state], params, constants, 20_000, seed=21)
     assert est.regime == "reasonable"
     assert est.value + 3 * est.stderr < 0
     assert est.value <= -constants.w / 4 + 3 * est.stderr
@@ -387,8 +389,7 @@ def _all_estimates(elems):
     states = [state_at_sigma_bar(h1, m, s) for s in (0.3, 3.0)]
     pert = perturbed_family(10, 1)
     sph = sphere(50)
-    params = params_for_target(math.exp(1.0 / 50), 0.3)
-    constants = theory.build_constants(theory.QExtremes(0.0, 2.0, 50.0, 1.0), params, 0.25, 0.45)
+    params, constants = _drift_constants()
     drift_state = state_at_sigma_bar(sph, np.full(50, 1.0), 0.5 * (constants.b_high + constants.b_low))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(analysis, "ELEMS", elems)
@@ -396,7 +397,7 @@ def _all_estimates(elems):
         for est in (
             estimate_success_prob(h1, states[0], 2_000, seed=2),
             estimate_log_progress(h1, states[1], 2_000, seed=3),
-            estimate_drift(sph, drift_state, params, constants, 2_000, seed=5),
+            *estimate_drift(sph, [drift_state], params, constants, 2_000, seed=5),
         ):
             values += [est.value, est.stderr]
         report = check_lemma_suite(h1, states, 2_000, seed=4)
@@ -430,7 +431,7 @@ def test_se_var_matches_two_pass_long_double_reference():
     block, rows = analysis.SUB_ELEMS // spec.dim, analysis.ELEMS // spec.dim
     chunks = []
     for b, start in enumerate(range(0, n, block)):
-        rng, size = rng_stream(seed, b), min(block, n - start)
+        rng, size = rng_stream(seed, 0, b), min(block, n - start)
         chunks += [rng.standard_normal((min(rows, size - s), spec.dim)) for s in range(0, size, rows)]
     assert len(chunks) > 1 + n // block  # several blocks, several chunks in each
     q = np.concatenate([
@@ -451,9 +452,9 @@ def test_expected_progress_stderr_is_per_row_delta_method():
     check = next(c for c in report.checks if c.name == "expected_progress_bound")
 
     sigma, f_m, grad = state.sigma, spec.value(m), spec.gradient(m)
-    # the call's rows: blocks of SUB_ELEMS // d rows, block b from stream (seed, b)
+    # the call's rows: blocks of SUB_ELEMS // d rows, block b from stream (seed, 0, b)
     block = analysis.SUB_ELEMS // 10
-    zs = np.concatenate([rng_stream(seed, b).standard_normal((min(block, n - start), 10))
+    zs = np.concatenate([rng_stream(seed, 0, b).standard_normal((min(block, n - start), 10))
                          for b, start in enumerate(range(0, n, block))])
     fx = spec.value_many(m + sigma * zs)
     succ = fx <= f_m
@@ -514,6 +515,8 @@ _SAMPLERS = {
     "success_prob": estimate_success_prob,
     "log_progress": estimate_log_progress,
     "lemma_suite": lambda spec, state, n, seed: check_lemma_suite(spec, [state], n, seed),
+    "drift": lambda spec, state, n, seed: estimate_drift(spec, [state], *_drift_constants(),
+                                                         n, seed),
 }
 
 
@@ -572,23 +575,68 @@ def test_each_state_of_a_suite_gets_the_checks_of_a_suite_at_it_alone(spec):
     assert [c.state_id for c in joint] == [str(i) for i in range(4) for _ in range(per_state)]
 
 
-class _CountingGenerator:
-    """A generator that adds the size of every ``standard_normal`` draw to ``drawn``."""
+@pytest.mark.parametrize("spec", [hessian_family("h1", 8, 1), perturbed_family(8, 1)],
+                         ids=["h1", "perturbed"])
+def test_each_state_of_a_drift_call_gets_the_estimate_of_a_call_at_it_alone(spec):
+    params, constants = _drift_constants()
+    states = _suite_states(spec)
+    joint = estimate_drift(spec, states, params, constants, 3_000, seed=9)
+    alone = [est for st in states
+             for est in estimate_drift(spec, [st], params, constants, 3_000, seed=9)]
+    assert repr(joint) == repr(alone)
 
-    def __init__(self, rng, drawn):
-        self.rng, self.drawn = rng, drawn
+
+def test_drift_regime_on_a_non_quadratic_spec_reads_mean_q_from_its_own_rows():
+    spec, n, seed = perturbed_family(8, 1), 3_000, 4
+    params, constants = _drift_constants()
+    m = np.random.default_rng(6).standard_normal(8)
+    # sigma_bar from far below b_high to far above b_low: all three regimes
+    states = [_state(m, s * spec.gradient_norm(m) / float(np.sum(spec.diag)))
+              for s in (0.01, 0.5 * (constants.b_high + constants.b_low), 100.0)]
+    estimates = estimate_drift(spec, states, params, constants, n, seed)
+    expected = [regime_of(spec, st, params, constants,
+                          mean_q=estimate_q_stats(spec, st, n, seed).mean_q) for st in states]
+    assert [est.regime for est in estimates] == expected
+    assert set(expected) == {"small", "reasonable", "large"}
+
+
+class _SpyGenerator:
+    """A generator that passes every ``standard_normal`` draw to ``seen``."""
+
+    def __init__(self, rng, seen):
+        self.rng, self.seen = rng, seen
 
     def standard_normal(self, *args, **kwargs):
         out = self.rng.standard_normal(*args, **kwargs)
-        self.drawn.append(out.size)
+        self.seen(out)
         return out
+
+
+def test_no_kernel_row_repeats_a_draw_from_a_one_element_key(monkeypatch):
+    # Acceptance criterion 5 draws a state from rng_stream(seed, 5); a call whose
+    # block 5 drew from that same key would start with that state as a row.
+    monkeypatch.setenv("ES_RATE_THREADS", "1")
+    spec, n, seed = sphere(100), 110_000, 5
+    assert n > 5 * (analysis.SUB_ELEMS // spec.dim)  # blocks 0 to 5
+    state_draws = np.array([rng_stream(seed, k).standard_normal(100) for k in range(6)])
+    drawn, repeats = [], []
+
+    def seen(out):
+        drawn.append(out.size)
+        rows = out.reshape(-1, 100)
+        repeats.append(int(np.sum(np.all(rows[:, None, :] == state_draws, axis=2))))
+
+    monkeypatch.setattr(analysis, "rng_stream", lambda *key: _SpyGenerator(rng_stream(*key), seen))
+    estimate_q_stats(spec, _state(state_draws[0], 1.0), n, seed)
+    assert sum(drawn) == n * spec.dim
+    assert sum(repeats) == 0
 
 
 def test_a_suite_draws_its_rows_once_for_all_states(monkeypatch):
     monkeypatch.setenv("ES_RATE_THREADS", "1")
     drawn = []
-    monkeypatch.setattr(analysis, "rng_stream",
-                        lambda *key: _CountingGenerator(rng_stream(*key), drawn))
+    monkeypatch.setattr(analysis, "rng_stream", lambda *key: _SpyGenerator(
+        rng_stream(*key), lambda out: drawn.append(out.size)))
     spec, n = hessian_family("h1", 1000, 1), 5_000  # three sub-stream blocks
     assert n > 2 * (analysis.SUB_ELEMS // spec.dim)
     report = check_lemma_suite(spec, _suite_states(spec)[:3], n, seed=2)

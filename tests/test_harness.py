@@ -94,6 +94,14 @@ def test_aggregates_match_recomputation(small_rows):
         assert recomputed.cr_hat == agg.cr_hat
 
 
+def test_a_one_trial_cell_has_no_aggregate_stderr():
+    cfg = ExperimentConfig.from_json(
+        {"kinds": ["h1"], "dims": [5], "kappas": [0], "trials": 1, "budget": 600})
+    trial, agg = run_experiment(cfg)
+    assert math.isfinite(trial.cr_hat) and agg.cr_hat == trial.cr_hat
+    assert math.isnan(agg.stderr)
+
+
 def test_csv_round_trip(tmp_path, small_rows):
     path = tmp_path / "rows.csv"
     emit_csv(small_rows, path)

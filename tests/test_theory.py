@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtri
 
 import esrate
-from esrate.engine import EsParams, EsState, params_for_rule, params_for_target, p_target
+from esrate.engine import EsParams, params_for_rule, params_for_target, p_target
 from esrate.objectives import sphere
 from esrate.theory import (
     QExtremes,
@@ -24,7 +24,6 @@ from esrate.theory import (
     build_constants,
     feasible_q_pair,
     potential_from_values,
-    potential_value,
     q_floor,
     q_high_limit,
     q_low_limit,
@@ -443,10 +442,8 @@ def test_potential_dominates_log_f(constants100):
     rng = np.random.default_rng(17)
     spec = sphere(100)
     for _ in range(100):
-        m = rng.standard_normal(100) * 10.0 ** rng.uniform(-3, 3)
-        state = EsState(m, rng.uniform(-30, 30))
-        f = spec.value(m)
-        assert potential_value(state, spec, constants100) >= math.log(f)
+        f = spec.value(rng.standard_normal(100) * 10.0 ** rng.uniform(-3, 3))
+        assert float(potential_from_values(f, rng.uniform(-30, 30), constants100)) >= math.log(f)
 
 
 def test_potential_small_sigma_penalty_exact(constants100):
@@ -458,11 +455,6 @@ def test_potential_small_sigma_penalty_exact(constants100):
     )
     got = float(potential_from_values(f, math.log(sigma), c))
     assert got == pytest.approx(expected, rel=1e-10)
-
-
-def test_potential_rejects_optimum(constants100):
-    with pytest.raises(ValueError):
-        potential_value(EsState(np.zeros(100), 0.0), sphere(100), constants100)
 
 
 def test_potential_pathwise_bounds(constants100):

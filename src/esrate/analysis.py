@@ -5,9 +5,9 @@ along a mutation direction,
 
     Q(z) = (2/sigma^2) * (f(m + sigma z) - f(m) - <grad f(m), sigma z>),
 
-which for a diagonal quadratic equals ``sum(h_i z_i^2)`` for every state.
-Estimators below compute its moments, the success probability and the
-log-progress of one step, and verify the lemma-level inequalities with a
+which for a diagonal quadratic equals ``z'Hz = sum(h_i z_i^2)`` at every
+state.  Estimators below compute its moments, the success probability and
+the log-progress of one step, and verify the lemma-level inequalities with a
 three-standard-error slack.
 
 Every estimator runs on one kernel.  A call draws one stream of ``n``
@@ -17,15 +17,24 @@ random numbers: the states of :func:`check_lemma_suite` and
 and :func:`q_extremes`, or the one state of a single estimate).  The rows
 split into sub-stream blocks of ``max(1, SUB_ELEMS // d)`` rows, and block
 ``b`` draws from ``rng_stream(seed, 0, b)``.
-A block draws its rows in chunks of ``max(1, ELEMS // d)`` rows, into three
-work arrays (normals, candidates, scratch) allocated once per block,
-evaluates each chunk at every state in turn, and merges each state's
-per-row columns into its own accumulator of the count, the mean vector and
-the centred co-moment matrix.  A state's blocks then merge in block order
-by the same update.  Each value and its standard error are read from the
-merged accumulator: a mean with ``sqrt(s^2 / n)`` (``s^2`` with ``n - 1``
-degrees of freedom), a smooth function of several means by the delta
-method.
+A block draws its rows in chunks of ``max(1, ELEMS // d)`` rows, into
+work arrays allocated once per block (normals, scratch, and candidates,
+which only non-quadratic specs write), evaluates each chunk at every state
+in turn, and merges each state's per-row columns into its own accumulator
+of the count, the mean vector and the centred co-moment matrix.  A state's
+blocks then merge in block order by the same update.  Each value and its
+standard error are read from the merged accumulator: a mean with
+``sqrt(s^2 / n)`` (``s^2`` with ``n - 1`` degrees of freedom), a smooth
+function of several means by the delta method.
+
+On a diagonal quadratic a chunk is evaluated in closed form: ``Q = z'Hz``
+of each row once per chunk, shared by every state, then per state one
+product ``<z, grad f(m)>`` and the exact expansion
+``f(m + sigma z) = f(m) + sigma <z, grad f(m)> + sigma^2 Q / 2``.  Other
+kinds evaluate the candidates ``m + sigma z`` and read ``Q`` back from
+their values by the remainder formula above, whose subtraction cancels
+digits; they reject a state whose step ``sigma ||z||`` falls below
+``CANCELLATION_GUARD`` times ``||m||`` on any row.
 
 Determinism contract: estimators are pure given ``(inputs, seed)``, and
 ``SUB_ELEMS`` is part of it, since it fixes which stream draws each row.
@@ -55,7 +64,7 @@ from functools import cached_property, partial, reduce
 import numpy as np
 
 from .engine import EsParams, EsState, default_sigma0, rng_stream
-from .objectives import ObjectiveSpec, stack_evaluator
+from .objectives import ObjectiveSpec, _values, stack_evaluator
 from .pool import fan_out, processes
 from .theory import (
     QExtremes,
@@ -96,8 +105,8 @@ ELEMS = 2**18
 #: Unlike ``ELEMS``, it fixes which rows are drawn.
 SUB_ELEMS = 2**21
 
-#: Below this ratio of step length to distance, the generic remainder formula
-#: loses too many digits to cancellation.
+#: Below this ratio of step length to distance, the remainder formula loses too
+#: many digits to cancellation; non-quadratic specs then reject the state.
 CANCELLATION_GUARD = 1e-6
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -187,18 +196,27 @@ class _Moments:
 class _Chunk:
     """A chunk of mutation rows ``zs`` at ``state``, with ``fx = f(m + sigma zs)``.
 
-    ``xs`` and ``scratch`` are work arrays of the shape of ``zs``: ``xs``
+    On a diagonal quadratic, ``zhz`` holds the chunk's ``z'Hz`` of each row,
+    which is the remainder ``Q`` at every state, and the expansion
+    ``fx = f(m) + sigma (<z, grad f(m)> + sigma Q / 2)`` is exact: the
+    candidates are never formed.  Other kinds pass ``zhz=None``; ``xs`` then
     receives the candidates ``m + sigma zs`` and ``scratch`` the elementwise
-    temporaries of the objective and of the row norms, so no chunk-sized
-    array is allocated per chunk.  They hold nothing a column reads.
+    temporaries of the objective and of the row norms.  Both are work arrays
+    of the shape of ``zs``, so no chunk-sized array is allocated per state,
+    and they hold nothing a column reads.
     """
 
     def __init__(self, spec: ObjectiveSpec, state: EsState, zs: np.ndarray,
-                 xs: np.ndarray, scratch: np.ndarray) -> None:
+                 xs: np.ndarray, scratch: np.ndarray, zhz: np.ndarray | None) -> None:
         self.spec, self.state, self.zs, self.scratch = spec, state, zs, scratch
         self.f_m = spec.value(state.m)
-        np.add(state.m, np.multiply(state.sigma, zs, out=xs), out=xs)
-        self.fx = stack_evaluator([spec])(xs[None], scratch[None])[0]
+        sigma = state.sigma
+        if zhz is None:
+            np.add(state.m, np.multiply(sigma, zs, out=xs), out=xs)
+            self.fx = stack_evaluator([spec])(xs[None], scratch[None])[0]
+        else:
+            self.q = zhz  # shadows the cached property below
+            self.fx = self.f_m + sigma * (self.zg + 0.5 * sigma * zhz)
         self.success = self.fx <= self.f_m
 
     @cached_property
@@ -208,28 +226,36 @@ class _Chunk:
 
     @cached_property
     def q(self) -> np.ndarray:
-        """The scaled Taylor remainder ``Q`` of each row.
+        """The scaled Taylor remainder ``Q`` of each row on a non-quadratic spec.
 
         Positive for every nonzero row by strong convexity, and pathwise
-        within ``[L ||z||^2, U ||z||^2]``.  When ``sigma ||z|| / ||m||`` is
-        below the cancellation guard, diagonal quadratics switch to the exact
-        closed form ``sum(h_i z_i^2)``; other kinds reject such states (double
-        precision cannot certify the remainder there).
+        within ``[L ||z||^2, U ||z||^2]``.  It is read back from ``fx``, which
+        cancels digits: when ``sigma ||z|| / ||m||`` is below the cancellation
+        guard for any row, double precision cannot certify it, and the state
+        is rejected.
         """
         m, sigma, zs = self.state.m, self.state.sigma, self.zs
         q = (2.0 / sigma**2) * (self.fx - self.f_m - sigma * self.zg)
         # np.linalg.norm(zs, axis=1) for real input, with its square in the scratch
         norms = np.sqrt(np.add.reduce(np.multiply(zs, zs, out=self.scratch), axis=1))
-        tiny = sigma * norms < CANCELLATION_GUARD * np.linalg.norm(m)
-        if np.any(tiny):
-            if not self.spec.is_quadratic:
-                raise ValueError(
-                    "step too small relative to ||m|| for a reliable remainder "
-                    "(non-quadratic spec); increase sigma"
-                )
-            zt = zs[tiny]
-            q[tiny] = np.einsum("ij,ij->i", zt * self.spec.diag, zt)
+        if np.any(sigma * norms < CANCELLATION_GUARD * np.linalg.norm(m)):
+            raise ValueError(
+                "step too small relative to ||m|| for a reliable remainder "
+                "(non-quadratic spec); increase sigma"
+            )
         return q
+
+
+def _chunks(spec: ObjectiveSpec, states: list[EsState], zs: np.ndarray, xs: np.ndarray,
+            scratch: np.ndarray):
+    """A :class:`_Chunk` of the rows ``zs`` at each state in turn.
+
+    On a diagonal quadratic the remainder ``Q = z'Hz`` of a row is the same
+    at every state, so it is computed here once per chunk, by the one
+    quadratic formula (doubling its ``0.5 z'Hz`` is exact).
+    """
+    zhz = 2.0 * _values(spec.diag, zs, scratch) if spec.is_quadratic else None
+    return (_Chunk(spec, state, zs, xs, scratch, zhz) for state in states)
 
 
 def _block(spec: ObjectiveSpec, states: list[EsState], rows: int, columns, seed: int,
@@ -239,8 +265,9 @@ def _block(spec: ObjectiveSpec, states: list[EsState], rows: int, columns, seed:
     This is the only loop that draws mutation rows, from ``rng_stream(seed,
     0, b)``.  It draws them in chunks of ``max(1, ELEMS // d)`` rows, into
     work arrays allocated once per call, and evaluates each chunk at every state
-    in turn, so a row is drawn once however many states read it.  Returns
-    one :class:`_Moments` per state.
+    in turn (:func:`_chunks`), so a row is drawn once however many states
+    read it, and on a diagonal quadratic its ``z'Hz`` is computed once too.
+    Returns one :class:`_Moments` per state.
     """
     rng = rng_stream(seed, 0, b)
     chunk = max(1, ELEMS // spec.dim)
@@ -249,9 +276,8 @@ def _block(spec: ObjectiveSpec, states: list[EsState], rows: int, columns, seed:
     for start in range(0, rows, chunk):
         k = min(chunk, rows - start)
         rng.standard_normal(out=zs[:k])
-        new = [_Moments(np.array(columns(_Chunk(spec, state, zs[:k], xs[:k], scratch[:k])),
-                                 dtype=float))
-               for state in states]
+        new = [_Moments(np.array(columns(c), dtype=float))
+               for c in _chunks(spec, states, zs[:k], xs[:k], scratch[:k])]
         moments = new if moments is None else [m.merge(c) for m, c in zip(moments, new)]
     return moments
 

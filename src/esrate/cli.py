@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -125,6 +126,11 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    # e_q defaults to dim * U, so a bad --dim or --U must not surface as a bad e_q.
+    if args.dim < 1:
+        raise ValueError(f"--dim must be >= 1, got {args.dim}")
+    if not (math.isfinite(args.U) and args.U > 0):
+        raise ValueError(f"--U must be finite and > 0, got {args.U!r}")
     if args.trace_out and not args.sup:
         raise ValueError("--trace-out needs --sup")
     pair = (args.q_low, args.q_high)

@@ -50,6 +50,12 @@ __all__ = [
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 #: b_low values beyond this are reported as divergent.
 _B_LOW_CAP = 1e6
+#: Golden-section searches stop once their bracket is this narrow relative to
+#: its ends, about sqrt(machine epsilon): past it, the values near a smooth
+#: maximum differ by rounding noise, which would decide the comparisons ...
+_GOLDEN_TOL = 1e-8
+#: ... and once the values across the bracket agree to this relative spread.
+_GOLDEN_FLAT = 1e-13
 #: The standard normal quantile: Wichura's AS 241 (Applied Statistics 37(3), 1988).
 _quantile = NormalDist().inv_cdf
 
@@ -94,19 +100,32 @@ def b_low_at(q: float, v_std: float, eps: float) -> float:
 
 
 def _golden_max(fn, lo: float, hi: float):
-    """``(x, fn(x))`` at the maximum of a unimodal ``fn`` (64 golden-section steps)."""
+    """``(x, fn(x))`` at the maximum of a unimodal ``fn``.
+
+    Golden-section steps shrink the bracket ``[a, b]`` for at most 64 steps,
+    and stop once it has closed in on the maximum: ``b - a <= _GOLDEN_TOL
+    (|a| + |b|)``, and the values at ``a``, ``b`` and the two inner points
+    agree within ``_GOLDEN_FLAT`` relative.  On a smooth maximum the second
+    test already holds when the first does; on a kink it does not, and the
+    steps go on, since the values there still decide the comparisons.
+    """
     ratio = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - ratio * (b - a)
     d = a + ratio * (b - a)
     fc, fd = fn(c), fn(d)
+    fa = fb = -math.inf  # not evaluated: the ends count once they move onto inner points
     for _ in range(64):
+        top = max(fc, fd)
+        if (b - a <= _GOLDEN_TOL * (abs(a) + abs(b))
+                and top - min(fa, fb) <= _GOLDEN_FLAT * abs(top)):
+            break
         if fc >= fd:
-            b, d, fd = d, c, fc
+            b, fb, d, fd = d, fd, c, fc
             c = b - ratio * (b - a)
             fc = fn(c)
         else:
-            a, c, fc = c, d, fd
+            a, fa, c, fc = c, fc, d, fd
             d = a + ratio * (b - a)
             fd = fn(d)
     return (c, fc) if fc >= fd else (d, fd)

@@ -8,11 +8,14 @@ with::
 
 and quotes the largest relative change in CHANGES.md.  Before it writes,
 the script prints, for each output key, how many floats moved against the
-committed fixture and the largest relative change among them.
+committed fixture and the largest relative change among them, then how many
+other leaves (verdict strings, ``ok`` and other booleans, integers) changed.
+With ``--dry-run`` it prints the same summary and writes nothing.
 """
 
 from __future__ import annotations
 
+import argparse
 import io
 import json
 import math
@@ -76,19 +79,24 @@ def outputs() -> dict:
     return json.loads(json.dumps(out, default=float))
 
 
-def _floats(value, path: str = "") -> dict:
-    """``{path: value}`` of every float in a decoded JSON value, the cells of a
-    numeric CSV row such as a ``--trace-out`` line included."""
+def _leaves(value, path: str = "") -> dict:
+    """``{path: value}`` of every leaf of a decoded JSON value; the cells of a
+    numeric CSV row such as a ``--trace-out`` line are float leaves."""
     if isinstance(value, dict):
-        return {p: x for k, v in value.items() for p, x in _floats(v, f"{path}.{k}").items()}
+        return {p: x for k, v in value.items() for p, x in _leaves(v, f"{path}.{k}").items()}
     if isinstance(value, list):
-        return {p: x for i, v in enumerate(value) for p, x in _floats(v, f"{path}[{i}]").items()}
+        return {p: x for i, v in enumerate(value) for p, x in _leaves(v, f"{path}[{i}]").items()}
     if isinstance(value, str) and "," in value:
         try:
             return {f"{path}[{i}]": float(x) for i, x in enumerate(value.split(","))}
         except ValueError:
-            return {}
-    return {path: value} if isinstance(value, float) else {}
+            pass
+    return {path: value}
+
+
+def _floats(value, path: str = "") -> dict:
+    """The float leaves of :func:`_leaves`."""
+    return {p: x for p, x in _leaves(value, path).items() if isinstance(x, float)}
 
 
 def float_changes(old, new) -> str:
@@ -109,12 +117,34 @@ def float_changes(old, new) -> str:
     return text
 
 
-def main() -> None:
+def other_changes(old, new) -> str:
+    """How many leaves that are not floats (verdict strings, booleans such as
+    ``ok``, integers, nulls) changed at the same path from ``old`` to ``new``,
+    and how many paths only one side has."""
+    before, after = ({p: x for p, x in _leaves(v).items() if not isinstance(x, float)}
+                     for v in (old, new))
+    shared = before.keys() & after.keys()
+    changed = [p for p in shared
+               if before[p] != after[p] or type(before[p]) is not type(after[p])]
+    text = f"{len(changed)} of {len(shared)} other leaves changed"
+    if before.keys() != after.keys():
+        text += f"; {len(after.keys() - shared)} added, {len(before.keys() - shared)} removed"
+    return text
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description="Regenerate the golden fixture.")
+    parser.add_argument("--dry-run", action="store_true",
+                        help="print the per-key summary and leave the fixture as it is")
+    args = parser.parse_args(argv)
     new = outputs()
     if FIXTURE.exists():
         old = json.loads(FIXTURE.read_text())["outputs"]
         for key in sorted(old.keys() | new.keys()):
-            print(f"{key}: {float_changes(old.get(key), new.get(key))}")
+            before, after = old.get(key), new.get(key)
+            print(f"{key}: {float_changes(before, after)}; {other_changes(before, after)}")
+    if args.dry_run:
+        return
     text = json.dumps({"versions": versions(), "outputs": new}, indent=1, sort_keys=True)
     FIXTURE.write_text(text + "\n")
     print(f"wrote {FIXTURE}")

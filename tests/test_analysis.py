@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from esrate import analysis, pool, theory
 from esrate.analysis import (
-    _Chunk,
+    _chunks,
     _Moments,
     check_assumption2,
     check_lemma_suite,
@@ -45,7 +45,8 @@ def _state(m, sigma):
 def sample_Q(spec, state, z):
     """The kernel's remainder ``Q`` on a one-row batch."""
     zs = np.asarray(z, dtype=float)[None, :]
-    return float(_Chunk(spec, state, zs, np.empty_like(zs), np.empty_like(zs)).q[0])
+    (chunk,) = _chunks(spec, [state], zs, np.empty_like(zs), np.empty_like(zs))
+    return float(chunk.q[0])
 
 
 # -- the kernel's remainder on one-row batches -----------------------------------
@@ -75,10 +76,12 @@ def test_sample_q_zero_mutation():
 def test_sample_q_tiny_sigma_uses_closed_form():
     spec = hessian_family("h1", 4, 1)
     z = RNG.standard_normal(4)
-    got = sample_Q(spec, _state([5.0, 1.0, 1.0, 1.0], 1e-12), z)
-    # the closed form as the kernel evaluates it: a row reduction over the batch
+    m = np.array([5.0, 1.0, 1.0, 1.0])
+    assert 1e-12 * np.linalg.norm(z) < analysis.CANCELLATION_GUARD * np.linalg.norm(m)
+    got = sample_Q(spec, _state(m, 1e-12), z)
+    # z'Hz as the kernel evaluates it: the quadratic formula's row reduction, doubled
     zs = z[None, :]
-    assert got == float(np.einsum("ij,ij->i", zs * spec.diag, zs)[0])
+    assert got == float(np.vecdot(spec.diag * zs, zs)[0])
 
 
 def test_sample_q_tiny_sigma_rejected_for_perturbed():
@@ -422,6 +425,46 @@ def test_results_independent_of_chunk_size(one_chunk, elems):
         assert math.isnan(ref) and math.isnan(got) or math.isclose(got, ref, rel_tol=1e-12)
 
 
+def test_quadratic_q_is_z_hz_once_per_chunk_and_shared_by_every_state():
+    spec = hessian_family("h2", 50, 2)
+    m = RNG.standard_normal(50)
+    states = [state_at_sigma_bar(spec, m * scale, s)
+              for scale, s in ((1.0, 0.3), (1e-3, 3.0), (1e3, 1.0))]
+    rows, seed, b = 1_000, 9, 2
+    seen = []
+
+    def columns(chunk):
+        seen.append(chunk.q)
+        return [chunk.q]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "ELEMS", 300 * 50)  # chunks of 300, 300, 300 and 100 rows
+        analysis._block(spec, states, rows, columns, seed, b)
+    rng = rng_stream(seed, 0, b)
+    for i, start in enumerate(range(0, rows, 300)):
+        zs = rng.standard_normal((min(300, rows - start), 50))
+        first, *others = seen[3 * i: 3 * i + 3]
+        assert np.array_equal(first, np.vecdot(spec.diag * zs, zs))
+        assert all(np.array_equal(q, first) for q in others)
+    assert len(seen) == 12
+
+
+@pytest.mark.parametrize("dim", [10, 100, 1000])
+@pytest.mark.parametrize("family", ["h1", "h2", "h3"])
+def test_quadratic_candidate_values_match_direct_evaluation(family, dim):
+    spec = hessian_family(family, dim, 2)
+    rng = np.random.default_rng(dim)
+    m = rng.standard_normal(dim)
+    states = [state_at_sigma_bar(spec, m, s) for s in (0.1, 1.0, 10.0)]
+    zs = rng.standard_normal((2_000, dim))
+    xs = np.full_like(zs, np.nan)
+    for state, chunk in zip(states, _chunks(spec, states, zs, xs, np.empty_like(zs))):
+        direct = spec.value_many(m + state.sigma * zs)
+        assert np.allclose(chunk.fx, direct, rtol=1e-13, atol=0.0)
+        assert np.array_equal(chunk.success, direct <= spec.value(m))
+    assert np.isnan(xs).all()  # the candidates are never formed
+
+
 def test_se_var_matches_two_pass_long_double_reference():
     spec = sphere(1000)
     state = state_at_sigma_bar(spec, np.random.default_rng(11).standard_normal(1000), 1.0)
@@ -435,7 +478,8 @@ def test_se_var_matches_two_pass_long_double_reference():
         chunks += [rng.standard_normal((min(rows, size - s), spec.dim)) for s in range(0, size, rows)]
     assert len(chunks) > 1 + n // block  # several blocks, several chunks in each
     q = np.concatenate([
-        _Chunk(spec, state, zs, np.empty_like(zs), np.empty_like(zs)).q for zs in chunks
+        next(_chunks(spec, [state], zs, np.empty_like(zs), np.empty_like(zs))).q
+        for zs in chunks
     ]).astype(np.longdouble)
     dev = q - q.mean()
     m2, m4 = (dev**2).mean(), (dev**4).mean()

@@ -121,6 +121,20 @@ def test_bounds_rejects_mean_curvature_outside_its_range(extremes, capsys):
     assert err.startswith("error: e_q=") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--dim", "0"], "--dim must be >= 1, got 0"),
+    (["--dim", "-3", "--e-q", "1"], "--dim must be >= 1, got -3"),
+    (["--dim", "1000", "--U", "-1"], "--U must be finite and > 0, got -1.0"),
+    (["--dim", "1000", "--U", "nan"], "--U must be finite and > 0, got nan"),
+    (["--dim", "1000", "--U", "inf", "--e-q", "100"], "--U must be finite and > 0, got inf"),
+], ids=["dim-0", "dim-negative", "U-negative", "U-nan", "U-inf"])
+def test_bounds_rejects_bad_dim_and_smoothness_by_flag(flags, message, capsys):
+    # e_q defaults to dim * U; the error names the flag at fault, not e_q
+    code = cli_main(["bounds", *flags, "--sup", "--p-target", "0.3"])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_bounds_sup_with_trace(tmp_path, capsys):
     trace = tmp_path / "trace.csv"
     code = cli_main([

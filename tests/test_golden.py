@@ -69,3 +69,13 @@ def test_float_changes_counts_moved_floats_and_names_the_largest():
     rows = ["q,objective", "0.25,1e-10", "0.5,2e-10"]
     assert regen.float_changes(rows, [rows[0], rows[1], "0.5,3e-10"]) == \
         "1 of 4 floats moved, largest relative change 0.5 at [2][1]"
+
+
+def test_other_changes_counts_changed_verdicts_and_booleans():
+    old = {"ok": True, "n": 3, "checks": [{"verdict": "pass", "lhs": 1.0}], "trace": ["q,f", "0.5,1"]}
+    new = {"ok": False, "n": 3, "checks": [{"verdict": "fail", "lhs": 2.0}], "trace": ["q,f", "0.5,2"]}
+    assert regen.other_changes(old, new) == "2 of 4 other leaves changed"
+    assert regen.other_changes(old, old) == "0 of 4 other leaves changed"
+    assert regen.other_changes({"n": 1}, {"n": True}) == "1 of 1 other leaves changed"
+    assert regen.other_changes({"a": "x"}, {"b": "x", "c": None}) == \
+        "0 of 0 other leaves changed; 2 added, 1 removed"

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtri
 
 import esrate
+from esrate import theory
 from esrate.engine import EsParams, params_for_rule, params_for_target, p_target
 from esrate.objectives import sphere
 from esrate.theory import (
@@ -603,3 +604,22 @@ def test_b_upper_dominates_admissible_pairs(log_dim, v_frac, kappa, target_frac,
         except ValueError:  # an inadmissible scan point
             continue
         assert fixed <= bound * (1 + 1e-9)
+
+
+def test_b_upper_trace_does_not_fork_under_a_rounding_change_of_phi(monkeypatch):
+    """The golden fixture's bounds search (``esrate bounds --dim 3000 --v-std 0.0006667
+    --p-target 0.3 --sup``) stops before rounding noise decides its comparisons."""
+    extremes = QExtremes(v_std_sup=0.0006667, kappa_inf=2.0, e_q=3000.0, strong_convexity=1.0)
+    params = params_for_target(params_for_rule("const", 3000, 1.0).alpha_up, 0.3)
+
+    def trace():
+        rows = []
+        b_upper(extremes, params, trace=rows)
+        return np.array(rows)[:, :2]
+
+    before = trace()
+    cdf = theory._cdf
+    monkeypatch.setattr(theory, "_cdf", lambda x: cdf(x) * (1.0 + 2.0**-52))
+    after = trace()
+    assert after.shape == before.shape
+    assert np.all(np.abs(after - before) <= 1e-12 * np.abs(before))

@@ -46,12 +46,9 @@ chunks, so the chunk size changes results only through floating-point
 rounding.  A state's results do not depend on the other states of its call:
 they equal those of a call at that state alone.
 
-Every pair of a block and a contiguous slice of the call's states is one
-task of one process pool (:func:`esrate.pool.fan_out`, sized by
-``ES_RATE_THREADS``).  A slice holds all the states unless the call has
-fewer blocks than pool processes; then the states split into enough slices
-to give every process a task.  A state's rows, chunks and merge order do
-not depend on the slicing, so results do not depend on the worker count.
+A task of one process pool (:func:`esrate.pool.fan_out`, sized by
+``ES_RATE_THREADS``) is one block at all of the call's states, so a
+one-block call runs inline and results do not depend on the worker count.
 Input is checked before any pool starts.
 """
 
@@ -65,7 +62,7 @@ import numpy as np
 
 from .engine import EsParams, EsState, default_sigma0, rng_stream
 from .objectives import ObjectiveSpec, _values, stack_evaluator
-from .pool import fan_out, processes
+from .pool import fan_out
 from .theory import (
     QExtremes,
     TheoryConstants,
@@ -97,8 +94,9 @@ __all__ = [
 ]
 
 #: Mutation-row elements per chunk: a chunk holds ``max(1, ELEMS // d)`` rows,
-#: so each of a block's three work arrays stays near 2 MB whatever the dimension.
-ELEMS = 2**18
+#: so each of a block's three work arrays stays near 0.5 MB whatever the
+#: dimension, since a one-block call allocates them in the calling process.
+ELEMS = 2**16
 
 #: Mutation-row elements per sub-stream block: a call's rows split into
 #: blocks of ``max(1, SUB_ELEMS // d)`` rows, each with its own stream.
@@ -264,7 +262,7 @@ def _block(spec: ObjectiveSpec, states: list[EsState], rows: int, columns, seed:
 
     This is the only loop that draws mutation rows, from ``rng_stream(seed,
     0, b)``.  It draws them in chunks of ``max(1, ELEMS // d)`` rows, into
-    work arrays allocated once per call, and evaluates each chunk at every state
+    work arrays allocated once per block, and evaluates each chunk at every state
     in turn (:func:`_chunks`), so a row is drawn once however many states
     read it, and on a diagonal quadratic its ``z'Hz`` is computed once too.
     Returns one :class:`_Moments` per state.
@@ -289,11 +287,10 @@ def _sample(spec: ObjectiveSpec, columns, states: list[EsState], n: int,
     ``columns`` maps a :class:`_Chunk` to a list of per-row arrays and must
     pickle.  The call's ``n`` rows split into blocks of ``max(1, SUB_ELEMS //
     d)`` rows, and block ``b`` draws from ``rng_stream(seed, 0, b)`` for
-    every state.  A :func:`esrate.pool.fan_out` task is one block and a
-    contiguous slice of the states; with fewer blocks than pool processes,
-    the states split into enough slices to give every process a task.  A state's rows,
-    chunks and block merge order do not depend on the slicing, so neither do
-    its moments.  Input is checked here, before any pool starts.
+    every state.  A :func:`esrate.pool.fan_out` task is one block at every
+    state, so a one-block call runs inline, and a state's blocks merge in
+    block order whatever the worker count.  Input is checked here, before
+    any pool starts.
     """
     _require_plain(spec)
     _check_sample(n, seed)
@@ -303,13 +300,7 @@ def _sample(spec: ObjectiveSpec, columns, states: list[EsState], n: int,
         raise ValueError("state must be off-optimum")
     rows = max(1, SUB_ELEMS // spec.dim)
     blocks = [(b, min(rows, n - start)) for b, start in enumerate(range(0, n, rows))]
-    parts = min(len(states), math.ceil(processes(len(blocks) * len(states)) / len(blocks)))
-    cuts = [len(states) * i // parts for i in range(parts + 1)]
-    slices = [states[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
-    results = iter(fan_out(_block, [(spec, part, size, columns, seed, b)
-                                    for b, size in blocks for part in slices]))
-    # Each block's moments at every state, in state order; a state's blocks merge in block order.
-    per_block = [[m for _ in slices for m in next(results)] for _ in blocks]
+    per_block = fan_out(_block, [(spec, states, size, columns, seed, b) for b, size in blocks])
     return [reduce(_Moments.merge, moments) for moments in zip(*per_block)]
 
 

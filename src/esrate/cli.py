@@ -141,6 +141,8 @@ def _cmd_bounds(args) -> int:
         v_std_sup=args.v_std, kappa_inf=args.kappa_inf, e_q=e_q,
         strong_convexity=args.L,
     )
+    if args.L > args.U:  # the range of e_q below would be empty
+        raise ValueError(f"--L must not exceed --U, got --L {args.L!r} and --U {args.U!r}")
     # Q lies between L||z||^2 and U||z||^2 on every path, so E[Q] in [d L, d U].
     if not args.dim * args.L <= e_q <= args.dim * args.U:
         raise ValueError(f"e_q={e_q:g} must lie in [dim*L, dim*U] = "

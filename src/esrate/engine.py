@@ -129,6 +129,8 @@ def params_for_rule(rule: str, dim: int, c: float = 1.0) -> EsParams:
     """
     if not dim >= 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
+    if not (math.isfinite(c) and c > 0):  # else alpha_up <= 1 or a NaN alpha_down
+        raise ValueError(f"c must be finite and > 0, got {c!r}")
     if rule == "const":
         log_up = c
     elif rule == "sqrt":

@@ -1,5 +1,6 @@
 import math
 import resource
+import tracemalloc
 import warnings
 from dataclasses import astuple, replace
 from functools import reduce
@@ -688,22 +689,67 @@ def test_a_suite_draws_its_rows_once_for_all_states(monkeypatch):
     assert sum(drawn) == n * spec.dim
 
 
-def test_a_one_block_suite_gives_every_worker_a_task(monkeypatch):
+def test_a_task_is_one_block_at_every_state_and_one_block_runs_inline(monkeypatch):
     monkeypatch.setattr(pool, "_usable_cpus", lambda: 2)
-    spec = hessian_family("h1", 10, 1)
-    assert 2_000 <= analysis.SUB_ELEMS // spec.dim  # one sub-stream block
-    states = _suite_states(spec)[:3]
-    monkeypatch.setenv("ES_RATE_THREADS", "1")
-    inline = check_lemma_suite(spec, states, 2_000, seed=3)
-    tasks = []
+    calls = []
 
     def spy(fn, jobs):
         jobs = list(jobs)
-        tasks.append(len(jobs))
+        calls.append(jobs)
         return pool.fan_out(fn, jobs)
 
+    def suites(spec, n):
+        states = _suite_states(spec)[:3]
+        monkeypatch.setenv("ES_RATE_THREADS", "1")
+        inline = check_lemma_suite(spec, states, n, seed=3)
+        monkeypatch.setenv("ES_RATE_THREADS", "2")
+        calls.clear()
+        return states, inline, check_lemma_suite(spec, states, n, seed=3)
+
     monkeypatch.setattr(analysis, "fan_out", spy)
-    monkeypatch.setenv("ES_RATE_THREADS", "2")
-    report = check_lemma_suite(spec, states, 2_000, seed=3)
-    assert len(tasks) == 1 and tasks[0] >= 2
+    spec = hessian_family("h1", 1000, 1)
+    block = analysis.SUB_ELEMS // spec.dim
+    states, inline, report = suites(spec, 2 * block + 100)
+    (jobs,) = calls
+    assert [(job[2], job[5]) for job in jobs] == [(block, 0), (block, 1), (100, 2)]
+    assert all(job[1] is states for job in jobs)
     assert repr(report) == repr(inline)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a one-block call started a process pool")
+
+    monkeypatch.setattr(pool, "ProcessPoolExecutor", no_pool)
+    spec = hessian_family("h1", 10, 1)
+    assert 2_000 <= analysis.SUB_ELEMS // spec.dim  # one sub-stream block
+    states, inline, report = suites(spec, 2_000)
+    assert [len(jobs) for jobs in calls] == [1]
+    assert repr(report) == repr(inline)
+
+
+def _h1_suite(n, seed):
+    spec = hessian_family("h1", 10, 1)
+    m = rng_stream(seed, 3).standard_normal(10)
+    return check_lemma_suite(spec, [state_at_sigma_bar(spec, m, s)
+                                    for s in np.geomspace(0.1, 10.0, 5)], n, seed)
+
+
+_ONE_BLOCK_CALLS = {
+    "h1_suite": lambda: _h1_suite(50_000, seed=1),
+    "assumption2": lambda: check_assumption2(perturbed_family(30, 2), n=5_000, seed=1),
+    "q_stats_d1000": lambda: estimate_q_stats(
+        sphere(1000), _state(np.random.default_rng(1).standard_normal(1000), 1.0), 20_000, seed=3),
+}
+
+
+@pytest.mark.parametrize("call", list(_ONE_BLOCK_CALLS))
+def test_an_inline_call_keeps_its_memory_small(call, monkeypatch):
+    # An inline call allocates its chunk's work arrays and per-state columns
+    # in the calling process.
+    monkeypatch.setenv("ES_RATE_THREADS", "1")
+    tracemalloc.start()
+    try:
+        _ONE_BLOCK_CALLS[call]()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20, peak

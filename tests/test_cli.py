@@ -112,7 +112,8 @@ def test_bounds_rejects_bad_extremes(flag, value, field, capsys):
     assert err.startswith(f"error: {field} must be") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("extremes", [["--L", "1000", "--e-q", "1"], ["--L", "2", "--U", "1"]])
+@pytest.mark.parametrize("extremes", [["--L", "1000", "--U", "1000", "--e-q", "1"],
+                                      ["--L", "1", "--U", "2", "--e-q", "2001"]])
 def test_bounds_rejects_mean_curvature_outside_its_range(extremes, capsys):
     # Q lies between L||z||^2 and U||z||^2, so e_q must lie in [d L, d U].
     code = cli_main(["bounds", "--dim", "1000", *extremes, "--sup", "--p-target", "0.3"])
@@ -127,12 +128,29 @@ def test_bounds_rejects_mean_curvature_outside_its_range(extremes, capsys):
     (["--dim", "1000", "--U", "-1"], "--U must be finite and > 0, got -1.0"),
     (["--dim", "1000", "--U", "nan"], "--U must be finite and > 0, got nan"),
     (["--dim", "1000", "--U", "inf", "--e-q", "100"], "--U must be finite and > 0, got inf"),
-], ids=["dim-0", "dim-negative", "U-negative", "U-nan", "U-inf"])
+    (["--dim", "100", "--L", "2", "--U", "1"], "--L must not exceed --U, got --L 2.0 and --U 1.0"),
+    (["--dim", "10", "--L", "3", "--e-q", "20"], "--L must not exceed --U, got --L 3.0 and --U 1.0"),
+], ids=["dim-0", "dim-negative", "U-negative", "U-nan", "U-inf", "L-above-U", "L-above-U-e-q"])
 def test_bounds_rejects_bad_dim_and_smoothness_by_flag(flags, message, capsys):
     # e_q defaults to dim * U; the error names the flag at fault, not e_q
     code = cli_main(["bounds", *flags, "--sup", "--p-target", "0.3"])
     assert code == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("c", ["nan", "inf", "-1", "0"])
+@pytest.mark.parametrize("command", [
+    ["bounds", "--dim", "100", "--sup"],
+    ["bounds", "--dim", "100", "--sup", "--alpha-rule", "dim"],
+    ["run", "--objective", "h1", "--dim", "3", "--budget", "10"],
+], ids=["bounds", "bounds-dim-rule", "run"])
+def test_c_must_be_finite_and_positive(command, c, tmp_path, capsys):
+    # the error names c, not the alpha_up <= 1 or NaN alpha_down it would give
+    out = tmp_path / "t.csv"
+    extra = ["--out", str(out)] if command[0] == "run" else []
+    assert cli_main([*command, *extra, "--c", c]) == 1
+    assert capsys.readouterr().err == f"error: c must be finite and > 0, got {float(c)!r}\n"
+    assert not out.exists()
 
 
 def test_bounds_sup_with_trace(tmp_path, capsys):
@@ -397,6 +415,8 @@ def test_verify_rejects_bad_sample_count(suite, n, seed, message, capsys):
         ({"base_seed": 1.5}, "base_seed must be"),
         ({"base_seed": -1}, "base_seed must be"),
         ({"kinds": [["h1"]]}, "unknown objective kind"),
+        ({"c": -1}, "c must be finite and > 0, got -1"),
+        ({"c": 0}, "c must be finite and > 0, got 0"),
     ],
 )
 def test_experiment_rejects_bad_config(bad, message, tmp_path, capsys):

@@ -11,40 +11,51 @@ the log-progress of one step, and verify the lemma-level inequalities with a
 three-standard-error slack.
 
 Every estimator runs on one kernel.  A call draws one stream of ``n``
-standard-normal mutation rows, shared by every state it evaluates (common
-random numbers: the states of :func:`check_lemma_suite` and
-:func:`estimate_drift`, the scanned states behind :func:`check_assumption2`
-and :func:`q_extremes`, or the one state of a single estimate).  The rows
-split into sub-stream blocks of ``max(1, SUB_ELEMS // d)`` rows, and block
-``b`` draws from ``rng_stream(seed, 0, b)``.
-A block draws its rows in chunks of ``max(1, ELEMS // d)`` rows, into
-work arrays allocated once per block (normals, scratch, and candidates,
-which only non-quadratic specs write), evaluates each chunk at every state
-in turn, and merges each state's per-row columns into its own accumulator
-of the count, the mean vector and the centred co-moment matrix.  A state's
-blocks then merge in block order by the same update.  Each value and its
-standard error are read from the merged accumulator: a mean with
-``sqrt(s^2 / n)`` (``s^2`` with ``n - 1`` degrees of freedom), a smooth
-function of several means by the delta method.
+mutation rows, shared by every state it evaluates (common random numbers:
+the states of :func:`check_lemma_suite` and :func:`estimate_drift`, the
+scanned states behind :func:`check_assumption2` and :func:`q_extremes`, or
+the one state of a single estimate).  A row is ``w`` draws.  On a diagonal
+quadratic it is reduced: one standard normal per level of equal Hessian
+entries, and one chi-square per level of two or more coordinates, which
+carry the whole law of ``Q`` and ``<z, grad f(m)>`` at every state (see
+:class:`_Levels`).  So ``w`` is 2 on the sphere, 3 on ``h1`` and ``h3``
+with ``kappa > 0``, and ``d`` on an all-distinct diagonal such as ``h2``,
+whose reduced row is the full row.  Other kinds draw the full
+standard-normal row of ``w = d`` draws.  The rows split into sub-stream
+blocks of ``max(1, SUB_ELEMS // w)`` rows; block ``b`` draws its normals
+from ``rng_stream(seed, 0, b)`` and its chi-squares from
+``rng_stream(seed, 1, b)``.  A block draws its rows in chunks of
+``max(1, ELEMS // d)`` rows, into work arrays allocated once per block,
+computes each state's constants (``f(m)`` and the gradient, or its norm
+per level) once, evaluates each chunk at every state in turn, and merges
+each state's per-row columns into its own accumulator of the count, the
+mean vector and the centred co-moment matrix.  A state's blocks then merge
+in block order by the same update.  Each value and its standard error are
+read from the merged accumulator: a mean with ``sqrt(s^2 / n)`` (``s^2``
+with ``n - 1`` degrees of freedom), a smooth function of several means by
+the delta method.
 
-On a diagonal quadratic a chunk is evaluated in closed form: ``Q = z'Hz``
-of each row once per chunk, shared by every state, then per state one
-product ``<z, grad f(m)>`` and the exact expansion
+On a diagonal quadratic a chunk is evaluated in closed form: ``Q`` of each
+reduced row once per chunk, shared by every state, then per state one
+product for ``<z, grad f(m)>`` and the exact expansion
 ``f(m + sigma z) = f(m) + sigma <z, grad f(m)> + sigma^2 Q / 2``.  Other
 kinds evaluate the candidates ``m + sigma z`` and read ``Q`` back from
 their values by the remainder formula above, whose subtraction cancels
 digits; they reject a state whose step ``sigma ||z||`` falls below
-``CANCELLATION_GUARD`` times ``||m||`` on any row.
+``CANCELLATION_GUARD`` times ``||m||`` on any row, with the row norms
+computed once per chunk.
 
 Determinism contract: estimators are pure given ``(inputs, seed)``, and
-``SUB_ELEMS`` is part of it, since it fixes which stream draws each row.
-Mutation rows come only from the two-element keys ``(0, b)`` of the call's
-seed; the one-element keys ``rng_stream(seed, k)`` are left to the draws of
-the states themselves, so no state coincides with a row of its own call.
-``ELEMS`` is not: the draws do not depend on how a block's rows split into
-chunks, so the chunk size changes results only through floating-point
-rounding.  A state's results do not depend on the other states of its call:
-they equal those of a call at that state alone.
+``SUB_ELEMS`` is part of it, since it fixes which stream draws each row: it
+counts draws, so a block holds ``max(1, SUB_ELEMS // w)`` rows.  Mutation
+rows come only from the two-element keys ``(0, b)`` (normals) and
+``(1, b)`` (chi-squares) of the call's seed; the one-element keys
+``rng_stream(seed, k)`` are left to the draws of the states themselves, so
+no state coincides with a row of its own call.  ``ELEMS`` is not: the draws
+of each key do not depend on how a block's rows split into chunks, so the
+chunk size changes results only through floating-point rounding.  A
+state's results do not depend on the other states of its call: they equal
+those of a call at that state alone.
 
 A task of one process pool (:func:`esrate.pool.fan_out`, sized by
 ``ES_RATE_THREADS``) is one block at all of the call's states, so a
@@ -93,14 +104,15 @@ __all__ = [
     "sigma_bar",
 ]
 
-#: Mutation-row elements per chunk: a chunk holds ``max(1, ELEMS // d)`` rows,
-#: so each of a block's three work arrays stays near 0.5 MB whatever the
-#: dimension, since a one-block call allocates them in the calling process.
+#: Full-row elements per chunk: a chunk holds ``max(1, ELEMS // d)`` rows, so
+#: each of a block's work arrays stays within 0.5 MB whatever the dimension
+#: (reduced rows are narrower), since a one-block call allocates them in the
+#: calling process.
 ELEMS = 2**16
 
-#: Mutation-row elements per sub-stream block: a call's rows split into
-#: blocks of ``max(1, SUB_ELEMS // d)`` rows, each with its own stream.
-#: Unlike ``ELEMS``, it fixes which rows are drawn.
+#: Draws per sub-stream block: a call's rows split into blocks of
+#: ``max(1, SUB_ELEMS // w)`` rows of ``w`` draws, each block with its own
+#: streams.  Unlike ``ELEMS``, it fixes which rows are drawn.
 SUB_ELEMS = 2**21
 
 #: Below this ratio of step length to distance, the remainder formula loses too
@@ -191,36 +203,105 @@ class _Moments:
         return math.sqrt(max(float(w @ self.comoment @ w), 0.0) / ((self.n - 1) * self.n))
 
 
-class _Chunk:
-    """A chunk of mutation rows ``zs`` at ``state``, with ``fx = f(m + sigma zs)``.
+class _Levels:
+    """The reduced rows of a diagonal quadratic.
 
-    On a diagonal quadratic, ``zhz`` holds the chunk's ``z'Hz`` of each row,
-    which is the remainder ``Q`` at every state, and the expansion
-    ``fx = f(m) + sigma (<z, grad f(m)> + sigma Q / 2)`` is exact: the
-    candidates are never formed.  Other kinds pass ``zhz=None``; ``xs`` then
-    receives the candidates ``m + sigma zs`` and ``scratch`` the elementwise
-    temporaries of the objective and of the row norms.  Both are work arrays
-    of the shape of ``zs``, so no chunk-sized array is allocated per state,
-    and they hold nothing a column reads.
+    A level ``j`` is the set ``G_j`` of the ``n_j`` coordinates that share
+    one diagonal value ``h_j``; levels are ordered by their first
+    coordinate, so on an all-distinct diagonal level ``j`` is coordinate
+    ``j``.  A standard-normal row ``z`` enters ``Q = z'Hz`` and
+    ``<z, grad f(m)>`` only through two numbers per level: ``u_j``, its
+    component along the gradient's part on ``G_j``, and ``r_j``, the squared
+    norm of the rest of ``z`` on ``G_j``.  So
+
+        Q = sum_j h_j (u_j^2 + r_j),    <z, grad f(m)> = sum_j gamma_j u_j,
+
+    with ``gamma_j = h_j ||m_{G_j}||``, or the signed gradient entry on a
+    one-coordinate level, which has no ``r_j``.  Whatever the state, the
+    ``u_j`` are independent standard normals and the ``r_j`` independent
+    chi-squares with ``n_j - 1`` degrees of freedom, so one reduced row of
+    ``width`` draws serves every state, exactly in law.
     """
 
-    def __init__(self, spec: ObjectiveSpec, state: EsState, zs: np.ndarray,
-                 xs: np.ndarray, scratch: np.ndarray, zhz: np.ndarray | None) -> None:
-        self.spec, self.state, self.zs, self.scratch = spec, state, zs, scratch
+    def __init__(self, diag: np.ndarray) -> None:
+        values, first, counts = np.unique(diag, return_index=True, return_counts=True)
+        order = np.argsort(first)
+        self.h, self.first, counts = values[order], first[order], counts[order]
+        self.multi = np.flatnonzero(counts > 1)
+        self.h_multi = self.h[self.multi]
+        self.half_dof = 0.5 * (counts[self.multi] - 1)
+        self.groups = [np.flatnonzero(diag == self.h[j]) for j in self.multi]
+        self.width = len(self.h) + len(self.multi)
+
+    def gamma(self, spec: ObjectiveSpec, m: np.ndarray) -> np.ndarray:
+        """``gamma_j`` of every level at the point ``m``."""
+        gamma = spec.gradient(m)[self.first]
+        for j, group in zip(self.multi, self.groups):
+            gamma[j] = self.h[j] * math.hypot(*m[group])  # no squared norm to overflow
+        return gamma
+
+    def q(self, u: np.ndarray, r: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        """``Q`` of each reduced row ``(u, r)``.
+
+        ``sum_j h_j u_j^2`` is the one quadratic formula on ``u`` (doubling its
+        ``0.5 u'Hu`` is exact), so on an all-distinct diagonal, where ``r``
+        has no columns, ``Q`` is that of the full row ``z = u`` bit for bit.
+        """
+        return 2.0 * _values(self.h, u, scratch) + r @ self.h_multi
+
+
+def _width(spec: ObjectiveSpec) -> int:
+    """Draws per row: ``d``, or the reduced width of a diagonal quadratic."""
+    return _Levels(spec.diag).width if spec.is_quadratic else spec.dim
+
+
+class _At:
+    """A state's constants, computed once per block.
+
+    ``f_m`` is ``f(m)``, ``m_norm`` is ``||m||``, and ``g`` is the vector
+    whose product with a row is ``<z, grad f(m)>``: the gradient for full
+    rows, ``gamma`` for reduced ones (``levels`` given).
+    """
+
+    def __init__(self, spec: ObjectiveSpec, levels: _Levels | None, state: EsState) -> None:
+        self.spec, self.state = spec, state
         self.f_m = spec.value(state.m)
-        sigma = state.sigma
-        if zhz is None:
-            np.add(state.m, np.multiply(sigma, zs, out=xs), out=xs)
-            self.fx = stack_evaluator([spec])(xs[None], scratch[None])[0]
+        self.m_norm = np.linalg.norm(state.m)
+        self.g = spec.gradient(state.m) if levels is None else levels.gamma(spec, state.m)
+
+
+class _Chunk:
+    """A chunk of mutation rows ``zs`` at one state, with ``fx = f(m + sigma z)``.
+
+    On a diagonal quadratic, ``zs`` holds reduced rows (:class:`_Levels`)
+    and ``q`` their remainders ``Q``, the same at every state, and the
+    expansion ``fx = f(m) + sigma (<z, grad f(m)> + sigma Q / 2)`` is exact:
+    no candidate is formed.  Other kinds pass full rows, ``q=None`` and the
+    rows' norms ``||z||``, also shared by every state; ``xs`` then receives
+    the candidates ``m + sigma zs`` and ``scratch`` the elementwise
+    temporaries of the objective.  Both are work arrays of the shape of
+    ``zs``, so no chunk-sized array is allocated per state, and they hold
+    nothing a column reads.
+    """
+
+    def __init__(self, at: _At, zs: np.ndarray, q: np.ndarray | None = None,
+                 xs: np.ndarray | None = None, scratch: np.ndarray | None = None,
+                 norms: np.ndarray | None = None) -> None:
+        self.spec, self.state, self.f_m = at.spec, at.state, at.f_m
+        self.at, self.zs, self.norms = at, zs, norms
+        sigma = at.state.sigma
+        if q is None:
+            np.add(at.state.m, np.multiply(sigma, zs, out=xs), out=xs)
+            self.fx = stack_evaluator([at.spec])(xs[None], scratch[None])[0]
         else:
-            self.q = zhz  # shadows the cached property below
-            self.fx = self.f_m + sigma * (self.zg + 0.5 * sigma * zhz)
+            self.q = q  # shadows the cached property below
+            self.fx = self.f_m + sigma * (self.zg + 0.5 * sigma * q)
         self.success = self.fx <= self.f_m
 
     @cached_property
     def zg(self) -> np.ndarray:
         """``<z, grad f(m)>`` of each row."""
-        return self.zs @ self.spec.gradient(self.state.m)
+        return self.zs @ self.at.g
 
     @cached_property
     def q(self) -> np.ndarray:
@@ -232,11 +313,9 @@ class _Chunk:
         guard for any row, double precision cannot certify it, and the state
         is rejected.
         """
-        m, sigma, zs = self.state.m, self.state.sigma, self.zs
+        sigma = self.state.sigma
         q = (2.0 / sigma**2) * (self.fx - self.f_m - sigma * self.zg)
-        # np.linalg.norm(zs, axis=1) for real input, with its square in the scratch
-        norms = np.sqrt(np.add.reduce(np.multiply(zs, zs, out=self.scratch), axis=1))
-        if np.any(sigma * norms < CANCELLATION_GUARD * np.linalg.norm(m)):
+        if np.any(sigma * self.norms < CANCELLATION_GUARD * self.at.m_norm):
             raise ValueError(
                 "step too small relative to ||m|| for a reliable remainder "
                 "(non-quadratic spec); increase sigma"
@@ -244,38 +323,53 @@ class _Chunk:
         return q
 
 
-def _chunks(spec: ObjectiveSpec, states: list[EsState], zs: np.ndarray, xs: np.ndarray,
-            scratch: np.ndarray):
-    """A :class:`_Chunk` of the rows ``zs`` at each state in turn.
+def _chunks(levels: _Levels | None, ats: list[_At], zs: np.ndarray, r: np.ndarray,
+            xs: np.ndarray, scratch: np.ndarray):
+    """A :class:`_Chunk` of the rows ``zs`` at each state's constants ``ats`` in turn.
 
-    On a diagonal quadratic the remainder ``Q = z'Hz`` of a row is the same
-    at every state, so it is computed here once per chunk, by the one
-    quadratic formula (doubling its ``0.5 z'Hz`` is exact).
+    What no state changes is computed here, once per chunk: on a diagonal
+    quadratic (``levels`` given) the remainder ``Q`` of each reduced row
+    ``(zs, r)``, on other kinds each full row's norm ``||z||``.  ``xs`` and
+    ``scratch`` are work arrays of the shape of ``zs``; ``r`` is unused on
+    other kinds.
     """
-    zhz = 2.0 * _values(spec.diag, zs, scratch) if spec.is_quadratic else None
-    return (_Chunk(spec, state, zs, xs, scratch, zhz) for state in states)
+    if levels is not None:
+        q = levels.q(zs, r, scratch)
+        return (_Chunk(at, zs, q) for at in ats)
+    # np.linalg.norm(zs, axis=1) for real input, with its square in the scratch
+    norms = np.sqrt(np.add.reduce(np.multiply(zs, zs, out=scratch), axis=1))
+    return (_Chunk(at, zs, xs=xs, scratch=scratch, norms=norms) for at in ats)
 
 
 def _block(spec: ObjectiveSpec, states: list[EsState], rows: int, columns, seed: int,
            b: int) -> list[_Moments]:
     """Merged moments of ``columns(chunk)`` at each state over the ``rows`` rows of block ``b``.
 
-    This is the only loop that draws mutation rows, from ``rng_stream(seed,
-    0, b)``.  It draws them in chunks of ``max(1, ELEMS // d)`` rows, into
-    work arrays allocated once per block, and evaluates each chunk at every state
-    in turn (:func:`_chunks`), so a row is drawn once however many states
-    read it, and on a diagonal quadratic its ``z'Hz`` is computed once too.
-    Returns one :class:`_Moments` per state.
+    This is the only loop that draws mutation rows.  Their normals come from
+    ``rng_stream(seed, 0, b)``; the chi-squares of a diagonal quadratic's
+    reduced rows (:class:`_Levels`), each ``2 standard_gamma((n_j - 1) / 2)``,
+    come from ``rng_stream(seed, 1, b)``.  It draws them in chunks of
+    ``max(1, ELEMS // d)`` rows, into work arrays allocated once per block,
+    and evaluates each chunk at every state in turn (:func:`_chunks`), from
+    state constants computed once per block (:class:`_At`).  So a row is
+    drawn once however many states read it, and its ``Q`` on a diagonal
+    quadratic, or its norm on other kinds, is computed once too.  Returns
+    one :class:`_Moments` per state.
     """
-    rng = rng_stream(seed, 0, b)
-    chunk = max(1, ELEMS // spec.dim)
-    zs, xs, scratch = np.empty((3, min(chunk, rows), spec.dim))
+    levels = _Levels(spec.diag) if spec.is_quadratic else None
+    ats = [_At(spec, levels, state) for state in states]
+    normals, chi_squares = rng_stream(seed, 0, b), rng_stream(seed, 1, b)
+    chunk = min(max(1, ELEMS // spec.dim), rows)
+    zs, xs, scratch = np.empty((3, chunk, spec.dim if levels is None else len(levels.h)))
+    r = np.empty((chunk, 0 if levels is None else len(levels.multi)))
     moments = None
     for start in range(0, rows, chunk):
         k = min(chunk, rows - start)
-        rng.standard_normal(out=zs[:k])
+        normals.standard_normal(out=zs[:k])
+        if levels is not None:
+            np.multiply(2.0, chi_squares.standard_gamma(levels.half_dof, out=r[:k]), out=r[:k])
         new = [_Moments(np.array(columns(c), dtype=float))
-               for c in _chunks(spec, states, zs[:k], xs[:k], scratch[:k])]
+               for c in _chunks(levels, ats, zs[:k], r[:k], xs[:k], scratch[:k])]
         moments = new if moments is None else [m.merge(c) for m, c in zip(moments, new)]
     return moments
 
@@ -286,11 +380,13 @@ def _sample(spec: ObjectiveSpec, columns, states: list[EsState], n: int,
 
     ``columns`` maps a :class:`_Chunk` to a list of per-row arrays and must
     pickle.  The call's ``n`` rows split into blocks of ``max(1, SUB_ELEMS //
-    d)`` rows, and block ``b`` draws from ``rng_stream(seed, 0, b)`` for
-    every state.  A :func:`esrate.pool.fan_out` task is one block at every
-    state, so a one-block call runs inline, and a state's blocks merge in
-    block order whatever the worker count.  Input is checked here, before
-    any pool starts.
+    w)`` rows, where ``w`` is the number of draws per row (:func:`_width`),
+    and block ``b`` draws from the keys ``(0, b)`` and ``(1, b)`` of
+    ``seed`` for every state (:func:`_block`).  A
+    :func:`esrate.pool.fan_out` task is one block at every state, so a
+    one-block call runs inline, and a state's blocks merge in block order
+    whatever the worker count.  Input is checked here, before any pool
+    starts.
     """
     _require_plain(spec)
     _check_sample(n, seed)
@@ -298,7 +394,7 @@ def _sample(spec: ObjectiveSpec, columns, states: list[EsState], n: int,
         raise ValueError("need at least one state")
     if not all(np.any(state.m) for state in states):
         raise ValueError("state must be off-optimum")
-    rows = max(1, SUB_ELEMS // spec.dim)
+    rows = max(1, SUB_ELEMS // _width(spec))
     blocks = [(b, min(rows, n - start)) for b, start in enumerate(range(0, n, rows))]
     per_block = fan_out(_block, [(spec, states, size, columns, seed, b) for b, size in blocks])
     return [reduce(_Moments.merge, moments) for moments in zip(*per_block)]

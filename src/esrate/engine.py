@@ -253,8 +253,8 @@ class _Chain:
                  budget: int, f_floor: float = 1e-100, seed: int = 0) -> None:
         if budget < 1:
             raise ValueError("budget must be >= 1")
-        if not f_floor > 0:
-            raise ValueError("f_floor must be positive")
+        if not (math.isfinite(f_floor) and f_floor > 0):
+            raise ValueError(f"f_floor must be finite and positive, got {f_floor}")
         m = np.asarray(init.m, dtype=float)
         if m.shape != (spec.dim,):
             raise ValueError(f"start point has shape {m.shape}, expected ({spec.dim},)")

@@ -43,10 +43,50 @@ def _state(m, sigma):
     return EsState(np.asarray(m, dtype=float), math.log(sigma))
 
 
+def _reduce(levels, m, zs):
+    """The reduced rows ``(u, r)`` of the full rows ``zs`` at the point ``m``.
+
+    Per level, ``u_j`` is the component of ``z`` along ``m`` there, which is the
+    gradient's direction, and ``r_j`` the squared norm of the rest.
+    """
+    u = zs[:, levels.first]
+    r = np.empty((len(zs), len(levels.multi)))
+    for i, (j, group) in enumerate(zip(levels.multi, levels.groups)):
+        e = m[group] / np.linalg.norm(m[group])
+        u[:, j] = zs[:, group] @ e
+        r[:, i] = np.sum((zs[:, group] - u[:, j, None] * e) ** 2, axis=1)
+    return u, r
+
+
+def _rebuild(levels, m, u, r, rng):
+    """Full rows whose reduced rows at the point ``m`` are ``(u, r)``.
+
+    Per level, ``u_j`` along ``m`` there plus a random vector orthogonal to it
+    of norm ``sqrt(r_j)``.
+    """
+    zs = np.empty((len(u), len(m)))
+    zs[:, levels.first] = u
+    for i, (j, group) in enumerate(zip(levels.multi, levels.groups)):
+        e = m[group] / np.linalg.norm(m[group])
+        v = rng.standard_normal((len(u), len(group)))
+        v -= (v @ e)[:, None] * e
+        v *= np.sqrt(r[:, i] / np.sum(v**2, axis=1))[:, None]
+        zs[:, group] = u[:, j, None] * e + v
+    return zs
+
+
 def sample_Q(spec, state, z):
-    """The kernel's remainder ``Q`` on a one-row batch."""
+    """The kernel's remainder ``Q`` on a one-row batch: the full row ``z``, or on a
+    diagonal quadratic its reduced row at the state."""
     zs = np.asarray(z, dtype=float)[None, :]
-    (chunk,) = _chunks(spec, [state], zs, np.empty_like(zs), np.empty_like(zs))
+    if spec.is_quadratic:
+        levels = analysis._Levels(spec.diag)
+        u, r = _reduce(levels, state.m, zs)
+        (chunk,) = _chunks(levels, [analysis._At(spec, levels, state)], u, r, None,
+                           np.empty_like(u))
+    else:
+        (chunk,) = _chunks(None, [analysis._At(spec, None, state)], zs, None,
+                           np.empty_like(zs), np.empty_like(zs))
     return float(chunk.q[0])
 
 
@@ -80,9 +120,11 @@ def test_sample_q_tiny_sigma_uses_closed_form():
     m = np.array([5.0, 1.0, 1.0, 1.0])
     assert 1e-12 * np.linalg.norm(z) < analysis.CANCELLATION_GUARD * np.linalg.norm(m)
     got = sample_Q(spec, _state(m, 1e-12), z)
-    # z'Hz as the kernel evaluates it: the quadratic formula's row reduction, doubled
-    zs = z[None, :]
-    assert got == float(np.vecdot(spec.diag * zs, zs)[0])
+    # Q of the reduced row as the kernel evaluates it: the quadratic formula's
+    # row reduction on u, doubled, plus the chi-square part
+    levels = analysis._Levels(spec.diag)
+    u, r = _reduce(levels, m, z[None, :])
+    assert got == float((np.vecdot(levels.h * u, u) + r @ levels.h_multi)[0])
 
 
 def test_sample_q_tiny_sigma_rejected_for_perturbed():
@@ -450,20 +492,73 @@ def test_quadratic_q_is_z_hz_once_per_chunk_and_shared_by_every_state():
     assert len(seen) == 12
 
 
-@pytest.mark.parametrize("dim", [10, 100, 1000])
-@pytest.mark.parametrize("family", ["h1", "h2", "h3"])
+_CANDIDATE_SPECS = {
+    "sphere": sphere,
+    "flat": lambda dim: quadratic_diag([2.0] * dim),
+    **{family: lambda dim, family=family: hessian_family(family, dim, 2)
+       for family in ("h1", "h2", "h3")},
+}
+
+
+@pytest.mark.parametrize("family, dim", [
+    *((family, dim) for family in ("h1", "h2", "h3", "sphere") for dim in (10, 100, 1000)),
+    ("flat", 6),
+], ids=str)
 def test_quadratic_candidate_values_match_direct_evaluation(family, dim):
-    spec = hessian_family(family, dim, 2)
+    # Each state reads the same reduced rows in its own basis: a full row rebuilt
+    # from them at that state gives the chunk's candidate values.  On h2 every
+    # level is one coordinate, so the rebuilt row is u itself.
+    spec = _CANDIDATE_SPECS[family](dim)
+    levels = analysis._Levels(spec.diag)
     rng = np.random.default_rng(dim)
-    m = rng.standard_normal(dim)
-    states = [state_at_sigma_bar(spec, m, s) for s in (0.1, 1.0, 10.0)]
-    zs = rng.standard_normal((2_000, dim))
-    xs = np.full_like(zs, np.nan)
-    for state, chunk in zip(states, _chunks(spec, states, zs, xs, np.empty_like(zs))):
-        direct = spec.value_many(m + state.sigma * zs)
+    states = [state_at_sigma_bar(spec, rng.standard_normal(dim), s) for s in (0.1, 1.0, 10.0)]
+    u = rng.standard_normal((2_000, len(levels.h)))
+    r = 2.0 * rng.standard_gamma(levels.half_dof, size=(2_000, len(levels.multi)))
+    ats = [analysis._At(spec, levels, state) for state in states]
+    xs = np.full_like(u, np.nan)
+    for state, chunk in zip(states, _chunks(levels, ats, u, r, xs, np.empty_like(u))):
+        zs = _rebuild(levels, state.m, u, r, rng)
+        direct = spec.value_many(state.m + state.sigma * zs)
         assert np.allclose(chunk.fx, direct, rtol=1e-13, atol=0.0)
-        assert np.array_equal(chunk.success, direct <= spec.value(m))
+        assert np.array_equal(chunk.success, direct <= spec.value(state.m))
     assert np.isnan(xs).all()  # the candidates are never formed
+
+
+@pytest.mark.parametrize("spec", [hessian_family("h1", 50, 2), sphere(50)], ids=["h1", "sphere"])
+def test_reduced_rows_have_the_law_of_full_rows(spec):
+    # Every lemma-suite column mean of the kernel agrees with a Monte Carlo over
+    # full d-wide rows, drawn here, within 4 combined standard errors.
+    n, trace = 200_000, float(np.sum(spec.diag))
+    rng = np.random.default_rng(23)
+    states = [state_at_sigma_bar(spec, rng.standard_normal(50), s) for s in (0.3, 1.0, 3.0)]
+    kernel = analysis._sample(spec, analysis._lemma_columns, states, n, seed=8)
+    for state, moments in zip(states, kernel):
+        f_m, grad = spec.value(state.m), spec.gradient(state.m)
+        parts = []
+        for _ in range(10):
+            zs = rng.standard_normal((n // 10, 50))
+            fx = spec.value_many(state.m + state.sigma * zs)
+            q, succ = np.vecdot(spec.diag * zs, zs), fx <= f_m
+            parts.append(np.array([q, q * (zs @ grad <= 0.0), (q - trace) ** 2,
+                                   np.where(succ, fx / f_m - 1.0, 0.0),
+                                   np.where(succ, f_m / np.maximum(fx, 1e-300), 1.0), succ]))
+        ref = np.concatenate(parts, axis=1)
+        ref_se = ref.std(axis=1, ddof=1) / math.sqrt(n)
+        se = np.sqrt(np.diag(moments.comoment) / ((moments.n - 1) * moments.n))
+        assert moments.n == n
+        assert np.all(np.abs(moments.mean - ref.mean(axis=1)) <= 4.0 * np.hypot(se, ref_se))
+
+
+def test_reduced_rows_survive_gradient_entries_near_1e200():
+    # gamma of the level of the two 1e200 entries is 1e200 * ||m||, never a squared norm.
+    spec = hessian_family("h1", 3, 200)
+    state = state_at_sigma_bar(spec, np.array([0.5, 1.0, -2.0]), 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        estimates = [estimate_success_prob(spec, state, 2_000, seed=1),
+                     estimate_log_progress(spec, state, 2_000, seed=1)]
+    assert all(math.isfinite(x) for est in estimates for x in (est.value, est.stderr))
+    assert 0.0 < estimates[0].value < 1.0 and estimates[1].value < 0.0
 
 
 def test_se_var_matches_two_pass_long_double_reference():
@@ -471,17 +566,21 @@ def test_se_var_matches_two_pass_long_double_reference():
     state = state_at_sigma_bar(spec, np.random.default_rng(11).standard_normal(1000), 1.0)
     n, seed = 20_000, 4
     stats = estimate_q_stats(spec, state, n, seed)
-    # the same rows, drawn block by block and evaluated in the kernel's chunks
-    block, rows = analysis.SUB_ELEMS // spec.dim, analysis.ELEMS // spec.dim
-    chunks = []
+    # the same reduced rows, drawn block by block and evaluated in the kernel's chunks
+    levels = analysis._Levels(spec.diag)
+    block, rows = analysis.SUB_ELEMS // levels.width, analysis.ELEMS // spec.dim
+    at = analysis._At(spec, levels, state)
+    q = []
     for b, start in enumerate(range(0, n, block)):
-        rng, size = rng_stream(seed, 0, b), min(block, n - start)
-        chunks += [rng.standard_normal((min(rows, size - s), spec.dim)) for s in range(0, size, rows)]
-    assert len(chunks) > 1 + n // block  # several blocks, several chunks in each
-    q = np.concatenate([
-        next(_chunks(spec, [state], zs, np.empty_like(zs), np.empty_like(zs))).q
-        for zs in chunks
-    ]).astype(np.longdouble)
+        normals, chi_squares = rng_stream(seed, 0, b), rng_stream(seed, 1, b)
+        size = min(block, n - start)
+        for s in range(0, size, rows):
+            k = min(rows, size - s)
+            u = normals.standard_normal((k, len(levels.h)))
+            r = 2.0 * chi_squares.standard_gamma(levels.half_dof, size=(k, len(levels.multi)))
+            q.append(next(_chunks(levels, [at], u, r, None, np.empty_like(u))).q)
+    assert len(q) > 1 + n // block  # several chunks
+    q = np.concatenate(q).astype(np.longdouble)
     dev = q - q.mean()
     m2, m4 = (dev**2).mean(), (dev**4).mean()
     assert stats.var_q == pytest.approx(float(m2 * n / (n - 1)), rel=1e-12)
@@ -497,14 +596,19 @@ def test_expected_progress_stderr_is_per_row_delta_method():
     check = next(c for c in report.checks if c.name == "expected_progress_bound")
 
     sigma, f_m, grad = state.sigma, spec.value(m), spec.gradient(m)
-    # the call's rows: blocks of SUB_ELEMS // d rows, block b from stream (seed, 0, b)
-    block = analysis.SUB_ELEMS // 10
-    zs = np.concatenate([rng_stream(seed, 0, b).standard_normal((min(block, n - start), 10))
-                         for b, start in enumerate(range(0, n, block))])
-    fx = spec.value_many(m + sigma * zs)
+    # The call's reduced rows, in one block of SUB_ELEMS // 3 rows: h1 has a level of
+    # one coordinate (h = 1) and one of nine (h = 10), so a row is their two normals,
+    # from stream (seed, 0, 0), and the chi-square with 8 degrees of freedom of the
+    # nine, from stream (seed, 1, 0).
+    assert n <= analysis.SUB_ELEMS // 3
+    u = rng_stream(seed, 0, 0).standard_normal((n, 2))
+    r = 2.0 * rng_stream(seed, 1, 0).standard_gamma(4.0, size=n)
+    zg = u[:, 0] * grad[0] + u[:, 1] * np.linalg.norm(grad[1:])
+    q = u[:, 0] ** 2 + 10.0 * (u[:, 1] ** 2 + r)
+    fx = f_m + sigma * (zg + 0.5 * sigma * q)
     succ = fx <= f_m
     rel = np.where(succ, fx / f_m - 1.0, 0.0)
-    q_against = (2.0 / sigma**2) * (fx - f_m - sigma * (zs @ grad)) * (zs @ grad <= 0.0)
+    q_against = q * (zg <= 0.0)
     gnorm = float(np.linalg.norm(grad))
     a, b, c = sigma * gnorm / f_m, sigma / (2.0 * gnorm), 1.0 / math.sqrt(2.0 * math.pi)
     # rel - a (b half - c) p, linearised at the sample means, row by row
@@ -646,7 +750,7 @@ def test_drift_regime_on_a_non_quadratic_spec_reads_mean_q_from_its_own_rows():
 
 
 class _SpyGenerator:
-    """A generator that passes every ``standard_normal`` draw to ``seen``."""
+    """A generator that passes every ``standard_normal`` and ``standard_gamma`` draw to ``seen``."""
 
     def __init__(self, rng, seen):
         self.rng, self.seen = rng, seen
@@ -656,12 +760,18 @@ class _SpyGenerator:
         self.seen(out)
         return out
 
+    def standard_gamma(self, *args, **kwargs):
+        out = self.rng.standard_gamma(*args, **kwargs)
+        self.seen(out)
+        return out
+
 
 def test_no_kernel_row_repeats_a_draw_from_a_one_element_key(monkeypatch):
     # Acceptance criterion 5 draws a state from rng_stream(seed, 5); a call whose
     # block 5 drew from that same key would start with that state as a row.
     monkeypatch.setenv("ES_RATE_THREADS", "1")
-    spec, n, seed = sphere(100), 110_000, 5
+    spec, n, seed = hessian_family("h2", 100, 1), 110_000, 5  # no level to reduce: full rows
+    assert analysis._width(spec) == spec.dim
     assert n > 5 * (analysis.SUB_ELEMS // spec.dim)  # blocks 0 to 5
     state_draws = np.array([rng_stream(seed, k).standard_normal(100) for k in range(6)])
     drawn, repeats = [], []
@@ -682,11 +792,16 @@ def test_a_suite_draws_its_rows_once_for_all_states(monkeypatch):
     drawn = []
     monkeypatch.setattr(analysis, "rng_stream", lambda *key: _SpyGenerator(
         rng_stream(*key), lambda out: drawn.append(out.size)))
-    spec, n = hessian_family("h1", 1000, 1), 5_000  # three sub-stream blocks
-    assert n > 2 * (analysis.SUB_ELEMS // spec.dim)
-    report = check_lemma_suite(spec, _suite_states(spec)[:3], n, seed=2)
-    assert len(report.checks) == 3 * 12
-    assert sum(drawn) == n * spec.dim
+    for spec, n, width in (
+        (hessian_family("h2", 1000, 1), 5_000, 1000),  # full rows
+        (hessian_family("h1", 4, 1), 1_400_000, 3),  # two normals and a chi-square a row
+    ):
+        drawn.clear()
+        assert analysis._width(spec) == width
+        assert n > 2 * (analysis.SUB_ELEMS // width)  # three sub-stream blocks
+        report = check_lemma_suite(spec, _suite_states(spec)[:3], n, seed=2)
+        assert len(report.checks) == 3 * 12
+        assert sum(drawn) == n * width
 
 
 def test_a_task_is_one_block_at_every_state_and_one_block_runs_inline(monkeypatch):
@@ -707,7 +822,8 @@ def test_a_task_is_one_block_at_every_state_and_one_block_runs_inline(monkeypatc
         return states, inline, check_lemma_suite(spec, states, n, seed=3)
 
     monkeypatch.setattr(analysis, "fan_out", spy)
-    spec = hessian_family("h1", 1000, 1)
+    spec = hessian_family("h2", 1000, 1)  # full rows: blocks of SUB_ELEMS // d rows
+    assert analysis._width(spec) == spec.dim
     block = analysis.SUB_ELEMS // spec.dim
     states, inline, report = suites(spec, 2 * block + 100)
     (jobs,) = calls
@@ -720,7 +836,7 @@ def test_a_task_is_one_block_at_every_state_and_one_block_runs_inline(monkeypatc
 
     monkeypatch.setattr(pool, "ProcessPoolExecutor", no_pool)
     spec = hessian_family("h1", 10, 1)
-    assert 2_000 <= analysis.SUB_ELEMS // spec.dim  # one sub-stream block
+    assert 2_000 <= analysis.SUB_ELEMS // analysis._width(spec)  # one sub-stream block
     states, inline, report = suites(spec, 2_000)
     assert [len(jobs) for jobs in calls] == [1]
     assert repr(report) == repr(inline)

@@ -448,6 +448,15 @@ def test_run_rejects_kappa_beyond_float_range(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_run_rejects_a_non_finite_f_floor(tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    args = ["run", "--objective", "h1", "--dim", "5", "--f-floor", "inf", "--out", str(out)]
+    assert cli_main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: f_floor must be finite and positive, got inf")
+    assert not out.exists()
+
+
 def test_run_rejects_step_size_overflow(tmp_path, capsys):
     args = ["run", "--objective", "h1", "--dim", "1", "--c", "709", "--budget", "50",
             "--seed", "1", "--out", str(tmp_path / "t.csv")]

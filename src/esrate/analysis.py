@@ -12,9 +12,8 @@ three-standard-error slack.
 
 Every estimator runs on one kernel.  A call draws one stream of ``n``
 mutation rows, shared by every state it evaluates (common random numbers:
-the states of :func:`check_lemma_suite` and :func:`estimate_drift`, the
-scanned states behind :func:`check_assumption2` and :func:`q_extremes`, or
-the one state of a single estimate).  A row is ``w`` draws.  On a diagonal
+the states of :func:`check_lemma_suite` and :func:`estimate_drift`, or the
+one state of a single estimate).  A row is ``w`` draws.  On a diagonal
 quadratic it is reduced: one standard normal per level of equal Hessian
 entries, and one chi-square per level of two or more coordinates, which
 carry the whole law of ``Q`` and ``<z, grad f(m)>`` at every state (see
@@ -25,7 +24,7 @@ standard-normal row of ``w = d`` draws.  The rows split into sub-stream
 blocks of ``max(1, SUB_ELEMS // w)`` rows; block ``b`` draws its normals
 from ``rng_stream(seed, 0, b)`` and its chi-squares from
 ``rng_stream(seed, 1, b)``.  A block draws its rows in chunks of
-``max(1, ELEMS // d)`` rows, into work arrays allocated once per block,
+``max(1, ELEMS // w)`` rows, into work arrays allocated once per block,
 computes each state's constants (``f(m)`` and the gradient, or its norm
 per level) once, evaluates each chunk at every state in turn, and merges
 each state's per-row columns into its own accumulator of the count, the
@@ -44,6 +43,12 @@ their values by the remainder formula above, whose subtraction cancels
 digits; they reject a state whose step ``sigma ||z||`` falls below
 ``CANCELLATION_GUARD`` times ``||m||`` on any row, with the row norms
 computed once per chunk.
+
+The state-space extremes behind :func:`check_assumption2` and
+:func:`q_extremes` draw no rows.  A diagonal quadratic's moments of ``Q``
+do not depend on the state; the ``perturbed`` family's are sums of ``d``
+elementary terms at each state (:func:`_perturbed_moments`), evaluated at
+the 32 states of a fixed scan.
 
 Determinism contract: estimators are pure given ``(inputs, seed)``, and
 ``SUB_ELEMS`` is part of it, since it fixes which stream draws each row: it
@@ -72,7 +77,7 @@ from functools import cached_property, partial, reduce
 import numpy as np
 
 from .engine import EsParams, EsState, default_sigma0, rng_stream
-from .objectives import ObjectiveSpec, _values, stack_evaluator
+from .objectives import PERTURB_AMP, PERTURB_FREQ, ObjectiveSpec, _values, stack_evaluator
 from .pool import fan_out
 from .theory import (
     QExtremes,
@@ -104,11 +109,11 @@ __all__ = [
     "sigma_bar",
 ]
 
-#: Full-row elements per chunk: a chunk holds ``max(1, ELEMS // d)`` rows, so
-#: each of a block's work arrays stays within 0.5 MB whatever the dimension
-#: (reduced rows are narrower), since a one-block call allocates them in the
-#: calling process.
-ELEMS = 2**16
+#: Draws per chunk: a chunk holds ``max(1, ELEMS // w)`` rows of ``w`` draws,
+#: so each of a block's work arrays stays within 128 KB, and each state's
+#: per-row columns within a few times that, whatever the dimension, since a
+#: one-block call allocates them in the calling process.
+ELEMS = 2**14
 
 #: Draws per sub-stream block: a call's rows split into blocks of
 #: ``max(1, SUB_ELEMS // w)`` rows of ``w`` draws, each block with its own
@@ -120,6 +125,25 @@ SUB_ELEMS = 2**21
 CANCELLATION_GUARD = 1e-6
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+#: Rybicki's sum for Dawson's function: step ``h`` and the odd offsets
+#: ``k``, ``|k| <= 27``, whose weights ``exp(-(eps - k h)^2)``, ``|eps| <= h``,
+#: reach below 1e-18; the sum's own error is about ``exp(-(pi / 2h)^2)``, 7e-18.
+_DAWSON_H = 0.25
+_DAWSON_K = np.arange(-27, 28, 2)
+
+#: Taylor coefficients of ``(x - F(x)) / x^3`` in ``x^2`` for Dawson's ``F``,
+#: ``(-1)^(k+1) 2^k / (2k+1)!!`` for ``k = 14 .. 1`` (highest first), used
+#: below ``|x| = 0.5``.
+_DAWSON_GAP = np.array([(-1) ** (k + 1) * 2.0**k / math.prod(range(1, 2 * k + 2, 2))
+                        for k in range(14, 0, -1)])
+
+#: Taylor coefficients of ``E[(sin(sz) - sz)^2] / t^3`` in ``t = s^2``,
+#: ``(-1)^(k+1) 2^(k-1) / k! - 2 (-1/2)^(k-1) / (k-1)!`` for ``k = 26 .. 3``
+#: (highest first), used below ``t = 1``, where the closed form cancels.
+_SIN_GAP_VAR = np.array([(-1) ** (k + 1) * 2.0 ** (k - 1) / math.factorial(k)
+                         - 2.0 * (-0.5) ** (k - 1) / math.factorial(k - 1)
+                         for k in range(26, 2, -1)])
 
 
 @dataclass(frozen=True)
@@ -152,6 +176,15 @@ class QStats:
 def _require_plain(spec: ObjectiveSpec) -> None:
     if spec.kind == "composite":
         raise ValueError("curvature estimators operate on non-composite specs")
+
+
+def _check_q_range(spec: ObjectiveSpec) -> None:
+    """Reject a spec whose ``E[Q^2]``, at most ``U^2 d (d + 2)`` since
+    ``Q <= U ||z||^2``, may be past the float range."""
+    u, d = spec.smoothness, spec.dim
+    if not math.isfinite(u * u * d * (d + 2)):
+        raise ValueError(f"the second moment of Q, up to U^2 d (d + 2) with U = {u:g} "
+                         f"and d = {d}, is past the float range")
 
 
 def _check_sample(n: int, seed: int) -> None:
@@ -349,9 +382,10 @@ def _block(spec: ObjectiveSpec, states: list[EsState], rows: int, columns, seed:
     ``rng_stream(seed, 0, b)``; the chi-squares of a diagonal quadratic's
     reduced rows (:class:`_Levels`), each ``2 standard_gamma((n_j - 1) / 2)``,
     come from ``rng_stream(seed, 1, b)``.  It draws them in chunks of
-    ``max(1, ELEMS // d)`` rows, into work arrays allocated once per block,
-    and evaluates each chunk at every state in turn (:func:`_chunks`), from
-    state constants computed once per block (:class:`_At`).  So a row is
+    ``max(1, ELEMS // w)`` rows of ``w`` draws (:func:`_width`), into work
+    arrays allocated once per block, and evaluates each chunk at every state
+    in turn (:func:`_chunks`), from state constants computed once per block
+    (:class:`_At`).  So a row is
     drawn once however many states read it, and its ``Q`` on a diagonal
     quadratic, or its norm on other kinds, is computed once too.  Returns
     one :class:`_Moments` per state.
@@ -359,7 +393,7 @@ def _block(spec: ObjectiveSpec, states: list[EsState], rows: int, columns, seed:
     levels = _Levels(spec.diag) if spec.is_quadratic else None
     ats = [_At(spec, levels, state) for state in states]
     normals, chi_squares = rng_stream(seed, 0, b), rng_stream(seed, 1, b)
-    chunk = min(max(1, ELEMS // spec.dim), rows)
+    chunk = min(max(1, ELEMS // (spec.dim if levels is None else levels.width)), rows)
     zs, xs, scratch = np.empty((3, chunk, spec.dim if levels is None else len(levels.h)))
     r = np.empty((chunk, 0 if levels is None else len(levels.multi)))
     moments = None
@@ -455,6 +489,7 @@ def quadratic_v_std(spec: ObjectiveSpec) -> float:
 
 def estimate_q_stats(spec: ObjectiveSpec, state: EsState, n: int, seed: int) -> QStats:
     """Sample moments of the remainder over ``n`` standard-normal mutations."""
+    _check_q_range(spec)
     return _q_stats(spec, _sample(spec, _q_columns, [state], n, seed)[0])
 
 
@@ -516,7 +551,7 @@ def _state_grid(spec: ObjectiveSpec, seed: int) -> list[EsState]:
     default step size.
 
     Coarse coverage for the state-space extremes of non-quadratic specs;
-    the suprema/infima derived from it are approximations and the sampled
+    the suprema/infima derived from it are approximations and the scanned
     states are reported for audit.
     """
     rng = rng_stream(seed, 7)
@@ -532,29 +567,97 @@ def _state_grid(spec: ObjectiveSpec, seed: int) -> list[EsState]:
     return states
 
 
-def _extremes(
-    spec: ObjectiveSpec, n: int, seed: int
-) -> tuple[float, float, float, list[EsState], list[QStats]]:
-    """``(sup v_std, inf kappa, sup E[Q], states, stats)`` of :func:`q_extremes` and
-    :func:`check_assumption2`; diagonal quadratics use closed forms and scan no states,
-    but ``n`` and ``seed`` are checked as if they did."""
+def _dawson(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dawson's function ``F(x) = exp(-x^2) int_0^x exp(t^2) dt`` and ``x - F(x)``.
+
+    Both to about 1e-14 relative, elementwise: by their Taylor series below
+    ``|x| = 0.5``, otherwise by Rybicki's sum
+    ``F(x) = pi^(-1/2) sum_(n odd) exp(-(x - n h)^2) / n`` over the odd ``n``
+    nearest ``x / h`` (Rybicki, Computers in Physics 3(2), 1989).
+    """
+    even = 2.0 * np.round(x / (2.0 * _DAWSON_H))
+    eps = x - even * _DAWSON_H
+    weights = np.exp(-np.square(eps[:, None] - _DAWSON_K * _DAWSON_H))
+    far = np.add.reduce(weights / (even[:, None] + _DAWSON_K), axis=1) / math.sqrt(math.pi)
+    near = np.abs(x) < 0.5
+    x_near = np.where(near, x, 0.0)
+    gap = x_near**3 * np.polyval(_DAWSON_GAP, x_near * x_near)
+    return np.where(near, x - gap, far), np.where(near, gap, x - far)
+
+
+def _one_minus_exp_over(x: float) -> float:
+    """``(1 - exp(-x)) / x`` for ``x > 0``."""
+    return -math.expm1(-x) / x
+
+
+def _perturbed_moments(spec: ObjectiveSpec, state: EsState) -> tuple[np.ndarray, ...]:
+    """Exact per-coordinate terms of ``E[Q]``, ``Var[Q]`` and ``E[Q; <z, grad f(m)> <= 0]``.
+
+    ``Q = sum_i q_i(z_i)`` is separable on a ``quadratic_perturbed`` spec.
+    With ``c = omega m_i``, ``s = omega sigma``, ``t = s^2``, ``a`` the
+    amplitude, ``omega`` the frequency and ``A = 2a / t``,
+
+        q_i = h_i z^2 + A (cos c (1 - cos sz) + sin c (sin sz - sz)),
+
+    whose even and odd parts in ``z`` are uncorrelated.  With
+    ``g = exp(-t/2)``: ``E cos sz = g``, ``E z^2 cos sz = (1 - t) g``,
+    ``Var cos sz = (1 - g^2)^2 / 2`` and
+    ``E (sin sz - sz)^2 = (1 - g^4) / 2 - 2 t g + t``, which cancels for
+    small ``t`` and is then summed from its series.  The half mean takes
+    ``b = grad f(m) / ||grad f(m)||``: the even parts contribute half their
+    means, and ``E[sin sz; <z, b> <= 0] = -exp(-t (1 - b_i^2) / 2)
+    F(s b_i / sqrt 2) / sqrt(pi)`` with Dawson's ``F``, so the odd part
+    contributes ``A sin c (x - exp(-t (1 - b_i^2) / 2) F(x)) / sqrt(pi)``
+    at ``x = s b_i / sqrt 2``.  Every ``1 - g^k`` is an ``expm1``.
+    """
+    a, h = PERTURB_AMP, spec.diag
+    s = PERTURB_FREQ * state.sigma
+    t = s * s
+    cos, sin = np.cos(PERTURB_FREQ * state.m), np.sin(PERTURB_FREQ * state.m)
+    g = math.exp(-0.5 * t)
+    e1 = 0.5 * _one_minus_exp_over(0.5 * t)  # (1 - g) / t
+    e2 = _one_minus_exp_over(t)  # (1 - g^2) / t
+    if t < 1.0:  # p = E (sin sz - sz)^2 / t^2
+        p = t * float(np.polyval(_SIN_GAP_VAR, t))
+    else:
+        p = (_one_minus_exp_over(2.0 * t) - 2.0 * g + 1.0) / t
+    mean = h + 2.0 * a * e1 * cos
+    var = (2.0 * h * h + 4.0 * a * g * h * cos + 2.0 * (a * e2 * cos) ** 2
+           + 4.0 * a * a * p * sin * sin)
+    b = spec.gradient(state.m) / spec.gradient_norm(state.m)
+    dawson, gap = _dawson(s * b / math.sqrt(2.0))
+    odd = (2.0 * a / t) * sin * (gap - np.expm1(-0.5 * t * (1.0 - b * b)) * dawson)
+    return mean, var, 0.5 * h + a * e1 * cos + odd / math.sqrt(math.pi)
+
+
+def _extremes(spec: ObjectiveSpec, n: int,
+              seed: int) -> tuple[float, float, float, list[EsState], list[tuple[float, float]]]:
+    """``(sup v_std, inf kappa, sup E[Q], states, (v_std, kappa) of each state)`` of
+    :func:`q_extremes` and :func:`check_assumption2`, from closed forms.
+
+    Diagonal quadratics scan no states; ``perturbed`` takes its extremes over
+    the states of :func:`_state_grid` (:func:`_perturbed_moments`).  No rows
+    are drawn, but ``n`` and ``seed`` are checked as the estimators check them.
+    """
     _require_plain(spec)
     _check_sample(n, seed)
+    _check_q_range(spec)
     if spec.is_quadratic:
         mean, var = quadratic_q_exact(spec)
         return var / mean**2, 2.0, mean, [], []
     states = _state_grid(spec, seed)
-    stats = [_q_stats(spec, moments) for moments in _sample(spec, _q_columns, states, n, seed)]
-    v_sup, kappa_inf = max(s.v_std for s in stats), min(s.kappa for s in stats)
-    return v_sup, kappa_inf, max(s.mean_q for s in stats), states, stats
+    moments = [[float(np.sum(x)) for x in _perturbed_moments(spec, state)] for state in states]
+    stats = [(var / mean**2, mean / half) for mean, var, half in moments]
+    return (max(v for v, _ in stats), min(k for _, k in stats),
+            max(mean for mean, _, _ in moments), states, stats)
 
 
 def q_extremes(spec: ObjectiveSpec, *, n: int, seed: int) -> QExtremes:
-    """State-space extremes of the curvature statistics.
+    """State-space extremes of the curvature statistics, as in :func:`check_assumption2`.
 
-    Exact and state-independent for diagonal quadratics.  For other kinds the
-    extremes are taken over the 32 sampled states of the scan (an approximation),
-    which share one z-stream of ``n`` rows, as in :func:`check_assumption2`.
+    Exact and state-independent for diagonal quadratics.  For other kinds
+    each state's statistics are exact, but the extremes are taken over the
+    32 states of a fixed scan (an approximation).
     """
     v_sup, kappa_inf, e_q, _, _ = _extremes(spec, n, seed)
     return QExtremes(
@@ -659,6 +762,7 @@ def check_lemma_suite(
     tight_lower = spec.is_quadratic and bool(np.all(spec.diag == lmod))
     tight_upper = spec.is_quadratic and bool(np.all(spec.diag == umod))
     checks: list[CheckResult] = []
+    _check_q_range(spec)
     samples = _sample(spec, _lemma_columns, states, n, seed)
     for idx, (state, moments) in enumerate(zip(states, samples)):
         sid = str(idx)
@@ -731,22 +835,20 @@ def check_assumption2(spec: ObjectiveSpec, *, n: int, seed: int) -> Assumption2R
 
     Compares the state-space supremum of ``v_std`` against
     ``min(Phi(k/(2 sqrt(2 pi))) - 1/2, 1 - Phi(3k/(2 sqrt(2 pi)))) / 4``
-    evaluated at the estimated ``kappa_inf``.  Diagonal quadratics use the
-    exact closed forms (``v_std = 2 tr(H^2)/tr(H)^2``, ``kappa = 2``); other
-    kinds estimate over the 32 sampled states of the scan, which are
-    included in the report for audit; the states share one z-stream of ``n``
-    rows (common random numbers), drawn once per block.  Every kind rejects
-    ``n < 1000`` and a negative ``seed``, as the sampled path must.
+    evaluated at ``kappa_inf``.  Diagonal quadratics use the exact closed
+    forms (``v_std = 2 tr(H^2)/tr(H)^2``, ``kappa = 2``).  ``perturbed``
+    evaluates the same statistics in closed form at each of the 32 states of
+    a fixed scan, which are included in the report for audit; its extremes
+    are those over the scan, so it is not ``exact``, and ``kappa_consistent``
+    says whether every scanned ``kappa`` is at least 1.  Every kind rejects
+    ``n < 1000`` and a negative ``seed``, as the estimators do, though no
+    rows are drawn; ``seed`` chooses the scan's directions.
     """
     v_sup, kappa_inf, _, states, stats = _extremes(spec, n, seed)
-    consistent = not any(
-        s.kappa < 1.0 - 3.0 * s.kappa * math.hypot(s.se_mean / s.mean_q, s.se_half / s.half_mean_q)
-        for s in stats
-    )
     rows = [
         {"m_norm": float(np.linalg.norm(st.m)), "log_sigma": st.log_sigma,
-         "v_std": s.v_std, "kappa": s.kappa}
-        for st, s in zip(states, stats)
+         "v_std": v_std, "kappa": kappa}
+        for st, (v_std, kappa) in zip(states, stats)
     ]
     rhs = assumption_margin_rhs(kappa_inf)
     return Assumption2Report(
@@ -756,7 +858,7 @@ def check_assumption2(spec: ObjectiveSpec, *, n: int, seed: int) -> Assumption2R
         kappa_inf=kappa_inf,
         rhs=rhs,
         exact=spec.is_quadratic,
-        kappa_consistent=consistent,
+        kappa_consistent=all(kappa >= 1.0 for _, kappa in stats),
         states=rows,
     )
 

@@ -211,7 +211,7 @@ def _perturbed_values(diag, xs, scratch=None):
     along the last axis of ``xs``; ``scratch`` as for :func:`_values`."""
     quad = _values(diag, xs, scratch)
     cos = np.cos(np.multiply(PERTURB_FREQ, xs, out=scratch), out=scratch)
-    return quad + _PERTURB_COEF * np.sum(np.subtract(1.0, cos, out=cos), axis=-1)
+    return quad + _PERTURB_COEF * np.add.reduce(np.subtract(1.0, cos, out=cos), axis=-1)
 
 
 #: Non-composite kind -> its formula of ``(diag, xs)``.

@@ -5,10 +5,12 @@ import warnings
 from dataclasses import astuple, replace
 from functools import reduce
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import dawsn
 
 from esrate import analysis, pool, theory
 from esrate.analysis import (
@@ -29,6 +31,9 @@ from esrate.analysis import (
 )
 from esrate.engine import EsState, params_for_target, rng_stream
 from esrate.objectives import (
+    PERTURB_AMP,
+    PERTURB_FREQ,
+    ObjectiveSpec,
     hessian_family,
     make_composite,
     perturbed_family,
@@ -343,7 +348,7 @@ def test_assumption2_exact_path_checks_n_and_seed(n, seed, message):
             check_assumption2(spec, n=n, seed=seed)
 
 
-def test_assumption2_sampled_path_for_perturbed():
+def test_assumption2_closed_form_path_for_perturbed():
     spec = perturbed_family(24, 0)
     report = check_assumption2(spec, n=20_000, seed=4)
     assert not report.exact
@@ -351,6 +356,79 @@ def test_assumption2_sampled_path_for_perturbed():
     assert report.holds == (report.margin > 0)
     assert len(report.states) == 32
     assert report.kappa_inf == pytest.approx(2.0, rel=0.1)
+    assert report.kappa_consistent == all(s["kappa"] >= 1.0 for s in report.states)
+
+
+def _random_perturbed_states(spec, count, rng):
+    """``count`` states at distances 1e-2 to 1e2 and steps 1e-3 to 10 times ``||m|| / sqrt(d)``."""
+    states = []
+    for _ in range(count):
+        m = rng.standard_normal(spec.dim) * 10.0 ** rng.uniform(-2.0, 2.0)
+        sigma = np.linalg.norm(m) / math.sqrt(spec.dim) * 10.0 ** rng.uniform(-3.0, 1.0)
+        states.append(_state(m, sigma))
+    return states
+
+
+@pytest.mark.parametrize("spec", [perturbed_family(10, 0), perturbed_family(30, 2)],
+                         ids=["d10", "d30"])
+def test_perturbed_closed_forms_match_monte_carlo(spec):
+    # 20 random states and the state with every m_i = pi/3, each against its own stream.
+    rng = np.random.default_rng(spec.dim)
+    states = [*_random_perturbed_states(spec, 20, rng),
+              _state(np.full(spec.dim, math.pi / 3), 0.538)]
+    for seed, state in enumerate(states):
+        mean, var, half = (float(np.sum(x)) for x in analysis._perturbed_moments(spec, state))
+        mc = estimate_q_stats(spec, state, 20_000, seed)
+        assert abs(mean - mc.mean_q) <= 4.0 * mc.se_mean
+        assert abs(var - mc.var_q) <= 4.0 * mc.se_var
+        assert abs(half - mc.half_mean_q) <= 4.0 * mc.se_half
+
+
+def _perturbed_coordinate_oracle(h, c, s, b):
+    """``E[q]``, ``Var[q]`` and ``E[q; <z, b> <= 0]`` of one coordinate's remainder by
+    ``mpmath.quad``, where the coordinate is ``z = b T + sqrt(1 - b^2) W``."""
+    mp = mpmath.mp
+    h, c, s, b = (mpmath.mpf(float(x)) for x in (h, c, s, b))
+    amp = 2 * mpmath.mpf(PERTURB_AMP) / s**2
+
+    def q(z):
+        return h * z**2 + amp * (mp.cos(c) - mp.cos(c + s * z) - s * z * mp.sin(c))
+
+    def expect(f):
+        # |z| > 8 holds less than 1e-12 of any moment here
+        return mp.quad(lambda z: f(z) * mp.npdf(z), mp.linspace(-8, 8, 8 + int(s)),
+                       method="gauss-legendre")
+
+    mean = expect(q)
+    against = mp.sqrt(1 - b * b)
+    return (mean, expect(lambda z: q(z) ** 2) - mean**2,
+            expect(lambda z: q(z) * mp.ncdf(-b * z / against)))
+
+
+@pytest.mark.parametrize("i, s", enumerate([1e-6, 1e-3, 0.1, 0.9, 1.1, 7.0, 100.0]))
+def test_perturbed_closed_forms_match_quadrature(i, s):
+    # Coordinate i % 3 of a 3-d state at omega * sigma = s: the series branches
+    # (s < 1), the closed ones and both branches of Dawson's function.
+    spec = ObjectiveSpec("quadratic_perturbed", 3, diag=np.array([0.7, 1.3, 4.0]))
+    m = np.array([0.4, -1.1, 2.3])
+    state = _state(m, s / PERTURB_FREQ)
+    b = spec.gradient(m) / spec.gradient_norm(m)
+    k = i % 3
+    got = [x[k] for x in analysis._perturbed_moments(spec, state)]
+    with mpmath.workdps(30):
+        want = _perturbed_coordinate_oracle(spec.diag[k], PERTURB_FREQ * m[k], s, b[k])
+        for g, w in zip(got, want):
+            assert abs((g - w) / w) < 1e-10, (g, w)
+
+
+def test_dawson_matches_scipy():
+    x = np.concatenate([np.linspace(-50.0, 50.0, 20_001), np.geomspace(1e-300, 50.0, 2_000)])
+    x = np.concatenate([x, -x])
+    dawson, gap = analysis._dawson(x)
+    ref = dawsn(x)
+    assert np.all(np.abs(dawson - ref) <= 1e-12 * np.abs(ref))
+    near = np.abs(x) < 0.5  # where x - F(x) is summed from its series
+    assert np.allclose(gap[~near], x[~near] - ref[~near], rtol=1e-12, atol=0.0)
 
 
 def test_quadratic_v_std_closed_form():
@@ -458,7 +536,7 @@ def one_chunk():
 
 @settings(max_examples=6, deadline=None, database=None, derandomize=True)
 @given(elems=st.integers(min_value=1, max_value=120_000))
-@example(elems=1_000)  # 100 rows per chunk at d = 10, 20 at d = 50: >= 20 chunks each
+@example(elems=100)  # 10 rows a chunk at d = 10, 33 at w = 3 (h1), 50 at w = 2 (sphere): >= 40 chunks
 @example(elems=2_000 * 50)
 def test_results_independent_of_chunk_size(one_chunk, elems):
     values, verdicts = _all_estimates(elems)
@@ -561,6 +639,21 @@ def test_reduced_rows_survive_gradient_entries_near_1e200():
     assert 0.0 < estimates[0].value < 1.0 and estimates[1].value < 0.0
 
 
+def test_moments_of_q_past_the_float_range_fail_at_the_boundary():
+    # E[Q^2] ~ 1e400: every estimator of Q's moments raises before drawing a row.
+    spec = hessian_family("h1", 3, 200)
+    state = state_at_sigma_bar(spec, np.array([0.5, 1.0, -2.0]), 1.0)
+    calls = [lambda: estimate_q_stats(spec, state, 2_000, seed=1),
+             lambda: check_lemma_suite(spec, [state], 2_000, seed=1),
+             lambda: check_assumption2(spec, n=2_000, seed=1),
+             lambda: q_extremes(spec, n=2_000, seed=1)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(ValueError, match="second moment of Q"):
+                call()
+
+
 def test_se_var_matches_two_pass_long_double_reference():
     spec = sphere(1000)
     state = state_at_sigma_bar(spec, np.random.default_rng(11).standard_normal(1000), 1.0)
@@ -568,7 +661,7 @@ def test_se_var_matches_two_pass_long_double_reference():
     stats = estimate_q_stats(spec, state, n, seed)
     # the same reduced rows, drawn block by block and evaluated in the kernel's chunks
     levels = analysis._Levels(spec.diag)
-    block, rows = analysis.SUB_ELEMS // levels.width, analysis.ELEMS // spec.dim
+    block, rows = analysis.SUB_ELEMS // levels.width, analysis.ELEMS // levels.width
     at = analysis._At(spec, levels, state)
     q = []
     for b, start in enumerate(range(0, n, block)):

@@ -231,8 +231,11 @@ def test_thresholds_are_optima_and_crossings_are_sharp(q, log_frac, log_up, seed
         # The chain alone needs numpy only; the package imports no submodule for it.
         ("esrate.engine", ["scipy", "scipy.*", "esrate.analysis", "esrate.theory",
                            "esrate.harness"]),
+        # Dawson's function and the series of the exact perturbed moments are numpy
+        # only: numpy.polynomial alone adds about 2.65 MB to a process.
+        ("esrate.analysis", ["scipy", "scipy.*", "numpy.polynomial", "numpy.polynomial.*"]),
     ],
-    ids=["esrate.cli", "esrate.engine"],
+    ids=["esrate.cli", "esrate.engine", "esrate.analysis"],
 )
 def test_import_leaves_out_scipy_optimize(module, unloaded):
     code = (f"import fnmatch, sys, {module}; "

@@ -44,11 +44,12 @@ digits; they reject a state whose step ``sigma ||z||`` falls below
 ``CANCELLATION_GUARD`` times ``||m||`` on any row, with the row norms
 computed once per chunk.
 
-The state-space extremes behind :func:`check_assumption2` and
-:func:`q_extremes` draw no rows.  A diagonal quadratic's moments of ``Q``
-do not depend on the state; the ``perturbed`` family's are sums of ``d``
-elementary terms at each state (:func:`_perturbed_moments`), evaluated at
-the 32 states of a fixed scan.
+Where only the exact moments of ``Q`` at a state are needed, no rows are
+drawn: :func:`_exact_q` gives them on every plain spec, the same at every
+state of a diagonal quadratic and sums of ``d`` elementary terms on
+``perturbed``.  :func:`sigma_bar`, :func:`regime_of`, the lemma suite's
+success sandwich and the extremes behind :func:`check_assumption2` and
+:func:`q_extremes` (over a fixed scan of 32 states) read them.
 
 Determinism contract: estimators are pure given ``(inputs, seed)``, and
 ``SUB_ELEMS`` is part of it, since it fixes which stream draws each row: it
@@ -94,7 +95,6 @@ __all__ = [
     "QStats",
     "estimate_q_stats",
     "quadratic_q_exact",
-    "quadratic_v_std",
     "estimate_success_prob",
     "estimate_log_progress",
     "CheckResult",
@@ -178,13 +178,20 @@ def _require_plain(spec: ObjectiveSpec) -> None:
         raise ValueError("curvature estimators operate on non-composite specs")
 
 
-def _check_q_range(spec: ObjectiveSpec) -> None:
+def _check_q_range(spec: ObjectiveSpec, n: int = 0) -> None:
     """Reject a spec whose ``E[Q^2]``, at most ``U^2 d (d + 2)`` since
-    ``Q <= U ||z||^2``, may be past the float range."""
+    ``Q <= U ||z||^2``, may be past the float range; given the ``n`` rows an
+    estimator draws, also one whose sum of ``Q^4`` over them, at most
+    ``n U^4 d (d + 2) (d + 4) (d + 6)`` in expectation, may be: the
+    standard error of the variance sums it (:func:`_q_columns`)."""
     u, d = spec.smoothness, spec.dim
     if not math.isfinite(u * u * d * (d + 2)):
         raise ValueError(f"the second moment of Q, up to U^2 d (d + 2) with U = {u:g} "
                          f"and d = {d}, is past the float range")
+    if not math.isfinite(n * u * u * u * u * d * (d + 2) * (d + 4) * (d + 6)):
+        raise ValueError(f"the fourth moment of Q summed over n = {n} rows, up to "
+                         f"n U^4 d (d + 2) (d + 4) (d + 6) with U = {u:g} and d = {d}, "
+                         "is past the float range")
 
 
 def _check_sample(n: int, seed: int) -> None:
@@ -451,16 +458,8 @@ def _q_stats(spec: ObjectiveSpec, moments: _Moments) -> QStats:
     var = moments.var(0)
     # var = E[(Q - c)^2] - (E[Q] - c)^2, so its gradient in the means is (-2 (E[Q] - c), 0, 1).
     shift = 2.0 * (mean - float(np.sum(spec.diag)))
-    return QStats(
-        mean_q=mean,
-        var_q=var,
-        v_std=var / mean**2,
-        half_mean_q=half,
-        kappa=mean / half,
-        se_mean=moments.se(1.0),
-        se_var=moments.se(-shift, 0.0, 1.0),
-        se_half=moments.se(0.0, 1.0),
-    )
+    return QStats(mean, var, var / mean**2, half, mean / half,  # in field order
+                  moments.se(1.0), moments.se(-shift, 0.0, 1.0), moments.se(0.0, 1.0))
 
 
 def _first_mean(moments: _Moments) -> EstimateWithError:
@@ -477,19 +476,12 @@ def quadratic_q_exact(spec: ObjectiveSpec) -> tuple[float, float]:
     """
     if not spec.is_quadratic:
         raise ValueError("exact remainder moments exist for quadratic_diag only")
-    diag = np.asarray(spec.diag)
-    return float(diag.sum()), float(2.0 * np.dot(diag, diag))
-
-
-def quadratic_v_std(spec: ObjectiveSpec) -> float:
-    """Exact relative variance ``2 trace(H^2) / trace(H)^2`` of a quadratic."""
-    mean, var = quadratic_q_exact(spec)
-    return var / mean**2
+    return _exact_q(spec, None)[:2]
 
 
 def estimate_q_stats(spec: ObjectiveSpec, state: EsState, n: int, seed: int) -> QStats:
     """Sample moments of the remainder over ``n`` standard-normal mutations."""
-    _check_q_range(spec)
+    _check_q_range(spec, n)
     return _q_stats(spec, _sample(spec, _q_columns, [state], n, seed)[0])
 
 
@@ -515,21 +507,12 @@ def estimate_log_progress(spec: ObjectiveSpec, state: EsState, n: int, seed: int
 # -- state helpers -------------------------------------------------------------
 
 
-def _plain_mean_q(spec: ObjectiveSpec, mean_q: float | None) -> float:
-    """``mean_q``, or the exact trace when it is ``None`` for a diagonal quadratic."""
-    _require_plain(spec)
-    if mean_q is None and not spec.is_quadratic:
-        raise ValueError("mean_q required for non-quadratic specs")
-    return spec.trace_hessian if mean_q is None else mean_q
-
-
-def sigma_bar(spec: ObjectiveSpec, state: EsState, mean_q: float | None = None) -> float:
-    """Normalized step size ``sigma * E[Q] / ||grad f(m)||``.
-
-    Uses the exact trace for diagonal quadratics; other kinds must supply
-    ``mean_q`` (an estimate).
+def sigma_bar(spec: ObjectiveSpec, state: EsState) -> float:
+    """Normalized step size ``sigma * E[Q] / ||grad f(m)||``, with the exact
+    ``E[Q]`` at the state (:func:`_exact_q`): the trace on a diagonal
+    quadratic.  A composite raises ``ValueError``.
     """
-    mean_q = _plain_mean_q(spec, mean_q)
+    [mean_q] = _exact_q(spec, state, mean_only=True)
     gnorm = spec.gradient_norm(state.m)
     return state.sigma * mean_q / gnorm
 
@@ -586,12 +569,14 @@ def _dawson(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _one_minus_exp_over(x: float) -> float:
-    """``(1 - exp(-x)) / x`` for ``x > 0``."""
-    return -math.expm1(-x) / x
+    """``(1 - exp(-x)) / x`` for ``x >= 0``, 1 at 0."""
+    return -math.expm1(-x) / x if x > 0.0 else 1.0
 
 
-def _perturbed_moments(spec: ObjectiveSpec, state: EsState) -> tuple[np.ndarray, ...]:
-    """Exact per-coordinate terms of ``E[Q]``, ``Var[Q]`` and ``E[Q; <z, grad f(m)> <= 0]``.
+def _perturbed_moments(spec: ObjectiveSpec, state: EsState,
+                       mean_only: bool = False) -> tuple[np.ndarray, ...]:
+    """Exact per-coordinate terms of ``E[Q]``, ``Var[Q]`` and ``E[Q; <z, grad f(m)> <= 0]``,
+    or of ``E[Q]`` alone if ``mean_only``.
 
     ``Q = sum_i q_i(z_i)`` is separable on a ``quadratic_perturbed`` spec.
     With ``c = omega m_i``, ``s = omega sigma``, ``t = s^2``, ``a`` the
@@ -613,15 +598,18 @@ def _perturbed_moments(spec: ObjectiveSpec, state: EsState) -> tuple[np.ndarray,
     a, h = PERTURB_AMP, spec.diag
     s = PERTURB_FREQ * state.sigma
     t = s * s
-    cos, sin = np.cos(PERTURB_FREQ * state.m), np.sin(PERTURB_FREQ * state.m)
-    g = math.exp(-0.5 * t)
+    cos = np.cos(PERTURB_FREQ * state.m)
     e1 = 0.5 * _one_minus_exp_over(0.5 * t)  # (1 - g) / t
+    mean = h + 2.0 * a * e1 * cos
+    if mean_only:
+        return (mean,)
+    sin = np.sin(PERTURB_FREQ * state.m)
+    g = math.exp(-0.5 * t)
     e2 = _one_minus_exp_over(t)  # (1 - g^2) / t
     if t < 1.0:  # p = E (sin sz - sz)^2 / t^2
         p = t * float(np.polyval(_SIN_GAP_VAR, t))
     else:
         p = (_one_minus_exp_over(2.0 * t) - 2.0 * g + 1.0) / t
-    mean = h + 2.0 * a * e1 * cos
     var = (2.0 * h * h + 4.0 * a * g * h * cos + 2.0 * (a * e2 * cos) ** 2
            + 4.0 * a * a * p * sin * sin)
     b = spec.gradient(state.m) / spec.gradient_norm(state.m)
@@ -630,23 +618,39 @@ def _perturbed_moments(spec: ObjectiveSpec, state: EsState) -> tuple[np.ndarray,
     return mean, var, 0.5 * h + a * e1 * cos + odd / math.sqrt(math.pi)
 
 
+def _exact_q(spec: ObjectiveSpec, state: EsState | None,
+             mean_only: bool = False) -> tuple[float, ...]:
+    """Exact ``(E[Q], Var[Q], E[Q; <z, grad f(m)> <= 0])`` at a state, or ``(E[Q],)``
+    if ``mean_only``.
+
+    On a diagonal quadratic they are ``Tr(H)``, ``2 Tr(H^2)`` and ``Tr(H) / 2``
+    at every state, so ``state`` may be ``None``; on ``perturbed`` they are
+    the sums of :func:`_perturbed_moments`.  A composite raises
+    ``ValueError``.  ``mean_only`` computes nothing else, since ``2 Tr(H^2)``
+    can overflow where ``Tr(H)`` does not.
+    """
+    _require_plain(spec)
+    if not spec.is_quadratic:
+        return tuple(float(np.sum(x)) for x in _perturbed_moments(spec, state, mean_only))
+    mean, diag = spec.trace_hessian, spec.diag
+    return (mean,) if mean_only else (mean, float(2.0 * np.dot(diag, diag)), 0.5 * mean)
+
+
 def _extremes(spec: ObjectiveSpec, n: int,
               seed: int) -> tuple[float, float, float, list[EsState], list[tuple[float, float]]]:
     """``(sup v_std, inf kappa, sup E[Q], states, (v_std, kappa) of each state)`` of
-    :func:`q_extremes` and :func:`check_assumption2`, from closed forms.
+    :func:`q_extremes` and :func:`check_assumption2`, from :func:`_exact_q`.
 
-    Diagonal quadratics scan no states; ``perturbed`` takes its extremes over
-    the states of :func:`_state_grid` (:func:`_perturbed_moments`).  No rows
-    are drawn, but ``n`` and ``seed`` are checked as the estimators check them.
+    Diagonal quadratics scan no states, since their moments are the same at
+    every state; ``perturbed`` takes its extremes over the states of
+    :func:`_state_grid`.  No rows are drawn, but ``n`` and ``seed`` are
+    checked as the estimators check them.
     """
     _require_plain(spec)
     _check_sample(n, seed)
     _check_q_range(spec)
-    if spec.is_quadratic:
-        mean, var = quadratic_q_exact(spec)
-        return var / mean**2, 2.0, mean, [], []
-    states = _state_grid(spec, seed)
-    moments = [[float(np.sum(x)) for x in _perturbed_moments(spec, state)] for state in states]
+    states = [] if spec.is_quadratic else _state_grid(spec, seed)
+    moments = [_exact_q(spec, state) for state in states or [None]]
     stats = [(var / mean**2, mean / half) for mean, var, half in moments]
     return (max(v for v, _ in stats), min(k for _, k in stats),
             max(mean for mean, _, _ in moments), states, stats)
@@ -762,7 +766,7 @@ def check_lemma_suite(
     tight_lower = spec.is_quadratic and bool(np.all(spec.diag == lmod))
     tight_upper = spec.is_quadratic and bool(np.all(spec.diag == umod))
     checks: list[CheckResult] = []
-    _check_q_range(spec)
+    _check_q_range(spec, n)
     samples = _sample(spec, _lemma_columns, states, n, seed)
     for idx, (state, moments) in enumerate(zip(states, samples)):
         sid = str(idx)
@@ -804,8 +808,8 @@ def check_lemma_suite(
         else:
             checks.append(CheckResult("log_progress_moment", sid, math.nan, math.nan, math.nan, "inconclusive"))
 
-        sbar = sigma_bar(spec, state, None if spec.is_quadratic else mean_q)
-        v_std = quadratic_v_std(spec) if spec.is_quadratic else stats.v_std
+        e_q, var, _ = _exact_q(spec, state)
+        sbar, v_std = sigma * e_q / gnorm, var / e_q**2
         for eps in (0.1, 0.3, 0.5):
             low = std_normal_cdf(-0.5 * sbar * (1.0 + eps)) - v_std / eps**2
             high = std_normal_cdf(-0.5 * sbar * (1.0 - eps)) + v_std / eps**2
@@ -875,19 +879,16 @@ class DriftEstimate:
     regime: str
 
 
-def regime_of(
-    spec: ObjectiveSpec,
-    state: EsState,
-    params: EsParams,
-    constants: TheoryConstants,
-    mean_q: float | None = None,
-) -> str:
+def regime_of(spec: ObjectiveSpec, state: EsState, params: EsParams,
+              constants: TheoryConstants) -> str:
     """Which step-size regime a state falls in: small, reasonable, or large.
 
     Thresholds: ``sigma < s sqrt(L f(m)) / (alpha_up e_q)`` is small;
-    ``sigma > ell ||grad f(m)|| / (sqrt(2) alpha_down E[Q])`` is large.
+    ``sigma > ell ||grad f(m)|| / (sqrt(2) alpha_down E[Q])`` is large, with
+    the exact ``E[Q]`` at the state (:func:`_exact_q`).  A composite raises
+    ``ValueError``.
     """
-    mean_q = _plain_mean_q(spec, mean_q)
+    [mean_q] = _exact_q(spec, state, mean_only=True)
     f_m = spec.value(state.m)
     gnorm = spec.gradient_norm(state.m)
     small_cap = constants.s * math.sqrt(constants.strong_convexity * f_m) / (
@@ -914,28 +915,24 @@ def estimate_drift(
 
     ``n`` transitions on one z-stream shared by every state, as in
     :func:`check_lemma_suite`; a state's estimate equals that of a call at it
-    alone.  Regimes come from :func:`regime_of`, which on non-quadratic specs
-    reads ``E[Q]`` from the same rows.
+    alone.  Regimes come from :func:`regime_of`, exact on every plain spec.
     """
     samples = _sample(spec, partial(_potential_change, params, constants), states, n, seed)
-    estimates = []
-    for state, moments in zip(states, samples):
-        mean_q = None if spec.is_quadratic else float(moments.mean[1])
-        regime = regime_of(spec, state, params, constants, mean_q)
-        estimates.append(DriftEstimate(float(moments.mean[0]), moments.se(1.0), regime))
-    return estimates
+    return [DriftEstimate(float(moments.mean[0]), moments.se(1.0),
+                          regime_of(spec, state, params, constants))
+            for state, moments in zip(states, samples)]
 
 
 def _potential_change(params: EsParams, constants: TheoryConstants,
                       chunk: _Chunk) -> list[np.ndarray]:
-    """The change of the potential over each row's step, then ``Q`` on non-quadratic specs."""
+    """The change of the potential over each row's step."""
     succ = chunk.success
     f_next = np.where(succ, np.maximum(chunk.fx, 1e-300), chunk.f_m)
     step = np.where(succ, math.log(params.alpha_up), math.log(params.alpha_down))
     log_sigma = chunk.state.log_sigma
     v0 = potential_from_values(chunk.f_m, log_sigma, constants)
     change = potential_from_values(f_next, log_sigma + step, constants) - v0
-    return [change] if chunk.spec.is_quadratic else [change, chunk.q]
+    return [change]
 
 
 def _describe(spec: ObjectiveSpec) -> str:

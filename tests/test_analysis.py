@@ -24,7 +24,6 @@ from esrate.analysis import (
     estimate_success_prob,
     q_extremes,
     quadratic_q_exact,
-    quadratic_v_std,
     regime_of,
     sigma_bar,
     state_at_sigma_bar,
@@ -432,7 +431,7 @@ def test_dawson_matches_scipy():
 
 
 def test_quadratic_v_std_closed_form():
-    assert quadratic_v_std(sphere(50)) == pytest.approx(2.0 / 50, rel=1e-15)
+    assert q_extremes(sphere(50), n=1000, seed=0).v_std_sup == pytest.approx(2.0 / 50, rel=1e-15)
 
 
 # -- extremes and drift -----------------------------------------------------------------------
@@ -654,6 +653,26 @@ def test_moments_of_q_past_the_float_range_fail_at_the_boundary():
                 call()
 
 
+def test_a_fourth_moment_of_q_past_the_float_range_fails_before_any_row_is_drawn(monkeypatch):
+    # The variance's standard error sums Q^4 ~ 1e(4 kappa) over the n = 2000 rows, past the
+    # float range from about kappa = 77, though E[Q^2] stays within it up to kappa = 150.
+    def calls(kappa):
+        spec = hessian_family("h1", 3, kappa)
+        state = state_at_sigma_bar(spec, np.array([0.5, 1.0, -2.0]), 1.0)
+        return [lambda: estimate_q_stats(spec, state, 2_000, seed=1),
+                lambda: check_lemma_suite(spec, [state], 2_000, seed=1)]
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls(60):
+            call()
+        monkeypatch.setattr(analysis, "fan_out", _no_pool)
+        for kappa in (80, 100, 150):
+            for call in calls(kappa):
+                with pytest.raises(ValueError, match="fourth moment of Q"):
+                    call()
+
+
 def test_se_var_matches_two_pass_long_double_reference():
     spec = sphere(1000)
     state = state_at_sigma_bar(spec, np.random.default_rng(11).standard_normal(1000), 1.0)
@@ -828,7 +847,7 @@ def test_each_state_of_a_drift_call_gets_the_estimate_of_a_call_at_it_alone(spec
     assert repr(joint) == repr(alone)
 
 
-def test_drift_regime_on_a_non_quadratic_spec_reads_mean_q_from_its_own_rows():
+def test_drift_regimes_on_a_non_quadratic_spec_are_the_exact_regimes():
     spec, n, seed = perturbed_family(8, 1), 3_000, 4
     params, constants = _drift_constants()
     m = np.random.default_rng(6).standard_normal(8)
@@ -836,10 +855,38 @@ def test_drift_regime_on_a_non_quadratic_spec_reads_mean_q_from_its_own_rows():
     states = [_state(m, s * spec.gradient_norm(m) / float(np.sum(spec.diag)))
               for s in (0.01, 0.5 * (constants.b_high + constants.b_low), 100.0)]
     estimates = estimate_drift(spec, states, params, constants, n, seed)
-    expected = [regime_of(spec, st, params, constants,
-                          mean_q=estimate_q_stats(spec, st, n, seed).mean_q) for st in states]
+    expected = [regime_of(spec, st, params, constants) for st in states]
     assert [est.regime for est in estimates] == expected
     assert set(expected) == {"small", "reasonable", "large"}
+
+
+@pytest.mark.parametrize("sigma", [0.01, 0.3, 3.0])
+def test_sigma_bar_on_perturbed_uses_the_exact_mean_of_q(sigma):
+    spec, n = perturbed_family(8, 1), 20_000
+    state = _state(np.random.default_rng(12).standard_normal(8), sigma)
+    mean_q = float(np.sum(analysis._perturbed_moments(spec, state)[0]))
+    assert sigma_bar(spec, state) == state.sigma * mean_q / spec.gradient_norm(state.m)
+    stats = estimate_q_stats(spec, state, n, seed=8)
+    assert abs(mean_q - stats.mean_q) <= 4.0 * stats.se_mean
+
+
+def test_sigma_bar_on_perturbed_survives_a_step_whose_square_underflows():
+    # (omega sigma)^2 is 0.0 here; E[Q] is then its limit sum(h_i + a cos(omega m_i)).
+    spec, m = perturbed_family(8, 1), np.linspace(-1.0, 1.0, 8)
+    state = _state(m, 1e-170)
+    mean_q = float(np.sum(spec.diag + PERTURB_AMP * np.cos(PERTURB_FREQ * m)))
+    assert sigma_bar(spec, state) == pytest.approx(state.sigma * mean_q / spec.gradient_norm(m),
+                                                   rel=1e-15)
+
+
+def test_state_helpers_reject_a_composite():
+    params, constants = _drift_constants()
+    spec = make_composite(sphere(3), "identity", np.zeros(3))
+    state = _state(np.ones(3), 1.0)
+    with pytest.raises(ValueError, match="non-composite"):
+        sigma_bar(spec, state)
+    with pytest.raises(ValueError, match="non-composite"):
+        regime_of(spec, state, params, constants)
 
 
 class _SpyGenerator:

@@ -1,6 +1,8 @@
+import importlib
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -350,6 +352,12 @@ def test_module_entry_points_run_without_warnings(module):
     )
     assert out.returncode == 0 and out.stderr == ""
     assert out.stdout.startswith("usage: esrate")
+
+
+@pytest.mark.parametrize("module", [m.name for m in pkgutil.iter_modules(esrate.__path__)])
+def test_every_exported_name_exists(module):
+    mod = importlib.import_module(f"esrate.{module}")
+    assert [name for name in getattr(mod, "__all__", []) if not hasattr(mod, name)] == []
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-3"])

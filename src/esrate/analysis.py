@@ -34,15 +34,14 @@ read from the merged accumulator: a mean with ``sqrt(s^2 / n)`` (``s^2``
 with ``n - 1`` degrees of freedom), a smooth function of several means by
 the delta method.
 
-On a diagonal quadratic a chunk is evaluated in closed form: ``Q`` of each
-reduced row once per chunk, shared by every state, then per state one
-product for ``<z, grad f(m)>`` and the exact expansion
-``f(m + sigma z) = f(m) + sigma <z, grad f(m)> + sigma^2 Q / 2``.  Other
-kinds evaluate the candidates ``m + sigma z`` and read ``Q`` back from
-their values by the remainder formula above, whose subtraction cancels
-digits; they reject a state whose step ``sigma ||z||`` falls below
-``CANCELLATION_GUARD`` times ``||m||`` on any row, with the row norms
-computed once per chunk.
+Every chunk is evaluated in closed form, and no candidate ``m + sigma z``
+is formed.  On a diagonal quadratic ``Q`` of each reduced row is computed
+once per chunk and shared by every state.  On ``perturbed``, ``z'Hz`` of
+each full row is, and each state adds the cosine term's part, a sum of
+sines of ``omega sigma z_i`` that stays accurate at every ``sigma``, steps
+whose square underflows included (:meth:`_At.cosine_q`).  Each state then
+takes one product for ``<z, grad f(m)>`` and the exact expansion
+``f(m + sigma z) = f(m) + sigma <z, grad f(m)> + sigma^2 Q / 2``.
 
 Where only the exact moments of ``Q`` at a state are needed, no rows are
 drawn: :func:`_exact_q` gives them on every plain spec, the same at every
@@ -66,19 +65,20 @@ those of a call at that state alone.
 A task of one process pool (:func:`esrate.pool.fan_out`, sized by
 ``ES_RATE_THREADS``) is one block at all of the call's states, so a
 one-block call runs inline and results do not depend on the worker count.
-Input is checked before any pool starts.
+Input is checked before any pool starts: a state needs a finite ``m`` off
+the optimum and ``log(sigma)`` in ``(-745, 708)``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from functools import cached_property, partial, reduce
+from functools import partial, reduce
 
 import numpy as np
 
 from .engine import EsParams, EsState, default_sigma0, rng_stream
-from .objectives import PERTURB_AMP, PERTURB_FREQ, ObjectiveSpec, _values, stack_evaluator
+from .objectives import PERTURB_AMP, PERTURB_FREQ, ObjectiveSpec, _values
 from .pool import fan_out
 from .theory import (
     QExtremes,
@@ -119,10 +119,6 @@ ELEMS = 2**14
 #: ``max(1, SUB_ELEMS // w)`` rows of ``w`` draws, each block with its own
 #: streams.  Unlike ``ELEMS``, it fixes which rows are drawn.
 SUB_ELEMS = 2**21
-
-#: Below this ratio of step length to distance, the remainder formula loses too
-#: many digits to cancellation; non-quadratic specs then reject the state.
-CANCELLATION_GUARD = 1e-6
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -298,87 +294,72 @@ def _width(spec: ObjectiveSpec) -> int:
 class _At:
     """A state's constants, computed once per block.
 
-    ``f_m`` is ``f(m)``, ``m_norm`` is ``||m||``, and ``g`` is the vector
-    whose product with a row is ``<z, grad f(m)>``: the gradient for full
-    rows, ``gamma`` for reduced ones (``levels`` given).
+    ``f_m`` is ``f(m)`` and ``g`` the vector whose product with a row is
+    ``<z, grad f(m)>``: the gradient for full rows, ``gamma`` for reduced
+    ones (``levels`` given).  On ``perturbed``, ``cos`` and ``sin`` weigh the
+    terms of :meth:`cosine_q`.
     """
 
     def __init__(self, spec: ObjectiveSpec, levels: _Levels | None, state: EsState) -> None:
         self.spec, self.state = spec, state
         self.f_m = spec.value(state.m)
-        self.m_norm = np.linalg.norm(state.m)
-        self.g = spec.gradient(state.m) if levels is None else levels.gamma(spec, state.m)
+        if levels is None:
+            self.g = spec.gradient(state.m)
+            c = PERTURB_FREQ * state.m
+            self.cos, self.sin = 4.0 * PERTURB_AMP * np.cos(c), 2.0 * PERTURB_AMP * np.sin(c)
+        else:
+            self.g = levels.gamma(spec, state.m)
+
+    def cosine_q(self, zs: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        """The cosine term's part of ``Q`` of each full row on ``perturbed``.
+
+        With ``x = s z``, ``s = omega sigma`` and ``c = omega m``, it is
+        ``2a sum_i (2 cos c_i (sin(x_i / 2) / s)^2 + sin c_i (sin x_i - x_i) / s^2)``,
+        the split of :func:`_perturbed_moments`.  Dividing by ``s`` before
+        squaring keeps the even terms finite where ``s^2`` underflows; the
+        odd sum is 0 there, since ``sin x`` rounds to ``x`` below ``|x| =
+        2e-8``.  ``scratch`` is a work array of the shape of ``zs``.
+        """
+        s = PERTURB_FREQ * self.state.sigma
+        half = np.sin(np.multiply(0.5 * s, zs, out=scratch), out=scratch)
+        even = np.square(np.divide(half, s, out=half), out=half) @ self.cos
+        x = np.multiply(s, zs, out=scratch)
+        return even + (np.sin(x) - x) @ self.sin / s / s
 
 
 class _Chunk:
-    """A chunk of mutation rows ``zs`` at one state, with ``fx = f(m + sigma z)``.
+    """A chunk of mutation rows ``zs`` at one state, with their remainders ``q``.
 
-    On a diagonal quadratic, ``zs`` holds reduced rows (:class:`_Levels`)
-    and ``q`` their remainders ``Q``, the same at every state, and the
-    expansion ``fx = f(m) + sigma (<z, grad f(m)> + sigma Q / 2)`` is exact:
-    no candidate is formed.  Other kinds pass full rows, ``q=None`` and the
-    rows' norms ``||z||``, also shared by every state; ``xs`` then receives
-    the candidates ``m + sigma zs`` and ``scratch`` the elementwise
-    temporaries of the objective.  Both are work arrays of the shape of
-    ``zs``, so no chunk-sized array is allocated per state, and they hold
-    nothing a column reads.
+    ``zg`` is ``<z, grad f(m)>`` of each row, and ``fx = f(m + sigma z)``
+    comes from the exact expansion ``f(m) + sigma (<z, grad f(m)> + sigma Q
+    / 2)``, so no candidate is formed.  On a diagonal quadratic ``zs`` holds
+    reduced rows (:class:`_Levels`).
     """
 
-    def __init__(self, at: _At, zs: np.ndarray, q: np.ndarray | None = None,
-                 xs: np.ndarray | None = None, scratch: np.ndarray | None = None,
-                 norms: np.ndarray | None = None) -> None:
-        self.spec, self.state, self.f_m = at.spec, at.state, at.f_m
-        self.at, self.zs, self.norms = at, zs, norms
+    def __init__(self, at: _At, zs: np.ndarray, q: np.ndarray) -> None:
+        self.spec, self.state, self.f_m, self.q = at.spec, at.state, at.f_m, q
+        self.zg = zs @ at.g
         sigma = at.state.sigma
-        if q is None:
-            np.add(at.state.m, np.multiply(sigma, zs, out=xs), out=xs)
-            self.fx = stack_evaluator([at.spec])(xs[None], scratch[None])[0]
-        else:
-            self.q = q  # shadows the cached property below
-            self.fx = self.f_m + sigma * (self.zg + 0.5 * sigma * q)
+        self.fx = self.f_m + sigma * (self.zg + 0.5 * sigma * q)
         self.success = self.fx <= self.f_m
-
-    @cached_property
-    def zg(self) -> np.ndarray:
-        """``<z, grad f(m)>`` of each row."""
-        return self.zs @ self.at.g
-
-    @cached_property
-    def q(self) -> np.ndarray:
-        """The scaled Taylor remainder ``Q`` of each row on a non-quadratic spec.
-
-        Positive for every nonzero row by strong convexity, and pathwise
-        within ``[L ||z||^2, U ||z||^2]``.  It is read back from ``fx``, which
-        cancels digits: when ``sigma ||z|| / ||m||`` is below the cancellation
-        guard for any row, double precision cannot certify it, and the state
-        is rejected.
-        """
-        sigma = self.state.sigma
-        q = (2.0 / sigma**2) * (self.fx - self.f_m - sigma * self.zg)
-        if np.any(sigma * self.norms < CANCELLATION_GUARD * self.at.m_norm):
-            raise ValueError(
-                "step too small relative to ||m|| for a reliable remainder "
-                "(non-quadratic spec); increase sigma"
-            )
-        return q
 
 
 def _chunks(levels: _Levels | None, ats: list[_At], zs: np.ndarray, r: np.ndarray,
-            xs: np.ndarray, scratch: np.ndarray):
+            scratch: np.ndarray):
     """A :class:`_Chunk` of the rows ``zs`` at each state's constants ``ats`` in turn.
 
-    What no state changes is computed here, once per chunk: on a diagonal
-    quadratic (``levels`` given) the remainder ``Q`` of each reduced row
-    ``(zs, r)``, on other kinds each full row's norm ``||z||``.  ``xs`` and
-    ``scratch`` are work arrays of the shape of ``zs``; ``r`` is unused on
-    other kinds.
+    ``Q`` is computed in closed form.  On a diagonal quadratic (``levels``
+    given) ``Q`` of each reduced row ``(zs, r)`` is the same at every state,
+    so it is computed once per chunk.  On ``perturbed``, ``z'Hz`` of each
+    full row is computed once per chunk, and each state adds its cosine term
+    (:meth:`_At.cosine_q`); ``r`` is unused.  ``scratch`` is a work array of
+    the shape of ``zs``.
     """
     if levels is not None:
         q = levels.q(zs, r, scratch)
         return (_Chunk(at, zs, q) for at in ats)
-    # np.linalg.norm(zs, axis=1) for real input, with its square in the scratch
-    norms = np.sqrt(np.add.reduce(np.multiply(zs, zs, out=scratch), axis=1))
-    return (_Chunk(at, zs, xs=xs, scratch=scratch, norms=norms) for at in ats)
+    zhz = 2.0 * _values(ats[0].spec.diag, zs, scratch)
+    return (_Chunk(at, zs, zhz + at.cosine_q(zs, scratch)) for at in ats)
 
 
 def _block(spec: ObjectiveSpec, states: list[EsState], rows: int, columns, seed: int,
@@ -390,18 +371,18 @@ def _block(spec: ObjectiveSpec, states: list[EsState], rows: int, columns, seed:
     reduced rows (:class:`_Levels`), each ``2 standard_gamma((n_j - 1) / 2)``,
     come from ``rng_stream(seed, 1, b)``.  It draws them in chunks of
     ``max(1, ELEMS // w)`` rows of ``w`` draws (:func:`_width`), into work
-    arrays allocated once per block, and evaluates each chunk at every state
-    in turn (:func:`_chunks`), from state constants computed once per block
-    (:class:`_At`).  So a row is
-    drawn once however many states read it, and its ``Q`` on a diagonal
-    quadratic, or its norm on other kinds, is computed once too.  Returns
-    one :class:`_Moments` per state.
+    arrays allocated once per block (the rows and one scratch array of their
+    shape), and evaluates each chunk at every state in turn
+    (:func:`_chunks`), from state constants computed once per block
+    (:class:`_At`).  So a row is drawn once however many states read it, and
+    its ``Q`` on a diagonal quadratic, or ``z'Hz`` on ``perturbed``, is
+    computed once too.  Returns one :class:`_Moments` per state.
     """
     levels = _Levels(spec.diag) if spec.is_quadratic else None
     ats = [_At(spec, levels, state) for state in states]
     normals, chi_squares = rng_stream(seed, 0, b), rng_stream(seed, 1, b)
     chunk = min(max(1, ELEMS // (spec.dim if levels is None else levels.width)), rows)
-    zs, xs, scratch = np.empty((3, chunk, spec.dim if levels is None else len(levels.h)))
+    zs, scratch = np.empty((2, chunk, spec.dim if levels is None else len(levels.h)))
     r = np.empty((chunk, 0 if levels is None else len(levels.multi)))
     moments = None
     for start in range(0, rows, chunk):
@@ -410,7 +391,7 @@ def _block(spec: ObjectiveSpec, states: list[EsState], rows: int, columns, seed:
         if levels is not None:
             np.multiply(2.0, chi_squares.standard_gamma(levels.half_dof, out=r[:k]), out=r[:k])
         new = [_Moments(np.array(columns(c), dtype=float))
-               for c in _chunks(levels, ats, zs[:k], r[:k], xs[:k], scratch[:k])]
+               for c in _chunks(levels, ats, zs[:k], r[:k], scratch[:k])]
         moments = new if moments is None else [m.merge(c) for m, c in zip(moments, new)]
     return moments
 
@@ -427,14 +408,20 @@ def _sample(spec: ObjectiveSpec, columns, states: list[EsState], n: int,
     :func:`esrate.pool.fan_out` task is one block at every state, so a
     one-block call runs inline, and a state's blocks merge in block order
     whatever the worker count.  Input is checked here, before any pool
-    starts.
+    starts; a bad state's ``ValueError`` names its index.
     """
     _require_plain(spec)
     _check_sample(n, seed)
     if not states:
         raise ValueError("need at least one state")
-    if not all(np.any(state.m) for state in states):
-        raise ValueError("state must be off-optimum")
+    for i, state in enumerate(states):
+        if not np.all(np.isfinite(state.m)):
+            raise ValueError(f"state {i}: m must be finite")
+        if not np.any(state.m):
+            raise ValueError(f"state {i} must be off-optimum")
+        if not -745.0 < state.log_sigma < 708.0:  # sigma and omega sigma are positive floats
+            raise ValueError(f"state {i}: log_sigma = {state.log_sigma!r} is outside (-745, 708), "
+                             "where sigma = exp(log_sigma) is a positive float")
     rows = max(1, SUB_ELEMS // _width(spec))
     blocks = [(b, min(rows, n - start)) for b, start in enumerate(range(0, n, rows))]
     per_block = fan_out(_block, [(spec, states, size, columns, seed, b) for b, size in blocks])
@@ -507,14 +494,21 @@ def estimate_log_progress(spec: ObjectiveSpec, state: EsState, n: int, seed: int
 # -- state helpers -------------------------------------------------------------
 
 
+def _gradient_norm(spec: ObjectiveSpec, m: np.ndarray) -> float:
+    """``||grad f(m)||``; ``ValueError`` where it is 0 (at the optimum) or NaN."""
+    gnorm = spec.gradient_norm(m)
+    if not gnorm > 0.0:
+        raise ValueError(f"m must be finite and off the optimum, got ||grad f(m)|| = {gnorm!r}")
+    return gnorm
+
+
 def sigma_bar(spec: ObjectiveSpec, state: EsState) -> float:
     """Normalized step size ``sigma * E[Q] / ||grad f(m)||``, with the exact
     ``E[Q]`` at the state (:func:`_exact_q`): the trace on a diagonal
     quadratic.  A composite raises ``ValueError``.
     """
     [mean_q] = _exact_q(spec, state, mean_only=True)
-    gnorm = spec.gradient_norm(state.m)
-    return state.sigma * mean_q / gnorm
+    return state.sigma * mean_q / _gradient_norm(spec, state.m)
 
 
 def state_at_sigma_bar(spec: ObjectiveSpec, m, target_sigma_bar: float) -> EsState:
@@ -522,9 +516,10 @@ def state_at_sigma_bar(spec: ObjectiveSpec, m, target_sigma_bar: float) -> EsSta
 
     Needs a diagonal quadratic, whose ``E[Q]`` is the exact trace.
     """
+    if not target_sigma_bar > 0.0:
+        raise ValueError(f"target_sigma_bar must be positive, got {target_sigma_bar!r}")
     m = np.asarray(m, dtype=float)
-    gnorm = spec.gradient_norm(m)
-    sigma = target_sigma_bar * gnorm / spec.trace_hessian
+    sigma = target_sigma_bar * _gradient_norm(spec, m) / spec.trace_hessian
     return EsState(m=m, log_sigma=math.log(sigma))
 
 
@@ -593,7 +588,9 @@ def _perturbed_moments(spec: ObjectiveSpec, state: EsState,
     means, and ``E[sin sz; <z, b> <= 0] = -exp(-t (1 - b_i^2) / 2)
     F(s b_i / sqrt 2) / sqrt(pi)`` with Dawson's ``F``, so the odd part
     contributes ``A sin c (x - exp(-t (1 - b_i^2) / 2) F(x)) / sqrt(pi)``
-    at ``x = s b_i / sqrt 2``.  Every ``1 - g^k`` is an ``expm1``.
+    at ``x = s b_i / sqrt 2``.  Every ``1 - g^k`` is an ``expm1``, and the
+    odd part is divided by ``s`` twice, not by ``t``, so where ``t``
+    underflows it is 0, its limit as ``s -> 0``.
     """
     a, h = PERTURB_AMP, spec.diag
     s = PERTURB_FREQ * state.sigma
@@ -614,7 +611,7 @@ def _perturbed_moments(spec: ObjectiveSpec, state: EsState,
            + 4.0 * a * a * p * sin * sin)
     b = spec.gradient(state.m) / spec.gradient_norm(state.m)
     dawson, gap = _dawson(s * b / math.sqrt(2.0))
-    odd = (2.0 * a / t) * sin * (gap - np.expm1(-0.5 * t * (1.0 - b * b)) * dawson)
+    odd = 2.0 * a * sin * ((gap - np.expm1(-0.5 * t * (1.0 - b * b)) * dawson) / s / s)
     return mean, var, 0.5 * h + a * e1 * cos + odd / math.sqrt(math.pi)
 
 
@@ -890,7 +887,7 @@ def regime_of(spec: ObjectiveSpec, state: EsState, params: EsParams,
     """
     [mean_q] = _exact_q(spec, state, mean_only=True)
     f_m = spec.value(state.m)
-    gnorm = spec.gradient_norm(state.m)
+    gnorm = _gradient_norm(spec, state.m)
     small_cap = constants.s * math.sqrt(constants.strong_convexity * f_m) / (
         params.alpha_up * constants.e_q
     )

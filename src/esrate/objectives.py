@@ -262,8 +262,8 @@ def hessian_family(kind: str, dim: int, kappa: int) -> ObjectiveSpec:
     kind = kind.lower()
     if kind not in ("h1", "h2", "h3"):
         raise ValueError(f"unknown Hessian family {kind!r}")
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
+    if not (is_int(dim) and dim >= 1):
+        raise ValueError(f"dim must be a positive integer, got {dim!r}")
     check_kappa(kappa)
     if dim == 1:
         diag = np.array([1.0])

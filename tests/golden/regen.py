@@ -29,6 +29,7 @@ import numpy as np
 
 from esrate import analysis, harness
 from esrate.cli import cli_main
+from esrate.engine import EsState, rng_stream
 from esrate.objectives import perturbed_family
 from esrate.verify import SUITES
 
@@ -36,6 +37,9 @@ FIXTURE = Path(__file__).with_name("golden.json")
 
 #: Suite name -> the small ``n`` its fixture runs at; each suite keeps its default seed.
 SUITE_N = {"invariance": 4, "lemmas": 2000, "assumption2": 1000, "drift": 2000}
+
+#: Steps of the ``perturbed`` lemma suite's four states; the first is far below ``||m||``.
+PERTURBED_SIGMAS = (1e-9, 0.05, 0.5, 2.0)
 
 #: A 2 x 2 x 2 grid with a non-quadratic kind, 3 trials per cell.
 EXPERIMENT = harness.ExperimentConfig(
@@ -74,6 +78,10 @@ def outputs() -> dict:
         analysis.check_assumption2(perturbed_family(30, 2), n=5000, seed=31))
     out["q_extremes:perturbed(12,1)"] = asdict(
         analysis.q_extremes(perturbed_family(12, 1), n=2000, seed=2))
+    m = rng_stream(8, 3).standard_normal(8)
+    out["lemmas:perturbed(8,1)"] = analysis.check_lemma_suite(
+        perturbed_family(8, 1), [EsState(m, math.log(s)) for s in PERTURBED_SIGMAS],
+        n=2000, seed=8).to_json()
     out["experiment"] = [asdict(row) for row in harness.run_experiment(EXPERIMENT)]
     out["bounds"], out["bounds:trace"] = bounds_outputs()
     return json.loads(json.dumps(out, default=float))

@@ -1,4 +1,5 @@
 import math
+import re
 import resource
 import tracemalloc
 import warnings
@@ -86,11 +87,9 @@ def sample_Q(spec, state, z):
     if spec.is_quadratic:
         levels = analysis._Levels(spec.diag)
         u, r = _reduce(levels, state.m, zs)
-        (chunk,) = _chunks(levels, [analysis._At(spec, levels, state)], u, r, None,
-                           np.empty_like(u))
+        (chunk,) = _chunks(levels, [analysis._At(spec, levels, state)], u, r, np.empty_like(u))
     else:
-        (chunk,) = _chunks(None, [analysis._At(spec, None, state)], zs, None,
-                           np.empty_like(zs), np.empty_like(zs))
+        (chunk,) = _chunks(None, [analysis._At(spec, None, state)], zs, None, np.empty_like(zs))
     return float(chunk.q[0])
 
 
@@ -122,7 +121,6 @@ def test_sample_q_tiny_sigma_uses_closed_form():
     spec = hessian_family("h1", 4, 1)
     z = RNG.standard_normal(4)
     m = np.array([5.0, 1.0, 1.0, 1.0])
-    assert 1e-12 * np.linalg.norm(z) < analysis.CANCELLATION_GUARD * np.linalg.norm(m)
     got = sample_Q(spec, _state(m, 1e-12), z)
     # Q of the reduced row as the kernel evaluates it: the quadratic formula's
     # row reduction on u, doubled, plus the chi-square part
@@ -131,10 +129,36 @@ def test_sample_q_tiny_sigma_uses_closed_form():
     assert got == float((np.vecdot(levels.h * u, u) + r @ levels.h_multi)[0])
 
 
-def test_sample_q_tiny_sigma_rejected_for_perturbed():
-    spec = perturbed_family(4, 0)
-    with pytest.raises(ValueError):
-        sample_Q(spec, _state([1.0, 1.0, 1.0, 1.0], 1e-12), RNG.standard_normal(4))
+def _mp_remainder(spec, state, z):
+    """``Q`` of the row ``z`` at the state by its definition, in mpmath at enough digits
+    that ``f(m + sigma z) - f(m)`` keeps about 30 of them at any ``sigma``."""
+    with mpmath.workdps(40 + 2 * max(0, -int(math.log10(state.sigma)))):
+        sigma = mpmath.mpf(state.sigma)
+        m, z = ([mpmath.mpf(float(v)) for v in vec] for vec in (state.m, z))
+        coef = mpmath.mpf(PERTURB_AMP) / PERTURB_FREQ**2
+
+        def f(x):
+            return sum(h * xi**2 / 2 + coef * (1 - mpmath.cos(PERTURB_FREQ * xi))
+                       for h, xi in zip(spec.diag, x))
+
+        grad_z = sum((h * mi + mpmath.mpf(PERTURB_AMP) / PERTURB_FREQ
+                      * mpmath.sin(PERTURB_FREQ * mi)) * zi for h, mi, zi in zip(spec.diag, m, z))
+        step = f([mi + sigma * zi for mi, zi in zip(m, z)]) - f(m) - sigma * grad_z
+        return float(2 * step / sigma**2)
+
+
+@pytest.mark.parametrize("sigma", [1e-300, 1e-170, 1e-12, 1e-8, 1e-4, 1.0, 30.0, 1e10], ids=str)
+def test_perturbed_kernel_q_matches_mpmath(sigma):
+    # Q in closed form at every step size, from steps whose square underflows to steps
+    # far past ||m||; 1e-8 bounds the rounding of sin x - x near x = 2e-8.
+    spec = perturbed_family(6, 1)
+    rng = np.random.default_rng(31)
+    m, zs = 2.0 * rng.standard_normal(6), rng.standard_normal((10, 6))
+    state = _state(m, sigma)
+    (chunk,) = _chunks(None, [analysis._At(spec, None, state)], zs, None, np.empty_like(zs))
+    for z, q in zip(zs, chunk.q):
+        want = _mp_remainder(spec, state, z)
+        assert abs(q - want) <= 1e-8 * abs(want), (q, want)
 
 
 def test_sample_q_composite_rejected():
@@ -574,31 +598,35 @@ _CANDIDATE_SPECS = {
     "flat": lambda dim: quadratic_diag([2.0] * dim),
     **{family: lambda dim, family=family: hessian_family(family, dim, 2)
        for family in ("h1", "h2", "h3")},
+    "perturbed": lambda dim: perturbed_family(dim, 2),
 }
 
 
 @pytest.mark.parametrize("family, dim", [
-    *((family, dim) for family in ("h1", "h2", "h3", "sphere") for dim in (10, 100, 1000)),
+    *((family, dim) for family in ("h1", "h2", "h3", "sphere", "perturbed")
+      for dim in (10, 100, 1000)),
     ("flat", 6),
 ], ids=str)
 def test_quadratic_candidate_values_match_direct_evaluation(family, dim):
     # Each state reads the same reduced rows in its own basis: a full row rebuilt
     # from them at that state gives the chunk's candidate values.  On h2 every
-    # level is one coordinate, so the rebuilt row is u itself.
+    # level is one coordinate, so the rebuilt row is u itself; perturbed draws
+    # full rows.  No candidate is formed: fx is the expansion in Q.
     spec = _CANDIDATE_SPECS[family](dim)
-    levels = analysis._Levels(spec.diag)
+    levels = analysis._Levels(spec.diag) if spec.is_quadratic else None
     rng = np.random.default_rng(dim)
-    states = [state_at_sigma_bar(spec, rng.standard_normal(dim), s) for s in (0.1, 1.0, 10.0)]
-    u = rng.standard_normal((2_000, len(levels.h)))
-    r = 2.0 * rng.standard_gamma(levels.half_dof, size=(2_000, len(levels.multi)))
+    trace = float(np.sum(spec.diag))
+    states = [_state(m, s * spec.gradient_norm(m) / trace)
+              for m, s in ((rng.standard_normal(dim), s) for s in (0.1, 1.0, 10.0))]
+    u = rng.standard_normal((2_000, dim if levels is None else len(levels.h)))
+    r = None if levels is None else 2.0 * rng.standard_gamma(
+        levels.half_dof, size=(2_000, len(levels.multi)))
     ats = [analysis._At(spec, levels, state) for state in states]
-    xs = np.full_like(u, np.nan)
-    for state, chunk in zip(states, _chunks(levels, ats, u, r, xs, np.empty_like(u))):
-        zs = _rebuild(levels, state.m, u, r, rng)
+    for state, chunk in zip(states, _chunks(levels, ats, u, r, np.empty_like(u))):
+        zs = u if levels is None else _rebuild(levels, state.m, u, r, rng)
         direct = spec.value_many(state.m + state.sigma * zs)
         assert np.allclose(chunk.fx, direct, rtol=1e-13, atol=0.0)
         assert np.array_equal(chunk.success, direct <= spec.value(state.m))
-    assert np.isnan(xs).all()  # the candidates are never formed
 
 
 @pytest.mark.parametrize("spec", [hessian_family("h1", 50, 2), sphere(50)], ids=["h1", "sphere"])
@@ -690,7 +718,7 @@ def test_se_var_matches_two_pass_long_double_reference():
             k = min(rows, size - s)
             u = normals.standard_normal((k, len(levels.h)))
             r = 2.0 * chi_squares.standard_gamma(levels.half_dof, size=(k, len(levels.multi)))
-            q.append(next(_chunks(levels, [at], u, r, None, np.empty_like(u))).q)
+            q.append(next(_chunks(levels, [at], u, r, np.empty_like(u))).q)
     assert len(q) > 1 + n // block  # several chunks
     q = np.concatenate(q).astype(np.longdouble)
     dev = q - q.mean()
@@ -877,6 +905,64 @@ def test_sigma_bar_on_perturbed_survives_a_step_whose_square_underflows():
     mean_q = float(np.sum(spec.diag + PERTURB_AMP * np.cos(PERTURB_FREQ * m)))
     assert sigma_bar(spec, state) == pytest.approx(state.sigma * mean_q / spec.gradient_norm(m),
                                                    rel=1e-15)
+
+
+def test_exact_q_on_perturbed_at_a_step_whose_square_underflows_is_its_limit():
+    # As sigma -> 0, E[Q], Var[Q] and the half mean tend to (sum k, 2 sum k^2, sum k / 2)
+    # with k = h + a cos(omega m); the half mean's odd part, of order omega sigma, vanishes.
+    spec, m = perturbed_family(4, 0), np.array([0.3, -1.2, 2.0, 0.7])
+    k = spec.diag + PERTURB_AMP * np.cos(PERTURB_FREQ * m)
+    got = analysis._exact_q(spec, _state(m, 1e-170))
+    want = (float(np.sum(k)), float(2.0 * np.sum(k * k)), float(0.5 * np.sum(k)))
+    assert got == pytest.approx(want, rel=1e-15)
+
+
+@pytest.mark.parametrize("sigma", [1e-12, 1e-170], ids=str)
+def test_q_stats_on_perturbed_at_tiny_steps_match_the_exact_moments(sigma):
+    spec, m = perturbed_family(4, 0), np.array([0.3, -1.2, 2.0, 0.7])
+    state = _state(m, sigma)
+    mean, var, half = analysis._exact_q(spec, state)
+    stats = estimate_q_stats(spec, state, 20_000, seed=3)
+    assert abs(stats.mean_q - mean) <= 4.0 * stats.se_mean
+    assert abs(stats.var_q - var) <= 4.0 * stats.se_var
+    assert abs(stats.half_mean_q - half) <= 4.0 * stats.se_half
+
+
+def _hostile_calls():
+    """Calls on bad input, by name, with the words their ``ValueError`` must contain."""
+    params, constants = _drift_constants()
+    at_optimum = _state(np.zeros(3), 1.0)
+    return {
+        "q_stats_nan_m": (lambda: estimate_q_stats(
+            sphere(3), _state([math.nan, 1.0, 1.0], 1.0), 1000, 0), "state 0: m must be finite"),
+        "success_prob_sigma_overflows": (lambda: estimate_success_prob(
+            sphere(3), EsState(np.ones(3), 800.0), 1000, 0), "log_sigma = 800.0"),
+        "lemma_suite_sigma_zero": (lambda: check_lemma_suite(
+            perturbed_family(3, 0), [_state(np.ones(3), 1.0), EsState(np.ones(3), -800.0)],
+            1000, 0), "state 1: log_sigma = -800.0"),
+        "sigma_bar_at_optimum": (lambda: sigma_bar(sphere(3), at_optimum), "off the optimum"),
+        "regime_at_optimum": (lambda: regime_of(sphere(3), at_optimum, params, constants),
+                              "off the optimum"),
+        "state_at_sigma_bar_at_optimum": (lambda: state_at_sigma_bar(sphere(3), np.zeros(3), 1.0),
+                                          "off the optimum"),
+        "state_at_sigma_bar_negative_target": (
+            lambda: state_at_sigma_bar(sphere(3), np.ones(3), -1.0), "target_sigma_bar"),
+        "hessian_family_fractional_dim": (lambda: hessian_family("h1", 1.5, 0),
+                                          "dim must be a positive integer, got 1.5"),
+        "sphere_fractional_dim": (lambda: sphere(2.5), "dim must be a positive integer"),
+        "perturbed_fractional_dim": (lambda: perturbed_family(2.5, 0),
+                                     "dim must be a positive integer"),
+    }
+
+
+@pytest.mark.parametrize("name", list(_hostile_calls()))
+def test_hostile_input_raises_a_value_error_naming_it(monkeypatch, name):
+    call, words = _hostile_calls()[name]
+    monkeypatch.setattr(analysis, "fan_out", _no_pool)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(words)):
+            call()
 
 
 def test_state_helpers_reject_a_composite():

@@ -1,5 +1,5 @@
-"""Committed golden outputs: small verify suites, Assumption 2 scans, an experiment and a
-bounds search with its trace."""
+"""Committed golden outputs: small verify suites, Assumption 2 scans, a lemma suite on
+``perturbed``, an experiment and a bounds search with its trace."""
 
 import importlib.util
 import json

@@ -13,35 +13,32 @@ three-standard-error slack.
 Every estimator runs on one kernel.  A call draws one stream of ``n``
 mutation rows, shared by every state it evaluates (common random numbers:
 the states of :func:`check_lemma_suite` and :func:`estimate_drift`, or the
-one state of a single estimate).  A row is ``w`` draws.  On a diagonal
-quadratic it is reduced: one standard normal per level of equal Hessian
-entries, and one chi-square per level of two or more coordinates, which
-carry the whole law of ``Q`` and ``<z, grad f(m)>`` at every state (see
-:class:`_Levels`).  So ``w`` is 2 on the sphere, 3 on ``h1`` and ``h3``
-with ``kappa > 0``, and ``d`` on an all-distinct diagonal such as ``h2``,
-whose reduced row is the full row.  Other kinds draw the full
-standard-normal row of ``w = d`` draws.  The rows split into sub-stream
-blocks of ``max(1, SUB_ELEMS // w)`` rows; block ``b`` draws its normals
-from ``rng_stream(seed, 0, b)`` and its chi-squares from
-``rng_stream(seed, 1, b)``.  A block draws its rows in chunks of
-``max(1, ELEMS // w)`` rows, into work arrays allocated once per block,
-computes each state's constants (``f(m)`` and the gradient, or its norm
-per level) once, evaluates each chunk at every state in turn, and merges
-each state's per-row columns into its own accumulator of the count, the
-mean vector and the centred co-moment matrix.  A state's blocks then merge
-in block order by the same update.  Each value and its standard error are
-read from the merged accumulator: a mean with ``sqrt(s^2 / n)`` (``s^2``
-with ``n - 1`` degrees of freedom), a smooth function of several means by
-the delta method.
+one state of a single estimate).  A row is ``w`` draws: one standard
+normal per level of coordinates and one chi-square per level of two or
+more, which carry the whole law of ``Q`` and ``<z, grad f(m)>`` at every
+state (:class:`_Levels`).  So ``w`` is 2 on the sphere, 3 on ``h1`` and
+``h3`` with ``kappa > 0``, and ``d`` on ``h2`` and ``perturbed``, whose
+levels are single coordinates.  The rows split into sub-stream blocks of
+``max(1, SUB_ELEMS // w)`` rows; block ``b`` draws its normals from
+``rng_stream(seed, 0, b)`` and its chi-squares from ``rng_stream(seed, 1,
+b)``.  A block draws its rows in chunks of ``max(1, ELEMS // w)`` rows,
+into work arrays allocated once per block, computes each state's
+constants (``f(m)`` and the gradient's part per level) once, evaluates
+each chunk at every state in turn, and merges each state's per-row
+columns into its own accumulator of the count, the mean vector and the
+centred co-moment matrix.  A state's blocks then merge in block order by
+the same update.  Each value and its standard error are read from the
+merged accumulator: a mean with ``sqrt(s^2 / n)`` (``s^2`` with ``n - 1``
+degrees of freedom), a smooth function of several means by the delta
+method.
 
 Every chunk is evaluated in closed form, and no candidate ``m + sigma z``
-is formed.  On a diagonal quadratic ``Q`` of each reduced row is computed
-once per chunk and shared by every state.  On ``perturbed``, ``z'Hz`` of
-each full row is, and each state adds the cosine term's part, a sum of
-sines of ``omega sigma z_i`` that stays accurate at every ``sigma``, steps
-whose square underflows included (:meth:`_At.cosine_q`).  Each state then
-takes one product for ``<z, grad f(m)>`` and the exact expansion
-``f(m + sigma z) = f(m) + sigma <z, grad f(m)> + sigma^2 Q / 2``.
+is formed.  The quadratic part of ``Q`` of each row is computed once per
+chunk and shared by every state; on ``perturbed`` each state adds the
+cosine term's part, a sum of sines of ``omega sigma z_i`` accurate at every
+``sigma`` (:meth:`_At.cosine_q`).  Each state then takes one product for
+``<z, grad f(m)>`` and the exact change ``f(m + sigma z) - f(m) = sigma
+(<z, grad f(m)> + sigma Q / 2)``, whose sign is the step's success.
 
 Where only the exact moments of ``Q`` at a state are needed, no rows are
 drawn: :func:`_exact_q` gives them on every plain spec, the same at every
@@ -240,33 +237,37 @@ class _Moments:
 
 
 class _Levels:
-    """The reduced rows of a diagonal quadratic.
+    """The rows of the Monte Carlo kernel on a plain spec.
 
-    A level ``j`` is the set ``G_j`` of the ``n_j`` coordinates that share
-    one diagonal value ``h_j``; levels are ordered by their first
-    coordinate, so on an all-distinct diagonal level ``j`` is coordinate
-    ``j``.  A standard-normal row ``z`` enters ``Q = z'Hz`` and
+    A level ``j`` is a set ``G_j`` of ``n_j`` coordinates that share one
+    diagonal value ``h_j``, ordered by their first coordinate: on a diagonal
+    quadratic every coordinate of that value, on ``perturbed`` one
+    coordinate (the cosine term has no rotation symmetry, so equal entries
+    must not merge).  A standard-normal row ``z`` enters ``z'Hz`` and
     ``<z, grad f(m)>`` only through two numbers per level: ``u_j``, its
     component along the gradient's part on ``G_j``, and ``r_j``, the squared
     norm of the rest of ``z`` on ``G_j``.  So
 
-        Q = sum_j h_j (u_j^2 + r_j),    <z, grad f(m)> = sum_j gamma_j u_j,
+        z'Hz = sum_j h_j (u_j^2 + r_j),    <z, grad f(m)> = sum_j gamma_j u_j,
 
     with ``gamma_j = h_j ||m_{G_j}||``, or the signed gradient entry on a
     one-coordinate level, which has no ``r_j``.  Whatever the state, the
     ``u_j`` are independent standard normals and the ``r_j`` independent
-    chi-squares with ``n_j - 1`` degrees of freedom, so one reduced row of
-    ``width`` draws serves every state, exactly in law.
+    chi-squares with ``n_j - 1`` degrees of freedom, so one row of ``width``
+    draws serves every state, exactly in law.  A composite raises ``ValueError``.
     """
 
-    def __init__(self, diag: np.ndarray) -> None:
-        values, first, counts = np.unique(diag, return_index=True, return_counts=True)
+    def __init__(self, spec: ObjectiveSpec) -> None:
+        _require_plain(spec)
+        key = spec.diag if spec.is_quadratic else np.arange(spec.dim)
+        _, first, counts = np.unique(key, return_index=True, return_counts=True)
         order = np.argsort(first)
-        self.h, self.first, counts = values[order], first[order], counts[order]
+        self.first, counts = first[order], counts[order]
+        self.h = spec.diag[self.first]
         self.multi = np.flatnonzero(counts > 1)
         self.h_multi = self.h[self.multi]
         self.half_dof = 0.5 * (counts[self.multi] - 1)
-        self.groups = [np.flatnonzero(diag == self.h[j]) for j in self.multi]
+        self.groups = [np.flatnonzero(key == key[self.first[j]]) for j in self.multi]
         self.width = len(self.h) + len(self.multi)
 
     def gamma(self, spec: ObjectiveSpec, m: np.ndarray) -> np.ndarray:
@@ -277,41 +278,33 @@ class _Levels:
         return gamma
 
     def q(self, u: np.ndarray, r: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-        """``Q`` of each reduced row ``(u, r)``.
+        """``z'Hz`` of each row ``(u, r)``, which is ``Q`` on a diagonal quadratic.
 
         ``sum_j h_j u_j^2`` is the one quadratic formula on ``u`` (doubling its
-        ``0.5 u'Hu`` is exact), so on an all-distinct diagonal, where ``r``
-        has no columns, ``Q`` is that of the full row ``z = u`` bit for bit.
+        ``0.5 u'Hu`` is exact), so where every level is one coordinate, and
+        ``r`` has no columns, it is that of the full row ``z = u`` bit for bit.
         """
         return 2.0 * _values(self.h, u, scratch) + r @ self.h_multi
-
-
-def _width(spec: ObjectiveSpec) -> int:
-    """Draws per row: ``d``, or the reduced width of a diagonal quadratic."""
-    return _Levels(spec.diag).width if spec.is_quadratic else spec.dim
 
 
 class _At:
     """A state's constants, computed once per block.
 
-    ``f_m`` is ``f(m)`` and ``g`` the vector whose product with a row is
-    ``<z, grad f(m)>``: the gradient for full rows, ``gamma`` for reduced
-    ones (``levels`` given).  On ``perturbed``, ``cos`` and ``sin`` weigh the
-    terms of :meth:`cosine_q`.
+    ``f_m`` is ``f(m)`` and ``g`` the vector ``gamma`` whose product with a
+    row is ``<z, grad f(m)>`` (:meth:`_Levels.gamma`).  On ``perturbed``,
+    ``cos`` and ``sin`` weigh the terms of :meth:`cosine_q`.
     """
 
-    def __init__(self, spec: ObjectiveSpec, levels: _Levels | None, state: EsState) -> None:
+    def __init__(self, spec: ObjectiveSpec, levels: _Levels, state: EsState) -> None:
         self.spec, self.state = spec, state
         self.f_m = spec.value(state.m)
-        if levels is None:
-            self.g = spec.gradient(state.m)
+        self.g = levels.gamma(spec, state.m)
+        if not spec.is_quadratic:
             c = PERTURB_FREQ * state.m
             self.cos, self.sin = 4.0 * PERTURB_AMP * np.cos(c), 2.0 * PERTURB_AMP * np.sin(c)
-        else:
-            self.g = levels.gamma(spec, state.m)
 
     def cosine_q(self, zs: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-        """The cosine term's part of ``Q`` of each full row on ``perturbed``.
+        """The cosine term's part of ``Q`` of each row on ``perturbed``.
 
         With ``x = s z``, ``s = omega sigma`` and ``c = omega m``, it is
         ``2a sum_i (2 cos c_i (sin(x_i / 2) / s)^2 + sin c_i (sin x_i - x_i) / s^2)``,
@@ -328,68 +321,60 @@ class _At:
 
 
 class _Chunk:
-    """A chunk of mutation rows ``zs`` at one state, with their remainders ``q``.
+    """A chunk of rows ``zs`` (:class:`_Levels`) at one state, with their remainders ``q``.
 
-    ``zg`` is ``<z, grad f(m)>`` of each row, and ``fx = f(m + sigma z)``
-    comes from the exact expansion ``f(m) + sigma (<z, grad f(m)> + sigma Q
-    / 2)``, so no candidate is formed.  On a diagonal quadratic ``zs`` holds
-    reduced rows (:class:`_Levels`).
+    ``zg`` is ``<z, grad f(m)>`` of each row, and ``step = sigma change`` with
+    ``change = zg + sigma Q / 2`` is ``f(m + sigma z) - f(m)`` exactly.  So the
+    relative progress ``step / f(m)`` and ``success``, the sign of ``change``,
+    read no rounding of ``f(m)``, however small ``sigma`` is.
     """
 
     def __init__(self, at: _At, zs: np.ndarray, q: np.ndarray) -> None:
         self.spec, self.state, self.f_m, self.q = at.spec, at.state, at.f_m, q
         self.zg = zs @ at.g
         sigma = at.state.sigma
-        self.fx = self.f_m + sigma * (self.zg + 0.5 * sigma * q)
-        self.success = self.fx <= self.f_m
+        change = self.zg + 0.5 * sigma * q
+        self.step, self.success = sigma * change, change <= 0.0
 
 
-def _chunks(levels: _Levels | None, ats: list[_At], zs: np.ndarray, r: np.ndarray,
+def _chunks(levels: _Levels, ats: list[_At], zs: np.ndarray, r: np.ndarray,
             scratch: np.ndarray):
-    """A :class:`_Chunk` of the rows ``zs`` at each state's constants ``ats`` in turn.
+    """A :class:`_Chunk` of the rows ``(zs, r)`` at each state's constants ``ats`` in turn.
 
-    ``Q`` is computed in closed form.  On a diagonal quadratic (``levels``
-    given) ``Q`` of each reduced row ``(zs, r)`` is the same at every state,
-    so it is computed once per chunk.  On ``perturbed``, ``z'Hz`` of each
-    full row is computed once per chunk, and each state adds its cosine term
-    (:meth:`_At.cosine_q`); ``r`` is unused.  ``scratch`` is a work array of
-    the shape of ``zs``.
+    ``Q`` is in closed form: its quadratic part (:meth:`_Levels.q`), the same
+    at every state, once per chunk, plus on ``perturbed`` each state's cosine
+    term (:meth:`_At.cosine_q`).  ``scratch`` is a work array shaped as ``zs``.
     """
-    if levels is not None:
-        q = levels.q(zs, r, scratch)
+    q = levels.q(zs, r, scratch)
+    if ats[0].spec.is_quadratic:
         return (_Chunk(at, zs, q) for at in ats)
-    zhz = 2.0 * _values(ats[0].spec.diag, zs, scratch)
-    return (_Chunk(at, zs, zhz + at.cosine_q(zs, scratch)) for at in ats)
+    return (_Chunk(at, zs, q + at.cosine_q(zs, scratch)) for at in ats)
 
 
 def _block(spec: ObjectiveSpec, states: list[EsState], rows: int, columns, seed: int,
            b: int) -> list[_Moments]:
     """Merged moments of ``columns(chunk)`` at each state over the ``rows`` rows of block ``b``.
 
-    This is the only loop that draws mutation rows.  Their normals come from
-    ``rng_stream(seed, 0, b)``; the chi-squares of a diagonal quadratic's
-    reduced rows (:class:`_Levels`), each ``2 standard_gamma((n_j - 1) / 2)``,
-    come from ``rng_stream(seed, 1, b)``.  It draws them in chunks of
-    ``max(1, ELEMS // w)`` rows of ``w`` draws (:func:`_width`), into work
-    arrays allocated once per block (the rows and one scratch array of their
-    shape), and evaluates each chunk at every state in turn
-    (:func:`_chunks`), from state constants computed once per block
-    (:class:`_At`).  So a row is drawn once however many states read it, and
-    its ``Q`` on a diagonal quadratic, or ``z'Hz`` on ``perturbed``, is
-    computed once too.  Returns one :class:`_Moments` per state.
+    This is the only loop that draws mutation rows (:class:`_Levels`): their
+    normals from ``rng_stream(seed, 0, b)`` and their chi-squares, each ``2
+    standard_gamma((n_j - 1) / 2)``, from ``rng_stream(seed, 1, b)``, in
+    chunks of ``max(1, ELEMS // w)`` rows into work arrays allocated once per
+    block.  Each chunk is evaluated at every state in turn (:func:`_chunks`),
+    from state constants computed once per block (:class:`_At`), so a row is
+    drawn once however many states read it.  Returns one :class:`_Moments`
+    per state.
     """
-    levels = _Levels(spec.diag) if spec.is_quadratic else None
+    levels = _Levels(spec)
     ats = [_At(spec, levels, state) for state in states]
     normals, chi_squares = rng_stream(seed, 0, b), rng_stream(seed, 1, b)
-    chunk = min(max(1, ELEMS // (spec.dim if levels is None else levels.width)), rows)
-    zs, scratch = np.empty((2, chunk, spec.dim if levels is None else len(levels.h)))
-    r = np.empty((chunk, 0 if levels is None else len(levels.multi)))
+    chunk = min(max(1, ELEMS // levels.width), rows)
+    zs, scratch = np.empty((2, chunk, len(levels.h)))
+    r = np.empty((chunk, len(levels.multi)))
     moments = None
     for start in range(0, rows, chunk):
         k = min(chunk, rows - start)
         normals.standard_normal(out=zs[:k])
-        if levels is not None:
-            np.multiply(2.0, chi_squares.standard_gamma(levels.half_dof, out=r[:k]), out=r[:k])
+        np.multiply(2.0, chi_squares.standard_gamma(levels.half_dof, out=r[:k]), out=r[:k])
         new = [_Moments(np.array(columns(c), dtype=float))
                for c in _chunks(levels, ats, zs[:k], r[:k], scratch[:k])]
         moments = new if moments is None else [m.merge(c) for m, c in zip(moments, new)]
@@ -402,7 +387,7 @@ def _sample(spec: ObjectiveSpec, columns, states: list[EsState], n: int,
 
     ``columns`` maps a :class:`_Chunk` to a list of per-row arrays and must
     pickle.  The call's ``n`` rows split into blocks of ``max(1, SUB_ELEMS //
-    w)`` rows, where ``w`` is the number of draws per row (:func:`_width`),
+    w)`` rows, where ``w`` is the number of draws per row (:class:`_Levels`),
     and block ``b`` draws from the keys ``(0, b)`` and ``(1, b)`` of
     ``seed`` for every state (:func:`_block`).  A
     :func:`esrate.pool.fan_out` task is one block at every state, so a
@@ -422,7 +407,7 @@ def _sample(spec: ObjectiveSpec, columns, states: list[EsState], n: int,
         if not -745.0 < state.log_sigma < 708.0:  # sigma and omega sigma are positive floats
             raise ValueError(f"state {i}: log_sigma = {state.log_sigma!r} is outside (-745, 708), "
                              "where sigma = exp(log_sigma) is a positive float")
-    rows = max(1, SUB_ELEMS // _width(spec))
+    rows = max(1, SUB_ELEMS // _Levels(spec).width)
     blocks = [(b, min(rows, n - start)) for b, start in enumerate(range(0, n, rows))]
     per_block = fan_out(_block, [(spec, states, size, columns, seed, b) for b, size in blocks])
     return [reduce(_Moments.merge, moments) for moments in zip(*per_block)]
@@ -482,8 +467,10 @@ def _success(chunk: _Chunk) -> list[np.ndarray]:
 
 
 def _log_gain(chunk: _Chunk) -> list[np.ndarray]:
-    ratio = np.maximum(chunk.fx, 1e-300) / chunk.f_m
-    return [np.where(chunk.success, np.log(ratio), 0.0)]
+    # log1p of the relative progress does not cancel at small sigma; far below f(m), log(f(x)/f(m))
+    ratio = np.maximum(chunk.f_m + chunk.step, 1e-300) / chunk.f_m
+    gain = np.where(ratio > 0.5, np.log1p(np.maximum(chunk.step / chunk.f_m, -0.5)), np.log(ratio))
+    return [np.where(chunk.success, gain, 0.0)]
 
 
 def estimate_log_progress(spec: ObjectiveSpec, state: EsState, n: int, seed: int) -> EstimateWithError:
@@ -727,8 +714,8 @@ class LemmaReport:
 def _lemma_columns(chunk: _Chunk) -> list[np.ndarray]:
     """:func:`_q_columns`, then relative progress, the ``f(m)/f(x)`` moment and success."""
     succ = chunk.success
-    rel = np.where(succ, chunk.fx / chunk.f_m - 1.0, 0.0)
-    mom = np.where(succ, chunk.f_m / np.maximum(chunk.fx, 1e-300), 1.0)
+    rel = np.where(succ, chunk.step / chunk.f_m, 0.0)
+    mom = np.where(succ, chunk.f_m / np.maximum(chunk.f_m + chunk.step, 1e-300), 1.0)
     return _q_columns(chunk) + [rel, mom, succ]
 
 
@@ -924,7 +911,7 @@ def _potential_change(params: EsParams, constants: TheoryConstants,
                       chunk: _Chunk) -> list[np.ndarray]:
     """The change of the potential over each row's step."""
     succ = chunk.success
-    f_next = np.where(succ, np.maximum(chunk.fx, 1e-300), chunk.f_m)
+    f_next = np.where(succ, np.maximum(chunk.f_m + chunk.step, 1e-300), chunk.f_m)
     step = np.where(succ, math.log(params.alpha_up), math.log(params.alpha_down))
     log_sigma = chunk.state.log_sigma
     v0 = potential_from_values(chunk.f_m, log_sigma, constants)

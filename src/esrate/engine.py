@@ -143,15 +143,25 @@ def params_for_rule(rule: str, dim: int, c: float = 1.0) -> EsParams:
         up = math.exp(log_up)
     except OverflowError:
         raise ValueError(f"alpha_up = exp({log_up:g}) exceeds the float range") from None
-    return EsParams(alpha_up=up, alpha_down=up**-0.25)
+    return _rounded_params(up, up**-0.25, f"c = {c!r}")
 
 
 def params_for_target(alpha_up: float, target: float) -> EsParams:
     """Choose ``alpha_down`` so the zero-drift success probability equals ``target``."""
     if not 0 < target < 1:
         raise ValueError("target probability must lie in (0, 1)")
-    exponent = target / (1.0 - target)
-    return EsParams(alpha_up=alpha_up, alpha_down=alpha_up**-exponent)
+    if not alpha_up > 1:  # else alpha_down >= 1, or an OverflowError below
+        raise ValueError(f"alpha_up must exceed 1, got {alpha_up!r}")
+    return _rounded_params(alpha_up, alpha_up ** (target / (target - 1.0)), f"target = {target!r}")
+
+
+def _rounded_params(up: float, down: float, source: str) -> EsParams:
+    """``EsParams(up, down)``; a factor that rounds to 1 or 0 names ``source``."""
+    if not up > 1:
+        raise ValueError(f"{source} makes alpha_up round to {up!r}; it must exceed 1")
+    if not 0 < down < 1:
+        raise ValueError(f"{source} makes alpha_down round to {down!r}; it must lie in (0, 1)")
+    return EsParams(alpha_up=up, alpha_down=down)
 
 
 @dataclass(frozen=True)

@@ -80,17 +80,17 @@ def _rebuild(levels, m, u, r, rng):
     return zs
 
 
+def _kernel_q(spec, state, zs):
+    """The kernel's remainders ``Q`` of the full rows ``zs``, reduced at the state."""
+    levels = analysis._Levels(spec)
+    u, r = _reduce(levels, state.m, zs)
+    (chunk,) = _chunks(levels, [analysis._At(spec, levels, state)], u, r, np.empty_like(u))
+    return chunk.q
+
+
 def sample_Q(spec, state, z):
-    """The kernel's remainder ``Q`` on a one-row batch: the full row ``z``, or on a
-    diagonal quadratic its reduced row at the state."""
-    zs = np.asarray(z, dtype=float)[None, :]
-    if spec.is_quadratic:
-        levels = analysis._Levels(spec.diag)
-        u, r = _reduce(levels, state.m, zs)
-        (chunk,) = _chunks(levels, [analysis._At(spec, levels, state)], u, r, np.empty_like(u))
-    else:
-        (chunk,) = _chunks(None, [analysis._At(spec, None, state)], zs, None, np.empty_like(zs))
-    return float(chunk.q[0])
+    """The kernel's remainder ``Q`` on a one-row batch ``z``."""
+    return float(_kernel_q(spec, state, np.asarray(z, dtype=float)[None, :])[0])
 
 
 # -- the kernel's remainder on one-row batches -----------------------------------
@@ -124,7 +124,7 @@ def test_sample_q_tiny_sigma_uses_closed_form():
     got = sample_Q(spec, _state(m, 1e-12), z)
     # Q of the reduced row as the kernel evaluates it: the quadratic formula's
     # row reduction on u, doubled, plus the chi-square part
-    levels = analysis._Levels(spec.diag)
+    levels = analysis._Levels(spec)
     u, r = _reduce(levels, m, z[None, :])
     assert got == float((np.vecdot(levels.h * u, u) + r @ levels.h_multi)[0])
 
@@ -155,8 +155,7 @@ def test_perturbed_kernel_q_matches_mpmath(sigma):
     rng = np.random.default_rng(31)
     m, zs = 2.0 * rng.standard_normal(6), rng.standard_normal((10, 6))
     state = _state(m, sigma)
-    (chunk,) = _chunks(None, [analysis._At(spec, None, state)], zs, None, np.empty_like(zs))
-    for z, q in zip(zs, chunk.q):
+    for z, q in zip(zs, _kernel_q(spec, state, zs)):
         want = _mp_remainder(spec, state, z)
         assert abs(q - want) <= 1e-8 * abs(want), (q, want)
 
@@ -318,6 +317,37 @@ def test_log_progress_exp_moment_bound_d10():
     moment = np.where(succ, f_m / np.maximum(fx, 1e-300), 1.0)
     se = moment.std(ddof=1) / math.sqrt(n)
     assert moment.mean() <= (1 + 1 / 7) + 3 * se
+
+
+#: A state whose steps at sigma = 1e-17 and 1e-170 change f by far less than an ulp of f(m).
+_TINY_STEP_M = np.array([0.3, -1.2, 2.0, 0.7])
+_TINY_STEPS = pytest.mark.parametrize("spec, sigma", [
+    (spec, sigma) for spec in (sphere(4), perturbed_family(4, 0)) for sigma in (1e-17, 1e-170)
+], ids=[f"{kind}-{sigma:g}" for kind in ("sphere", "perturbed") for sigma in (1e-17, 1e-170)])
+
+
+@_TINY_STEPS
+def test_success_is_the_sign_of_the_exact_change_at_tiny_steps(spec, sigma):
+    # f(m) + sigma change rounds to f(m) on every row; the sign of change does not,
+    # and its success rate tends to 1/2 as sigma -> 0.
+    est = estimate_success_prob(spec, _state(_TINY_STEP_M, sigma), 20_000, seed=3)
+    assert est.stderr > 0.0
+    assert abs(est.value - 0.5) <= 4.0 * est.stderr
+
+
+@_TINY_STEPS
+def test_relative_progress_does_not_cancel_at_tiny_steps(spec, sigma):
+    # f(x) / f(m) - 1 rounds to 0 here, sigma change / f(m) does not.  As sigma -> 0, the
+    # mean relative progress and log gain on success both tend to
+    # -sigma ||grad f(m)|| / (f(m) sqrt(2 pi)); the sample's relative stderr is about 1%.
+    state = _state(_TINY_STEP_M, sigma)
+    limit = -sigma * spec.gradient_norm(state.m) / (spec.value(state.m) * math.sqrt(2 * math.pi))
+    report = check_lemma_suite(spec, [state], 20_000, seed=3)
+    assert report.ok, report.failures()
+    progress = next(c for c in report.checks if c.name == "expected_progress_bound")
+    gain = estimate_log_progress(spec, state, 20_000, seed=3)
+    for value in (progress.lhs, gain.value):
+        assert value == pytest.approx(limit, rel=0.05)
 
 
 # -- lemma suite -------------------------------------------------------------------------
@@ -599,33 +629,33 @@ _CANDIDATE_SPECS = {
     **{family: lambda dim, family=family: hessian_family(family, dim, 2)
        for family in ("h1", "h2", "h3")},
     "perturbed": lambda dim: perturbed_family(dim, 2),
+    "perturbed_flat": lambda dim: perturbed_family(dim, 0),  # equal entries, never merged
 }
 
 
 @pytest.mark.parametrize("family, dim", [
-    *((family, dim) for family in ("h1", "h2", "h3", "sphere", "perturbed")
+    *((family, dim) for family in ("h1", "h2", "h3", "sphere", "perturbed", "perturbed_flat")
       for dim in (10, 100, 1000)),
     ("flat", 6),
 ], ids=str)
 def test_quadratic_candidate_values_match_direct_evaluation(family, dim):
     # Each state reads the same reduced rows in its own basis: a full row rebuilt
-    # from them at that state gives the chunk's candidate values.  On h2 every
-    # level is one coordinate, so the rebuilt row is u itself; perturbed draws
-    # full rows.  No candidate is formed: fx is the expansion in Q.
+    # from them at that state gives the chunk's candidate values.  On h2 and
+    # perturbed every level is one coordinate, so the rebuilt row is u itself.
+    # No candidate is formed: f(m) + step is the expansion in Q.
     spec = _CANDIDATE_SPECS[family](dim)
-    levels = analysis._Levels(spec.diag) if spec.is_quadratic else None
+    levels = analysis._Levels(spec)
     rng = np.random.default_rng(dim)
     trace = float(np.sum(spec.diag))
     states = [_state(m, s * spec.gradient_norm(m) / trace)
               for m, s in ((rng.standard_normal(dim), s) for s in (0.1, 1.0, 10.0))]
-    u = rng.standard_normal((2_000, dim if levels is None else len(levels.h)))
-    r = None if levels is None else 2.0 * rng.standard_gamma(
-        levels.half_dof, size=(2_000, len(levels.multi)))
+    u = rng.standard_normal((2_000, len(levels.h)))
+    r = 2.0 * rng.standard_gamma(levels.half_dof, size=(2_000, len(levels.multi)))
     ats = [analysis._At(spec, levels, state) for state in states]
     for state, chunk in zip(states, _chunks(levels, ats, u, r, np.empty_like(u))):
-        zs = u if levels is None else _rebuild(levels, state.m, u, r, rng)
+        zs = _rebuild(levels, state.m, u, r, rng)
         direct = spec.value_many(state.m + state.sigma * zs)
-        assert np.allclose(chunk.fx, direct, rtol=1e-13, atol=0.0)
+        assert np.allclose(chunk.f_m + chunk.step, direct, rtol=1e-13, atol=0.0)
         assert np.array_equal(chunk.success, direct <= spec.value(state.m))
 
 
@@ -707,7 +737,7 @@ def test_se_var_matches_two_pass_long_double_reference():
     n, seed = 20_000, 4
     stats = estimate_q_stats(spec, state, n, seed)
     # the same reduced rows, drawn block by block and evaluated in the kernel's chunks
-    levels = analysis._Levels(spec.diag)
+    levels = analysis._Levels(spec)
     block, rows = analysis.SUB_ELEMS // levels.width, analysis.ELEMS // levels.width
     at = analysis._At(spec, levels, state)
     q = []
@@ -996,8 +1026,8 @@ def test_no_kernel_row_repeats_a_draw_from_a_one_element_key(monkeypatch):
     # Acceptance criterion 5 draws a state from rng_stream(seed, 5); a call whose
     # block 5 drew from that same key would start with that state as a row.
     monkeypatch.setenv("ES_RATE_THREADS", "1")
-    spec, n, seed = hessian_family("h2", 100, 1), 110_000, 5  # no level to reduce: full rows
-    assert analysis._width(spec) == spec.dim
+    spec, n, seed = hessian_family("h2", 100, 1), 110_000, 5  # one coordinate a level: w = d
+    assert analysis._Levels(spec).width == spec.dim
     assert n > 5 * (analysis.SUB_ELEMS // spec.dim)  # blocks 0 to 5
     state_draws = np.array([rng_stream(seed, k).standard_normal(100) for k in range(6)])
     drawn, repeats = [], []
@@ -1019,11 +1049,12 @@ def test_a_suite_draws_its_rows_once_for_all_states(monkeypatch):
     monkeypatch.setattr(analysis, "rng_stream", lambda *key: _SpyGenerator(
         rng_stream(*key), lambda out: drawn.append(out.size)))
     for spec, n, width in (
-        (hessian_family("h2", 1000, 1), 5_000, 1000),  # full rows
+        (hessian_family("h2", 1000, 1), 5_000, 1000),  # one normal per coordinate
+        (perturbed_family(300, 0), 15_000, 300),  # equal entries, one level per coordinate
         (hessian_family("h1", 4, 1), 1_400_000, 3),  # two normals and a chi-square a row
     ):
         drawn.clear()
-        assert analysis._width(spec) == width
+        assert analysis._Levels(spec).width == width
         assert n > 2 * (analysis.SUB_ELEMS // width)  # three sub-stream blocks
         report = check_lemma_suite(spec, _suite_states(spec)[:3], n, seed=2)
         assert len(report.checks) == 3 * 12
@@ -1048,8 +1079,8 @@ def test_a_task_is_one_block_at_every_state_and_one_block_runs_inline(monkeypatc
         return states, inline, check_lemma_suite(spec, states, n, seed=3)
 
     monkeypatch.setattr(analysis, "fan_out", spy)
-    spec = hessian_family("h2", 1000, 1)  # full rows: blocks of SUB_ELEMS // d rows
-    assert analysis._width(spec) == spec.dim
+    spec = hessian_family("h2", 1000, 1)  # w = d: blocks of SUB_ELEMS // d rows
+    assert analysis._Levels(spec).width == spec.dim
     block = analysis.SUB_ELEMS // spec.dim
     states, inline, report = suites(spec, 2 * block + 100)
     (jobs,) = calls
@@ -1062,7 +1093,7 @@ def test_a_task_is_one_block_at_every_state_and_one_block_runs_inline(monkeypatc
 
     monkeypatch.setattr(pool, "ProcessPoolExecutor", no_pool)
     spec = hessian_family("h1", 10, 1)
-    assert 2_000 <= analysis.SUB_ELEMS // analysis._width(spec)  # one sub-stream block
+    assert 2_000 <= analysis.SUB_ELEMS // analysis._Levels(spec).width  # one sub-stream block
     states, inline, report = suites(spec, 2_000)
     assert [len(jobs) for jobs in calls] == [1]
     assert repr(report) == repr(inline)

@@ -341,6 +341,22 @@ def test_params_for_rule_rejects_bad_input():
             params_for_rule(rule, 0)
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda: params_for_rule("const", 5, 1e-300), r"c = 1e-300 makes alpha_up round to 1\.0"),
+    (lambda: params_for_rule("dim", 5, 1e-320), r"c = 1e-320 makes alpha_up round to 1\.0"),
+    (lambda: params_for_rule("const", 5, 2e-16), r"c = 2e-16 makes alpha_down round to 1\.0"),
+    (lambda: params_for_target(math.e, 1e-300), r"target = 1e-300 makes alpha_down round to 1\.0"),
+    (lambda: params_for_target(math.e, 0.999999999),
+     r"target = 0\.999999999 makes alpha_down round to 0\.0"),
+    (lambda: params_for_target(0.5, 0.999999999), r"alpha_up must exceed 1, got 0\.5"),
+], ids=["c-const", "c-dim", "c-down", "target-low", "target-high", "alpha_up"])
+def test_a_step_size_factor_that_rounds_names_its_input(call, match):
+    # exp(c) or alpha_up ** -(target / (1 - target)) rounds to a factor EsParams rejects:
+    # the error names the input that made it, not only the factor.
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 # -- bit-identity against a one-step-at-a-time loop --------------------------------------
 
 

@@ -75,7 +75,7 @@ from functools import partial, reduce
 import numpy as np
 
 from .engine import EsParams, EsState, default_sigma0, rng_stream
-from .objectives import PERTURB_AMP, PERTURB_FREQ, ObjectiveSpec, _values
+from .objectives import PERTURB_AMP, PERTURB_FREQ, ObjectiveSpec, _values, is_int
 from .pool import fan_out
 from .theory import (
     QExtremes,
@@ -94,12 +94,13 @@ __all__ = [
     "quadratic_q_exact",
     "estimate_success_prob",
     "estimate_log_progress",
+    "SE_SLACK",
     "CheckResult",
-    "LemmaReport",
+    "SuiteReport",
+    "describe",
     "check_lemma_suite",
     "Assumption2Report",
     "check_assumption2",
-    "DriftEstimate",
     "estimate_drift",
     "q_extremes",
     "state_at_sigma_bar",
@@ -116,6 +117,9 @@ ELEMS = 2**14
 #: ``max(1, SUB_ELEMS // w)`` rows of ``w`` draws, each block with its own
 #: streams.  Unlike ``ELEMS``, it fixes which rows are drawn.
 SUB_ELEMS = 2**21
+
+#: Standard errors of slack in the one verdict rule, :meth:`CheckResult.judge`.
+SE_SLACK = 3.0
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -189,9 +193,9 @@ def _check_q_range(spec: ObjectiveSpec, n: int = 0) -> None:
 
 def _check_sample(n: int, seed: int) -> None:
     """Reject a sample size or seed that :func:`_sample` cannot draw."""
-    if n < 1000:
-        raise ValueError(f"need n >= 1000 mutation rows for stable estimates, got {n}")
-    rng_stream(seed)  # raises for a negative seed
+    if not (is_int(n) and n >= 1000):
+        raise ValueError(f"need n >= 1000 mutation rows, an integer, for stable estimates, got {n!r}")
+    rng_stream(seed)  # raises for a seed that is not a non-negative integer
 
 
 # -- the Monte Carlo kernel ------------------------------------------------------
@@ -337,6 +341,13 @@ class _Chunk:
         self.step, self.success = sigma * change, change <= 0.0
 
 
+def _unit(sigma: float) -> int:
+    """``sigma``'s binary exponent ``e`` below 1, else 0.  The columns that scale with a
+    small ``sigma`` (relative progress, log gain) accumulate in units of ``2^e``, so their
+    squares do not underflow; a power of two scales sums, products and roots exactly."""
+    return min(math.frexp(sigma)[1], 0)
+
+
 def _chunks(levels: _Levels, ats: list[_At], zs: np.ndarray, r: np.ndarray,
             scratch: np.ndarray):
     """A :class:`_Chunk` of the rows ``(zs, r)`` at each state's constants ``ats`` in turn.
@@ -470,12 +481,13 @@ def _log_gain(chunk: _Chunk) -> list[np.ndarray]:
     # log1p of the relative progress does not cancel at small sigma; far below f(m), log(f(x)/f(m))
     ratio = np.maximum(chunk.f_m + chunk.step, 1e-300) / chunk.f_m
     gain = np.where(ratio > 0.5, np.log1p(np.maximum(chunk.step / chunk.f_m, -0.5)), np.log(ratio))
-    return [np.where(chunk.success, gain, 0.0)]
+    return [np.ldexp(np.where(chunk.success, gain, 0.0), -_unit(chunk.state.sigma))]
 
 
 def estimate_log_progress(spec: ObjectiveSpec, state: EsState, n: int, seed: int) -> EstimateWithError:
     """Mean one-step decrease of ``log f`` (zero on rejected steps); nonpositive."""
-    return _first_mean(_sample(spec, _log_gain, [state], n, seed)[0])
+    est, e = _first_mean(_sample(spec, _log_gain, [state], n, seed)[0]), _unit(state.sigma)
+    return EstimateWithError(math.ldexp(est.value, e), math.ldexp(est.stderr, e))
 
 
 # -- state helpers -------------------------------------------------------------
@@ -658,11 +670,12 @@ def q_extremes(spec: ObjectiveSpec, *, n: int, seed: int) -> QExtremes:
 
 @dataclass(frozen=True)
 class CheckResult:
-    """One verified inequality: passes iff ``lhs <= rhs + 3*stderr``.
+    """One verified inequality: passes iff ``lhs <= rhs + SE_SLACK * stderr``.
 
-    ``tight`` marks an inequality that holds with equality at the state, so
-    its one-sided test fails with probability ``Phi(-3)``, about 0.135%, by
-    design.
+    Inconclusive where a number is not finite.  An exact comparison has
+    ``stderr = 0``.  ``tight`` marks an inequality that holds with equality
+    at the state, so its one-sided test fails with probability
+    ``Phi(-SE_SLACK)``, about 0.135%, by design.
     """
 
     name: str
@@ -680,12 +693,14 @@ class CheckResult:
         if not (math.isfinite(lhs) and math.isfinite(rhs) and math.isfinite(stderr)):
             verdict = "inconclusive"
         else:
-            verdict = "pass" if lhs <= rhs + 3.0 * stderr else "fail"
+            verdict = "pass" if lhs <= rhs + SE_SLACK * stderr else "fail"
         return CheckResult(name, state_id, lhs, rhs, stderr, verdict, tight)
 
 
 @dataclass(frozen=True)
-class LemmaReport:
+class SuiteReport:
+    """The checks of one suite run: the lemmas, the drift regimes or Assumption 2."""
+
     spec: str
     n: int
     seed: int
@@ -700,21 +715,22 @@ class LemmaReport:
 
     def to_json(self) -> dict:
         """The report, with ``expected_failures``: the failures expected with
-        no defect, ``Phi(-3)`` per tight check."""
+        no defect, ``Phi(-SE_SLACK)`` per tight check."""
         return {
             "spec": self.spec,
             "n": self.n,
             "seed": self.seed,
             "ok": self.ok,
-            "expected_failures": sum(c.tight for c in self.checks) * std_normal_cdf(-3.0),
+            "expected_failures": sum(c.tight for c in self.checks) * std_normal_cdf(-SE_SLACK),
             "checks": [asdict(c) for c in self.checks],
         }
 
 
 def _lemma_columns(chunk: _Chunk) -> list[np.ndarray]:
-    """:func:`_q_columns`, then relative progress, the ``f(m)/f(x)`` moment and success."""
+    """:func:`_q_columns`, then relative progress (in units of ``2^e``, :func:`_unit`),
+    the ``f(m)/f(x)`` moment and success."""
     succ = chunk.success
-    rel = np.where(succ, chunk.step / chunk.f_m, 0.0)
+    rel = np.ldexp(np.where(succ, chunk.step / chunk.f_m, 0.0), -_unit(chunk.state.sigma))
     mom = np.where(succ, chunk.f_m / np.maximum(chunk.f_m + chunk.step, 1e-300), 1.0)
     return _q_columns(chunk) + [rel, mom, succ]
 
@@ -724,15 +740,16 @@ def check_lemma_suite(
     states: list[EsState],
     n: int,
     seed: int,
-) -> LemmaReport:
+) -> SuiteReport:
     """Monte Carlo verification of the one-step inequalities at each state.
 
     Per state: curvature-moment bounds (mean within ``[dL, dU]``, variance at
     most ``4 d U^2``, half-split deviation at most ``sqrt(2/d) (U/L)`` of the
     mean), the expected-progress upper bound, the log-progress moment bound
     ``(U/L)(1 + 1/(d-3))``, and the success-probability sandwich at the
-    slack values 0.1, 0.3 and 0.5.  All comparisons carry a 3-stderr slack;
-    checks whose error estimate is unusable are reported inconclusive.  On a
+    slack values 0.1, 0.3 and 0.5, each judged by :meth:`CheckResult.judge`.
+    The moment bound at ``d <= 3``, where it has none, and checks whose
+    error estimate is unusable are inconclusive.  On a
     diagonal quadratic ``E[Q] = Tr(H)``, so the lower (upper) mean bound is
     tight iff ``Tr(H) = d L`` (``d U``), that is, iff every ``h_i`` equals
     ``L`` (``U``), as on the sphere.
@@ -760,37 +777,33 @@ def check_lemma_suite(
         stats = _q_stats(spec, moments)
         mean_q, var_q, se_mean = stats.mean_q, stats.var_q, stats.se_mean
         half = stats.half_mean_q
-        rel_mean, mom_mean, p_hat = (float(x) for x in moments.mean[3:])
+        e = _unit(sigma)
+        rel_e, mom_mean, p_hat = (float(x) for x in moments.mean[3:])
         se_p = moments.se(0.0, 0.0, 0.0, 0.0, 0.0, 1.0)
 
-        checks.append(
-            CheckResult.judge("curvature_mean_lower", sid, d * lmod, mean_q, se_mean, tight_lower)
-        )
-        checks.append(
-            CheckResult.judge("curvature_mean_upper", sid, mean_q, d * umod, se_mean, tight_upper)
-        )
-        checks.append(
-            CheckResult.judge("curvature_variance", sid, var_q, 4.0 * d * umod**2, stats.se_var)
-        )
+        checks += [
+            CheckResult.judge("curvature_mean_lower", sid, d * lmod, mean_q, se_mean, tight_lower),
+            CheckResult.judge("curvature_mean_upper", sid, mean_q, d * umod, se_mean, tight_upper),
+            CheckResult.judge("curvature_variance", sid, var_q, 4.0 * d * umod**2, stats.se_var),
+        ]
         # Q (against - 1/2) has mean half - mean_q / 2.
         dev_mean = half - 0.5 * mean_q
         half_bound = math.sqrt(2.0 / d) * (umod / lmod) * mean_q
         half_slack = moments.se(-0.5, 1.0) + math.sqrt(2.0 / d) * (umod / lmod) * se_mean
         checks.append(CheckResult.judge("curvature_half_split", sid, abs(dev_mean), half_bound, half_slack))
 
-        # rhs = a (b half - 1/sqrt(2 pi)) p; the stderr of rel_mean - rhs is
-        # the delta method over the (rel, Q against, success) columns.
+        # rhs = a (b half - 1/sqrt(2 pi)) p; the stderr of rel_mean - rhs is the
+        # delta method over the (rel, Q against, success) columns, in units of 2^e.
         a, b = sigma * gnorm / f_m, sigma / (2.0 * gnorm)
         rhs = a * (b * half - _INV_SQRT_2PI) * p_hat
-        se_diff = moments.se(0.0, -a * b * p_hat, 0.0, 1.0, 0.0, -a * (b * half - _INV_SQRT_2PI))
-        checks.append(CheckResult.judge("expected_progress_bound", sid, rel_mean, rhs, se_diff))
+        a_e = math.ldexp(a, -e)
+        se_e = moments.se(0.0, -a_e * b * p_hat, 0.0, 1.0, 0.0, -a_e * (b * half - _INV_SQRT_2PI))
+        checks.append(CheckResult.judge("expected_progress_bound", sid, math.ldexp(rel_e, e), rhs,
+                                        math.ldexp(se_e, e)))
 
-        if d > 3:
-            se_mom = moments.se(0.0, 0.0, 0.0, 0.0, 1.0)
-            mom_bound = (umod / lmod) * (1.0 + 1.0 / (d - 3))
-            checks.append(CheckResult.judge("log_progress_moment", sid, mom_mean, mom_bound, se_mom))
-        else:
-            checks.append(CheckResult("log_progress_moment", sid, math.nan, math.nan, math.nan, "inconclusive"))
+        mom_bound = (umod / lmod) * (1.0 + 1.0 / (d - 3)) if d > 3 else math.nan  # none at d <= 3
+        se_mom = moments.se(0.0, 0.0, 0.0, 0.0, 1.0)
+        checks.append(CheckResult.judge("log_progress_moment", sid, mom_mean, mom_bound, se_mom))
 
         e_q, var, _ = _exact_q(spec, state)
         sbar, v_std = sigma * e_q / gnorm, var / e_q**2
@@ -800,7 +813,7 @@ def check_lemma_suite(
             checks.append(CheckResult.judge(f"success_prob_lower_eps{eps:g}", sid, low, p_hat, se_p))
             checks.append(CheckResult.judge(f"success_prob_upper_eps{eps:g}", sid, p_hat, high, se_p))
 
-    return LemmaReport(spec=_describe(spec), n=n, seed=seed, checks=checks)
+    return SuiteReport(spec=describe(spec), n=n, seed=seed, checks=checks)
 
 
 # -- curvature-variance condition ----------------------------------------------
@@ -854,15 +867,6 @@ def check_assumption2(spec: ObjectiveSpec, *, n: int, seed: int) -> Assumption2R
 # -- potential drift -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DriftEstimate:
-    """Estimated expected one-step potential change at a state."""
-
-    value: float
-    stderr: float
-    regime: str
-
-
 def regime_of(spec: ObjectiveSpec, state: EsState, params: EsParams,
               constants: TheoryConstants) -> str:
     """Which step-size regime a state falls in: small, reasonable, or large.
@@ -894,17 +898,15 @@ def estimate_drift(
     constants: TheoryConstants,
     n: int,
     seed: int,
-) -> list[DriftEstimate]:
+) -> list[EstimateWithError]:
     """Sample mean of the one-step potential change from each state.
 
     ``n`` transitions on one z-stream shared by every state, as in
     :func:`check_lemma_suite`; a state's estimate equals that of a call at it
-    alone.  Regimes come from :func:`regime_of`, exact on every plain spec.
+    alone.  :func:`regime_of` tells a state's step-size regime.
     """
     samples = _sample(spec, partial(_potential_change, params, constants), states, n, seed)
-    return [DriftEstimate(float(moments.mean[0]), moments.se(1.0),
-                          regime_of(spec, state, params, constants))
-            for state, moments in zip(states, samples)]
+    return [_first_mean(moments) for moments in samples]
 
 
 def _potential_change(params: EsParams, constants: TheoryConstants,
@@ -919,7 +921,8 @@ def _potential_change(params: EsParams, constants: TheoryConstants,
     return [change]
 
 
-def _describe(spec: ObjectiveSpec) -> str:
+def describe(spec: ObjectiveSpec) -> str:
+    """A spec's name in reports, such as ``h1(d=10, kappa=0)`` for the sphere."""
     if spec.family:
         return f"{spec.family}(d={spec.dim}, kappa={spec.kappa})"
     return f"{spec.kind}(d={spec.dim})"

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objectives import ObjectiveSpec, stack_evaluator
+from .objectives import ObjectiveSpec, is_int, stack_evaluator
 from .pool import worker_count
 
 __all__ = [
@@ -83,8 +83,8 @@ ALPHA_RULES = ("const", "sqrt", "dim")
 
 def rng_stream(seed: int, *key: int) -> np.random.Generator:
     """PCG64 generator for stream ``key`` of the 64-bit ``seed``."""
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    if not (is_int(seed) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
@@ -261,8 +261,8 @@ class _Chain:
 
     def __init__(self, index: int, spec: ObjectiveSpec, params: EsParams, init: EsState,
                  budget: int, f_floor: float = 1e-100, seed: int = 0) -> None:
-        if budget < 1:
-            raise ValueError("budget must be >= 1")
+        if not (is_int(budget) and budget >= 1):
+            raise ValueError(f"budget must be a positive integer, got {budget!r}")
         if not (math.isfinite(f_floor) and f_floor > 0):
             raise ValueError(f"f_floor must be finite and positive, got {f_floor}")
         m = np.asarray(init.m, dtype=float)

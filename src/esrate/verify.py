@@ -1,7 +1,10 @@
 """Verification suites behind ``esrate verify``, all in one table, :data:`SUITES`.
 
 Each suite returns a JSON-able report with an ``ok`` verdict and the ``n``
-and ``seed`` it ran with.  Suites draw their states from one-element keys
+and ``seed`` it ran with: for ``lemmas``, ``drift`` and ``assumption2`` an
+:class:`esrate.analysis.SuiteReport` of checks plus descriptive keys, for
+``invariance``, whose bit-for-bit comparisons have no ``lhs``, ``rhs`` or
+standard error, counts.  Suites draw their states from one-element keys
 ``rng_stream(seed, k)``, which no Monte Carlo row uses, and the drift regimes
 are the states of one kernel call.  Independent streams fan out over
 :func:`esrate.pool.fan_out` and merge in task order, so every report is
@@ -26,7 +29,7 @@ from .engine import (
     run_many,
     trial_seed,
 )
-from .objectives import TRANSFORMS, ObjectiveSpec, hessian_family, make_composite, sphere
+from .objectives import TRANSFORMS, ObjectiveSpec, hessian_family, is_int, make_composite, sphere
 from .pool import fan_out
 
 __all__ = ["SUITES", "invariance_report", "drift_report"]
@@ -100,8 +103,9 @@ def invariance_report(
     task is a group of whole seeds of one spec, cut by
     :func:`esrate.engine.lockstep_groups`, whose chains step in lockstep.
     """
-    if n_seeds < 1:
-        raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
+    if not (is_int(n_seeds) and n_seeds >= 1):
+        raise ValueError(f"n_seeds must be a positive integer, got {n_seeds!r}")
+    rng_stream(base_seed)  # raises for a bad seed before any pool starts
     if specs is None:
         specs = [sphere(8), hessian_family("h1", 5, 1), hessian_family("h3", 6, 1)]
     tasks = [
@@ -131,21 +135,20 @@ def _lemmas(n: int, seed: int) -> dict:
 
 
 def _assumption2(n: int, seed: int) -> dict:
-    ok = True
-    out = {"suite": "assumption2", "n": n, "seed": seed, "cases": {}}
+    """Exact checks that ``v_std_sup`` and ``2/d`` lie below ``rhs`` on the sphere
+    at d = 1000, where Assumption 2 holds, and above it at d = 2, where it fails."""
+    oracle_rhs = theory.assumption_margin_rhs(2.0)  # kappa is 2 on the sphere
+    checks = []
     for dim, expected in ((1000, True), (2, False)):
         report = analysis.check_assumption2(sphere(dim), n=n, seed=seed)
-        oracle = 2.0 / dim < theory.assumption_margin_rhs(2.0)
-        case_ok = report.holds == expected == oracle
-        ok = ok and case_ok
-        out["cases"][f"sphere_d{dim}"] = {
-            "holds": report.holds,
-            "margin": report.margin,
-            "expected": expected,
-            "ok": case_ok,
-        }
-    out["ok"] = ok
-    return out
+        side = "below" if expected else "above"
+        for name, value, rhs in (("v_std_sup", report.v_std_sup, report.rhs),
+                                 ("oracle_2_over_d", 2.0 / dim, oracle_rhs)):
+            pair = (value, rhs) if expected else (rhs, value)
+            checks.append(analysis.CheckResult.judge(f"{name}_{side}_rhs", f"sphere_d{dim}",
+                                                     *pair, 0.0))
+    specs = ", ".join(analysis.describe(sphere(dim)) for dim in (1000, 2))
+    return analysis.SuiteReport(specs, n, seed, checks).to_json() | {"suite": "assumption2"}
 
 
 def drift_report(dim: int = 100, *, n: int, seed: int) -> dict:
@@ -156,8 +159,10 @@ def drift_report(dim: int = 100, *, n: int, seed: int) -> dict:
     target 0.3 inside ``(q_low, q_high) = (0.25, 0.45)``; the drift itself
     is estimated on the actual sphere of the given dimension, at the three
     planted regimes' states in one :func:`esrate.analysis.estimate_drift`
-    call.  Expected: a negative mean change in all regimes with 3-stderr
-    margin, and at most ``-w/4`` (plus slack) in the well-adapted regime.
+    call.  Per regime it checks ``regime`` (:func:`esrate.analysis.regime_of`
+    gives the planted one), ``drift_negative`` (the upper limit ``drift +
+    SE_SLACK stderr`` is at most 0) and ``drift_within_bound`` (the drift is
+    at most the regime's bound, ``-w/4`` in the well-adapted regime).
     """
     target_success, q_low, q_high = 0.3, 0.25, 0.45
     spec = sphere(dim)
@@ -182,35 +187,19 @@ def drift_report(dim: int = 100, *, n: int, seed: int) -> dict:
     }
     states = [analysis.state_at_sigma_bar(spec, m, sbar) for sbar in sbar_by_regime.values()]
     estimates = analysis.estimate_drift(spec, states, params, constants, n, seed)
-    results = {}
-    ok = True
-    for (name, sbar), est in zip(sbar_by_regime.items(), estimates):
-        bound = regime_bound[name]
-        entry = {
-            "regime": est.regime,
-            "planted": name,
-            "sigma_bar": sbar,
-            "drift": est.value,
-            "stderr": est.stderr,
-            "negative_with_margin": est.value + 3.0 * est.stderr < 0.0,
-            "bound": bound,
-            "within_bound": est.value <= bound + 3.0 * est.stderr,
-        }
-        if est.regime != name:
-            entry["regime_mismatch"] = True
-            ok = False
-        ok = ok and entry["negative_with_margin"] and entry["within_bound"]
-        results[name] = entry
-    return {
-        "suite": "drift",
-        "dim": dim,
-        "n": n,
-        "seed": seed,
-        "p_target": target_success,
-        "constants": constants.as_dict(),
-        "regimes": results,
-        "ok": ok,
-    }
+    judge = analysis.CheckResult.judge
+    checks, regimes = [], {}
+    for (name, sbar), state, est in zip(sbar_by_regime.items(), states, estimates):
+        regime = analysis.regime_of(spec, state, params, constants)
+        regimes[name] = {"regime": regime, "sigma_bar": sbar}
+        checks += [
+            judge("regime", name, float(regime != name), 0.0, 0.0),
+            judge("drift_negative", name, est.value + analysis.SE_SLACK * est.stderr, 0.0, 0.0),
+            judge("drift_within_bound", name, est.value, regime_bound[name], est.stderr),
+        ]
+    report = analysis.SuiteReport(analysis.describe(spec), n, seed, checks)
+    return report.to_json() | {"suite": "drift", "dim": dim, "p_target": target_success,
+                               "constants": constants.as_dict(), "regimes": regimes}
 
 
 #: Suite name -> (function of ``(n, seed)``, default ``n``, default seed).

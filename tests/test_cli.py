@@ -306,8 +306,10 @@ def test_verify_invariance_passes(capsys):
 def test_verify_assumption2_passes(capsys):
     assert cli_main(["verify", "--suite", "assumption2", "--n", "2000"]) == 0
     data = json.loads(capsys.readouterr().out)
-    assert data["cases"]["sphere_d1000"]["holds"] is True
-    assert data["cases"]["sphere_d2"]["holds"] is False
+    assert data["ok"]
+    assert [(c["state_id"], c["name"], c["verdict"]) for c in data["checks"]] == [
+        (f"sphere_d{dim}", f"{name}_{side}_rhs", "pass")
+        for dim, side in ((1000, "below"), (2, "above")) for name in ("v_std_sup", "oracle_2_over_d")]
 
 
 def test_verify_lemmas_small(capsys):

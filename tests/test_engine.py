@@ -87,6 +87,13 @@ def test_run_rejects_zero_budget():
         run(sphere(2), EsParams(2.0, 0.5), init, budget=0)
 
 
+@pytest.mark.parametrize("budget", [50.0, True, "50"])
+def test_run_rejects_a_budget_that_is_not_an_integer(budget):
+    init = EsState(np.ones(2), 0.0)
+    with pytest.raises(ValueError, match=f"budget must be a positive integer, got {budget!r}"):
+        run(sphere(2), EsParams(2.0, 0.5), init, budget=budget)
+
+
 @pytest.mark.parametrize("f_floor", [math.inf, math.nan, 0.0, -1.0])
 def test_run_rejects_a_non_finite_or_non_positive_f_floor(f_floor):
     init = EsState(np.ones(2), 0.0)

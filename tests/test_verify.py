@@ -1,12 +1,15 @@
+import dataclasses
 import json
 
 import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from esrate import engine, pool, verify
+from esrate import analysis, engine, pool, verify
+from esrate.analysis import SE_SLACK, CheckResult
 from esrate.cli import cli_main
 from esrate.objectives import hessian_family, perturbed_family
+from esrate.theory import std_normal_cdf
 from esrate.verify import SUITES, drift_report, invariance_report
 
 
@@ -66,9 +69,39 @@ def test_invariance_report_independent_of_lockstep_grouping(dims, n_seeds, steps
 def test_drift_report_small():
     report = drift_report(dim=40, n=10_000, seed=5)
     assert report["ok"], report
-    assert set(report["regimes"]) == {"small", "reasonable", "large"}
-    for entry in report["regimes"].values():
-        assert entry["drift"] < 0
+    assert list(report["regimes"]) == ["small", "reasonable", "large"]
+    assert [entry["regime"] for entry in report["regimes"].values()] == list(report["regimes"])
+    drift = [c for c in report["checks"] if c["name"] == "drift_within_bound"]
+    assert [c["state_id"] for c in drift] == list(report["regimes"])
+    assert all(c["lhs"] < 0 for c in drift)
+
+
+@pytest.mark.parametrize("name", ["lemmas", "drift", "assumption2"])
+def test_stderr_checked_suites_report_one_shape(name):
+    suite, _, seed = SUITES[name]
+    report = suite(1000, seed)
+    fields = [f.name for f in dataclasses.fields(CheckResult)]
+    assert report["checks"] and all(list(c) == fields for c in report["checks"])
+    # every verdict is the one rule's
+    assert all(CheckResult(**c) == CheckResult.judge(**{k: v for k, v in c.items() if k != "verdict"})
+               for c in report["checks"])
+    assert report["ok"] == all(c["verdict"] != "fail" for c in report["checks"])
+    tight = sum(c["tight"] for c in report["checks"])
+    assert report["expected_failures"] == tight * std_normal_cdf(-SE_SLACK)
+
+
+def test_drift_suite_fails_on_a_positive_drift_and_a_misclassified_regime(monkeypatch, capsys):
+    monkeypatch.setattr(analysis, "estimate_drift", lambda spec, states, *args: [
+        analysis.EstimateWithError(1e-3, 1e-5) for _ in states])
+    monkeypatch.setattr(analysis, "regime_of", lambda *args: "large")
+    report = drift_report(n=1000, seed=77)
+    assert {(c["name"], c["state_id"]): c["verdict"] for c in report["checks"]} == {
+        (name, regime): "pass" if name == "regime" and regime == "large" else "fail"
+        for regime in ("small", "reasonable", "large")
+        for name in ("regime", "drift_negative", "drift_within_bound")}
+    assert report["ok"] is False
+    assert cli_main(["verify", "--suite", "drift", "--n", "1000"]) == 2
+    assert json.loads(capsys.readouterr().out)["ok"] is False
 
 
 @pytest.mark.parametrize("name,n", [("invariance", 1), ("lemmas", 1000),

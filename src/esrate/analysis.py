@@ -18,16 +18,14 @@ normal per level of coordinates and one chi-square per level of two or
 more, which carry the whole law of ``Q`` and ``<z, grad f(m)>`` at every
 state (:class:`_Levels`).  So ``w`` is 2 on the sphere, 3 on ``h1`` and
 ``h3`` with ``kappa > 0``, and ``d`` on ``h2`` and ``perturbed``, whose
-levels are single coordinates.  The rows split into sub-stream blocks of
-``max(1, SUB_ELEMS // w)`` rows; block ``b`` draws its normals from
-``rng_stream(seed, 0, b)`` and its chi-squares from ``rng_stream(seed, 1,
-b)``.  A block draws its rows in chunks of ``max(1, ELEMS // w)`` rows,
-into work arrays allocated once per block, computes each state's
+levels are single coordinates.  A call draws its normals from
+``rng_stream(seed, 0, 0)`` and its chi-squares from ``rng_stream(seed, 1,
+0)``, in the calling process, in chunks of ``max(1, ELEMS // w)`` rows,
+into work arrays allocated once per call.  It computes each state's
 constants (``f(m)`` and the gradient's part per level) once, evaluates
-each chunk at every state in turn, and merges each state's per-row
-columns into its own accumulator of the count, the mean vector and the
-centred co-moment matrix.  A state's blocks then merge in block order by
-the same update.  Each value and its standard error are read from the
+each chunk at every state in turn, and merges each state's per-row columns
+into its own accumulator of the count, the mean vector and the centred
+co-moment matrix.  Each value and its standard error are read from the
 merged accumulator: a mean with ``sqrt(s^2 / n)`` (``s^2`` with ``n - 1``
 degrees of freedom), a smooth function of several means by the delta
 method.
@@ -47,36 +45,30 @@ state of a diagonal quadratic and sums of ``d`` elementary terms on
 success sandwich and the extremes behind :func:`check_assumption2` and
 :func:`q_extremes` (over a fixed scan of 32 states) read them.
 
-Determinism contract: estimators are pure given ``(inputs, seed)``, and
-``SUB_ELEMS`` is part of it, since it fixes which stream draws each row: it
-counts draws, so a block holds ``max(1, SUB_ELEMS // w)`` rows.  Mutation
-rows come only from the two-element keys ``(0, b)`` (normals) and
-``(1, b)`` (chi-squares) of the call's seed; the one-element keys
+Determinism contract: estimators are pure given ``(inputs, seed)``.
+Mutation rows come only from the two-element keys ``(0, 0)`` (normals) and
+``(1, 0)`` (chi-squares) of the call's seed; the one-element keys
 ``rng_stream(seed, k)`` are left to the draws of the states themselves, so
-no state coincides with a row of its own call.  ``ELEMS`` is not: the draws
-of each key do not depend on how a block's rows split into chunks, so the
-chunk size changes results only through floating-point rounding.  A
+no state coincides with a row of its own call.  ``ELEMS`` is not part of
+it: the draws of each key do not depend on how the rows split into chunks,
+so the chunk size changes results only through floating-point rounding.  A
 state's results do not depend on the other states of its call: they equal
-those of a call at that state alone.
-
-A task of one process pool (:func:`esrate.pool.fan_out`, sized by
-``ES_RATE_THREADS``) is one block at all of the call's states, so a
-one-block call runs inline and results do not depend on the worker count.
-Input is checked before any pool starts: a state needs a finite ``m`` off
-the optimum and ``log(sigma)`` in ``(-745, 708)``.
+those of a call at that state alone.  No call starts a process pool, so
+results do not depend on ``ES_RATE_THREADS``.  Input is checked before any
+row is drawn: a state needs a finite ``m`` off the optimum and
+``log(sigma)`` in ``(-745, 708)``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from functools import partial, reduce
+from functools import partial
 
 import numpy as np
 
 from .engine import EsParams, EsState, default_sigma0, rng_stream
 from .objectives import PERTURB_AMP, PERTURB_FREQ, ObjectiveSpec, _values, is_int
-from .pool import fan_out
 from .theory import (
     QExtremes,
     TheoryConstants,
@@ -87,7 +79,6 @@ from .theory import (
 
 __all__ = [
     "ELEMS",
-    "SUB_ELEMS",
     "EstimateWithError",
     "QStats",
     "estimate_q_stats",
@@ -108,15 +99,9 @@ __all__ = [
 ]
 
 #: Draws per chunk: a chunk holds ``max(1, ELEMS // w)`` rows of ``w`` draws,
-#: so each of a block's work arrays stays within 128 KB, and each state's
-#: per-row columns within a few times that, whatever the dimension, since a
-#: one-block call allocates them in the calling process.
+#: so each of a call's work arrays stays within 128 KB, and each state's
+#: per-row columns within a few times that, whatever the dimension.
 ELEMS = 2**14
-
-#: Draws per sub-stream block: a call's rows split into blocks of
-#: ``max(1, SUB_ELEMS // w)`` rows of ``w`` draws, each block with its own
-#: streams.  Unlike ``ELEMS``, it fixes which rows are drawn.
-SUB_ELEMS = 2**21
 
 #: Standard errors of slack in the one verdict rule, :meth:`CheckResult.judge`.
 SE_SLACK = 3.0
@@ -233,10 +218,13 @@ class _Moments:
         """Standard error of ``sum(weights[i] * mean[i])``; omitted weights are 0.
 
         With the gradient of a smooth function of the means as weights, this
-        is the delta-method standard error of that function.
+        is the delta-method standard error of that function.  NaN where a
+        weight is not finite.
         """
         w = np.zeros(len(self.mean))
         w[: len(weights)] = weights
+        if not np.all(np.isfinite(w)):
+            return math.nan
         return math.sqrt(max(float(w @ self.comoment @ w), 0.0) / ((self.n - 1) * self.n))
 
 
@@ -292,7 +280,7 @@ class _Levels:
 
 
 class _At:
-    """A state's constants, computed once per block.
+    """A state's constants, computed once per call.
 
     ``f_m`` is ``f(m)`` and ``g`` the vector ``gamma`` whose product with a
     row is ``<z, grad f(m)>`` (:meth:`_Levels.gamma`).  On ``perturbed``,
@@ -327,10 +315,12 @@ class _At:
 class _Chunk:
     """A chunk of rows ``zs`` (:class:`_Levels`) at one state, with their remainders ``q``.
 
-    ``zg`` is ``<z, grad f(m)>`` of each row, and ``step = sigma change`` with
-    ``change = zg + sigma Q / 2`` is ``f(m + sigma z) - f(m)`` exactly.  So the
-    relative progress ``step / f(m)`` and ``success``, the sign of ``change``,
-    read no rounding of ``f(m)``, however small ``sigma`` is.
+    ``zg`` is ``<z, grad f(m)>`` of each row, and ``success`` is ``change <=
+    0`` with ``change = zg + sigma Q / 2``.  On an accepted row ``step = sigma
+    change`` is ``f(m + sigma z) - f(m)`` exactly, so the relative progress
+    ``step / f(m)`` and ``success`` read no rounding of ``f(m)``, however
+    small ``sigma`` is.  A rejected row's ``step`` is 0, the change of the
+    chain's ``f``, so it cannot overflow at a large ``sigma``.
     """
 
     def __init__(self, at: _At, zs: np.ndarray, q: np.ndarray) -> None:
@@ -338,7 +328,8 @@ class _Chunk:
         self.zg = zs @ at.g
         sigma = at.state.sigma
         change = self.zg + 0.5 * sigma * q
-        self.step, self.success = sigma * change, change <= 0.0
+        self.success = change <= 0.0
+        self.step = np.multiply(sigma, np.minimum(change, 0.0, out=change), out=change)
 
 
 def _unit(sigma: float) -> int:
@@ -362,49 +353,20 @@ def _chunks(levels: _Levels, ats: list[_At], zs: np.ndarray, r: np.ndarray,
     return (_Chunk(at, zs, q + at.cosine_q(zs, scratch)) for at in ats)
 
 
-def _block(spec: ObjectiveSpec, states: list[EsState], rows: int, columns, seed: int,
-           b: int) -> list[_Moments]:
-    """Merged moments of ``columns(chunk)`` at each state over the ``rows`` rows of block ``b``.
-
-    This is the only loop that draws mutation rows (:class:`_Levels`): their
-    normals from ``rng_stream(seed, 0, b)`` and their chi-squares, each ``2
-    standard_gamma((n_j - 1) / 2)``, from ``rng_stream(seed, 1, b)``, in
-    chunks of ``max(1, ELEMS // w)`` rows into work arrays allocated once per
-    block.  Each chunk is evaluated at every state in turn (:func:`_chunks`),
-    from state constants computed once per block (:class:`_At`), so a row is
-    drawn once however many states read it.  Returns one :class:`_Moments`
-    per state.
-    """
-    levels = _Levels(spec)
-    ats = [_At(spec, levels, state) for state in states]
-    normals, chi_squares = rng_stream(seed, 0, b), rng_stream(seed, 1, b)
-    chunk = min(max(1, ELEMS // levels.width), rows)
-    zs, scratch = np.empty((2, chunk, len(levels.h)))
-    r = np.empty((chunk, len(levels.multi)))
-    moments = None
-    for start in range(0, rows, chunk):
-        k = min(chunk, rows - start)
-        normals.standard_normal(out=zs[:k])
-        np.multiply(2.0, chi_squares.standard_gamma(levels.half_dof, out=r[:k]), out=r[:k])
-        new = [_Moments(np.array(columns(c), dtype=float))
-               for c in _chunks(levels, ats, zs[:k], r[:k], scratch[:k])]
-        moments = new if moments is None else [m.merge(c) for m, c in zip(moments, new)]
-    return moments
-
-
 def _sample(spec: ObjectiveSpec, columns, states: list[EsState], n: int,
             seed: int) -> list[_Moments]:
     """Merged moments of ``columns(chunk)`` at each state over one stream of ``n`` rows.
 
-    ``columns`` maps a :class:`_Chunk` to a list of per-row arrays and must
-    pickle.  The call's ``n`` rows split into blocks of ``max(1, SUB_ELEMS //
-    w)`` rows, where ``w`` is the number of draws per row (:class:`_Levels`),
-    and block ``b`` draws from the keys ``(0, b)`` and ``(1, b)`` of
-    ``seed`` for every state (:func:`_block`).  A
-    :func:`esrate.pool.fan_out` task is one block at every state, so a
-    one-block call runs inline, and a state's blocks merge in block order
-    whatever the worker count.  Input is checked here, before any pool
-    starts; a bad state's ``ValueError`` names its index.
+    ``columns`` maps a :class:`_Chunk` to a list of per-row arrays.  This is
+    the only loop that draws mutation rows (:class:`_Levels`): their normals
+    from ``rng_stream(seed, 0, 0)`` and their chi-squares, each ``2
+    standard_gamma((n_j - 1) / 2)``, from ``rng_stream(seed, 1, 0)``, in
+    chunks of ``max(1, ELEMS // w)`` rows into work arrays allocated once per
+    call.  Each chunk is evaluated at every state in turn (:func:`_chunks`),
+    from state constants computed once per call (:class:`_At`), so a row is
+    drawn once however many states read it.  Input is checked before any row
+    is drawn; a bad state's ``ValueError`` names its index.  Returns one
+    :class:`_Moments` per state.
     """
     _require_plain(spec)
     _check_sample(n, seed)
@@ -418,10 +380,21 @@ def _sample(spec: ObjectiveSpec, columns, states: list[EsState], n: int,
         if not -745.0 < state.log_sigma < 708.0:  # sigma and omega sigma are positive floats
             raise ValueError(f"state {i}: log_sigma = {state.log_sigma!r} is outside (-745, 708), "
                              "where sigma = exp(log_sigma) is a positive float")
-    rows = max(1, SUB_ELEMS // _Levels(spec).width)
-    blocks = [(b, min(rows, n - start)) for b, start in enumerate(range(0, n, rows))]
-    per_block = fan_out(_block, [(spec, states, size, columns, seed, b) for b, size in blocks])
-    return [reduce(_Moments.merge, moments) for moments in zip(*per_block)]
+    levels = _Levels(spec)
+    ats = [_At(spec, levels, state) for state in states]
+    normals, chi_squares = rng_stream(seed, 0, 0), rng_stream(seed, 1, 0)
+    chunk = min(max(1, ELEMS // levels.width), n)
+    zs, scratch = np.empty((2, chunk, len(levels.h)))
+    r = np.empty((chunk, len(levels.multi)))
+    moments = None
+    for start in range(0, n, chunk):
+        k = min(chunk, n - start)
+        normals.standard_normal(out=zs[:k])
+        np.multiply(2.0, chi_squares.standard_gamma(levels.half_dof, out=r[:k]), out=r[:k])
+        new = [_Moments(np.array(columns(c), dtype=float))
+               for c in _chunks(levels, ats, zs[:k], r[:k], scratch[:k])]
+        moments = new if moments is None else [m.merge(c) for m, c in zip(moments, new)]
+    return moments
 
 
 def _q_columns(chunk: _Chunk) -> list[np.ndarray]:
@@ -757,10 +730,9 @@ def check_lemma_suite(
     One z-stream per call is shared by every state and every check (common
     random numbers), so a state's checks equal those of a call at that state
     alone; the paired progress comparison takes its error by the delta
-    method.  Each block of the stream is drawn once and evaluated at every
-    state, in parallel over :func:`esrate.pool.fan_out`; the checks are
-    built from the merged moments in state order.  An empty ``states``
-    raises ``ValueError``.
+    method.  Each chunk of the stream is drawn once and evaluated at every
+    state; the checks are built from the merged moments in state order.  An
+    empty ``states`` raises ``ValueError``.
     """
     d = spec.dim
     lmod, umod = spec.strong_convexity, spec.smoothness

@@ -184,6 +184,7 @@ def cli_main(argv=None) -> int:
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     try:
+        pool.worker_count()  # a bad ES_RATE_THREADS fails here, whatever the command
         if args.command == "run":
             return _cmd_run(args)
         if args.command == "experiment":

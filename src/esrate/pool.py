@@ -2,14 +2,12 @@
 
 Experiment trial groups and invariance seed groups (each chain of a
 lockstep group keeps its stream; :func:`esrate.engine.lockstep_groups`
-cuts both) and the sub-stream blocks of Monte Carlo calls (a block is
-drawn once for all the states of its call: lemma-suite states, drift
-regimes, or the one state of a single estimate) each own their RNG
-streams, so they can run in any process and in any order.
-:func:`fan_out` maps a function over such tasks and returns the results
-in task order, so results never depend on the worker count.
+cuts both) own their RNG streams, so they can run in any process and in
+any order.  :func:`fan_out` maps a function over such tasks and returns
+the results in task order, so results never depend on the worker count.
 ``ES_RATE_THREADS`` sets that count (default: the usable CPUs, at most 8);
-1 runs everything in the calling process.
+1 runs everything in the calling process.  Monte Carlo calls draw one
+stream in the calling process and start no pool.
 """
 
 from __future__ import annotations

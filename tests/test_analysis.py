@@ -621,7 +621,7 @@ def test_quadratic_q_is_z_hz_once_per_chunk_and_shared_by_every_state():
     m = RNG.standard_normal(50)
     states = [state_at_sigma_bar(spec, m * scale, s)
               for scale, s in ((1.0, 0.3), (1e-3, 3.0), (1e3, 1.0))]
-    rows, seed, b = 1_000, 9, 2
+    rows, seed = 1_000, 9
     seen = []
 
     def columns(chunk):
@@ -630,8 +630,8 @@ def test_quadratic_q_is_z_hz_once_per_chunk_and_shared_by_every_state():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(analysis, "ELEMS", 300 * 50)  # chunks of 300, 300, 300 and 100 rows
-        analysis._block(spec, states, rows, columns, seed, b)
-    rng = rng_stream(seed, 0, b)
+        analysis._sample(spec, columns, states, rows, seed)
+    rng = rng_stream(seed, 0, 0)
     for i, start in enumerate(range(0, rows, 300)):
         zs = rng.standard_normal((min(300, rows - start), 50))
         first, *others = seen[3 * i: 3 * i + 3]
@@ -659,7 +659,8 @@ def test_quadratic_candidate_values_match_direct_evaluation(family, dim):
     # Each state reads the same reduced rows in its own basis: a full row rebuilt
     # from them at that state gives the chunk's candidate values.  On h2 and
     # perturbed every level is one coordinate, so the rebuilt row is u itself.
-    # No candidate is formed: f(m) + step is the expansion in Q.
+    # No candidate is formed: f(m) + step is the expansion in Q on an accepted
+    # row, and f(m) on a rejected one, whose step is 0.
     spec = _CANDIDATE_SPECS[family](dim)
     levels = analysis._Levels(spec)
     rng = np.random.default_rng(dim)
@@ -672,8 +673,10 @@ def test_quadratic_candidate_values_match_direct_evaluation(family, dim):
     for state, chunk in zip(states, _chunks(levels, ats, u, r, np.empty_like(u))):
         zs = _rebuild(levels, state.m, u, r, rng)
         direct = spec.value_many(state.m + state.sigma * zs)
-        assert np.allclose(chunk.f_m + chunk.step, direct, rtol=1e-13, atol=0.0)
         assert np.array_equal(chunk.success, direct <= spec.value(state.m))
+        assert np.allclose((chunk.f_m + chunk.step)[chunk.success], direct[chunk.success],
+                           rtol=1e-13, atol=0.0)
+        assert np.all(chunk.step[~chunk.success] == 0.0)
 
 
 @pytest.mark.parametrize("spec", [hessian_family("h1", 50, 2), sphere(50)], ids=["h1", "sphere"])
@@ -715,6 +718,28 @@ def test_reduced_rows_survive_gradient_entries_near_1e200():
     assert 0.0 < estimates[0].value < 1.0 and estimates[1].value < 0.0
 
 
+@pytest.mark.parametrize("log_sigma", [math.log(1e200), 700.0], ids=["1e200", "700"])
+def test_estimators_at_a_huge_step_raise_no_float_warning(log_sigma):
+    # sigma^2 Q / 2 passes the float range on every row, and no row is accepted. A
+    # rejected row's step is 0, and a standard error whose weights overflow is NaN,
+    # so the one check that reads them is inconclusive.
+    spec = sphere(4)
+    state = EsState(np.array([0.3, -1.2, 2.0, 0.7]), log_sigma)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = check_lemma_suite(spec, [state], 20_000, seed=3)
+        estimates = [estimate_success_prob(spec, state, 20_000, seed=3),
+                     estimate_log_progress(spec, state, 20_000, seed=3),
+                     *estimate_drift(spec, [state], *_drift_constants(), 20_000, seed=3)]
+        stats = estimate_q_stats(spec, state, 20_000, seed=3)
+    assert {c.name for c in report.checks if c.verdict == "inconclusive"} == {
+        "expected_progress_bound"}
+    assert estimates[0] == analysis.EstimateWithError(0.0, 0.0)
+    assert estimates[1] == analysis.EstimateWithError(0.0, 0.0)
+    assert all(math.isfinite(x) for x in (estimates[2].value, estimates[2].stderr))
+    assert abs(stats.mean_q - quadratic_q_exact(spec)[0]) <= 4.0 * stats.se_mean
+
+
 def test_moments_of_q_past_the_float_range_fail_at_the_boundary():
     # E[Q^2] ~ 1e400: every estimator of Q's moments raises before drawing a row.
     spec = hessian_family("h1", 3, 200)
@@ -743,7 +768,7 @@ def test_a_fourth_moment_of_q_past_the_float_range_fails_before_any_row_is_drawn
         warnings.simplefilter("error")
         for call in calls(60):
             call()
-        monkeypatch.setattr(analysis, "fan_out", _no_pool)
+        _no_rows(monkeypatch)
         for kappa in (80, 100, 150):
             for call in calls(kappa):
                 with pytest.raises(ValueError, match="fourth moment of Q"):
@@ -755,20 +780,18 @@ def test_se_var_matches_two_pass_long_double_reference():
     state = state_at_sigma_bar(spec, np.random.default_rng(11).standard_normal(1000), 1.0)
     n, seed = 20_000, 4
     stats = estimate_q_stats(spec, state, n, seed)
-    # the same reduced rows, drawn block by block and evaluated in the kernel's chunks
+    # the same reduced rows, drawn from the call's one stream in the kernel's chunks
     levels = analysis._Levels(spec)
-    block, rows = analysis.SUB_ELEMS // levels.width, analysis.ELEMS // levels.width
+    rows = analysis.ELEMS // levels.width
     at = analysis._At(spec, levels, state)
+    normals, chi_squares = rng_stream(seed, 0, 0), rng_stream(seed, 1, 0)
     q = []
-    for b, start in enumerate(range(0, n, block)):
-        normals, chi_squares = rng_stream(seed, 0, b), rng_stream(seed, 1, b)
-        size = min(block, n - start)
-        for s in range(0, size, rows):
-            k = min(rows, size - s)
-            u = normals.standard_normal((k, len(levels.h)))
-            r = 2.0 * chi_squares.standard_gamma(levels.half_dof, size=(k, len(levels.multi)))
-            q.append(next(_chunks(levels, [at], u, r, np.empty_like(u))).q)
-    assert len(q) > 1 + n // block  # several chunks
+    for start in range(0, n, rows):
+        k = min(rows, n - start)
+        u = normals.standard_normal((k, len(levels.h)))
+        r = 2.0 * chi_squares.standard_gamma(levels.half_dof, size=(k, len(levels.multi)))
+        q.append(next(_chunks(levels, [at], u, r, np.empty_like(u))).q)
+    assert len(q) > 1  # several chunks
     q = np.concatenate(q).astype(np.longdouble)
     dev = q - q.mean()
     m2, m4 = (dev**2).mean(), (dev**4).mean()
@@ -785,11 +808,9 @@ def test_expected_progress_stderr_is_per_row_delta_method():
     check = next(c for c in report.checks if c.name == "expected_progress_bound")
 
     sigma, f_m, grad = state.sigma, spec.value(m), spec.gradient(m)
-    # The call's reduced rows, in one block of SUB_ELEMS // 3 rows: h1 has a level of
-    # one coordinate (h = 1) and one of nine (h = 10), so a row is their two normals,
-    # from stream (seed, 0, 0), and the chi-square with 8 degrees of freedom of the
-    # nine, from stream (seed, 1, 0).
-    assert n <= analysis.SUB_ELEMS // 3
+    # The call's reduced rows: h1 has a level of one coordinate (h = 1) and one of
+    # nine (h = 10), so a row is their two normals, from stream (seed, 0, 0), and the
+    # chi-square with 8 degrees of freedom of the nine, from stream (seed, 1, 0).
     u = rng_stream(seed, 0, 0).standard_normal((n, 2))
     r = 2.0 * rng_stream(seed, 1, 0).standard_gamma(4.0, size=n)
     zg = u[:, 0] * grad[0] + u[:, 1] * np.linalg.norm(grad[1:])
@@ -834,9 +855,8 @@ def test_merged_blocks_equal_one_pass_over_their_concatenation():
     np.testing.assert_allclose(merged.comoment, whole.comoment, rtol=1e-12, atol=0.0)
 
 
-def test_kernel_reuses_its_work_arrays(monkeypatch):
+def test_kernel_reuses_its_work_arrays():
     # Fresh chunk-sized temporaries cost about 97k minor page faults here.
-    monkeypatch.setenv("ES_RATE_THREADS", "1")
     spec = sphere(1000)
     state = state_at_sigma_bar(spec, np.random.default_rng(1).standard_normal(1000), 1.0)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -844,8 +864,29 @@ def test_kernel_reuses_its_work_arrays(monkeypatch):
     assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 78_000 // 4
 
 
-def _no_pool(fn, tasks):
-    raise AssertionError("a pool started on bad input")
+class _SpyGenerator:
+    """A generator that passes every ``standard_normal`` and ``standard_gamma`` draw to ``seen``."""
+
+    def __init__(self, rng, seen):
+        self.rng, self.seen = rng, seen
+
+    def standard_normal(self, *args, **kwargs):
+        out = self.rng.standard_normal(*args, **kwargs)
+        self.seen(out)
+        return out
+
+    def standard_gamma(self, *args, **kwargs):
+        out = self.rng.standard_gamma(*args, **kwargs)
+        self.seen(out)
+        return out
+
+
+def _no_rows(monkeypatch):
+    """Make the test fail if the kernel draws a row."""
+    def drawn(out):
+        raise AssertionError("a row was drawn on bad input")
+
+    monkeypatch.setattr(analysis, "rng_stream", lambda *key: _SpyGenerator(rng_stream(*key), drawn))
 
 
 _SAMPLERS = {
@@ -866,7 +907,7 @@ _SAMPLERS = {
     (sphere(3), np.zeros(3), 1000, 0, "off-optimum"),
 ], ids=["composite", "small_n", "negative_seed", "at_optimum"])
 def test_bad_input_fails_before_any_pool_starts(monkeypatch, sampler, spec, m, n, seed, message):
-    monkeypatch.setattr(analysis, "fan_out", _no_pool)
+    _no_rows(monkeypatch)
     with pytest.raises(ValueError, match=message):
         sampler(spec, _state(m, 1.0), n, seed)
 
@@ -887,7 +928,7 @@ def test_tight_checks_are_the_mean_bounds_of_a_flat_hessian(spec, tight):
 
 
 def test_empty_state_list_fails_before_any_pool_starts(monkeypatch):
-    monkeypatch.setattr(analysis, "fan_out", _no_pool)
+    _no_rows(monkeypatch)
     with pytest.raises(ValueError, match="at least one state"):
         check_lemma_suite(sphere(5), [], 1000, 0)
 
@@ -1026,7 +1067,7 @@ def _hostile_calls():
 @pytest.mark.parametrize("name", list(_hostile_calls()))
 def test_hostile_input_raises_a_value_error_naming_it(monkeypatch, name):
     call, words = _hostile_calls()[name]
-    monkeypatch.setattr(analysis, "fan_out", _no_pool)
+    _no_rows(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=re.escape(words)):
@@ -1043,30 +1084,11 @@ def test_state_helpers_reject_a_composite():
         regime_of(spec, state, params, constants)
 
 
-class _SpyGenerator:
-    """A generator that passes every ``standard_normal`` and ``standard_gamma`` draw to ``seen``."""
-
-    def __init__(self, rng, seen):
-        self.rng, self.seen = rng, seen
-
-    def standard_normal(self, *args, **kwargs):
-        out = self.rng.standard_normal(*args, **kwargs)
-        self.seen(out)
-        return out
-
-    def standard_gamma(self, *args, **kwargs):
-        out = self.rng.standard_gamma(*args, **kwargs)
-        self.seen(out)
-        return out
-
-
 def test_no_kernel_row_repeats_a_draw_from_a_one_element_key(monkeypatch):
     # Acceptance criterion 5 draws a state from rng_stream(seed, 5); a call whose
-    # block 5 drew from that same key would start with that state as a row.
-    monkeypatch.setenv("ES_RATE_THREADS", "1")
-    spec, n, seed = hessian_family("h2", 100, 1), 110_000, 5  # one coordinate a level: w = d
+    # rows came from a one-element key would start with such a state as a row.
+    spec, n, seed = hessian_family("h2", 100, 1), 20_000, 5  # one coordinate a level: w = d
     assert analysis._Levels(spec).width == spec.dim
-    assert n > 5 * (analysis.SUB_ELEMS // spec.dim)  # blocks 0 to 5
     state_draws = np.array([rng_stream(seed, k).standard_normal(100) for k in range(6)])
     drawn, repeats = [], []
 
@@ -1082,59 +1104,45 @@ def test_no_kernel_row_repeats_a_draw_from_a_one_element_key(monkeypatch):
 
 
 def test_a_suite_draws_its_rows_once_for_all_states(monkeypatch):
-    monkeypatch.setenv("ES_RATE_THREADS", "1")
     drawn = []
     monkeypatch.setattr(analysis, "rng_stream", lambda *key: _SpyGenerator(
         rng_stream(*key), lambda out: drawn.append(out.size)))
     for spec, n, width in (
         (hessian_family("h2", 1000, 1), 5_000, 1000),  # one normal per coordinate
         (perturbed_family(300, 0), 15_000, 300),  # equal entries, one level per coordinate
-        (hessian_family("h1", 4, 1), 1_400_000, 3),  # two normals and a chi-square a row
+        (hessian_family("h1", 4, 1), 20_000, 3),  # two normals and a chi-square a row
     ):
         drawn.clear()
         assert analysis._Levels(spec).width == width
-        assert n > 2 * (analysis.SUB_ELEMS // width)  # three sub-stream blocks
         report = check_lemma_suite(spec, _suite_states(spec)[:3], n, seed=2)
         assert len(report.checks) == 3 * 12
         assert sum(drawn) == n * width
 
 
-def test_a_task_is_one_block_at_every_state_and_one_block_runs_inline(monkeypatch):
+def test_a_call_past_2_21_draws_reads_one_stream_and_starts_no_pool(monkeypatch):
+    # Whatever its size and the worker count, a call draws its rows from the keys
+    # (seed, 0, 0) and (seed, 1, 0) only, in the calling process.
     monkeypatch.setattr(pool, "_usable_cpus", lambda: 2)
-    calls = []
-
-    def spy(fn, jobs):
-        jobs = list(jobs)
-        calls.append(jobs)
-        return pool.fan_out(fn, jobs)
-
-    def suites(spec, n):
-        states = _suite_states(spec)[:3]
-        monkeypatch.setenv("ES_RATE_THREADS", "1")
-        inline = check_lemma_suite(spec, states, n, seed=3)
-        monkeypatch.setenv("ES_RATE_THREADS", "2")
-        calls.clear()
-        return states, inline, check_lemma_suite(spec, states, n, seed=3)
-
-    monkeypatch.setattr(analysis, "fan_out", spy)
-    spec = hessian_family("h2", 1000, 1)  # w = d: blocks of SUB_ELEMS // d rows
-    assert analysis._Levels(spec).width == spec.dim
-    block = analysis.SUB_ELEMS // spec.dim
-    states, inline, report = suites(spec, 2 * block + 100)
-    (jobs,) = calls
-    assert [(job[2], job[5]) for job in jobs] == [(block, 0), (block, 1), (100, 2)]
-    assert all(job[1] is states for job in jobs)
-    assert repr(report) == repr(inline)
+    monkeypatch.setenv("ES_RATE_THREADS", "2")
 
     def no_pool(*args, **kwargs):
-        raise AssertionError("a one-block call started a process pool")
+        raise AssertionError("a Monte Carlo call started a process pool")
 
     monkeypatch.setattr(pool, "ProcessPoolExecutor", no_pool)
-    spec = hessian_family("h1", 10, 1)
-    assert 2_000 <= analysis.SUB_ELEMS // analysis._Levels(spec).width  # one sub-stream block
-    states, inline, report = suites(spec, 2_000)
-    assert [len(jobs) for jobs in calls] == [1]
-    assert repr(report) == repr(inline)
+    keys, drawn = [], []
+
+    def streams(*key):
+        keys.append(key)
+        return _SpyGenerator(rng_stream(*key), lambda out: drawn.append(out.size))
+
+    monkeypatch.setattr(analysis, "rng_stream", streams)
+    spec, seed = hessian_family("h2", 1000, 1), 3  # w = d
+    n = 2**21 // spec.dim + 100
+    assert n * analysis._Levels(spec).width > 2**21
+    report = check_lemma_suite(spec, _suite_states(spec)[:3], n, seed)
+    assert len(report.checks) == 3 * 12
+    assert sum(drawn) == n * spec.dim
+    assert keys == [(seed,), (seed, 0, 0), (seed, 1, 0)]  # the first checks the seed
 
 
 def _h1_suite(n, seed):
@@ -1144,7 +1152,7 @@ def _h1_suite(n, seed):
                                     for s in np.geomspace(0.1, 10.0, 5)], n, seed)
 
 
-_ONE_BLOCK_CALLS = {
+_INLINE_CALLS = {
     "h1_suite": lambda: _h1_suite(50_000, seed=1),
     "assumption2": lambda: check_assumption2(perturbed_family(30, 2), n=5_000, seed=1),
     "q_stats_d1000": lambda: estimate_q_stats(
@@ -1152,14 +1160,13 @@ _ONE_BLOCK_CALLS = {
 }
 
 
-@pytest.mark.parametrize("call", list(_ONE_BLOCK_CALLS))
-def test_an_inline_call_keeps_its_memory_small(call, monkeypatch):
-    # An inline call allocates its chunk's work arrays and per-state columns
-    # in the calling process.
-    monkeypatch.setenv("ES_RATE_THREADS", "1")
+@pytest.mark.parametrize("call", list(_INLINE_CALLS))
+def test_an_inline_call_keeps_its_memory_small(call):
+    # A call allocates its chunk's work arrays and per-state columns in the
+    # calling process.
     tracemalloc.start()
     try:
-        _ONE_BLOCK_CALLS[call]()
+        _INLINE_CALLS[call]()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -370,8 +370,10 @@ def test_every_exported_name_exists(module):
         ["verify", "--suite", "drift", "--n", "1000"],
         ["verify", "--suite", "invariance", "--n", "1"],
         ["experiment", "--config", "{config}", "--out-dir", "{out}"],
+        ["run", "--objective", "h1", "--dim", "4", "--budget", "10", "--out", "{out}"],
+        ["bounds", "--dim", "1000", "--p-target", "0.3", "--q-low", "0.25", "--q-high", "0.45"],
     ],
-    ids=["lemmas", "drift", "invariance", "experiment"],
+    ids=["lemmas", "drift", "invariance", "experiment", "run", "bounds"],
 )
 def test_bad_thread_count_exits_one(args, value, tmp_path, monkeypatch, capsys):
     cfg_path = tmp_path / "cfg.json"

@@ -38,51 +38,49 @@ cosine term's part, a sum of sines of ``omega sigma z_i`` accurate at every
 ``<z, grad f(m)>`` and the exact change ``f(m + sigma z) - f(m) = sigma
 (<z, grad f(m)> + sigma Q / 2)``, whose sign is the step's success.
 
-Where only the exact moments of ``Q`` at a state are needed, no rows are
-drawn: :func:`_exact_q` gives them on every plain spec, the same at every
-state of a diagonal quadratic and sums of ``d`` elementary terms on
-``perturbed``.  :func:`sigma_bar`, :func:`regime_of`, the lemma suite's
-success sandwich and the extremes behind :func:`check_assumption2` and
-:func:`q_extremes` (over a fixed scan of 32 states) read them.
+Exact values draw no rows and live in :mod:`esrate.exact`: its ``_exact_q``
+gives the moments of ``Q`` at a state of every plain spec, which the lemma
+suite's success sandwich and :func:`check_assumption2` (over a fixed scan of
+32 states on ``perturbed``) read here, as ``sigma_bar`` and ``regime_of`` do there.
 
 Determinism contract: estimators are pure given ``(inputs, seed)``.
 Mutation rows come only from the two-element keys ``(0, 0)`` (normals) and
 ``(1, 0)`` (chi-squares) of the call's seed; the one-element keys
-``rng_stream(seed, k)`` are left to the draws of the states themselves, so
-no state coincides with a row of its own call.  ``ELEMS`` is not part of
-it: the draws of each key do not depend on how the rows split into chunks,
-so the chunk size changes results only through floating-point rounding.  A
-state's results do not depend on the other states of its call: they equal
-those of a call at that state alone.  No call starts a process pool, so
-results do not depend on ``ES_RATE_THREADS``.  Input is checked before any
-row is drawn: a state needs a finite ``m`` off the optimum and
-``log(sigma)`` in ``(-745, 708)``.
+``rng_stream(seed, k)`` are left to the draws of the states themselves
+(the scan of :func:`check_assumption2` takes key 7), so no state coincides
+with a row of its own call.  ``ELEMS`` is not part of it: the draws of each
+key do not depend on how the rows split into chunks, so the chunk size
+changes results only through floating-point rounding.  A state's results
+do not depend on the other states of its call: they equal those of a call
+at that state alone.  No call starts a process pool, so results do not
+depend on ``ES_RATE_THREADS``.  Input is checked before any row is drawn: a
+state needs a finite ``m`` off the optimum and ``log(sigma)`` in
+``(log(sys.float_info.min), 708)``, about ``(-708.396, 708)``, where
+``sigma`` is a normal float.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass, field
 from functools import partial
 
 import numpy as np
 
-from .engine import EsParams, EsState, default_sigma0, rng_stream
-from .objectives import PERTURB_AMP, PERTURB_FREQ, ObjectiveSpec, _values, is_int
-from .theory import (
-    QExtremes,
-    TheoryConstants,
-    assumption_margin_rhs,
-    potential_from_values,
-    std_normal_cdf,
-)
+from .engine import EsParams, EsState, rng_stream
+from .exact import _check_q_range, _check_sample, _exact_q, _extremes, _require_plain
+from .objectives import PERTURB_AMP, PERTURB_FREQ, ObjectiveSpec, _values
+from .theory import TheoryConstants, assumption_margin_rhs, potential_from_values, std_normal_cdf
+
+# Kept for perfbench/workloads.py and perfbench/measure.py, which change only with the benchmark.
+from .exact import quadratic_q_exact, state_at_sigma_bar  # noqa: F401
 
 __all__ = [
     "ELEMS",
     "EstimateWithError",
     "QStats",
     "estimate_q_stats",
-    "quadratic_q_exact",
     "estimate_success_prob",
     "estimate_log_progress",
     "SE_SLACK",
@@ -93,9 +91,6 @@ __all__ = [
     "Assumption2Report",
     "check_assumption2",
     "estimate_drift",
-    "q_extremes",
-    "state_at_sigma_bar",
-    "sigma_bar",
 ]
 
 #: Draws per chunk: a chunk holds ``max(1, ELEMS // w)`` rows of ``w`` draws,
@@ -107,25 +102,6 @@ ELEMS = 2**14
 SE_SLACK = 3.0
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-#: Rybicki's sum for Dawson's function: step ``h`` and the odd offsets
-#: ``k``, ``|k| <= 27``, whose weights ``exp(-(eps - k h)^2)``, ``|eps| <= h``,
-#: reach below 1e-18; the sum's own error is about ``exp(-(pi / 2h)^2)``, 7e-18.
-_DAWSON_H = 0.25
-_DAWSON_K = np.arange(-27, 28, 2)
-
-#: Taylor coefficients of ``(x - F(x)) / x^3`` in ``x^2`` for Dawson's ``F``,
-#: ``(-1)^(k+1) 2^k / (2k+1)!!`` for ``k = 14 .. 1`` (highest first), used
-#: below ``|x| = 0.5``.
-_DAWSON_GAP = np.array([(-1) ** (k + 1) * 2.0**k / math.prod(range(1, 2 * k + 2, 2))
-                        for k in range(14, 0, -1)])
-
-#: Taylor coefficients of ``E[(sin(sz) - sz)^2] / t^3`` in ``t = s^2``,
-#: ``(-1)^(k+1) 2^(k-1) / k! - 2 (-1/2)^(k-1) / (k-1)!`` for ``k = 26 .. 3``
-#: (highest first), used below ``t = 1``, where the closed form cancels.
-_SIN_GAP_VAR = np.array([(-1) ** (k + 1) * 2.0 ** (k - 1) / math.factorial(k)
-                         - 2.0 * (-0.5) ** (k - 1) / math.factorial(k - 1)
-                         for k in range(26, 2, -1)])
 
 
 @dataclass(frozen=True)
@@ -153,34 +129,6 @@ class QStats:
     se_mean: float
     se_var: float
     se_half: float
-
-
-def _require_plain(spec: ObjectiveSpec) -> None:
-    if spec.kind == "composite":
-        raise ValueError("curvature estimators operate on non-composite specs")
-
-
-def _check_q_range(spec: ObjectiveSpec, n: int = 0) -> None:
-    """Reject a spec whose ``E[Q^2]``, at most ``U^2 d (d + 2)`` since
-    ``Q <= U ||z||^2``, may be past the float range; given the ``n`` rows an
-    estimator draws, also one whose sum of ``Q^4`` over them, at most
-    ``n U^4 d (d + 2) (d + 4) (d + 6)`` in expectation, may be: the
-    standard error of the variance sums it (:func:`_q_columns`)."""
-    u, d = spec.smoothness, spec.dim
-    if not math.isfinite(u * u * d * (d + 2)):
-        raise ValueError(f"the second moment of Q, up to U^2 d (d + 2) with U = {u:g} "
-                         f"and d = {d}, is past the float range")
-    if not math.isfinite(n * u * u * u * u * d * (d + 2) * (d + 4) * (d + 6)):
-        raise ValueError(f"the fourth moment of Q summed over n = {n} rows, up to "
-                         f"n U^4 d (d + 2) (d + 4) (d + 6) with U = {u:g} and d = {d}, "
-                         "is past the float range")
-
-
-def _check_sample(n: int, seed: int) -> None:
-    """Reject a sample size or seed that :func:`_sample` cannot draw."""
-    if not (is_int(n) and n >= 1000):
-        raise ValueError(f"need n >= 1000 mutation rows, an integer, for stable estimates, got {n!r}")
-    rng_stream(seed)  # raises for a seed that is not a non-negative integer
 
 
 # -- the Monte Carlo kernel ------------------------------------------------------
@@ -300,7 +248,7 @@ class _At:
 
         With ``x = s z``, ``s = omega sigma`` and ``c = omega m``, it is
         ``2a sum_i (2 cos c_i (sin(x_i / 2) / s)^2 + sin c_i (sin x_i - x_i) / s^2)``,
-        the split of :func:`_perturbed_moments`.  Dividing by ``s`` before
+        the split of :func:`esrate.exact._perturbed_moments`.  Dividing by ``s`` before
         squaring keeps the even terms finite where ``s^2`` underflows; the
         odd sum is 0 there, since ``sin x`` rounds to ``x`` below ``|x| =
         2e-8``.  ``scratch`` is a work array of the shape of ``zs``.
@@ -372,14 +320,16 @@ def _sample(spec: ObjectiveSpec, columns, states: list[EsState], n: int,
     _check_sample(n, seed)
     if not states:
         raise ValueError("need at least one state")
+    low = math.log(sys.float_info.min)  # a subnormal sigma loses the digits of sigma * change
     for i, state in enumerate(states):
         if not np.all(np.isfinite(state.m)):
             raise ValueError(f"state {i}: m must be finite")
         if not np.any(state.m):
             raise ValueError(f"state {i} must be off-optimum")
-        if not -745.0 < state.log_sigma < 708.0:  # sigma and omega sigma are positive floats
-            raise ValueError(f"state {i}: log_sigma = {state.log_sigma!r} is outside (-745, 708), "
-                             "where sigma = exp(log_sigma) is a positive float")
+        if not low < state.log_sigma < 708.0:  # and omega sigma is a finite float
+            raise ValueError(f"state {i}: log_sigma = {state.log_sigma!r} is outside "
+                             f"(log(sys.float_info.min) = {low:.6f}, 708), where "
+                             "sigma = exp(log_sigma) is a normal positive float")
     levels = _Levels(spec)
     ats = [_At(spec, levels, state) for state in states]
     normals, chi_squares = rng_stream(seed, 0, 0), rng_stream(seed, 1, 0)
@@ -425,16 +375,6 @@ def _first_mean(moments: _Moments) -> EstimateWithError:
 # -- estimators -------------------------------------------------------------------
 
 
-def quadratic_q_exact(spec: ObjectiveSpec) -> tuple[float, float]:
-    """Exact mean and variance of the remainder for a diagonal quadratic.
-
-    ``mean = trace(H)``, ``var = 2 * trace(H^2)``.
-    """
-    if not spec.is_quadratic:
-        raise ValueError("exact remainder moments exist for quadratic_diag only")
-    return _exact_q(spec, None)[:2]
-
-
 def estimate_q_stats(spec: ObjectiveSpec, state: EsState, n: int, seed: int) -> QStats:
     """Sample moments of the remainder over ``n`` standard-normal mutations."""
     _check_q_range(spec, n)
@@ -461,181 +401,6 @@ def estimate_log_progress(spec: ObjectiveSpec, state: EsState, n: int, seed: int
     """Mean one-step decrease of ``log f`` (zero on rejected steps); nonpositive."""
     est, e = _first_mean(_sample(spec, _log_gain, [state], n, seed)[0]), _unit(state.sigma)
     return EstimateWithError(math.ldexp(est.value, e), math.ldexp(est.stderr, e))
-
-
-# -- state helpers -------------------------------------------------------------
-
-
-def _gradient_norm(spec: ObjectiveSpec, m: np.ndarray) -> float:
-    """``||grad f(m)||``; ``ValueError`` where it is 0 (at the optimum) or NaN."""
-    gnorm = spec.gradient_norm(m)
-    if not gnorm > 0.0:
-        raise ValueError(f"m must be finite and off the optimum, got ||grad f(m)|| = {gnorm!r}")
-    return gnorm
-
-
-def sigma_bar(spec: ObjectiveSpec, state: EsState) -> float:
-    """Normalized step size ``sigma * E[Q] / ||grad f(m)||``, with the exact
-    ``E[Q]`` at the state (:func:`_exact_q`): the trace on a diagonal
-    quadratic.  A composite raises ``ValueError``.
-    """
-    [mean_q] = _exact_q(spec, state, mean_only=True)
-    return state.sigma * mean_q / _gradient_norm(spec, state.m)
-
-
-def state_at_sigma_bar(spec: ObjectiveSpec, m, target_sigma_bar: float) -> EsState:
-    """State at point ``m`` whose normalized step size equals the target.
-
-    Needs a diagonal quadratic, whose ``E[Q]`` is the exact trace.
-    """
-    if not target_sigma_bar > 0.0:
-        raise ValueError(f"target_sigma_bar must be positive, got {target_sigma_bar!r}")
-    m = np.asarray(m, dtype=float)
-    sigma = target_sigma_bar * _gradient_norm(spec, m) / spec.trace_hessian
-    return EsState(m=m, log_sigma=math.log(sigma))
-
-
-def _state_grid(spec: ObjectiveSpec, seed: int) -> list[EsState]:
-    """The 32 scanned states: 8 distances ``1e-3 .. 1e3`` times ``sqrt(d)``
-    from the optimum, 2 random directions each, at 0.1 and 1 times the
-    default step size.
-
-    Coarse coverage for the state-space extremes of non-quadratic specs;
-    the suprema/infima derived from it are approximations and the scanned
-    states are reported for audit.
-    """
-    rng = rng_stream(seed, 7)
-    states = []
-    for dist in np.geomspace(1e-3, 1e3, 8) * math.sqrt(spec.dim):
-        for _ in range(2):
-            direction = rng.standard_normal(spec.dim)
-            direction /= np.linalg.norm(direction)
-            m = dist * direction
-            base_sigma = default_sigma0(spec, m)
-            for scale in (0.1, 1.0):
-                states.append(EsState(m=m, log_sigma=math.log(base_sigma * scale)))
-    return states
-
-
-def _dawson(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Dawson's function ``F(x) = exp(-x^2) int_0^x exp(t^2) dt`` and ``x - F(x)``.
-
-    Both to about 1e-14 relative, elementwise: by their Taylor series below
-    ``|x| = 0.5``, otherwise by Rybicki's sum
-    ``F(x) = pi^(-1/2) sum_(n odd) exp(-(x - n h)^2) / n`` over the odd ``n``
-    nearest ``x / h`` (Rybicki, Computers in Physics 3(2), 1989).
-    """
-    even = 2.0 * np.round(x / (2.0 * _DAWSON_H))
-    eps = x - even * _DAWSON_H
-    weights = np.exp(-np.square(eps[:, None] - _DAWSON_K * _DAWSON_H))
-    far = np.add.reduce(weights / (even[:, None] + _DAWSON_K), axis=1) / math.sqrt(math.pi)
-    near = np.abs(x) < 0.5
-    x_near = np.where(near, x, 0.0)
-    gap = x_near**3 * np.polyval(_DAWSON_GAP, x_near * x_near)
-    return np.where(near, x - gap, far), np.where(near, gap, x - far)
-
-
-def _one_minus_exp_over(x: float) -> float:
-    """``(1 - exp(-x)) / x`` for ``x >= 0``, 1 at 0."""
-    return -math.expm1(-x) / x if x > 0.0 else 1.0
-
-
-def _perturbed_moments(spec: ObjectiveSpec, state: EsState,
-                       mean_only: bool = False) -> tuple[np.ndarray, ...]:
-    """Exact per-coordinate terms of ``E[Q]``, ``Var[Q]`` and ``E[Q; <z, grad f(m)> <= 0]``,
-    or of ``E[Q]`` alone if ``mean_only``.
-
-    ``Q = sum_i q_i(z_i)`` is separable on a ``quadratic_perturbed`` spec.
-    With ``c = omega m_i``, ``s = omega sigma``, ``t = s^2``, ``a`` the
-    amplitude, ``omega`` the frequency and ``A = 2a / t``,
-
-        q_i = h_i z^2 + A (cos c (1 - cos sz) + sin c (sin sz - sz)),
-
-    whose even and odd parts in ``z`` are uncorrelated.  With
-    ``g = exp(-t/2)``: ``E cos sz = g``, ``E z^2 cos sz = (1 - t) g``,
-    ``Var cos sz = (1 - g^2)^2 / 2`` and
-    ``E (sin sz - sz)^2 = (1 - g^4) / 2 - 2 t g + t``, which cancels for
-    small ``t`` and is then summed from its series.  The half mean takes
-    ``b = grad f(m) / ||grad f(m)||``: the even parts contribute half their
-    means, and ``E[sin sz; <z, b> <= 0] = -exp(-t (1 - b_i^2) / 2)
-    F(s b_i / sqrt 2) / sqrt(pi)`` with Dawson's ``F``, so the odd part
-    contributes ``A sin c (x - exp(-t (1 - b_i^2) / 2) F(x)) / sqrt(pi)``
-    at ``x = s b_i / sqrt 2``.  Every ``1 - g^k`` is an ``expm1``, and the
-    odd part is divided by ``s`` twice, not by ``t``, so where ``t``
-    underflows it is 0, its limit as ``s -> 0``.
-    """
-    a, h = PERTURB_AMP, spec.diag
-    s = PERTURB_FREQ * state.sigma
-    t = s * s
-    cos = np.cos(PERTURB_FREQ * state.m)
-    e1 = 0.5 * _one_minus_exp_over(0.5 * t)  # (1 - g) / t
-    mean = h + 2.0 * a * e1 * cos
-    if mean_only:
-        return (mean,)
-    sin = np.sin(PERTURB_FREQ * state.m)
-    g = math.exp(-0.5 * t)
-    e2 = _one_minus_exp_over(t)  # (1 - g^2) / t
-    if t < 1.0:  # p = E (sin sz - sz)^2 / t^2
-        p = t * float(np.polyval(_SIN_GAP_VAR, t))
-    else:
-        p = (_one_minus_exp_over(2.0 * t) - 2.0 * g + 1.0) / t
-    var = (2.0 * h * h + 4.0 * a * g * h * cos + 2.0 * (a * e2 * cos) ** 2
-           + 4.0 * a * a * p * sin * sin)
-    b = spec.gradient(state.m) / spec.gradient_norm(state.m)
-    dawson, gap = _dawson(s * b / math.sqrt(2.0))
-    odd = 2.0 * a * sin * ((gap - np.expm1(-0.5 * t * (1.0 - b * b)) * dawson) / s / s)
-    return mean, var, 0.5 * h + a * e1 * cos + odd / math.sqrt(math.pi)
-
-
-def _exact_q(spec: ObjectiveSpec, state: EsState | None,
-             mean_only: bool = False) -> tuple[float, ...]:
-    """Exact ``(E[Q], Var[Q], E[Q; <z, grad f(m)> <= 0])`` at a state, or ``(E[Q],)``
-    if ``mean_only``.
-
-    On a diagonal quadratic they are ``Tr(H)``, ``2 Tr(H^2)`` and ``Tr(H) / 2``
-    at every state, so ``state`` may be ``None``; on ``perturbed`` they are
-    the sums of :func:`_perturbed_moments`.  A composite raises
-    ``ValueError``.  ``mean_only`` computes nothing else, since ``2 Tr(H^2)``
-    can overflow where ``Tr(H)`` does not.
-    """
-    _require_plain(spec)
-    if not spec.is_quadratic:
-        return tuple(float(np.sum(x)) for x in _perturbed_moments(spec, state, mean_only))
-    mean, diag = spec.trace_hessian, spec.diag
-    return (mean,) if mean_only else (mean, float(2.0 * np.dot(diag, diag)), 0.5 * mean)
-
-
-def _extremes(spec: ObjectiveSpec, n: int,
-              seed: int) -> tuple[float, float, float, list[EsState], list[tuple[float, float]]]:
-    """``(sup v_std, inf kappa, sup E[Q], states, (v_std, kappa) of each state)`` of
-    :func:`q_extremes` and :func:`check_assumption2`, from :func:`_exact_q`.
-
-    Diagonal quadratics scan no states, since their moments are the same at
-    every state; ``perturbed`` takes its extremes over the states of
-    :func:`_state_grid`.  No rows are drawn, but ``n`` and ``seed`` are
-    checked as the estimators check them.
-    """
-    _require_plain(spec)
-    _check_sample(n, seed)
-    _check_q_range(spec)
-    states = [] if spec.is_quadratic else _state_grid(spec, seed)
-    moments = [_exact_q(spec, state) for state in states or [None]]
-    stats = [(var / mean**2, mean / half) for mean, var, half in moments]
-    return (max(v for v, _ in stats), min(k for _, k in stats),
-            max(mean for mean, _, _ in moments), states, stats)
-
-
-def q_extremes(spec: ObjectiveSpec, *, n: int, seed: int) -> QExtremes:
-    """State-space extremes of the curvature statistics, as in :func:`check_assumption2`.
-
-    Exact and state-independent for diagonal quadratics.  For other kinds
-    each state's statistics are exact, but the extremes are taken over the
-    32 states of a fixed scan (an approximation).
-    """
-    v_sup, kappa_inf, e_q, _, _ = _extremes(spec, n, seed)
-    return QExtremes(
-        v_std_sup=v_sup, kappa_inf=kappa_inf, e_q=e_q, strong_convexity=spec.strong_convexity
-    )
 
 
 # -- lemma suite ---------------------------------------------------------------
@@ -839,30 +604,6 @@ def check_assumption2(spec: ObjectiveSpec, *, n: int, seed: int) -> Assumption2R
 # -- potential drift -------------------------------------------------------------
 
 
-def regime_of(spec: ObjectiveSpec, state: EsState, params: EsParams,
-              constants: TheoryConstants) -> str:
-    """Which step-size regime a state falls in: small, reasonable, or large.
-
-    Thresholds: ``sigma < s sqrt(L f(m)) / (alpha_up e_q)`` is small;
-    ``sigma > ell ||grad f(m)|| / (sqrt(2) alpha_down E[Q])`` is large, with
-    the exact ``E[Q]`` at the state (:func:`_exact_q`).  A composite raises
-    ``ValueError``.
-    """
-    [mean_q] = _exact_q(spec, state, mean_only=True)
-    f_m = spec.value(state.m)
-    gnorm = _gradient_norm(spec, state.m)
-    small_cap = constants.s * math.sqrt(constants.strong_convexity * f_m) / (
-        params.alpha_up * constants.e_q
-    )
-    large_cap = constants.ell * gnorm / (math.sqrt(2.0) * params.alpha_down * mean_q)
-    sigma = state.sigma
-    if sigma < small_cap:
-        return "small"
-    if sigma > large_cap:
-        return "large"
-    return "reasonable"
-
-
 def estimate_drift(
     spec: ObjectiveSpec,
     states: list[EsState],
@@ -875,7 +616,7 @@ def estimate_drift(
 
     ``n`` transitions on one z-stream shared by every state, as in
     :func:`check_lemma_suite`; a state's estimate equals that of a call at it
-    alone.  :func:`regime_of` tells a state's step-size regime.
+    alone.  :func:`esrate.exact.regime_of` tells a state's step-size regime.
     """
     samples = _sample(spec, partial(_potential_change, params, constants), states, n, seed)
     return [_first_mean(moments) for moments in samples]

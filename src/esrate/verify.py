@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from . import analysis, theory
+from . import analysis, exact, theory
 from .engine import (
     EsState,
     default_sigma0,
@@ -129,7 +129,7 @@ def invariance_report(
 def _lemmas(n: int, seed: int) -> dict:
     spec = sphere(10)
     m = rng_stream(seed, 3).standard_normal(10)
-    states = [analysis.state_at_sigma_bar(spec, m, s) for s in np.geomspace(0.1, 10.0, 5)]
+    states = [exact.state_at_sigma_bar(spec, m, s) for s in np.geomspace(0.1, 10.0, 5)]
     report = analysis.check_lemma_suite(spec, states, n, seed)
     return report.to_json() | {"suite": "lemmas"}
 
@@ -159,7 +159,7 @@ def drift_report(dim: int = 100, *, n: int, seed: int) -> dict:
     target 0.3 inside ``(q_low, q_high) = (0.25, 0.45)``; the drift itself
     is estimated on the actual sphere of the given dimension, at the three
     planted regimes' states in one :func:`esrate.analysis.estimate_drift`
-    call.  Per regime it checks ``regime`` (:func:`esrate.analysis.regime_of`
+    call.  Per regime it checks ``regime`` (:func:`esrate.exact.regime_of`
     gives the planted one), ``drift_negative`` (the upper limit ``drift +
     SE_SLACK stderr`` is at most 0) and ``drift_within_bound`` (the drift is
     at most the regime's bound, ``-w/4`` in the well-adapted regime).
@@ -185,12 +185,12 @@ def drift_report(dim: int = 100, *, n: int, seed: int) -> dict:
         "large": gain_cap * (q_low - target),
         "reasonable": -constants.w / 4.0,
     }
-    states = [analysis.state_at_sigma_bar(spec, m, sbar) for sbar in sbar_by_regime.values()]
+    states = [exact.state_at_sigma_bar(spec, m, sbar) for sbar in sbar_by_regime.values()]
     estimates = analysis.estimate_drift(spec, states, params, constants, n, seed)
     judge = analysis.CheckResult.judge
     checks, regimes = [], {}
     for (name, sbar), state, est in zip(sbar_by_regime.items(), states, estimates):
-        regime = analysis.regime_of(spec, state, params, constants)
+        regime = exact.regime_of(spec, state, params, constants)
         regimes[name] = {"regime": regime, "sigma_bar": sbar}
         checks += [
             judge("regime", name, float(regime != name), 0.0, 0.0),

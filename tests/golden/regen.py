@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from esrate import analysis, harness
+from esrate import analysis, exact, harness
 from esrate.cli import cli_main
 from esrate.engine import EsState, rng_stream
 from esrate.objectives import perturbed_family
@@ -77,7 +77,7 @@ def outputs() -> dict:
     out["check_assumption2:perturbed(30,2)"] = asdict(
         analysis.check_assumption2(perturbed_family(30, 2), n=5000, seed=31))
     out["q_extremes:perturbed(12,1)"] = asdict(
-        analysis.q_extremes(perturbed_family(12, 1), n=2000, seed=2))
+        exact.q_extremes(perturbed_family(12, 1), n=2000, seed=2))
     m = rng_stream(8, 3).standard_normal(8)
     out["lemmas:perturbed(8,1)"] = analysis.check_lemma_suite(
         perturbed_family(8, 1), [EsState(m, math.log(s)) for s in PERTURBED_SIGMAS],

@@ -14,7 +14,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from esrate import analysis, theory
+from esrate import analysis, exact, theory
 from esrate.engine import params_for_rule, params_for_target
 from esrate.harness import ExperimentConfig, run_experiment
 from esrate.objectives import hessian_family, sphere
@@ -109,7 +109,7 @@ def test_criterion_5_lemma_suite():
     for spec, seed in ((sphere(10), 51), (sphere(100), 52), (hessian_family("h1", 10, 1), 53)):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(5,)))
         m = rng.standard_normal(spec.dim)
-        states = [analysis.state_at_sigma_bar(spec, m, s) for s in sigma_bars]
+        states = [exact.state_at_sigma_bar(spec, m, s) for s in sigma_bars]
         report = analysis.check_lemma_suite(spec, states, n, seed)
         for check in report.failures():
             failures.append(f"{report.spec}:{check.name}@{check.state_id}")

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import dawsn
 
-from esrate import analysis, pool, theory
+from esrate import analysis, exact, pool, theory
 from esrate.analysis import (
     _chunks,
     _Moments,
@@ -23,13 +23,9 @@ from esrate.analysis import (
     estimate_log_progress,
     estimate_q_stats,
     estimate_success_prob,
-    q_extremes,
-    quadratic_q_exact,
-    regime_of,
-    sigma_bar,
-    state_at_sigma_bar,
 )
 from esrate.engine import EsState, init_default, params_for_target, rng_stream, run
+from esrate.exact import q_extremes, quadratic_q_exact, regime_of, sigma_bar, state_at_sigma_bar
 from esrate.objectives import (
     PERTURB_AMP,
     PERTURB_FREQ,
@@ -447,7 +443,7 @@ def test_perturbed_closed_forms_match_monte_carlo(spec):
     states = [*_random_perturbed_states(spec, 20, rng),
               _state(np.full(spec.dim, math.pi / 3), 0.538)]
     for seed, state in enumerate(states):
-        mean, var, half = (float(np.sum(x)) for x in analysis._perturbed_moments(spec, state))
+        mean, var, half = (float(np.sum(x)) for x in exact._perturbed_moments(spec, state))
         mc = estimate_q_stats(spec, state, 20_000, seed)
         assert abs(mean - mc.mean_q) <= 4.0 * mc.se_mean
         assert abs(var - mc.var_q) <= 4.0 * mc.se_var
@@ -484,7 +480,7 @@ def test_perturbed_closed_forms_match_quadrature(i, s):
     state = _state(m, s / PERTURB_FREQ)
     b = spec.gradient(m) / spec.gradient_norm(m)
     k = i % 3
-    got = [x[k] for x in analysis._perturbed_moments(spec, state)]
+    got = [x[k] for x in exact._perturbed_moments(spec, state)]
     with mpmath.workdps(30):
         want = _perturbed_coordinate_oracle(spec.diag[k], PERTURB_FREQ * m[k], s, b[k])
         for g, w in zip(got, want):
@@ -494,7 +490,7 @@ def test_perturbed_closed_forms_match_quadrature(i, s):
 def test_dawson_matches_scipy():
     x = np.concatenate([np.linspace(-50.0, 50.0, 20_001), np.geomspace(1e-300, 50.0, 2_000)])
     x = np.concatenate([x, -x])
-    dawson, gap = analysis._dawson(x)
+    dawson, gap = exact._dawson(x)
     ref = dawsn(x)
     assert np.all(np.abs(dawson - ref) <= 1e-12 * np.abs(ref))
     near = np.abs(x) < 0.5  # where x - F(x) is summed from its series
@@ -927,7 +923,7 @@ def test_tight_checks_are_the_mean_bounds_of_a_flat_hessian(spec, tight):
     assert report.to_json()["expected_failures"] == pytest.approx(by_design, rel=1e-15)
 
 
-def test_empty_state_list_fails_before_any_pool_starts(monkeypatch):
+def test_empty_state_list_fails_before_any_row_is_drawn(monkeypatch):
     _no_rows(monkeypatch)
     with pytest.raises(ValueError, match="at least one state"):
         check_lemma_suite(sphere(5), [], 1000, 0)
@@ -980,7 +976,7 @@ def test_drift_regimes_on_a_non_quadratic_spec_are_the_exact_regimes():
 def test_sigma_bar_on_perturbed_uses_the_exact_mean_of_q(sigma):
     spec, n = perturbed_family(8, 1), 20_000
     state = _state(np.random.default_rng(12).standard_normal(8), sigma)
-    mean_q = float(np.sum(analysis._perturbed_moments(spec, state)[0]))
+    mean_q = float(np.sum(exact._perturbed_moments(spec, state)[0]))
     assert sigma_bar(spec, state) == state.sigma * mean_q / spec.gradient_norm(state.m)
     stats = estimate_q_stats(spec, state, n, seed=8)
     assert abs(mean_q - stats.mean_q) <= 4.0 * stats.se_mean
@@ -1000,7 +996,7 @@ def test_exact_q_on_perturbed_at_a_step_whose_square_underflows_is_its_limit():
     # with k = h + a cos(omega m); the half mean's odd part, of order omega sigma, vanishes.
     spec, m = perturbed_family(4, 0), np.array([0.3, -1.2, 2.0, 0.7])
     k = spec.diag + PERTURB_AMP * np.cos(PERTURB_FREQ * m)
-    got = analysis._exact_q(spec, _state(m, 1e-170))
+    got = exact._exact_q(spec, _state(m, 1e-170))
     want = (float(np.sum(k)), float(2.0 * np.sum(k * k)), float(0.5 * np.sum(k)))
     assert got == pytest.approx(want, rel=1e-15)
 
@@ -1009,7 +1005,7 @@ def test_exact_q_on_perturbed_at_a_step_whose_square_underflows_is_its_limit():
 def test_q_stats_on_perturbed_at_tiny_steps_match_the_exact_moments(sigma):
     spec, m = perturbed_family(4, 0), np.array([0.3, -1.2, 2.0, 0.7])
     state = _state(m, sigma)
-    mean, var, half = analysis._exact_q(spec, state)
+    mean, var, half = exact._exact_q(spec, state)
     stats = estimate_q_stats(spec, state, 20_000, seed=3)
     assert abs(stats.mean_q - mean) <= 4.0 * stats.se_mean
     assert abs(stats.var_q - var) <= 4.0 * stats.se_var
@@ -1028,6 +1024,9 @@ def _hostile_calls():
         "lemma_suite_sigma_zero": (lambda: check_lemma_suite(
             perturbed_family(3, 0), [_state(np.ones(3), 1.0), EsState(np.ones(3), -800.0)],
             1000, 0), "state 1: log_sigma = -800.0"),
+        "log_progress_sigma_subnormal": (lambda: estimate_log_progress(
+            sphere(4), _state([0.3, -1.2, 2.0, 0.7], 5e-324), 20_000, 3),
+            "log_sigma = -744.4400719213812 is outside (log(sys.float_info.min) = -708.396419"),
         "sigma_bar_at_optimum": (lambda: sigma_bar(sphere(3), at_optimum), "off the optimum"),
         "regime_at_optimum": (lambda: regime_of(sphere(3), at_optimum, params, constants),
                               "off the optimum"),
@@ -1136,6 +1135,7 @@ def test_a_call_past_2_21_draws_reads_one_stream_and_starts_no_pool(monkeypatch)
         return _SpyGenerator(rng_stream(*key), lambda out: drawn.append(out.size))
 
     monkeypatch.setattr(analysis, "rng_stream", streams)
+    monkeypatch.setattr(exact, "rng_stream", streams)  # the seed check's stream
     spec, seed = hessian_family("h2", 1000, 1), 3  # w = d
     n = 2**21 // spec.dim + 100
     assert n * analysis._Levels(spec).width > 2**21

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from esrate import analysis, harness, pool, verify
+from esrate import analysis, exact, harness, pool, verify
 from esrate.objectives import hessian_family, perturbed_family, sphere
 
 
@@ -109,20 +109,15 @@ def test_fan_out_inside_a_worker_runs_inline(threads):
 
 def _lemma_states(spec, seed):
     m = np.random.default_rng(seed).standard_normal(spec.dim)
-    return [analysis.state_at_sigma_bar(spec, m, s) for s in (0.3, 1.0, 3.0)]
+    return [exact.state_at_sigma_bar(spec, m, s) for s in (0.3, 1.0, 3.0)]
 
 
 def _verification_results(seed: int) -> str:
     spec = hessian_family("h1", 5, 1)
-    pert = perturbed_family(4, 1)
     cfg = harness.ExperimentConfig(
         kinds=("h1", "h3"), dims=(3,), kappas=(0, 1), trials=2, base_seed=seed, budget=300,
     )
     results = [
-        analysis.check_lemma_suite(spec, _lemma_states(spec, seed), 1000, seed),
-        analysis.check_assumption2(pert, n=1000, seed=seed),
-        analysis.q_extremes(pert, n=1000, seed=seed),
-        verify.drift_report(dim=10, n=1000, seed=seed),
         verify.invariance_report([sphere(3), spec], n_seeds=2, steps=100, base_seed=seed),
         harness.run_experiment(cfg),
     ]
@@ -142,3 +137,18 @@ def test_results_independent_of_worker_count(seed):
                 reports[workers] = _verification_results(seed)
     assert reports["2"] == reports["1"]
     assert reports["3"] == reports["1"]
+
+
+def test_monte_carlo_and_exact_calls_start_no_pool(threads, monkeypatch):
+    # With 3 workers allowed, a call that started a pool would fail here.
+    threads("3")
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a Monte Carlo or exact call started a process pool")
+
+    monkeypatch.setattr(pool, "ProcessPoolExecutor", no_pool)
+    spec, pert, seed = hessian_family("h1", 5, 1), perturbed_family(4, 1), 3
+    assert len(analysis.check_lemma_suite(spec, _lemma_states(spec, seed), 1000, seed).checks) == 36
+    assert len(analysis.check_assumption2(pert, n=1000, seed=seed).states) == 32
+    assert exact.q_extremes(pert, n=1000, seed=seed).e_q > 0.0
+    assert len(verify.drift_report(dim=10, n=1000, seed=seed)["checks"]) == 9

@@ -232,10 +232,13 @@ def test_thresholds_are_optima_and_crossings_are_sharp(q, log_frac, log_up, seed
         ("esrate.engine", ["scipy", "scipy.*", "esrate.analysis", "esrate.theory",
                            "esrate.harness"]),
         # Dawson's function and the series of the exact perturbed moments are numpy
-        # only: numpy.polynomial alone adds about 2.65 MB to a process.
+        # only: numpy.polynomial alone adds about 2.65 MB to a process.  The exact
+        # values need nothing of the Monte Carlo kernel.
         ("esrate.analysis", ["scipy", "scipy.*", "numpy.polynomial", "numpy.polynomial.*"]),
+        ("esrate.exact", ["scipy", "scipy.*", "numpy.polynomial", "numpy.polynomial.*",
+                          "esrate.analysis"]),
     ],
-    ids=["esrate.cli", "esrate.engine", "esrate.analysis"],
+    ids=["esrate.cli", "esrate.engine", "esrate.analysis", "esrate.exact"],
 )
 def test_import_leaves_out_scipy_optimize(module, unloaded):
     code = (f"import fnmatch, sys, {module}; "

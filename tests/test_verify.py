@@ -5,7 +5,7 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from esrate import analysis, engine, pool, verify
+from esrate import analysis, engine, exact, pool, verify
 from esrate.analysis import SE_SLACK, CheckResult
 from esrate.cli import cli_main
 from esrate.objectives import hessian_family, perturbed_family
@@ -93,7 +93,7 @@ def test_stderr_checked_suites_report_one_shape(name):
 def test_drift_suite_fails_on_a_positive_drift_and_a_misclassified_regime(monkeypatch, capsys):
     monkeypatch.setattr(analysis, "estimate_drift", lambda spec, states, *args: [
         analysis.EstimateWithError(1e-3, 1e-5) for _ in states])
-    monkeypatch.setattr(analysis, "regime_of", lambda *args: "large")
+    monkeypatch.setattr(exact, "regime_of", lambda *args: "large")
     report = drift_report(n=1000, seed=77)
     assert {(c["name"], c["state_id"]): c["verdict"] for c in report["checks"]} == {
         (name, regime): "pass" if name == "regime" and regime == "large" else "fail"

@@ -54,7 +54,7 @@ changes results only through floating-point rounding.  A state's results
 do not depend on the other states of its call: they equal those of a call
 at that state alone.  No call starts a process pool, so results do not
 depend on ``ES_RATE_THREADS``.  Input is checked before any row is drawn: a
-state needs a finite ``m`` off the optimum and ``log(sigma)`` in
+state needs a finite ``m`` with ``0 < f(m) < inf`` and ``log(sigma)`` in
 ``(log(sys.float_info.min), 708)``, about ``(-708.396, 708)``, where
 ``sigma`` is a normal float.
 """
@@ -70,8 +70,9 @@ import numpy as np
 
 from .engine import EsParams, EsState, rng_stream
 from .exact import _check_q_range, _check_sample, _exact_q, _extremes, _require_plain
-from .objectives import PERTURB_AMP, PERTURB_FREQ, ObjectiveSpec, _values
-from .theory import TheoryConstants, assumption_margin_rhs, potential_from_values, std_normal_cdf
+from .objectives import PERTURB_AMP, PERTURB_FREQ, ObjectiveSpec, _positive_value, _values
+from .theory import (TheoryConstants, _success_sandwich, assumption_margin_rhs,
+                     potential_from_values, std_normal_cdf)
 
 # Kept for perfbench/workloads.py and perfbench/measure.py, which change only with the benchmark.
 from .exact import quadratic_q_exact, state_at_sigma_bar  # noqa: F401
@@ -324,8 +325,7 @@ def _sample(spec: ObjectiveSpec, columns, states: list[EsState], n: int,
     for i, state in enumerate(states):
         if not np.all(np.isfinite(state.m)):
             raise ValueError(f"state {i}: m must be finite")
-        if not np.any(state.m):
-            raise ValueError(f"state {i} must be off-optimum")
+        _positive_value(spec, state.m, f"state {i}")
         if not low < state.log_sigma < 708.0:  # and omega sigma is a finite float
             raise ValueError(f"state {i}: log_sigma = {state.log_sigma!r} is outside "
                              f"(log(sys.float_info.min) = {low:.6f}, 708), where "
@@ -545,8 +545,7 @@ def check_lemma_suite(
         e_q, var, _ = _exact_q(spec, state)
         sbar, v_std = sigma * e_q / gnorm, var / e_q**2
         for eps in (0.1, 0.3, 0.5):
-            low = std_normal_cdf(-0.5 * sbar * (1.0 + eps)) - v_std / eps**2
-            high = std_normal_cdf(-0.5 * sbar * (1.0 - eps)) + v_std / eps**2
+            low, high = _success_sandwich(sbar, v_std, eps)
             checks.append(CheckResult.judge(f"success_prob_lower_eps{eps:g}", sid, low, p_hat, se_p))
             checks.append(CheckResult.judge(f"success_prob_upper_eps{eps:g}", sid, p_hat, high, se_p))
 

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objectives import ObjectiveSpec, is_int, stack_evaluator
+from .objectives import ObjectiveSpec, _positive_value, is_int, stack_evaluator
 from .pool import worker_count
 
 __all__ = [
@@ -233,13 +233,13 @@ class Trajectory:
 
 
 def _log_norm(y: np.ndarray) -> float:
-    """``log ||y||``; ``-inf`` only at ``y == 0``.
+    """``log ||y||``; ``-inf`` only at ``y == 0``.  Callers hold ``np.errstate(over="ignore")``.
 
-    Below about 1e-162 the squared norm underflows to 0, and the scaled
-    ``math.hypot`` takes over.
+    Where the squared norm underflows to 0 (below about 1e-162) or overflows
+    (above about 1e154), the scaled ``math.hypot`` takes over.
     """
     sq = float(np.dot(y, y))
-    if sq > 0:
+    if 0 < sq < math.inf:
         return 0.5 * math.log(sq)
     norm = math.hypot(*y)
     return math.log(norm) if norm > 0 else -math.inf
@@ -270,11 +270,7 @@ class _Chain:
             raise ValueError(f"start point has shape {m.shape}, expected ({spec.dim},)")
         self.base, self.shift = spec.canonical()
         self.y0 = m - self.shift
-        if not np.any(self.y0):
-            raise ValueError("initial point must differ from the optimum")
-        self.f_m = self.base.value(self.y0)
-        if not math.isfinite(self.f_m):
-            raise ValueError(f"objective value at the initial point is not finite ({self.f_m})")
+        self.f_m = _positive_value(self.base, self.y0, "the start point")
         self.index = index
         self.la_up = math.log(params.alpha_up)
         self.la_dn = math.log(params.alpha_down)
@@ -288,7 +284,8 @@ class _Chain:
         self.zbuf = np.empty((0, spec.dim))
         self.zi = 0
         self.acc_t = array("q")
-        self.acc_d = array("d", [_log_norm(self.y0)])
+        with np.errstate(over="ignore"):  # run_many's rounds hold it, so steps set none
+            self.acc_d = array("d", [_log_norm(self.y0)])
         self.acc_f = array("d", [math.log(self.f_m)])
         self.stop_reason = "budget"
 
@@ -448,8 +445,8 @@ def run(
     below ``f_floor`` (recorded as ``stop_reason='f_floor'``, with
     ``t_final`` truncated to the stopping step); otherwise runs the full
     budget (``stop_reason='budget'``).  Raises ``ValueError`` for a start
-    point not of shape ``(spec.dim,)``, at the optimum or with a non-finite
-    objective value, and once ``exp(log_sigma)`` overflows a float.  A
+    point not of shape ``(spec.dim,)`` or whose canonical objective value is
+    not in ``(0, inf)``, and once ``exp(log_sigma)`` overflows a float.  A
     candidate whose value overflows to inf (or nan) rejects, silently.
     This is the one-chain call of :func:`run_many`.
     """

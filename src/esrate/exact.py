@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .engine import EsParams, EsState, default_sigma0, rng_stream
-from .objectives import PERTURB_AMP, PERTURB_FREQ, ObjectiveSpec, is_int
+from .objectives import PERTURB_AMP, PERTURB_FREQ, ObjectiveSpec, _positive_value, is_int
 from .theory import QExtremes, TheoryConstants
 
 __all__ = ["quadratic_q_exact", "sigma_bar", "state_at_sigma_bar", "regime_of", "q_extremes"]
@@ -209,12 +209,12 @@ def regime_of(spec: ObjectiveSpec, state: EsState, params: EsParams,
 
     Thresholds: ``sigma < s sqrt(L f(m)) / (alpha_up e_q)`` is small;
     ``sigma > ell ||grad f(m)|| / (sqrt(2) alpha_down E[Q])`` is large, with
-    the exact ``E[Q]`` at the state (:func:`_exact_q`).  A composite raises
-    ``ValueError``.
+    the exact ``E[Q]`` at the state (:func:`_exact_q`).  A composite, or a
+    state whose ``f(m)`` is not in ``(0, inf)``, raises ``ValueError``.
     """
     [mean_q] = _exact_q(spec, state, mean_only=True)
-    f_m = spec.value(state.m)
     gnorm = _gradient_norm(spec, state.m)
+    f_m = _positive_value(spec, state.m, "the state")
     small_cap = constants.s * math.sqrt(constants.strong_convexity * f_m) / (
         params.alpha_up * constants.e_q
     )

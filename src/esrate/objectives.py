@@ -184,13 +184,13 @@ class ObjectiveSpec:
     def gradient_norm(self, x) -> float:
         """``||gradient(x)||``, silently ``inf`` past the float range.
 
-        Where the squared norm overflows (a gradient entry near 1e154, say
-        ``kappa >= 154``), the scaled ``math.hypot`` takes over.
+        Where the squared norm overflows (an entry near 1e154, say ``kappa >= 154``)
+        or underflows to 0 (every entry below 1e-162), the scaled ``math.hypot`` takes over.
         """
         with np.errstate(over="ignore"):
             grad = self.gradient(x)
             norm = float(np.linalg.norm(grad))
-        return norm if math.isfinite(norm) else math.hypot(*grad)
+        return norm if 0.0 < norm < math.inf else math.hypot(*grad)
 
 
 def _values(diag, xs, scratch=None):
@@ -287,6 +287,16 @@ def check_kappa(kappa) -> None:
     """Raise ``ValueError`` unless ``kappa`` is an integer in ``[0, KAPPA_MAX]``."""
     if not (is_int(kappa) and 0 <= kappa <= KAPPA_MAX):
         raise ValueError(f"kappa must be an integer in [0, {KAPPA_MAX}], got {kappa!r}")
+
+
+def _positive_value(spec: ObjectiveSpec, m, where: str) -> float:
+    """``f(m)``, warning-free; a ``ValueError`` naming ``where`` unless ``0 < f(m) < inf``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_m = spec.value(m)
+    if not 0.0 < f_m < math.inf:
+        raise ValueError(f"{where} must be off the optimum and within the float range: "
+                         f"f(m) = {f_m!r} is 0 or not finite")
+    return f_m
 
 
 def perturbed_family(dim: int, kappa: int) -> ObjectiveSpec:

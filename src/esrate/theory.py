@@ -5,9 +5,10 @@ This module turns the probabilistic bound constants into evaluable numbers:
 * high-accuracy standard-normal CDF and quantile;
 * the step-size threshold functions ``b_high`` / ``b_low`` (each an inner
   optimisation over a slack parameter ``eps``);
-* the lower feasibility limits of the success-probability constants
-  ``q_low`` / ``q_high`` and the floor probability ``q_floor``, each a
-  threshold inverted in closed form (again one search over ``eps``);
+* the success sandwich ``Phi(-sigma_bar (1 -+ eps)/2) +- v/eps^2`` of a step of
+  normalised size ``sigma_bar`` (:func:`_success_sandwich`, read by the lemma suite too);
+* the lower feasibility limits of ``q_low``, ``q_high`` and ``q_floor``, each an
+  end of the sandwich optimised over ``eps`` (one search), given ``b_low(q_low, v)``;
 * the potential function, which augments ``log f(m)`` with penalties for a
   step size that is too small or too large relative to ``sqrt(L f(m))``;
 * the per-iteration rate bound, maximised over admissible ``(q_low, q_high)``
@@ -194,18 +195,24 @@ def assumption_margin_rhs(kappa_inf: float) -> float:
     return 0.25 * min(_cdf(z) - 0.5, _cdf(-3.0 * z))
 
 
+def _success_sandwich(sigma_bar: float, v_std: float, eps: float) -> tuple[float, float]:
+    """``(low, high) = Phi(-sigma_bar (1 +- eps)/2) -+ v_std/eps^2``: the success lemma."""
+    slack = v_std / eps**2
+    return (_cdf(-0.5 * sigma_bar * (1.0 + eps)) - slack,
+            _cdf(-0.5 * sigma_bar * (1.0 - eps)) + slack)
+
+
 def _b_low_limit(reference: float, v_std_sup: float) -> float:
-    """Supremum of ``{q : b_low(q, v) > reference}``: the infimum over ``eps``
-    in ``(0, 1)`` of ``H(eps) = Phi(-reference (1 - eps)/2) + v/eps^2``.
+    """Supremum of ``{q : b_low(q, v) > reference}``: the infimum over ``eps`` in
+    ``(0, 1)`` of ``H``, the upper end of :func:`_success_sandwich` at ``reference``.
 
     ``H`` has one stationary point, and ``inf H = Phi(-reference/2)`` at ``v == 0``.
     """
-    half = 0.5 * reference
     if v_std_sup == 0.0:
-        return _cdf(-half)
+        return _cdf(-0.5 * reference)
     # In log(eps): H(sqrt(v)) > 1 > 1/2 + v = H(1), so the minimum lies in (sqrt(v), 1).
-    return -_golden_max(lambda t: -_cdf(half * (math.exp(t) - 1.0))
-                        - v_std_sup / math.exp(t) ** 2, 0.5 * math.log(v_std_sup), 0.0)[1]
+    return -_golden_max(lambda t: -_success_sandwich(reference, v_std_sup, math.exp(t))[1],
+                        0.5 * math.log(v_std_sup), 0.0)[1]
 
 
 def q_low_limit(v_std_sup: float, kappa_inf: float) -> float:
@@ -228,16 +235,16 @@ def q_low_limit(v_std_sup: float, kappa_inf: float) -> float:
     return min(lower, 0.5 - 1e-12)
 
 
-def _b_high_limit(reference: float, ratio: float, v_std_sup: float, cap: float) -> float:
-    """Infimum of ``{q : ratio * b_high(q, v) < reference}``, capped at
-    ``min(cap, 1/2 - v) - 1e-12``.  Below 1e-9 the infimum is returned
-    as a value in ``[0, 1e-9)``: then every ``q`` from 1e-9 on qualifies.
+def _b_high_limit(sigma_bar: float, v_std_sup: float, cap: float) -> float:
+    """Infimum of ``{q : b_high(q, v) < sigma_bar}``, capped at ``min(cap,
+    1/2 - v) - 1e-12``.  Below 1e-9 the infimum is returned as a value in
+    ``[0, 1e-9)``: then every ``q`` from 1e-9 on qualifies.
 
-    The test holds iff ``q > G(eps) = Phi(-c (1 + eps)) - v/eps^2`` for all
-    ``eps > 0``, with ``c = reference/(2 ratio)``; so the infimum is
-    ``sup G``, which is ``Phi(-c)`` at ``v == 0`` and less otherwise.
+    The test holds iff ``q > G(eps)`` for all ``eps > 0``, ``G`` the lower end
+    of :func:`_success_sandwich`; so the infimum is ``sup G``, which is
+    ``Phi(-c)``, ``c = sigma_bar/2``, at ``v == 0`` and less otherwise.
     """
-    c = reference / (2.0 * ratio)
+    c = 0.5 * sigma_bar
     sup = _cdf(-c)
     if v_std_sup > 0.0 and sup >= 1e-9:  # else Phi(-c), maybe underflowed, is too low
         # In log(eps).  G > 0 needs eps > sqrt(v/Phi(-c)).  G' has the sign of
@@ -247,33 +254,26 @@ def _b_high_limit(reference: float, ratio: float, v_std_sup: float, cap: float) 
         lo = 0.5 * math.log(v_std_sup / sup)
         hi = math.log((math.sqrt(1.0 + 12.0 / c**2) - 1.0) / 2.0)
         sup = -math.inf if lo >= hi else _golden_max(
-            lambda t: _cdf(-c * (1.0 + math.exp(t))) - v_std_sup / math.exp(t) ** 2,
-            lo, hi)[1]
+            lambda t: _success_sandwich(sigma_bar, v_std_sup, math.exp(t))[0], lo, hi)[1]
     return min(max(sup, 0.0), min(cap, 0.5 - v_std_sup) - 1e-12)
 
 
-def q_high_limit(q_low: float, v_std_sup: float, params: EsParams) -> float:
+def q_high_limit(b_low_value: float, v_std_sup: float, params: EsParams) -> float:
     """Lower limit of the admissible ``q_high`` interval ``(lower, 1/2)``.
 
-    The crossing of ``(alpha_up/alpha_down) b_high(q, v) = b_low(q_low, v)``;
+    The crossing of ``(alpha_up/alpha_down) b_high(q, v) = b_low_value = b_low(q_low, v)``;
     ``Phi((alpha_down/alpha_up) quantile(q_low))`` at ``v_std_sup == 0``.
     """
-    return _b_high_limit(b_low(q_low, v_std_sup), math.exp(params.log_ratio), v_std_sup, 0.5)
+    return _b_high_limit(b_low_value / math.exp(params.log_ratio), v_std_sup, 0.5)
 
 
-def q_floor(q_low: float, v_std_sup: float) -> float:
+def q_floor(b_low_value: float, v_std_sup: float, q_low: float) -> float:
     """Smallest success probability certified throughout the non-large regime.
 
-    The infimum of ``{q : b_high(q, v) < b_low(q_low, v)}``, below ``q_low``;
-    equals ``q_low`` at ``v_std_sup == 0`` and stays positive.
+    The infimum of ``{q : b_high(q, v) < b_low_value}``, ``b_low_value = b_low(q_low,
+    v)``, below ``q_low``; equals ``q_low`` at ``v == 0``.  ``ValueError`` below 1e-9.
     """
-    return _q_floor_at(b_low(q_low, v_std_sup), v_std_sup, q_low)
-
-
-def _q_floor_at(b_low_value: float, v_std_sup: float, q_low: float) -> float:
-    """:func:`q_floor` from ``b_low(q_low, v_std_sup)``; raises ``ValueError``
-    where it falls below 1e-9."""
-    floor = _b_high_limit(b_low_value, 1.0, v_std_sup, q_low)
+    floor = _b_high_limit(b_low_value, v_std_sup, q_low)
     if not floor >= 1e-9:
         raise ValueError("q_floor collapsed to zero; inputs violate feasibility")
     return floor
@@ -383,7 +383,7 @@ def build_constants(
             f"q_high={q_high} outside feasible interval for q_low={q_low}: "
             f"s < ell violated (s={s:.6g}, ell={ell:.6g})"
         )
-    qf = q_floor(q_low, v_std)
+    qf = q_floor(bl, v_std, q_low)
     w, bound = _decrease_and_bound(extremes, params, q_low, q_high, bh, bl, qf)
     if not w > 0:
         raise ValueError(f"w must be positive, got {w:.6g}")
@@ -428,7 +428,7 @@ def feasible_q_pair(extremes: QExtremes, params: EsParams) -> tuple[float, float
     """A default admissible ``(q_low, q_high)`` pair straddling ``p_target``."""
     iq_lower, target, cap = _target_bracket(extremes, params)
     q_low = 0.5 * (iq_lower + target)
-    floor = max(q_high_limit(q_low, extremes.v_std_sup, params), target)
+    floor = max(q_high_limit(b_low(q_low, extremes.v_std_sup), extremes.v_std_sup, params), target)
     if not floor < cap:
         raise ValueError("no admissible q_high above p_target")
     q_high = 0.5 * (floor + cap)
@@ -474,8 +474,7 @@ def b_upper(extremes: QExtremes, params: EsParams, trace: list | None = None) ->
     """
     v_std = extremes.v_std_sup
     iq_lower, target, cap = _target_bracket(extremes, params)
-    ratio = math.exp(params.log_ratio)
-    hi = min(target, _b_low_limit(ratio * b_high(cap, v_std), v_std))
+    hi = min(target, _b_low_limit(math.exp(params.log_ratio) * b_high(cap, v_std), v_std))
     if not iq_lower < hi:
         raise ValueError("no admissible (q_low, q_high) pair: "
                          f"q_low would lie in ({iq_lower:.6g}, {hi:.6g})")
@@ -484,10 +483,10 @@ def b_upper(extremes: QExtremes, params: EsParams, trace: list | None = None) ->
 
     def objective(ql: float) -> float:
         bl = b_low(ql, v_std)
-        qf = _q_floor_at(bl, v_std, ql)
+        qf = q_floor(bl, v_std, ql)
         a = scale * (_SQRT_2_OVER_PI - bl / extremes.kappa_inf) * qf / 2.0
-        q_c = _b_high_limit(4.0 * params.log_ratio / a, 1.0, v_std, cap)
-        edge = _b_high_limit(bl, ratio, v_std, 0.5)
+        q_c = _b_high_limit(4.0 * params.log_ratio / a, v_std, cap)
+        edge = q_high_limit(bl, v_std, params)
         qh = max(edge * (1.0 + 1e-12), min(max(q_star, q_c), 2.0 * target - ql, cap))
         bound = _decrease_and_bound(extremes, params, ql, qh, b_high(qh, v_std), bl, qf)[1]
         if trace is not None:

@@ -4,7 +4,7 @@ import resource
 import tracemalloc
 import warnings
 from dataclasses import astuple, replace
-from functools import reduce
+from functools import partial, reduce
 
 import mpmath
 import numpy as np
@@ -895,19 +895,6 @@ _SAMPLERS = {
 }
 
 
-@pytest.mark.parametrize("sampler", _SAMPLERS.values(), ids=_SAMPLERS.keys())
-@pytest.mark.parametrize("spec, m, n, seed, message", [
-    (make_composite(sphere(3), "identity", np.zeros(3)), np.ones(3), 1000, 0, "non-composite"),
-    (sphere(3), np.ones(3), 999, 0, "need n >= 1000"),
-    (sphere(3), np.ones(3), 1000, -1, "seed must be"),
-    (sphere(3), np.zeros(3), 1000, 0, "off-optimum"),
-], ids=["composite", "small_n", "negative_seed", "at_optimum"])
-def test_bad_input_fails_before_any_pool_starts(monkeypatch, sampler, spec, m, n, seed, message):
-    _no_rows(monkeypatch)
-    with pytest.raises(ValueError, match=message):
-        sampler(spec, _state(m, 1.0), n, seed)
-
-
 @pytest.mark.parametrize("spec, tight", [
     (sphere(6), {"curvature_mean_lower", "curvature_mean_upper"}),
     (quadratic_diag([2.0] * 6), {"curvature_mean_lower", "curvature_mean_upper"}),
@@ -921,12 +908,6 @@ def test_tight_checks_are_the_mean_bounds_of_a_flat_hessian(spec, tight):
         (name, sid) for name in tight for sid in ("0", "1")}
     by_design = 2 * len(tight) * theory.std_normal_cdf(-3.0)
     assert report.to_json()["expected_failures"] == pytest.approx(by_design, rel=1e-15)
-
-
-def test_empty_state_list_fails_before_any_row_is_drawn(monkeypatch):
-    _no_rows(monkeypatch)
-    with pytest.raises(ValueError, match="at least one state"):
-        check_lemma_suite(sphere(5), [], 1000, 0)
 
 
 # -- one row stream per call, shared by its states ------------------------------------
@@ -991,6 +972,13 @@ def test_sigma_bar_on_perturbed_survives_a_step_whose_square_underflows():
                                                    rel=1e-15)
 
 
+def test_sigma_bar_near_the_optimum_reads_the_gradient_norm_past_its_square():
+    # ||m||^2 underflows to 0 here, while ||m|| = sqrt(3) 1e-170 is a normal float.
+    m = np.full(3, 1e-170)
+    state = _state(m, 1e-170)
+    assert sigma_bar(sphere(3), state) == state.sigma * 3.0 / math.hypot(*m)
+
+
 def test_exact_q_on_perturbed_at_a_step_whose_square_underflows_is_its_limit():
     # As sigma -> 0, E[Q], Var[Q] and the half mean tend to (sum k, 2 sum k^2, sum k / 2)
     # with k = h + a cos(omega m); the half mean's odd part, of order omega sigma, vanishes.
@@ -1012,11 +1000,53 @@ def test_q_stats_on_perturbed_at_tiny_steps_match_the_exact_moments(sigma):
     assert abs(stats.half_mean_q - half) <= 4.0 * stats.se_half
 
 
+#: Bad input that every sampler of ``_SAMPLERS`` rejects: ``(spec, m, n, seed, words)``.
+_BAD_SAMPLES = {
+    "composite": (make_composite(sphere(3), "identity", np.zeros(3)), np.ones(3), 1000, 0,
+                  "non-composite"),
+    "small_n": (sphere(3), np.ones(3), 999, 0, "need n >= 1000"),
+    "negative_seed": (sphere(3), np.ones(3), 1000, -1, "seed must be"),
+    "at_optimum": (sphere(3), np.zeros(3), 1000, 0, "state 0 must be off the optimum"),
+}
+
+
 def _hostile_calls():
     """Calls on bad input, by name, with the words their ``ValueError`` must contain."""
     params, constants = _drift_constants()
     at_optimum = _state(np.zeros(3), 1.0)
-    return {
+    # f(m) is inf at the far point and underflows to 0 at the near one, off the optimum.
+    far, near = _state(np.full(3, 1e200), 1.0), _state(np.full(3, 1e-170), 1e-170)
+
+    def off(where, f_m):
+        return (f"{where} must be off the optimum and within the float range: "
+                f"f(m) = {f_m} is 0 or not finite")
+
+    samples = {f"{name}_{case}": (partial(sampler, spec, _state(m, 1.0), n, seed), words)
+               for name, sampler in _SAMPLERS.items()
+               for case, (spec, m, n, seed, words) in _BAD_SAMPLES.items()}
+    return samples | {
+        "lemma_suite_empty_states": (lambda: check_lemma_suite(sphere(5), [], 1000, 0),
+                                     "at least one state"),
+        "success_prob_f_overflows": (lambda: estimate_success_prob(sphere(3), far, 1000, 0),
+                                     off("state 0", "inf")),
+        "lemma_suite_f_overflows": (lambda: check_lemma_suite(
+            sphere(3), [_state(np.ones(3), 1.0), far], 1000, 0), off("state 1", "inf")),
+        "run_start_f_overflows": (lambda: run(sphere(3), params, far, 10),
+                                  off("the start point", "inf")),
+        "regime_f_overflows": (lambda: regime_of(sphere(3), far, params, constants),
+                               off("the state", "inf")),
+        "log_progress_f_underflows": (lambda: estimate_log_progress(sphere(3), near, 1000, 0),
+                                      off("state 0", "0.0")),
+        "drift_f_underflows": (lambda: estimate_drift(sphere(3), [near], params, constants,
+                                                      1000, 0), off("state 0", "0.0")),
+        "lemma_suite_f_underflows": (lambda: check_lemma_suite(sphere(3), [near], 1000, 0),
+                                     off("state 0", "0.0")),
+        "lemma_suite_perturbed_f_zero": (lambda: check_lemma_suite(
+            perturbed_family(3, 0), [near], 1000, 0), off("state 0", "0.0")),
+        "run_start_f_underflows": (lambda: run(sphere(3), params, near, 10),
+                                   off("the start point", "0.0")),
+        "regime_f_underflows": (lambda: regime_of(sphere(3), near, params, constants),
+                                off("the state", "0.0")),
         "q_stats_nan_m": (lambda: estimate_q_stats(
             sphere(3), _state([math.nan, 1.0, 1.0], 1.0), 1000, 0), "state 0: m must be finite"),
         "success_prob_sigma_overflows": (lambda: estimate_success_prob(

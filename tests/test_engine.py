@@ -315,6 +315,14 @@ def test_run_survives_squared_norm_underflow():
     assert traj.log_dist[-1] == math.log(abs(traj.final_state.m[0]))
 
 
+def test_run_survives_squared_norm_overflow():
+    # f = 1.5e20 is finite, while ||y||^2 = 3e320 overflows: log_dist is log ||y|| throughout.
+    m = np.full(3, 1e160)
+    traj = run(objectives.quadratic_diag([1e-300] * 3), params_for_rule("const", 3),
+               EsState(m, 0.0), 20)
+    assert np.all(traj.log_dist == math.log(math.hypot(*m)))
+
+
 def test_run_rejects_step_size_overflow():
     # alpha_up = e^709: the first success past log_sigma = 0.78 leaves the float range.
     spec = hessian_family("h1", 1, 0)

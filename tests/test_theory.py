@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
 from scipy.special import ndtri
 
 import esrate
@@ -198,8 +199,9 @@ def test_thresholds_are_optima_and_crossings_are_sharp(q, log_frac, log_up, seed
     params = params_for_target(math.exp(log_up), 0.3)
     ratio = math.exp(params.log_ratio)
     for condition, crossing in (
-        (lambda x: b_high(x, v) >= reference, lambda: q_floor(q, v)),
-        (lambda x: ratio * b_high(x, v) >= reference, lambda: q_high_limit(q, v, params)),
+        (lambda x: b_high(x, v) >= reference, lambda: q_floor(reference, v, q)),
+        (lambda x: ratio * b_high(x, v) >= reference,
+         lambda: q_high_limit(reference, v, params)),
     ):
         try:
             lower = crossing()
@@ -303,7 +305,7 @@ def test_feasible_q_interval_rejects_large_variance():
 
 def test_feasible_q_high_interval_zero_variance_closed_form():
     params = EsParams(math.e, math.e**-0.25)
-    lower = q_high_limit(0.25, 0.0, params)
+    lower = q_high_limit(b_low(0.25, 0.0), 0.0, params)
     expected = std_normal_cdf(
         (params.alpha_down / params.alpha_up) * std_normal_quantile(0.25)
     )
@@ -314,14 +316,14 @@ def test_feasible_q_high_interval_zero_variance_closed_form():
 def test_feasible_q_high_interval_grows_with_ratio():
     # A larger up/down ratio moves the crossing toward 1/2 (every small q
     # qualifies, so the supremum of qualifying q grows).
-    small = q_high_limit(0.25, 0.0, EsParams(math.exp(0.011), math.exp(-0.01)))
-    large = q_high_limit(0.25, 0.0, EsParams(math.exp(2.0), math.exp(-2.0)))
+    small = q_high_limit(b_low(0.25, 0.0), 0.0, EsParams(math.exp(0.011), math.exp(-0.01)))
+    large = q_high_limit(b_low(0.25, 0.0), 0.0, EsParams(math.exp(2.0), math.exp(-2.0)))
     assert small < large < 0.5
     assert small == pytest.approx(0.25, abs=0.01)
 
 
 def test_q_floor_zero_variance_equals_q_low():
-    assert q_floor(0.25, 0.0) == pytest.approx(0.25, abs=1e-9)
+    assert q_floor(b_low(0.25, 0.0), 0.0, 0.25) == pytest.approx(0.25, abs=1e-9)
 
 
 def test_limits_reject_an_underflowing_normal_tail():
@@ -329,14 +331,14 @@ def test_limits_reject_an_underflowing_normal_tail():
     # no q_floor is certified, while every q_high qualifies.
     v = 0.2 * (1 - 1e-3)
     with pytest.raises(ValueError, match="collapsed"):
-        q_floor(0.2, v)
-    assert q_high_limit(0.2, v, params_for_target(math.e, 0.3)) == 0.0
+        q_floor(b_low(0.2, v), v, 0.2)
+    assert q_high_limit(b_low(0.2, v), v, params_for_target(math.e, 0.3)) == 0.0
 
 
 def test_q_high_limit_when_every_q_high_qualifies():
     # The crossing lies below 1e-9, so the whole admissible range qualifies.
     params = params_for_target(math.exp(1e-4), 0.3)
-    q = q_high_limit(1e-10, 0.0, params)
+    q = q_high_limit(b_low(1e-10, 0.0), 0.0, params)
     assert 0.0 <= q < 1e-9
     assert math.exp(params.log_ratio) * b_high(max(q, 0.01), 0.0) < b_low(1e-10, 0.0)
 
@@ -350,9 +352,21 @@ def test_q_floor_with_variance_matches_grid_oracle():
             a = mid
         else:
             b = mid
-    got = q_floor(0.3, 0.01)
+    got = q_floor(b_low(0.3, 0.01), 0.01, 0.3)
     assert got == pytest.approx(0.5 * (a + b), rel=1e-2)
     assert 0.0 < got < 0.3
+
+
+def test_success_sandwich_ends_invert_the_thresholds():
+    # Phi(-b_high_at (1 + eps)/2) - v/eps^2 = q, and Phi(-b_low_at (1 - eps)/2) + v/eps^2 = q.
+    for q in (0.05, 0.2, 0.3, 0.45):
+        for v in (0.0, 1e-4, 1e-3, 0.01):
+            for eps in (0.1, 0.3, 0.5, 0.9):
+                low_at, high_at = b_high_at(q, v, eps), b_low_at(q, v, eps)
+                if math.isfinite(low_at):
+                    assert abs(theory._success_sandwich(low_at, v, eps)[0] - q) <= 1e-12
+                if math.isfinite(high_at):
+                    assert abs(theory._success_sandwich(high_at, v, eps)[1] - q) <= 1e-12
 
 
 # -- constants -------------------------------------------------------------------
@@ -421,6 +435,14 @@ def test_build_constants_admits_exactly_the_pairs_b_upper_scores(extremes):
     for q_low, q_high, objective in trace:
         assert build_constants(extremes, params, q_low, q_high).b_upper == objective
     assert max(objective for _, _, objective in trace) == bound
+
+
+def test_build_constants_computes_b_low_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(theory, "b_low", lambda *args: calls.append(args) or b_low(*args))
+    noisy = QExtremes(v_std_sup=2.0 / 3000, kappa_inf=2.0, e_q=3000.0, strong_convexity=1.0)
+    build_constants(noisy, params_for_target(math.e, 0.3), 0.29, 0.45)
+    assert calls == [(0.29, 2.0 / 3000)]
 
 
 def test_feasible_q_pair_straddles_target():
@@ -610,6 +632,53 @@ def test_b_upper_dominates_admissible_pairs(log_dim, v_frac, kappa, target_frac,
         except ValueError:  # an inadmissible scan point
             continue
         assert fixed <= bound * (1 + 1e-9)
+
+
+def _large_d_limit(p):
+    """``lim b_upper d`` at v = 0, kappa_inf = 2, L = 1, e_q = d and alpha_up = e^(1/d),
+    transcribed from ``theory``'s docstrings and maximised by scipy.
+
+    The bound is ``min(w/4, log_ratio) min(p - q_low, q_high - p) / 2`` with ``w = (L/e_q)
+    (b_high/2) (sqrt(2/pi) - b_low/kappa_inf) q_floor``.  At v = 0, ``b_high(q) = b_low(q)
+    = beta(q) = 2 quantile(1 - q)`` and ``q_floor = q_low``; ``log_ratio d = 1/(1 - p)``.
+    ``q_low`` runs from where ``w`` is 0 to ``p``, and ``q_high`` from ``p`` to 1/2.
+    """
+    def beta(q):
+        return 2.0 * ndtri(1.0 - q)
+
+    def bound(q_low, q_high):
+        w = (beta(q_high) / 2.0) * (SQRT_2_OVER_PI - beta(q_low) / 2.0) * q_low
+        return 0.5 * min(w / 4.0, 1.0 / (1.0 - p)) * min(p - q_low, q_high - p)
+
+    def best(fn, lo, hi):
+        return -minimize_scalar(lambda x: -fn(x), bounds=(lo, hi), method="bounded",
+                                options={"xatol": 1e-13}).fun
+
+    lower = std_normal_cdf(-SQRT_2_OVER_PI)
+    return best(lambda q_low: best(lambda q_high: bound(q_low, q_high), p, 0.5), lower, p)
+
+
+def _large_d_bound(p, dim=1e6):
+    extremes = QExtremes(v_std_sup=0.0, kappa_inf=2.0, e_q=dim, strong_convexity=1.0)
+    return b_upper(extremes, params_for_target(math.exp(1.0 / dim), p)) * dim
+
+
+@pytest.mark.parametrize("p, value", [(0.30, 8.393620e-5), (0.35, 1.315467e-4),
+                                      (0.45, 5.104189e-5)])
+def test_b_upper_large_d_constant_is_the_two_dimensional_limit(p, value):
+    assert _large_d_bound(p) == pytest.approx(_large_d_limit(p), rel=1e-6)
+    assert _large_d_limit(p) == pytest.approx(value, rel=1e-6)
+
+
+def test_large_d_limit_check_sees_a_doubled_decrease(monkeypatch):
+    def doubled(extremes, params, q_low, q_high, bh, bl, qf):
+        w, _ = decrease_and_bound(extremes, params, q_low, q_high, bh, bl, qf)
+        target = p_target(params)
+        return w, 0.5 * min(w / 2.0, params.log_ratio) * min(target - q_low, q_high - target)
+
+    decrease_and_bound = theory._decrease_and_bound
+    monkeypatch.setattr(theory, "_decrease_and_bound", doubled)
+    assert _large_d_bound(0.3) != pytest.approx(_large_d_limit(0.3), rel=1e-6)
 
 
 def test_b_upper_trace_does_not_fork_under_a_rounding_change_of_phi(monkeypatch):

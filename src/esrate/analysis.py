@@ -68,7 +68,7 @@ from functools import partial
 
 import numpy as np
 
-from .engine import EsParams, EsState, rng_stream
+from .engine import EsState, rng_stream
 from .exact import _check_q_range, _check_sample, _exact_q, _extremes, _require_plain
 from .objectives import PERTURB_AMP, PERTURB_FREQ, ObjectiveSpec, _positive_value, _values
 from .theory import (TheoryConstants, _success_sandwich, assumption_margin_rhs,
@@ -606,7 +606,6 @@ def check_assumption2(spec: ObjectiveSpec, *, n: int, seed: int) -> Assumption2R
 def estimate_drift(
     spec: ObjectiveSpec,
     states: list[EsState],
-    params: EsParams,
     constants: TheoryConstants,
     n: int,
     seed: int,
@@ -617,16 +616,15 @@ def estimate_drift(
     :func:`check_lemma_suite`; a state's estimate equals that of a call at it
     alone.  :func:`esrate.exact.regime_of` tells a state's step-size regime.
     """
-    samples = _sample(spec, partial(_potential_change, params, constants), states, n, seed)
+    samples = _sample(spec, partial(_potential_change, constants), states, n, seed)
     return [_first_mean(moments) for moments in samples]
 
 
-def _potential_change(params: EsParams, constants: TheoryConstants,
-                      chunk: _Chunk) -> list[np.ndarray]:
+def _potential_change(constants: TheoryConstants, chunk: _Chunk) -> list[np.ndarray]:
     """The change of the potential over each row's step."""
     succ = chunk.success
     f_next = np.where(succ, np.maximum(chunk.f_m + chunk.step, 1e-300), chunk.f_m)
-    step = np.where(succ, math.log(params.alpha_up), math.log(params.alpha_down))
+    step = np.where(succ, math.log(constants.alpha_up), math.log(constants.alpha_down))
     log_sigma = chunk.state.log_sigma
     v0 = potential_from_values(chunk.f_m, log_sigma, constants)
     change = potential_from_values(f_next, log_sigma + step, constants) - v0

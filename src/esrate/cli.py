@@ -13,7 +13,8 @@ import time
 from pathlib import Path
 
 from . import harness, pool, rates, theory
-from .engine import ALPHA_RULES, init_default, p_target, params_for_rule, params_for_target, run
+from .engine import (ALPHA_RULES, init_default, lockstep_plan, p_target, params_for_rule,
+                     params_for_target, run)
 from .verify import SUITES
 
 __all__ = ["cli_main", "main"]
@@ -118,7 +119,7 @@ def _cmd_experiment(args) -> int:
             skipped.append(path.name)
             print(f"skipped {path.name}: {exc}")
     wall_s = {"simulate": simulated - start, "write": time.perf_counter() - simulated}
-    groups = len(harness.lockstep_tasks(cfg))
+    groups = len(lockstep_plan(harness.experiment_chains(cfg)))
     manifest = {"config": cfg.to_json(), "worker_count": pool.processes(groups),
                 "lockstep_groups": groups, "skipped_plots": skipped, "wall_s": wall_s}
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")

@@ -28,9 +28,12 @@ from the drawn rows in advance; a batch is cut at its first acceptance.
 :func:`run_many` steps chains of one dimension and canonical kind in
 lockstep: each round stacks every live chain's batch into one evaluation,
 which pays numpy's per-call cost once for the group.  :func:`run` is its
-one-chain call.  Every float is computed as a one-step-at-a-time loop
-computes it, so ``SPEC_ROWS``, ``SPEC_ELEMS`` and the grouping never
-enter the results.
+one-chain call.  :func:`run_all` runs any batch of chains: it cuts them
+into such groups (:func:`lockstep_plan`), fans the groups out over the
+process pool, reduces each trajectory in its worker and returns the
+results in chain order.  Every float is computed as a one-step-at-a-time
+loop computes it, so ``SPEC_ROWS``, ``SPEC_ELEMS``, the grouping and the
+worker count never enter the results.
 
 Composite objectives are simulated in canonical coordinates: the chain
 tracks ``m - x_opt`` and compares pre-transform values, which is equivalent
@@ -42,6 +45,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from array import array
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
@@ -49,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .objectives import ObjectiveSpec, _positive_value, is_int, stack_evaluator
-from .pool import worker_count
+from .pool import fan_out, worker_count
 
 __all__ = [
     "EsParams",
@@ -62,8 +66,8 @@ __all__ = [
     "params_for_target",
     "run",
     "run_many",
-    "lockstep_width",
-    "lockstep_groups",
+    "run_all",
+    "lockstep_plan",
     "init_default",
     "default_sigma0",
     "ALPHA_RULES",
@@ -71,7 +75,7 @@ __all__ = [
 
 #: Most candidates a chain evaluates in one batch (see the module notes),
 #: and the most elements of one batch, which also bound a lockstep round
-#: (:func:`lockstep_width`) and a chain's block of normal draws.  Near a
+#: (:func:`_lockstep_width`) and a chain's block of normal draws.  Near a
 #: success rate of 1/5 about half of an 8-row batch lies past its first
 #: acceptance; from ``dim`` of a few thousand on, evaluating those rows
 #: costs more than the calls they save.
@@ -235,11 +239,12 @@ class Trajectory:
 def _log_norm(y: np.ndarray) -> float:
     """``log ||y||``; ``-inf`` only at ``y == 0``.  Callers hold ``np.errstate(over="ignore")``.
 
-    Where the squared norm underflows to 0 (below about 1e-162) or overflows
-    (above about 1e154), the scaled ``math.hypot`` takes over.
+    Where the squared norm falls below ``sys.float_info.min`` (a norm below
+    about 1e-154), where a subnormal has lost digits, or overflows (above
+    about 1e154), the scaled ``math.hypot`` takes over.
     """
     sq = float(np.dot(y, y))
-    if 0 < sq < math.inf:
+    if sys.float_info.min <= sq < math.inf:
         return 0.5 * math.log(sq)
     norm = math.hypot(*y)
     return math.log(norm) if norm > 0 else -math.inf
@@ -373,22 +378,52 @@ def _rows(dim: int) -> int:
     return max(1, min(SPEC_ROWS, SPEC_ELEMS // dim))
 
 
-def lockstep_width(dim: int) -> int:
+def _lockstep_width(dim: int) -> int:
     """Most chains of dimension ``dim`` that :func:`run_many` should step
     together: one round's batch stays within ``SPEC_ELEMS`` elements."""
     return max(1, SPEC_ELEMS // (_rows(dim) * dim))
 
 
-def lockstep_groups(items: Sequence, dim: int, chains_each: int = 1) -> list[Sequence]:
-    """``items`` cut in order into the pool tasks of :func:`run_many` groups.
+def lockstep_plan(chains: Sequence) -> list[list[int]]:
+    """The pool tasks of :func:`run_all`: lists of indices into ``chains``.
 
-    Each item steps ``chains_each`` chains of dimension ``dim``.  A group
-    holds at most :func:`lockstep_width` chains (but at least one item) and
-    at most a worker's share of the items, their count over
-    :func:`esrate.pool.worker_count` rounded up, so every worker gets a group.
+    Chains of one dimension and canonical kind form a group, in chain order.
+    Each group is cut in order into tasks of at most :func:`_lockstep_width`
+    chains and at most a worker's share of the group, its size over
+    :func:`esrate.pool.worker_count` rounded up, so every worker gets a task.
+    The tasks come largest summed budget first, so the longest start first.
     """
-    width = min(max(1, lockstep_width(dim) // chains_each), -(-len(items) // worker_count()))
-    return [items[i : i + width] for i in range(0, len(items), width)]
+    groups: dict[tuple[int, str], list[int]] = {}
+    for i, chain in enumerate(chains):
+        spec = chain[0]
+        groups.setdefault((spec.dim, spec.canonical()[0].kind), []).append(i)
+    tasks = []
+    for (dim, _), members in groups.items():
+        width = min(_lockstep_width(dim), -(-len(members) // worker_count()))
+        tasks += [members[i : i + width] for i in range(0, len(members), width)]
+    tasks.sort(key=lambda task: -sum(chains[i][3] for i in task))
+    return tasks
+
+
+def _run_task(indices: list[int], chains: list, reduce) -> list[tuple[int, object]]:
+    """``(indices[i], reduce(trajectory))`` of one :func:`run_many` group, as chain ``i`` stops."""
+    return [(indices[i], reduce(traj)) for i, traj in run_many(chains)]
+
+
+def run_all(chains: Sequence, reduce) -> list:
+    """``[reduce(run(*chain)) for chain in chains]``, in lockstep groups over the pool.
+
+    ``chains`` holds :func:`run_many` tuples of any dimensions and kinds,
+    composites included.  The tasks of :func:`lockstep_plan` fan out over
+    :func:`esrate.pool.fan_out`, and each worker applies ``reduce``, a
+    picklable function of one :class:`Trajectory`, as each chain stops, so
+    only its results cross the process boundary.  Results come in chain
+    order and equal the one-chain calls' bit for bit, whatever the worker
+    count.
+    """
+    tasks = [(task, [chains[i] for i in task], reduce) for task in lockstep_plan(chains)]
+    results = dict(pair for pairs in fan_out(_run_task, tasks) for pair in pairs)
+    return [results[i] for i in range(len(chains))]
 
 
 def run_many(chains) -> Iterator[tuple[int, Trajectory]]:

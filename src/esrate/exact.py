@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .engine import EsParams, EsState, default_sigma0, rng_stream
+from .engine import EsState, default_sigma0, rng_stream
 from .objectives import PERTURB_AMP, PERTURB_FREQ, ObjectiveSpec, _positive_value, is_int
 from .theory import QExtremes, TheoryConstants
 
@@ -203,8 +203,7 @@ def state_at_sigma_bar(spec: ObjectiveSpec, m, target_sigma_bar: float) -> EsSta
     return EsState(m=m, log_sigma=math.log(sigma))
 
 
-def regime_of(spec: ObjectiveSpec, state: EsState, params: EsParams,
-              constants: TheoryConstants) -> str:
+def regime_of(spec: ObjectiveSpec, state: EsState, constants: TheoryConstants) -> str:
     """Which step-size regime a state falls in: small, reasonable, or large.
 
     Thresholds: ``sigma < s sqrt(L f(m)) / (alpha_up e_q)`` is small;
@@ -216,9 +215,9 @@ def regime_of(spec: ObjectiveSpec, state: EsState, params: EsParams,
     gnorm = _gradient_norm(spec, state.m)
     f_m = _positive_value(spec, state.m, "the state")
     small_cap = constants.s * math.sqrt(constants.strong_convexity * f_m) / (
-        params.alpha_up * constants.e_q
+        constants.alpha_up * constants.e_q
     )
-    large_cap = constants.ell * gnorm / (math.sqrt(2.0) * params.alpha_down * mean_q)
+    large_cap = constants.ell * gnorm / (math.sqrt(2.0) * constants.alpha_down * mean_q)
     sigma = state.sigma
     if sigma < small_cap:
         return "small"

@@ -6,10 +6,11 @@ pair owns an independent RNG stream keyed by ``(base_seed, cell_index,
 trial_index)``, so results are bit-stable regardless of execution order or
 worker count.
 
-Trials of :func:`run_experiment` step in lockstep groups
-(:func:`esrate.engine.run_many`); the groups fan out over one process pool
-(:func:`esrate.pool.fan_out`, sized by ``ES_RATE_THREADS``; 1 runs them in
-process), largest first, and their rows merge back in grid-then-seed order.
+:func:`run_experiment` hands every trial's chain
+(:func:`experiment_chains`) to :func:`esrate.engine.run_all`, which steps
+them in lockstep groups over one process pool (sized by
+``ES_RATE_THREADS``; 1 runs them in process) and fits each trajectory in its
+worker; the rows come back in grid-then-seed order.
 The verification suites live in :mod:`esrate.verify`.
 """
 
@@ -24,16 +25,8 @@ from itertools import product
 import numpy as np
 
 from . import rates
-from .engine import (
-    ALPHA_RULES,
-    init_default,
-    lockstep_groups,
-    params_for_rule,
-    run_many,
-    trial_seed,
-)
+from .engine import ALPHA_RULES, Trajectory, init_default, params_for_rule, run_all, trial_seed
 from .objectives import ObjectiveSpec, check_kappa, hessian_family, is_int, perturbed_family
-from .pool import fan_out
 
 # Kept for perfbench/workloads.py, which changes only with the benchmark.
 from .verify import drift_report, invariance_report  # noqa: F401
@@ -43,7 +36,7 @@ __all__ = [
     "ResultRow",
     "CSV_HEADER",
     "objective_for",
-    "lockstep_tasks",
+    "experiment_chains",
     "run_experiment",
     "emit_csv",
     "read_csv",
@@ -184,34 +177,6 @@ class ResultRow:
         return self.seed == "agg"
 
 
-def _run_group(cfg: ExperimentConfig, dim: int,
-               trials: list[tuple[int, int, str, int, int]]) -> list[tuple[int, ResultRow]]:
-    """Run and fit the trials ``(job, cell_index, kind, kappa, trial)`` of one
-    lockstep group; return ``(job, row)`` pairs in the order the chains stop.
-
-    Each chain is fitted, and its row made, as it stops, so only the live
-    chains' records are held.
-    """
-    params = params_for_rule(cfg.alpha_rule, dim, cfg.c)
-    chains = []
-    for _, cell_index, kind, kappa, trial in trials:
-        spec = objective_for(kind, dim, kappa)
-        seed = trial_seed(cfg.base_seed, cell_index, trial)
-        chains.append((spec, params, init_default(spec, seed), cfg.budget_for(dim),
-                       cfg.f_floor, seed))
-    rows = []
-    for i, traj in run_many(chains):
-        job, _, kind, kappa, trial = trials[i]
-        try:
-            est = rates.estimate_cr(traj, cfg.window_frac)
-            fit = (est.cr_hat, est.stderr, rates.scaled_rate(est, chains[i][0]))
-        except ValueError:
-            fit = (math.nan, math.nan, math.nan)
-        rows.append((job, ResultRow(kind, dim, kappa, cfg.alpha_rule, str(trial), *fit,
-                                    traj.stop_reason)))
-    return rows
-
-
 def aggregate_cell(trial_rows: list[ResultRow]) -> ResultRow:
     """Mean rate and trial-scatter stderr (NaN below two finite rates) of one cell's trials."""
     first = trial_rows[0]
@@ -232,23 +197,29 @@ def aggregate_cell(trial_rows: list[ResultRow]) -> ResultRow:
     )
 
 
-def lockstep_tasks(cfg: ExperimentConfig) -> list[tuple]:
-    """The pool tasks of :func:`run_experiment`, one per lockstep group.
+def experiment_chains(cfg: ExperimentConfig) -> list[tuple]:
+    """The :func:`esrate.engine.run` arguments of every trial, in grid-then-seed order.
 
-    Trials of one dimension and canonical objective kind step together in
-    :func:`esrate.engine.run_many`, cut in grid order by
-    :func:`esrate.engine.lockstep_groups`.  The groups come largest first by
-    summed budget, so the longest tasks start first.
+    Trial ``t`` of cell ``i`` starts at :func:`esrate.engine.init_default`
+    and draws from the stream of ``trial_seed(base_seed, i, t)``.
     """
-    groups: dict[tuple[int, str], list[tuple]] = {}
+    chains = []
     for cell_index, kind, dim, kappa in cfg.cells():
-        members = groups.setdefault((dim, objective_for(kind, dim, kappa).kind), [])
-        members.extend((cell_index * cfg.trials + trial, cell_index, kind, kappa, trial)
-                       for trial in range(cfg.trials))
-    tasks = [(cfg, dim, group) for (dim, _), members in groups.items()
-             for group in lockstep_groups(members, dim)]
-    tasks.sort(key=lambda task: -len(task[2]) * cfg.budget_for(task[1]))
-    return tasks
+        spec = objective_for(kind, dim, kappa)
+        params = params_for_rule(cfg.alpha_rule, dim, cfg.c)
+        for trial in range(cfg.trials):
+            seed = trial_seed(cfg.base_seed, cell_index, trial)
+            chains.append((spec, params, init_default(spec, seed), cfg.budget_for(dim),
+                           cfg.f_floor, seed))
+    return chains
+
+
+def _fit(window_frac: float, traj: Trajectory) -> tuple[rates.RateEstimate | None, str]:
+    """A trajectory's rate estimate (None where it has none) and stop reason."""
+    try:
+        return rates.estimate_cr(traj, window_frac), traj.stop_reason
+    except ValueError:
+        return None, traj.stop_reason
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
@@ -256,12 +227,21 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     aggregate row after each cell.  Deterministic given ``base_seed``,
     independent of the worker count and of the grouping.
 
-    The lockstep groups of :func:`lockstep_tasks` go to the pool.
+    :func:`esrate.engine.run_all` runs the chains of :func:`experiment_chains`
+    and fits each one in its worker.
     """
-    rows_by_job = dict(pair for rows in fan_out(_run_group, lockstep_tasks(cfg)) for pair in rows)
+    chains = experiment_chains(cfg)
+    fits = run_all(chains, partial(_fit, cfg.window_frac))
     rows: list[ResultRow] = []
-    for i in range(0, len(rows_by_job), cfg.trials):
-        cell_rows = [rows_by_job[job] for job in range(i, i + cfg.trials)]
+    for cell_index, kind, dim, kappa in cfg.cells():
+        cell_rows = []
+        for trial in range(cfg.trials):
+            job = cell_index * cfg.trials + trial
+            est, stop_reason = fits[job]
+            fit = ((est.cr_hat, est.stderr, rates.scaled_rate(est, chains[job][0]))
+                   if est is not None else (math.nan, math.nan, math.nan))
+            cell_rows.append(ResultRow(kind, dim, kappa, cfg.alpha_rule, str(trial), *fit,
+                                       stop_reason))
         rows.extend(cell_rows)
         rows.append(aggregate_cell(cell_rows))
     return rows

@@ -18,6 +18,7 @@ concurrently.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import partial
 
@@ -185,12 +186,13 @@ class ObjectiveSpec:
         """``||gradient(x)||``, silently ``inf`` past the float range.
 
         Where the squared norm overflows (an entry near 1e154, say ``kappa >= 154``)
-        or underflows to 0 (every entry below 1e-162), the scaled ``math.hypot`` takes over.
+        or falls below ``sys.float_info.min`` (every entry below about 1e-154),
+        where a subnormal has lost digits, the scaled ``math.hypot`` takes over.
         """
         with np.errstate(over="ignore"):
             grad = self.gradient(x)
-            norm = float(np.linalg.norm(grad))
-        return norm if 0.0 < norm < math.inf else math.hypot(*grad)
+            sq = float(np.dot(grad, grad))
+        return math.sqrt(sq) if sys.float_info.min <= sq < math.inf else math.hypot(*grad)
 
 
 def _values(diag, xs, scratch=None):

@@ -1,10 +1,10 @@
 """One process pool for every loop over independent RNG streams.
 
-Experiment trial groups and invariance seed groups (each chain of a
-lockstep group keeps its stream; :func:`esrate.engine.lockstep_groups`
-cuts both) own their RNG streams, so they can run in any process and in
-any order.  :func:`fan_out` maps a function over such tasks and returns
-the results in task order, so results never depend on the worker count.
+Its one caller is :func:`esrate.engine.run_all`, whose tasks are lockstep
+groups of simulated chains (:func:`esrate.engine.lockstep_plan`).  Each
+chain owns its RNG stream, so a group can run in any process and in any
+order.  :func:`fan_out` maps a function over such tasks and returns the
+results in task order, so results never depend on the worker count.
 ``ES_RATE_THREADS`` sets that count (default: the usable CPUs, at most 8);
 1 runs everything in the calling process.  Monte Carlo calls draw one
 stream in the calling process and start no pool.

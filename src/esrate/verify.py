@@ -6,13 +6,14 @@ and ``seed`` it ran with: for ``lemmas``, ``drift`` and ``assumption2`` an
 ``invariance``, whose bit-for-bit comparisons have no ``lhs``, ``rhs`` or
 standard error, counts.  Suites draw their states from one-element keys
 ``rng_stream(seed, k)``, which no Monte Carlo row uses, and the drift regimes
-are the states of one kernel call.  Independent streams fan out over
-:func:`esrate.pool.fan_out` and merge in task order, so every report is
-bit-identical for any worker count.
+are the states of one kernel call.  The invariance chains run through
+:func:`esrate.engine.run_all`, which returns results in chain order, so
+every report is bit-identical for any worker count.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -20,17 +21,16 @@ import numpy as np
 from . import analysis, exact, theory
 from .engine import (
     EsState,
+    Trajectory,
     default_sigma0,
-    lockstep_groups,
     p_target,
     params_for_rule,
     params_for_target,
     rng_stream,
-    run_many,
+    run_all,
     trial_seed,
 )
 from .objectives import TRANSFORMS, ObjectiveSpec, hessian_family, is_int, make_composite, sphere
-from .pool import fan_out
 
 __all__ = ["SUITES", "invariance_report", "drift_report"]
 
@@ -46,7 +46,7 @@ _CASES = (*(f"transform:{name}" for name in TRANSFORMS), "translation", "transla
 
 
 def _invariance_chains(spec: ObjectiveSpec, seed: int, steps: int) -> list[tuple]:
-    """The :func:`esrate.engine.run_many` chains of one seed: the reference
+    """The :func:`esrate.engine.run` arguments of one seed: the reference
     run of ``spec``, then one composite per entry of :data:`_CASES`."""
     draw = rng_stream(seed, 9)
     m0 = _dyadic(draw.standard_normal(spec.dim))
@@ -63,33 +63,12 @@ def _invariance_chains(spec: ObjectiveSpec, seed: int, steps: int) -> list[tuple
     return [(comp, params, start, steps, 1e-280, seed) for comp, start in runs]
 
 
-def _invariance_group(
-    spec: ObjectiveSpec, spec_idx: int, seeds: range, steps: int, base_seed: int
-) -> list[dict]:
-    """The check dicts of some seeds of one spec of :func:`invariance_report`.
-
-    Every chain of those seeds steps in one :func:`esrate.engine.run_many`
-    call, and each composite's trajectory is compared with its seed's
-    reference here, so no trajectory leaves the worker.
-    """
-    chains = [chain for s in seeds
-              for chain in _invariance_chains(spec, trial_seed(base_seed, spec_idx, s), steps)]
-    trajs = dict(run_many(chains))
-    per_seed = 1 + len(_CASES)
-    checks = []
-    for j, s in enumerate(seeds):
-        ref = trajs[j * per_seed]
-        for i, case in enumerate(_CASES, start=1 + j * per_seed):
-            traj = trajs[i]
-            ok = (
-                np.array_equal(ref.log_dist, traj.log_dist)
-                and np.array_equal(ref.log_f, traj.log_f)
-                and np.array_equal(ref.log_sigma, traj.log_sigma)
-                and np.array_equal(ref.success, traj.success)
-                and ref.stop_reason == traj.stop_reason
-            )
-            checks.append({"spec": spec_idx, "seed": s, "case": case, "ok": ok})
-    return checks
+def _digest(traj: Trajectory) -> bytes:
+    """sha256 of a trajectory's step count, stop reason and four recorded series."""
+    h = hashlib.sha256(f"{traj.t_final} {traj.stop_reason}".encode())
+    for series in (traj.log_dist, traj.log_f, traj.log_sigma, traj.success):
+        h.update(series.tobytes())
+    return h.digest()
 
 
 def invariance_report(
@@ -99,21 +78,25 @@ def invariance_report(
 
     For each spec and seed, the reference run is compared against runs of
     every transform composite (same optimum) and of a translated composite
-    with an integer shift; recorded series must match bit for bit.  A pool
-    task is a group of whole seeds of one spec, cut by
-    :func:`esrate.engine.lockstep_groups`, whose chains step in lockstep.
+    with an integer shift; recorded series must match bit for bit.  Every
+    chain goes to :func:`esrate.engine.run_all`, whose workers return each
+    trajectory's :func:`_digest`, and each composite's digest is compared
+    with its reference's here.
     """
     if not (is_int(n_seeds) and n_seeds >= 1):
         raise ValueError(f"n_seeds must be a positive integer, got {n_seeds!r}")
     rng_stream(base_seed)  # raises for a bad seed before any pool starts
     if specs is None:
         specs = [sphere(8), hessian_family("h1", 5, 1), hessian_family("h3", 6, 1)]
-    tasks = [
-        (spec, spec_idx, seeds, steps, base_seed)
-        for spec_idx, spec in enumerate(specs)
-        for seeds in lockstep_groups(range(n_seeds), spec.dim, 1 + len(_CASES))
-    ]
-    checks = [c for group in fan_out(_invariance_group, tasks) for c in group]
+    runs = [(spec_idx, s) for spec_idx in range(len(specs)) for s in range(n_seeds)]
+    chains = [chain for spec_idx, s in runs for chain in
+              _invariance_chains(specs[spec_idx], trial_seed(base_seed, spec_idx, s), steps)]
+    digests = iter(run_all(chains, _digest))
+    checks = []
+    for spec_idx, s in runs:
+        ref = next(digests)
+        checks += [{"spec": spec_idx, "seed": s, "case": case, "ok": next(digests) == ref}
+                   for case in _CASES]
     failed = [c for c in checks if not c["ok"]]
     return {
         "suite": "invariance",
@@ -186,11 +169,11 @@ def drift_report(dim: int = 100, *, n: int, seed: int) -> dict:
         "reasonable": -constants.w / 4.0,
     }
     states = [exact.state_at_sigma_bar(spec, m, sbar) for sbar in sbar_by_regime.values()]
-    estimates = analysis.estimate_drift(spec, states, params, constants, n, seed)
+    estimates = analysis.estimate_drift(spec, states, constants, n, seed)
     judge = analysis.CheckResult.judge
     checks, regimes = [], {}
     for (name, sbar), state, est in zip(sbar_by_regime.items(), states, estimates):
-        regime = exact.regime_of(spec, state, params, constants)
+        regime = exact.regime_of(spec, state, constants)
         regimes[name] = {"regime": regime, "sigma_bar": sbar}
         checks += [
             judge("regime", name, float(regime != name), 0.0, 0.0),

@@ -24,7 +24,7 @@ from esrate.analysis import (
     estimate_q_stats,
     estimate_success_prob,
 )
-from esrate.engine import EsState, init_default, params_for_target, rng_stream, run
+from esrate.engine import EsParams, EsState, init_default, params_for_target, rng_stream, run
 from esrate.exact import q_extremes, quadratic_q_exact, regime_of, sigma_bar, state_at_sigma_bar
 from esrate.objectives import (
     PERTURB_AMP,
@@ -532,33 +532,33 @@ def test_state_grid_spans_distances():
 
 
 def _drift_constants():
-    """``(params, constants)`` of the drift battery's surrogate at d = 50."""
+    """The constants of the drift battery's surrogate at d = 50."""
     params = params_for_target(math.exp(1.0 / 50), 0.3)
     extremes = theory.QExtremes(0.0, 2.0, 50.0, 1.0)
-    return params, theory.build_constants(extremes, params, 0.25, 0.45)
+    return theory.build_constants(extremes, params, 0.25, 0.45)
 
 
 @pytest.fixture(scope="module")
 def drift_setup():
-    return sphere(50), *_drift_constants()
+    return sphere(50), _drift_constants()
 
 
 def test_regime_classification(drift_setup):
-    spec, params, constants = drift_setup
+    spec, constants = drift_setup
     m = np.full(50, 1.0)
     small = state_at_sigma_bar(spec, m, 0.25 * constants.b_high)
     mid = state_at_sigma_bar(spec, m, 0.5 * (constants.b_high + constants.b_low))
     large = state_at_sigma_bar(spec, m, 3.0 * constants.b_low)
-    assert regime_of(spec, small, params, constants) == "small"
-    assert regime_of(spec, mid, params, constants) == "reasonable"
-    assert regime_of(spec, large, params, constants) == "large"
+    assert regime_of(spec, small, constants) == "small"
+    assert regime_of(spec, mid, constants) == "reasonable"
+    assert regime_of(spec, large, constants) == "large"
 
 
 def test_drift_negative_in_reasonable_regime(drift_setup):
-    spec, params, constants = drift_setup
+    spec, constants = drift_setup
     state = state_at_sigma_bar(spec, np.full(50, 1.0), 0.5 * (constants.b_high + constants.b_low))
-    [est] = estimate_drift(spec, [state], params, constants, 20_000, seed=21)
-    assert regime_of(spec, state, params, constants) == "reasonable"
+    [est] = estimate_drift(spec, [state], constants, 20_000, seed=21)
+    assert regime_of(spec, state, constants) == "reasonable"
     assert est.value + 3 * est.stderr < 0
     assert est.value <= -constants.w / 4 + 3 * est.stderr
 
@@ -579,7 +579,7 @@ def _all_estimates(elems):
     states = [state_at_sigma_bar(h1, m, s) for s in (0.3, 3.0)]
     pert = perturbed_family(10, 1)
     sph = sphere(50)
-    params, constants = _drift_constants()
+    constants = _drift_constants()
     drift_state = state_at_sigma_bar(sph, np.full(50, 1.0), 0.5 * (constants.b_high + constants.b_low))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(analysis, "ELEMS", elems)
@@ -587,7 +587,7 @@ def _all_estimates(elems):
         for est in (
             estimate_success_prob(h1, states[0], 2_000, seed=2),
             estimate_log_progress(h1, states[1], 2_000, seed=3),
-            *estimate_drift(sph, [drift_state], params, constants, 2_000, seed=5),
+            *estimate_drift(sph, [drift_state], constants, 2_000, seed=5),
         ):
             values += [est.value, est.stderr]
         report = check_lemma_suite(h1, states, 2_000, seed=4)
@@ -726,7 +726,7 @@ def test_estimators_at_a_huge_step_raise_no_float_warning(log_sigma):
         report = check_lemma_suite(spec, [state], 20_000, seed=3)
         estimates = [estimate_success_prob(spec, state, 20_000, seed=3),
                      estimate_log_progress(spec, state, 20_000, seed=3),
-                     *estimate_drift(spec, [state], *_drift_constants(), 20_000, seed=3)]
+                     *estimate_drift(spec, [state], _drift_constants(), 20_000, seed=3)]
         stats = estimate_q_stats(spec, state, 20_000, seed=3)
     assert {c.name for c in report.checks if c.verdict == "inconclusive"} == {
         "expected_progress_bound"}
@@ -890,7 +890,7 @@ _SAMPLERS = {
     "success_prob": estimate_success_prob,
     "log_progress": estimate_log_progress,
     "lemma_suite": lambda spec, state, n, seed: check_lemma_suite(spec, [state], n, seed),
-    "drift": lambda spec, state, n, seed: estimate_drift(spec, [state], *_drift_constants(),
+    "drift": lambda spec, state, n, seed: estimate_drift(spec, [state], _drift_constants(),
                                                          n, seed),
 }
 
@@ -934,22 +934,22 @@ def test_each_state_of_a_suite_gets_the_checks_of_a_suite_at_it_alone(spec):
 @pytest.mark.parametrize("spec", [hessian_family("h1", 8, 1), perturbed_family(8, 1)],
                          ids=["h1", "perturbed"])
 def test_each_state_of_a_drift_call_gets_the_estimate_of_a_call_at_it_alone(spec):
-    params, constants = _drift_constants()
+    constants = _drift_constants()
     states = _suite_states(spec)
-    joint = estimate_drift(spec, states, params, constants, 3_000, seed=9)
+    joint = estimate_drift(spec, states, constants, 3_000, seed=9)
     alone = [est for st in states
-             for est in estimate_drift(spec, [st], params, constants, 3_000, seed=9)]
+             for est in estimate_drift(spec, [st], constants, 3_000, seed=9)]
     assert repr(joint) == repr(alone)
 
 
 def test_drift_regimes_on_a_non_quadratic_spec_are_the_exact_regimes():
     spec = perturbed_family(8, 1)
-    params, constants = _drift_constants()
+    constants = _drift_constants()
     m = np.random.default_rng(6).standard_normal(8)
     # sigma_bar from far below b_high to far above b_low: all three regimes
     states = [_state(m, s * spec.gradient_norm(m) / float(np.sum(spec.diag)))
               for s in (0.01, 0.5 * (constants.b_high + constants.b_low), 100.0)]
-    regimes = [regime_of(spec, st, params, constants) for st in states]
+    regimes = [regime_of(spec, st, constants) for st in states]
     assert regimes == ["small", "reasonable", "large"]
 
 
@@ -977,6 +977,18 @@ def test_sigma_bar_near_the_optimum_reads_the_gradient_norm_past_its_square():
     m = np.full(3, 1e-170)
     state = _state(m, 1e-170)
     assert sigma_bar(sphere(3), state) == state.sigma * 3.0 / math.hypot(*m)
+
+
+@pytest.mark.parametrize("scale", [1e-155, 1e-160, 1e-162], ids=str)
+def test_norms_whose_square_is_subnormal_keep_every_digit(scale):
+    # ||m||^2 lies below sys.float_info.min here, a subnormal that has lost digits.
+    m = np.full(3, scale)
+    norm = math.hypot(*m)
+    assert sphere(3).gradient_norm(m) == pytest.approx(norm, rel=1e-15)
+    assert sigma_bar(sphere(3), EsState(m, 0.0)) == pytest.approx(3.0 / norm, rel=1e-15)
+    # A steep quadratic keeps f(m) above 0, which run needs at the start point.
+    traj = run(quadratic_diag([1e20] * 3), EsParams(math.e, math.e**-0.25), EsState(m, 0.0), 1)
+    assert traj.log_dist[0] == pytest.approx(math.log(norm), rel=1e-15)
 
 
 def test_exact_q_on_perturbed_at_a_step_whose_square_underflows_is_its_limit():
@@ -1012,7 +1024,8 @@ _BAD_SAMPLES = {
 
 def _hostile_calls():
     """Calls on bad input, by name, with the words their ``ValueError`` must contain."""
-    params, constants = _drift_constants()
+    constants = _drift_constants()
+    params = EsParams(constants.alpha_up, constants.alpha_down)
     at_optimum = _state(np.zeros(3), 1.0)
     # f(m) is inf at the far point and underflows to 0 at the near one, off the optimum.
     far, near = _state(np.full(3, 1e200), 1.0), _state(np.full(3, 1e-170), 1e-170)
@@ -1033,11 +1046,11 @@ def _hostile_calls():
             sphere(3), [_state(np.ones(3), 1.0), far], 1000, 0), off("state 1", "inf")),
         "run_start_f_overflows": (lambda: run(sphere(3), params, far, 10),
                                   off("the start point", "inf")),
-        "regime_f_overflows": (lambda: regime_of(sphere(3), far, params, constants),
+        "regime_f_overflows": (lambda: regime_of(sphere(3), far, constants),
                                off("the state", "inf")),
         "log_progress_f_underflows": (lambda: estimate_log_progress(sphere(3), near, 1000, 0),
                                       off("state 0", "0.0")),
-        "drift_f_underflows": (lambda: estimate_drift(sphere(3), [near], params, constants,
+        "drift_f_underflows": (lambda: estimate_drift(sphere(3), [near], constants,
                                                       1000, 0), off("state 0", "0.0")),
         "lemma_suite_f_underflows": (lambda: check_lemma_suite(sphere(3), [near], 1000, 0),
                                      off("state 0", "0.0")),
@@ -1045,7 +1058,7 @@ def _hostile_calls():
             perturbed_family(3, 0), [near], 1000, 0), off("state 0", "0.0")),
         "run_start_f_underflows": (lambda: run(sphere(3), params, near, 10),
                                    off("the start point", "0.0")),
-        "regime_f_underflows": (lambda: regime_of(sphere(3), near, params, constants),
+        "regime_f_underflows": (lambda: regime_of(sphere(3), near, constants),
                                 off("the state", "0.0")),
         "q_stats_nan_m": (lambda: estimate_q_stats(
             sphere(3), _state([math.nan, 1.0, 1.0], 1.0), 1000, 0), "state 0: m must be finite"),
@@ -1058,7 +1071,7 @@ def _hostile_calls():
             sphere(4), _state([0.3, -1.2, 2.0, 0.7], 5e-324), 20_000, 3),
             "log_sigma = -744.4400719213812 is outside (log(sys.float_info.min) = -708.396419"),
         "sigma_bar_at_optimum": (lambda: sigma_bar(sphere(3), at_optimum), "off the optimum"),
-        "regime_at_optimum": (lambda: regime_of(sphere(3), at_optimum, params, constants),
+        "regime_at_optimum": (lambda: regime_of(sphere(3), at_optimum, constants),
                               "off the optimum"),
         "state_at_sigma_bar_at_optimum": (lambda: state_at_sigma_bar(sphere(3), np.zeros(3), 1.0),
                                           "off the optimum"),
@@ -1104,13 +1117,13 @@ def test_hostile_input_raises_a_value_error_naming_it(monkeypatch, name):
 
 
 def test_state_helpers_reject_a_composite():
-    params, constants = _drift_constants()
+    constants = _drift_constants()
     spec = make_composite(sphere(3), "identity", np.zeros(3))
     state = _state(np.ones(3), 1.0)
     with pytest.raises(ValueError, match="non-composite"):
         sigma_bar(spec, state)
     with pytest.raises(ValueError, match="non-composite"):
-        regime_of(spec, state, params, constants)
+        regime_of(spec, state, constants)
 
 
 def test_no_kernel_row_repeats_a_draw_from_a_one_element_key(monkeypatch):

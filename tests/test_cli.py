@@ -11,6 +11,7 @@ import pytest
 import esrate
 from esrate import harness, pool, verify
 from esrate.cli import cli_main
+from esrate.engine import lockstep_plan
 
 
 def test_run_is_reproducible(tmp_path, capsys):
@@ -221,7 +222,7 @@ def test_experiment_end_to_end(tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert harness.ExperimentConfig.from_json(manifest["config"]) == \
         harness.ExperimentConfig.from_json(cfg)
-    groups = len(harness.lockstep_tasks(harness.ExperimentConfig.from_json(cfg)))
+    groups = len(lockstep_plan(harness.experiment_chains(harness.ExperimentConfig.from_json(cfg))))
     assert manifest["lockstep_groups"] == groups
     assert manifest["worker_count"] == min(pool.worker_count(), groups)
     assert manifest["skipped_plots"] == []
@@ -257,12 +258,13 @@ def test_manifest_counts_the_processes_that_ran(trials, groups, tmp_path, monkey
     monkeypatch.setattr(pool, "_usable_cpus", lambda: 3)
     monkeypatch.setenv("ES_RATE_THREADS", "2")
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"kinds": ["h1"], "dims": [4], "kappas": [0],
-                                    "trials": trials, "budget": 300}))
+    cfg = {"kinds": ["h1"], "dims": [4], "kappas": [0], "trials": trials, "budget": 300}
+    cfg_path.write_text(json.dumps(cfg))
     out = tmp_path / "out"
     assert cli_main(["experiment", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["lockstep_groups"] == groups
+    chains = harness.experiment_chains(harness.ExperimentConfig.from_json(cfg))
+    assert manifest["lockstep_groups"] == len(lockstep_plan(chains)) == groups
     assert manifest["worker_count"] == groups
 
 

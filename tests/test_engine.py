@@ -1,14 +1,15 @@
 import dataclasses
 import math
+import os
 import tracemalloc
 from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from esrate import engine, objectives
+from esrate import engine, objectives, pool
 from esrate.engine import (
     ALPHA_RULES,
     EsParams,
@@ -613,3 +614,80 @@ def test_run_many_memory_stays_bounded():
         tracemalloc.stop()
     assert steps == 12 * 40_000
     assert peak < 8e6
+
+
+# -- run_all -------------------------------------------------------------------------------
+
+
+def _record(traj):
+    """Every series and the final state of a trajectory, compared bit for bit."""
+    return (*(getattr(traj, name).tobytes() for name in ("log_dist", "log_f", "log_sigma",
+                                                         "success")),
+            traj.stop_reason, traj.final_state.m.tobytes(), traj.final_state.log_sigma)
+
+
+def _pid(traj):
+    return os.getpid()
+
+
+def _chains(draws):
+    """``run`` arguments of ``(kind, dim, kappa, transform, budget, f_floor, seed)`` draws;
+    a transform makes a composite with its optimum off the origin."""
+    chains = []
+    for kind, dim, kappa, transform, budget, f_floor, seed in draws:
+        spec = _family(kind, dim, kappa)
+        if transform is not None:
+            spec = make_composite(spec, transform, np.arange(dim) - 1.5)
+        chains.append((spec, params_for_rule("const", dim), init_default(spec, seed), budget,
+                       f_floor, seed))
+    return chains
+
+
+# Each example runs its chains four times; shrinking would rerun them for no simpler case.
+@settings(max_examples=6, deadline=None, database=None, derandomize=True,
+          phases=[Phase.explicit, Phase.generate])
+@given(st.lists(st.tuples(st.sampled_from(["h1", "h2", "h3", "perturbed"]),
+                          st.integers(min_value=1, max_value=12),
+                          st.integers(min_value=0, max_value=4),
+                          st.sampled_from([None, *TRANSFORMS]),
+                          st.integers(min_value=1, max_value=400),
+                          st.sampled_from([1e-300, 1e-12, 1e-4]),
+                          st.integers(min_value=0, max_value=2**32 - 1)),
+                min_size=1, max_size=12))
+@example([("h1", 5, 0, None, 300, 1e-12, 1), ("perturbed", 5, 2, "cube_shift", 200, 1e-300, 2),
+          ("h3", 2, 1, "affine", 400, 1e-4, 3), ("h1", 5, 3, "exp_minus_one", 100, 1e-12, 4),
+          ("perturbed", 5, 0, None, 250, 1e-12, 5), ("h2", 2, 4, None, 1, 1e-300, 6)])
+def test_run_all_returns_each_reduced_run_in_chain_order(draws):
+    chains = _chains(draws)
+    expected = [_record(run(*chain)) for chain in chains]
+    for threads, spec_elems in (("1", engine.SPEC_ELEMS), ("2", engine.SPEC_ELEMS), ("2", 1)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pool, "_usable_cpus", lambda: 2)
+            mp.setenv("ES_RATE_THREADS", threads)
+            mp.setattr(engine, "SPEC_ELEMS", spec_elems)  # 1: every task one chain
+            assert engine.run_all(chains, _record) == expected
+
+
+def test_run_all_reduces_in_the_workers(monkeypatch):
+    # Two groups on two workers: each trajectory is reduced where it ran, so
+    # no trajectory crosses the process boundary.
+    monkeypatch.setattr(pool, "_usable_cpus", lambda: 2)
+    monkeypatch.setenv("ES_RATE_THREADS", "2")
+    chains = _chains([("h1", 3, 0, None, 50, 1e-100, 0), ("perturbed", 3, 0, None, 50, 1e-100, 1)])
+    assert len(engine.lockstep_plan(chains)) == 2
+    assert os.getpid() not in engine.run_all(chains, _pid)
+
+
+def test_lockstep_plan_groups_by_dim_and_canonical_kind_largest_budget_first(monkeypatch):
+    monkeypatch.setattr(pool, "_usable_cpus", lambda: 2)
+    # The composite of h3 joins the sphere's group: both are diagonal quadratics.
+    chains = _chains([("h1", 3, 0, None, 10, 1e-100, 0),
+                      ("h3", 3, 2, "exp_minus_one", 10, 1e-100, 1),
+                      ("perturbed", 3, 0, None, 50, 1e-100, 2),
+                      ("h1", 4, 0, None, 5, 1e-100, 3)])
+    monkeypatch.setenv("ES_RATE_THREADS", "1")
+    assert engine.lockstep_plan(chains) == [[2], [0, 1], [3]]
+    monkeypatch.setenv("ES_RATE_THREADS", "2")  # a worker's share of a pair is one chain
+    assert engine.lockstep_plan(chains) == [[2], [0], [1], [3]]
+    monkeypatch.setattr(engine, "SPEC_ELEMS", 1)
+    assert engine.lockstep_plan(chains[:2]) == [[0], [1]]

@@ -215,14 +215,14 @@ def test_rows_independent_of_lockstep_grouping(kinds, dims, kappas, trials, budg
                            trials=trials, budget=budget, f_floor=f_floor, base_seed=base_seed)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setenv("ES_RATE_THREADS", "1")  # one worker: groups as wide as lockstep_width
+        mp.setenv("ES_RATE_THREADS", "1")  # one worker: groups as wide as _lockstep_width
         grouped = run_experiment(cfg)
     order = [(kind, d, kappa, seed) for _, kind, d, kappa in cfg.cells()
              for seed in [*map(str, range(trials)), "agg"]]
     assert [(r.objective, r.d, r.kappa, r.seed) for r in grouped] == order
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "SPEC_ELEMS", 1)  # every group one chain of one-row batches
-        assert engine.lockstep_width(max(dims)) == 1
+        assert engine._lockstep_width(max(dims)) == 1
         single = run_experiment(cfg)
     # repr spells every float exactly, NaN included.
     assert repr(single) == repr(grouped)

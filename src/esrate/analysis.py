@@ -40,15 +40,15 @@ cosine term's part, a sum of sines of ``omega sigma z_i`` accurate at every
 
 Exact values draw no rows and live in :mod:`esrate.exact`: its ``_exact_q``
 gives the moments of ``Q`` at a state of every plain spec, which the lemma
-suite's success sandwich and :func:`check_assumption2` (over a fixed scan of
-32 states on ``perturbed``) read here, as ``sigma_bar`` and ``regime_of`` do there.
+suite's success sandwich reads here, as ``sigma_bar``, ``regime_of`` and
+``check_assumption2`` do there.
 
 Determinism contract: estimators are pure given ``(inputs, seed)``.
 Mutation rows come only from the two-element keys ``(0, 0)`` (normals) and
 ``(1, 0)`` (chi-squares) of the call's seed; the one-element keys
 ``rng_stream(seed, k)`` are left to the draws of the states themselves
-(the scan of :func:`check_assumption2` takes key 7), so no state coincides
-with a row of its own call.  ``ELEMS`` is not part of it: the draws of each
+(the scan of :func:`esrate.exact.check_assumption2` takes key 7), so no
+state coincides with a row of its own call.  ``ELEMS`` is not part of it: the draws of each
 key do not depend on how the rows split into chunks, so the chunk size
 changes results only through floating-point rounding.  A state's results
 do not depend on the other states of its call: they equal those of a call
@@ -69,13 +69,12 @@ from functools import partial
 import numpy as np
 
 from .engine import EsState, rng_stream
-from .exact import _check_q_range, _check_sample, _exact_q, _extremes, _require_plain
+from .exact import _check_q_range, _check_sample, _exact_q, _require_plain
 from .objectives import PERTURB_AMP, PERTURB_FREQ, ObjectiveSpec, _positive_value, _values
-from .theory import (TheoryConstants, _success_sandwich, assumption_margin_rhs,
-                     potential_from_values, std_normal_cdf)
+from .theory import TheoryConstants, _success_sandwich, potential_from_values, std_normal_cdf
 
 # Kept for perfbench/workloads.py and perfbench/measure.py, which change only with the benchmark.
-from .exact import quadratic_q_exact, state_at_sigma_bar  # noqa: F401
+from .exact import check_assumption2, quadratic_q_exact, state_at_sigma_bar  # noqa: F401
 
 __all__ = [
     "ELEMS",
@@ -89,8 +88,6 @@ __all__ = [
     "SuiteReport",
     "describe",
     "check_lemma_suite",
-    "Assumption2Report",
-    "check_assumption2",
     "estimate_drift",
 ]
 
@@ -550,54 +547,6 @@ def check_lemma_suite(
             checks.append(CheckResult.judge(f"success_prob_upper_eps{eps:g}", sid, p_hat, high, se_p))
 
     return SuiteReport(spec=describe(spec), n=n, seed=seed, checks=checks)
-
-
-# -- curvature-variance condition ----------------------------------------------
-
-
-@dataclass(frozen=True)
-class Assumption2Report:
-    holds: bool
-    margin: float
-    v_std_sup: float
-    kappa_inf: float
-    rhs: float
-    exact: bool
-    kappa_consistent: bool
-    states: list[dict] = field(default_factory=list)
-
-
-def check_assumption2(spec: ObjectiveSpec, *, n: int, seed: int) -> Assumption2Report:
-    """Check the curvature-variance smallness condition for a spec.
-
-    Compares the state-space supremum of ``v_std`` against
-    ``min(Phi(k/(2 sqrt(2 pi))) - 1/2, 1 - Phi(3k/(2 sqrt(2 pi)))) / 4``
-    evaluated at ``kappa_inf``.  Diagonal quadratics use the exact closed
-    forms (``v_std = 2 tr(H^2)/tr(H)^2``, ``kappa = 2``).  ``perturbed``
-    evaluates the same statistics in closed form at each of the 32 states of
-    a fixed scan, which are included in the report for audit; its extremes
-    are those over the scan, so it is not ``exact``, and ``kappa_consistent``
-    says whether every scanned ``kappa`` is at least 1.  Every kind rejects
-    ``n < 1000`` and a negative ``seed``, as the estimators do, though no
-    rows are drawn; ``seed`` chooses the scan's directions.
-    """
-    v_sup, kappa_inf, _, states, stats = _extremes(spec, n, seed)
-    rows = [
-        {"m_norm": float(np.linalg.norm(st.m)), "log_sigma": st.log_sigma,
-         "v_std": v_std, "kappa": kappa}
-        for st, (v_std, kappa) in zip(states, stats)
-    ]
-    rhs = assumption_margin_rhs(kappa_inf)
-    return Assumption2Report(
-        holds=v_sup < rhs,
-        margin=rhs - v_sup,
-        v_std_sup=v_sup,
-        kappa_inf=kappa_inf,
-        rhs=rhs,
-        exact=spec.is_quadratic,
-        kappa_consistent=all(kappa >= 1.0 for _, kappa in stats),
-        states=rows,
-    )
 
 
 # -- potential drift -------------------------------------------------------------

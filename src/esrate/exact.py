@@ -1,26 +1,30 @@
-"""Exact one-step values at a state: the moments of ``Q``, ``sigma_bar`` and the regime.
+"""Exact values that draw no rows: the moments of ``Q``, ``sigma_bar``, the regime, Assumption 2.
 
 Contract: every function here is pure and draws no mutation row, so none
 has a standard error.  On a diagonal quadratic the moments of ``Q`` are
 the same at every state; on ``perturbed`` they are sums of ``d``
 elementary closed forms (:func:`_perturbed_moments`), Dawson's function
 included.  Only numpy's core is used: no scipy and no ``numpy.polynomial``.
-The only random numbers are the directions of :func:`_state_grid`'s scan,
-from the one-element key ``rng_stream(seed, 7)``.  The input checks that
-the Monte Carlo estimators of :mod:`esrate.analysis` share live here too.
+:func:`check_assumption2` and :func:`q_extremes` read one scan
+(:func:`_scan`), whose only random numbers are the directions of
+:func:`_state_grid`, from the one-element key ``rng_stream(seed, 7)``.  The
+input checks that the Monte Carlo estimators of :mod:`esrate.analysis`
+share live here too.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .engine import EsState, default_sigma0, rng_stream
 from .objectives import PERTURB_AMP, PERTURB_FREQ, ObjectiveSpec, _positive_value, is_int
-from .theory import QExtremes, TheoryConstants
+from .theory import QExtremes, TheoryConstants, assumption_margin_rhs
 
-__all__ = ["quadratic_q_exact", "sigma_bar", "state_at_sigma_bar", "regime_of", "q_extremes"]
+__all__ = ["quadratic_q_exact", "sigma_bar", "state_at_sigma_bar", "regime_of", "q_extremes",
+           "Assumption2Report", "check_assumption2"]
 
 #: Rybicki's sum for Dawson's function: step ``h`` and the odd offsets
 #: ``k``, ``|k| <= 27``, whose weights ``exp(-(eps - k h)^2)``, ``|eps| <= h``,
@@ -251,34 +255,76 @@ def _state_grid(spec: ObjectiveSpec, seed: int) -> list[EsState]:
     return states
 
 
-def _extremes(spec: ObjectiveSpec, n: int,
-              seed: int) -> tuple[float, float, float, list[EsState], list[tuple[float, float]]]:
-    """``(sup v_std, inf kappa, sup E[Q], states, (v_std, kappa) of each state)`` of
-    :func:`q_extremes` and ``analysis.check_assumption2``, from :func:`_exact_q`.
+def _scan(spec: ObjectiveSpec, n: int,
+          seed: int) -> tuple[list[EsState], list[tuple[float, float, float]]]:
+    """The scanned states and ``(v_std, kappa, E[Q])`` at each, from :func:`_exact_q`.
 
-    Diagonal quadratics scan no states, since their moments are the same at
-    every state; ``perturbed`` takes its extremes over the states of
-    :func:`_state_grid`.  No rows are drawn, but ``n`` and ``seed`` are
-    checked as the estimators check them.
+    Diagonal quadratics scan no states and give one triple, since their
+    moments are the same at every state; ``perturbed`` gives one triple at
+    each state of :func:`_state_grid`.  No rows are drawn, but ``n`` and
+    ``seed`` are checked as the estimators check them.
     """
     _require_plain(spec)
     _check_sample(n, seed)
     _check_q_range(spec)
     states = [] if spec.is_quadratic else _state_grid(spec, seed)
     moments = [_exact_q(spec, state) for state in states or [None]]
-    stats = [(var / mean**2, mean / half) for mean, var, half in moments]
-    return (max(v for v, _ in stats), min(k for _, k in stats),
-            max(mean for mean, _, _ in moments), states, stats)
+    return states, [(var / mean**2, mean / half, mean) for mean, var, half in moments]
 
 
 def q_extremes(spec: ObjectiveSpec, *, n: int, seed: int) -> QExtremes:
-    """State-space extremes of the curvature statistics, as in ``analysis.check_assumption2``.
+    """State-space extremes of the curvature statistics, as in :func:`check_assumption2`.
 
     Exact and state-independent for diagonal quadratics.  For other kinds
     each state's statistics are exact, but the extremes are taken over the
     32 states of a fixed scan (an approximation).
     """
-    v_sup, kappa_inf, e_q, _, _ = _extremes(spec, n, seed)
-    return QExtremes(
-        v_std_sup=v_sup, kappa_inf=kappa_inf, e_q=e_q, strong_convexity=spec.strong_convexity
+    v_std, kappa, e_q = zip(*_scan(spec, n, seed)[1])
+    return QExtremes(v_std_sup=max(v_std), kappa_inf=min(kappa), e_q=max(e_q),
+                     strong_convexity=spec.strong_convexity)
+
+
+# -- curvature-variance condition ----------------------------------------------
+
+
+@dataclass(frozen=True)
+class Assumption2Report:
+    holds: bool
+    margin: float
+    v_std_sup: float
+    kappa_inf: float
+    rhs: float
+    exact: bool
+    kappa_consistent: bool
+    states: list[dict] = field(default_factory=list)
+
+
+def check_assumption2(spec: ObjectiveSpec, *, n: int, seed: int) -> Assumption2Report:
+    """Check the curvature-variance smallness condition for a spec.
+
+    Compares the state-space supremum of ``v_std`` against
+    ``min(Phi(k/(2 sqrt(2 pi))) - 1/2, 1 - Phi(3k/(2 sqrt(2 pi)))) / 4``
+    evaluated at ``kappa_inf``.  Diagonal quadratics use the exact closed
+    forms (``v_std = 2 tr(H^2)/tr(H)^2``, ``kappa = 2``).  ``perturbed``
+    evaluates the same statistics in closed form at each of the 32 states of
+    a fixed scan, which are included in the report for audit; its extremes
+    are those over the scan, so it is not ``exact``, and ``kappa_consistent``
+    says whether every scanned ``kappa`` is at least 1.  Every kind rejects
+    ``n < 1000`` and a negative ``seed``, as the estimators do, though no
+    rows are drawn; ``seed`` chooses the scan's directions.
+    """
+    states, stats = _scan(spec, n, seed)
+    v_std, kappa, _ = zip(*stats)
+    v_sup, kappa_inf = max(v_std), min(kappa)
+    rhs = assumption_margin_rhs(kappa_inf)
+    return Assumption2Report(
+        holds=v_sup < rhs,
+        margin=rhs - v_sup,
+        v_std_sup=v_sup,
+        kappa_inf=kappa_inf,
+        rhs=rhs,
+        exact=spec.is_quadratic,
+        kappa_consistent=all(k >= 1.0 for k in kappa),
+        states=[{"m_norm": float(np.linalg.norm(st.m)), "log_sigma": st.log_sigma,
+                 "v_std": v, "kappa": k} for st, v, k in zip(states, v_std, kappa)],
     )

@@ -90,8 +90,9 @@ class ObjectiveSpec:
         if self.kind in ("quadratic_diag", "quadratic_perturbed"):
             if self.diag is None or len(self.diag) != self.dim:
                 raise ValueError("diagonal must have length dim")
-            if not np.all(np.asarray(self.diag) > 0):
-                raise ValueError("Hessian diagonal entries must be positive")
+            diag = np.asarray(self.diag)
+            if not np.all(np.isfinite(diag) & (diag > 0)):
+                raise ValueError("Hessian diagonal entries must be finite and positive")
             if self.kind == "quadratic_perturbed":
                 if float(np.min(self.diag)) - PERTURB_AMP <= 0:
                     raise ValueError(
@@ -151,8 +152,9 @@ class ObjectiveSpec:
 
     def _check_dim(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if x.shape[-1] != self.dim:
-            raise ValueError(f"point has dim {x.shape[-1]}, spec has dim {self.dim}")
+        if x.shape[-1:] != (self.dim,):
+            got = x.shape[-1] if x.ndim else 0
+            raise ValueError(f"point has dim {got}, spec has dim {self.dim}")
         return x
 
     def value(self, x) -> float:

@@ -34,8 +34,6 @@ __all__ = [
     "std_normal_quantile",
     "b_high",
     "b_low",
-    "b_high_at",
-    "b_low_at",
     "assumption_margin_rhs",
     "q_low_limit",
     "q_high_limit",
@@ -84,7 +82,7 @@ def std_normal_quantile(p):
 # -- step-size threshold functions -------------------------------------------
 
 
-def b_high_at(q: float, v_std: float, eps: float) -> float:
+def _b_high_at(q: float, v_std: float, eps: float) -> float:
     """Candidate value ``2 * quantile(1 - (q + v_std/eps^2)) / (1 + eps)``."""
     arg = 1.0 - (q + v_std / eps**2)
     if not 0.0 < arg < 1.0:
@@ -92,7 +90,7 @@ def b_high_at(q: float, v_std: float, eps: float) -> float:
     return 2.0 * _quantile(arg) / (1.0 + eps)
 
 
-def b_low_at(q: float, v_std: float, eps: float) -> float:
+def _b_low_at(q: float, v_std: float, eps: float) -> float:
     """Candidate value ``2 * quantile(1 - (q - v_std/eps^2)) / (1 - eps)``."""
     arg = 1.0 - (q - v_std / eps**2)
     if not 0.0 < arg < 1.0 or not eps < 1.0:
@@ -135,7 +133,7 @@ def _golden_max(fn, lo: float, hi: float):
 def b_high(q: float, v_std: float) -> float:
     """Largest normalized step size certified to keep success probability > q.
 
-    Maximises :func:`b_high_at` over its open ``eps`` domain, in ``log(eps)``;
+    Maximises :func:`_b_high_at` over its open ``eps`` domain, in ``log(eps)``;
     the candidates are unimodal there.  At ``v_std == 0`` the supremum is
     the cap ``2 * quantile(1 - q)``, returned exactly.  Bounded above by
     that cap for every ``v_std``.
@@ -155,13 +153,13 @@ def b_high(q: float, v_std: float) -> float:
     # Domain is open; inset the left endpoint.
     lo = math.log(eps0 * (1.0 + 1e-9))
     hi = math.log(max(1e3, 1e3 * eps0))
-    return _golden_max(lambda t: b_high_at(q, v_std, math.exp(t)), lo, hi)[1]
+    return _golden_max(lambda t: _b_high_at(q, v_std, math.exp(t)), lo, hi)[1]
 
 
 def b_low(q: float, v_std: float) -> float:
     """Smallest normalized step size certified to keep success probability < q.
 
-    Minimises :func:`b_low_at` over ``eps`` in ``(sqrt(v_std/q), 1)``.
+    Minimises :func:`_b_low_at` over ``eps`` in ``(sqrt(v_std/q), 1)``.
     Requires ``v_std < q < 1/2``; values beyond 1e6 (the ``v_std -> q``
     divergence) are reported as unsupported.  Bounded below by
     ``2 * quantile(1 - q)``.
@@ -176,7 +174,7 @@ def b_low(q: float, v_std: float) -> float:
         raise ValueError(f"need v_std < q (v_std={v_std}, q={q})")
     lo = math.sqrt(v_std / q) * (1.0 + 1e-9)
     hi = 1.0 - 1e-12
-    val = math.inf if lo >= hi else -_golden_max(lambda e: -b_low_at(q, v_std, e), lo, hi)[1]
+    val = math.inf if lo >= hi else -_golden_max(lambda e: -_b_low_at(q, v_std, e), lo, hi)[1]
     if val > _B_LOW_CAP:
         raise ValueError(f"b_low exceeds {_B_LOW_CAP:g}; treated as divergent")
     return val

@@ -123,7 +123,7 @@ def _assumption2(n: int, seed: int) -> dict:
     oracle_rhs = theory.assumption_margin_rhs(2.0)  # kappa is 2 on the sphere
     checks = []
     for dim, expected in ((1000, True), (2, False)):
-        report = analysis.check_assumption2(sphere(dim), n=n, seed=seed)
+        report = exact.check_assumption2(sphere(dim), n=n, seed=seed)
         side = "below" if expected else "above"
         for name, value, rhs in (("v_std_sup", report.v_std_sup, report.rhs),
                                  ("oracle_2_over_d", 2.0 / dim, oracle_rhs)):

@@ -75,7 +75,7 @@ def outputs() -> dict:
         suite, _, seed = SUITES[name]
         out[f"verify:{name}"] = suite(n, seed)
     out["check_assumption2:perturbed(30,2)"] = asdict(
-        analysis.check_assumption2(perturbed_family(30, 2), n=5000, seed=31))
+        exact.check_assumption2(perturbed_family(30, 2), n=5000, seed=31))
     out["q_extremes:perturbed(12,1)"] = asdict(
         exact.q_extremes(perturbed_family(12, 1), n=2000, seed=2))
     m = rng_stream(8, 3).standard_normal(8)

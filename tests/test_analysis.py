@@ -17,7 +17,6 @@ from esrate import analysis, exact, pool, theory
 from esrate.analysis import (
     _chunks,
     _Moments,
-    check_assumption2,
     check_lemma_suite,
     estimate_drift,
     estimate_log_progress,
@@ -25,7 +24,14 @@ from esrate.analysis import (
     estimate_success_prob,
 )
 from esrate.engine import EsParams, EsState, init_default, params_for_target, rng_stream, run
-from esrate.exact import q_extremes, quadratic_q_exact, regime_of, sigma_bar, state_at_sigma_bar
+from esrate.exact import (
+    check_assumption2,
+    q_extremes,
+    quadratic_q_exact,
+    regime_of,
+    sigma_bar,
+    state_at_sigma_bar,
+)
 from esrate.objectives import (
     PERTURB_AMP,
     PERTURB_FREQ,
@@ -520,6 +526,11 @@ def test_q_extremes_share_assumption2_scan():
     report = check_assumption2(spec, n=2_000, seed=2)
     assert ex.v_std_sup == report.v_std_sup == max(s["v_std"] for s in report.states)
     assert ex.kappa_inf == report.kappa_inf == min(s["kappa"] for s in report.states)
+
+
+def test_analysis_re_exports_check_assumption2():
+    # The benchmark's workloads still call it through esrate.analysis.
+    assert analysis.check_assumption2 is exact.check_assumption2
 
 
 def test_state_grid_spans_distances():
@@ -1103,6 +1114,11 @@ def _hostile_calls():
                                     "seed must be a non-negative integer, got 1.5"),
         "run_float_budget": (lambda: run(sphere(3), params, _state(np.ones(3), 1.0), 50.0),
                              "budget must be a positive integer, got 50.0"),
+        "value_scalar_point": (lambda: sphere(3).value(3.0), "point has dim 0, spec has dim 3"),
+        "gradient_norm_scalar_point": (lambda: sphere(3).gradient_norm(3.0),
+                                       "point has dim 0, spec has dim 3"),
+        "quadratic_diag_inf_entry": (lambda: quadratic_diag([math.inf, 1.0]),
+                                     "Hessian diagonal entries must be finite and positive"),
     }
 
 

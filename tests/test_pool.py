@@ -149,6 +149,6 @@ def test_monte_carlo_and_exact_calls_start_no_pool(threads, monkeypatch):
     monkeypatch.setattr(pool, "ProcessPoolExecutor", no_pool)
     spec, pert, seed = hessian_family("h1", 5, 1), perturbed_family(4, 1), 3
     assert len(analysis.check_lemma_suite(spec, _lemma_states(spec, seed), 1000, seed).checks) == 36
-    assert len(analysis.check_assumption2(pert, n=1000, seed=seed).states) == 32
+    assert len(exact.check_assumption2(pert, n=1000, seed=seed).states) == 32
     assert exact.q_extremes(pert, n=1000, seed=seed).e_q > 0.0
     assert len(verify.drift_report(dim=10, n=1000, seed=seed)["checks"]) == 9

@@ -17,11 +17,11 @@ from esrate.engine import EsParams, params_for_rule, params_for_target, p_target
 from esrate.objectives import sphere
 from esrate.theory import (
     QExtremes,
+    _b_high_at,
+    _b_low_at,
     assumption_margin_rhs,
     b_high,
-    b_high_at,
     b_low,
-    b_low_at,
     b_upper,
     build_constants,
     feasible_q_pair,
@@ -154,13 +154,13 @@ def test_optimality_certificates():
         got = b_high(q, v)
         eps0 = math.sqrt(2 * v / (1 - 2 * q))
         eps = np.exp(rng.uniform(math.log(eps0 * (1 + 1e-6)), math.log(1e3), 1000))
-        candidates = [b_high_at(q, v, e) for e in eps]
+        candidates = [_b_high_at(q, v, e) for e in eps]
         assert got + 1e-9 * (1 + got) >= max(candidates)
     for q, v in ((0.25, 0.01), (0.4, 0.05), (0.3, 0.002)):
         got = b_low(q, v)
         eps0 = math.sqrt(v / q)
         eps = rng.uniform(eps0 * (1 + 1e-6), 1 - 1e-9, 1000)
-        candidates = [b_low_at(q, v, e) for e in eps]
+        candidates = [_b_low_at(q, v, e) for e in eps]
         assert got <= min(candidates) + 1e-9 * (1 + got)
 
 
@@ -187,11 +187,11 @@ def test_thresholds_are_optima_and_crossings_are_sharp(q, log_frac, log_up, seed
     rng = np.random.default_rng(seed)
     got = b_high(q, v)
     eps0 = math.sqrt(2 * v / (1 - 2 * q))
-    best = _best_on_sample(lambda t: b_high_at(q, v, math.exp(t)), math.log(eps0),
+    best = _best_on_sample(lambda t: _b_high_at(q, v, math.exp(t)), math.log(eps0),
                            math.log(1e4 * max(1.0, eps0)), rng)
     assert got + 1e-9 * got >= best
     got = b_low(q, v)
-    best = -_best_on_sample(lambda e: -b_low_at(q, v, e), math.sqrt(v / q), 1.0, rng)
+    best = -_best_on_sample(lambda e: -_b_low_at(q, v, e), math.sqrt(v / q), 1.0, rng)
     assert got - 1e-9 * got <= best
 
     # Each crossing: the condition holds just below it and fails just above.
@@ -358,11 +358,11 @@ def test_q_floor_with_variance_matches_grid_oracle():
 
 
 def test_success_sandwich_ends_invert_the_thresholds():
-    # Phi(-b_high_at (1 + eps)/2) - v/eps^2 = q, and Phi(-b_low_at (1 - eps)/2) + v/eps^2 = q.
+    # Phi(-_b_high_at (1 + eps)/2) - v/eps^2 = q, and Phi(-_b_low_at (1 - eps)/2) + v/eps^2 = q.
     for q in (0.05, 0.2, 0.3, 0.45):
         for v in (0.0, 1e-4, 1e-3, 0.01):
             for eps in (0.1, 0.3, 0.5, 0.9):
-                low_at, high_at = b_high_at(q, v, eps), b_low_at(q, v, eps)
+                low_at, high_at = _b_high_at(q, v, eps), _b_low_at(q, v, eps)
                 if math.isfinite(low_at):
                     assert abs(theory._success_sandwich(low_at, v, eps)[0] - q) <= 1e-12
                 if math.isfinite(high_at):

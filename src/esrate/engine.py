@@ -25,15 +25,15 @@ Each chain evaluates candidates in batches of up to ``SPEC_ROWS`` rows.
 While steps reject, the incumbent stays put and ``log(sigma)`` only adds
 ``log(alpha_down)``, so the candidates of a whole rejection run are known
 from the drawn rows in advance; a batch is cut at its first acceptance.
-:func:`run_many` steps chains of one dimension and canonical kind in
-lockstep: each round stacks every live chain's batch into one evaluation,
-which pays numpy's per-call cost once for the group.  :func:`run` is its
-one-chain call.  :func:`run_all` runs any batch of chains: it cuts them
-into such groups (:func:`lockstep_plan`), fans the groups out over the
-process pool, reduces each trajectory in its worker and returns the
-results in chain order.  Every float is computed as a one-step-at-a-time
-loop computes it, so ``SPEC_ROWS``, ``SPEC_ELEMS``, the grouping and the
-worker count never enter the results.
+:func:`run_many` steps chains of one dimension in lockstep: each round
+stacks every live chain's batch into one evaluation, which pays numpy's
+per-call cost once for the group.  :func:`run` is its one-chain call.
+:func:`run_all` runs any batch of chains: it cuts them into such groups
+(:func:`lockstep_plan`), fans the groups out over the process pool,
+reduces each trajectory in its worker and returns the results in chain
+order.  Every float is computed as a one-step-at-a-time loop computes
+it, so ``SPEC_ROWS``, ``SPEC_ELEMS``, the grouping and the worker count
+never enter the results.
 
 Composite objectives are simulated in canonical coordinates: the chain
 tracks ``m - x_opt`` and compares pre-transform values, which is equivalent
@@ -131,8 +131,8 @@ def params_for_rule(rule: str, dim: int, c: float = 1.0) -> EsParams:
 
     ``alpha_down = alpha_up ** -0.25`` targets a success probability of 1/5.
     """
-    if not dim >= 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
+    if not (is_int(dim) and dim >= 1):
+        raise ValueError(f"dim must be a positive integer, got {dim!r}")
     if not (math.isfinite(c) and c > 0):  # else alpha_up <= 1 or a NaN alpha_down
         raise ValueError(f"c must be finite and > 0, got {c!r}")
     if rule == "const":
@@ -218,8 +218,8 @@ class Trajectory:
         state (the final state always included) and is recorded in a
         leading comment so readers can recover the stride.
         """
-        if thin < 1:
-            raise ValueError("thin must be >= 1")
+        if not (is_int(thin) and thin >= 1):
+            raise ValueError(f"thin must be a positive integer, got {thin!r}")
         idx = list(range(0, self.t_final + 1, thin))
         if idx[-1] != self.t_final:
             idx.append(self.t_final)
@@ -387,18 +387,17 @@ def _lockstep_width(dim: int) -> int:
 def lockstep_plan(chains: Sequence) -> list[list[int]]:
     """The pool tasks of :func:`run_all`: lists of indices into ``chains``.
 
-    Chains of one dimension and canonical kind form a group, in chain order.
-    Each group is cut in order into tasks of at most :func:`_lockstep_width`
-    chains and at most a worker's share of the group, its size over
-    :func:`esrate.pool.worker_count` rounded up, so every worker gets a task.
+    Chains of one dimension form a group, in chain order, whatever their
+    objectives.  Each group is cut in order into tasks of at most
+    :func:`_lockstep_width` chains and at most a worker's share of the group,
+    its size over :func:`esrate.pool.worker_count` rounded up, so every worker gets a task.
     The tasks come largest summed budget first, so the longest start first.
     """
-    groups: dict[tuple[int, str], list[int]] = {}
+    groups: dict[int, list[int]] = {}
     for i, chain in enumerate(chains):
-        spec = chain[0]
-        groups.setdefault((spec.dim, spec.canonical()[0].kind), []).append(i)
+        groups.setdefault(chain[0].dim, []).append(i)
     tasks = []
-    for (dim, _), members in groups.items():
+    for dim, members in groups.items():
         width = min(_lockstep_width(dim), -(-len(members) // worker_count()))
         tasks += [members[i : i + width] for i in range(0, len(members), width)]
     tasks.sort(key=lambda task: -sum(chains[i][3] for i in task))
@@ -433,9 +432,9 @@ def run_many(chains) -> Iterator[tuple[int, Trajectory]]:
     tuples, the arguments of :func:`run`, and each trajectory equals that
     call's bit for bit.  Every round gathers each live chain's candidates
     into one ``(chains, rows, dim)`` batch, evaluated by one call of
-    :func:`esrate.objectives.stack_evaluator`; so all canonical specs must
-    share ``kind`` and ``dim`` (else ``ValueError``).  Live chains keep the
-    leading rows of every array, so each gather is a basic slice.
+    :func:`esrate.objectives.stack_evaluator`; so all specs must share
+    ``dim`` (else ``ValueError``).  Live chains keep the leading rows of
+    every array, so each gather is a basic slice.
     """
     live = [_Chain(i, *chain) for i, chain in enumerate(chains)]
     evaluate = stack_evaluator([c.base for c in live])

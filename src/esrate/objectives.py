@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -93,12 +92,11 @@ class ObjectiveSpec:
             diag = np.asarray(self.diag)
             if not np.all(np.isfinite(diag) & (diag > 0)):
                 raise ValueError("Hessian diagonal entries must be finite and positive")
-            if self.kind == "quadratic_perturbed":
-                if float(np.min(self.diag)) - PERTURB_AMP <= 0:
-                    raise ValueError(
-                        "perturbation amplitude destroys strong convexity "
-                        "(min diagonal entry must exceed amp)"
-                    )
+            if self.strong_convexity <= 0:  # only the perturbation can make it so
+                raise ValueError(
+                    "perturbation amplitude destroys strong convexity "
+                    "(min diagonal entry must exceed amp)"
+                )
         elif self.kind == "composite":
             if self.base is None or self.x_opt is None:
                 raise ValueError("composite needs base and x_opt")
@@ -150,11 +148,12 @@ class ObjectiveSpec:
 
     # -- evaluation --------------------------------------------------------
 
-    def _check_dim(self, x: np.ndarray) -> np.ndarray:
+    def _check_dim(self, x: np.ndarray, axes: int = 1) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if x.shape[-1:] != (self.dim,):
+        if x.ndim != axes or x.shape[-1] != self.dim:
             got = x.shape[-1] if x.ndim else 0
-            raise ValueError(f"point has dim {got}, spec has dim {self.dim}")
+            raise ValueError(f"point has dim {got}, spec has dim {self.dim}: shape {x.shape}, "
+                             f"expected {'(n, dim)' if axes == 2 else '(dim,)'}")
         return x
 
     def value(self, x) -> float:
@@ -162,15 +161,16 @@ class ObjectiveSpec:
         x = self._check_dim(x)
         if self.kind == "composite":
             return float(TRANSFORMS[self.transform](self.base.value(x - self.x_opt)))
-        return float(_FORMULAS[self.kind](self.diag, x))
+        value = _values(self.diag, x)
+        return float(value if self.is_quadratic else value + _cos_term(x))
 
     def value_many(self, xs: np.ndarray) -> np.ndarray:
         """Objective values for a batch of points, shape ``(n, dim)``.
 
-        For the quadratic kinds row ``i`` equals ``value(xs[i])`` bit for
-        bit; they are a stack of one spec (:func:`stack_evaluator`).
+        For the plain kinds row ``i`` equals ``value(xs[i])`` bit for bit;
+        they are a stack of one spec (:func:`stack_evaluator`).
         """
-        xs = self._check_dim(xs)
+        xs = self._check_dim(xs, 2)
         if self.kind == "composite":
             return np.asarray(TRANSFORMS[self.transform](self.base.value_many(xs - self.x_opt)))
         return stack_evaluator([self])(xs[None])[0]
@@ -210,36 +210,36 @@ def _values(diag, xs, scratch=None):
     return 0.5 * np.vecdot(np.multiply(diag, xs, out=scratch), xs)
 
 
-def _perturbed_values(diag, xs, scratch=None):
-    """:func:`_values` plus the cosine term of ``quadratic_perturbed``, summed
-    along the last axis of ``xs``; ``scratch`` as for :func:`_values`."""
-    quad = _values(diag, xs, scratch)
-    cos = np.cos(np.multiply(PERTURB_FREQ, xs, out=scratch), out=scratch)
-    return quad + _PERTURB_COEF * np.add.reduce(np.subtract(1.0, cos, out=cos), axis=-1)
-
-
-#: Non-composite kind -> its formula of ``(diag, xs)``.
-_FORMULAS = {"quadratic_diag": _values, "quadratic_perturbed": _perturbed_values}
+def _cos_term(xs):
+    """What ``quadratic_perturbed`` adds to :func:`_values`, along the last axis of ``xs``."""
+    return _PERTURB_COEF * np.add.reduce(1.0 - np.cos(PERTURB_FREQ * xs), axis=-1)
 
 
 def stack_evaluator(specs):
-    """Evaluator of a stack of quadratic specs that share ``kind`` and ``dim``.
+    """Evaluator of a stack of plain specs of one ``dim``, in any mix of kinds.
 
-    The returned function maps ``xs`` of shape ``(len(specs), n, dim)``, and
-    an optional scratch array of that shape, to values of shape
-    ``(len(specs), n)``, with ``[i, j]`` equal to
+    The returned function maps ``xs`` of shape ``(len(specs), n, dim)`` to
+    values of shape ``(len(specs), n)``, with ``[i, j]`` equal to
     ``specs[i].value(xs[i, j])`` bit for bit: each spec's diagonal
-    broadcasts over its own rows.  Raises ``ValueError`` for an empty
-    stack, mixed kinds or dims, and composites.
+    broadcasts over its own rows, and the rows of ``quadratic_perturbed``
+    specs add their cosine term.  Raises ``ValueError`` for an empty
+    stack, mixed dims, and composites.
     """
-    kinds = {(s.kind, s.dim) for s in specs}
-    if len(kinds) != 1:
-        raise ValueError(f"a stack needs one kind and dim, got {sorted(kinds)}")
-    kind, _ = kinds.pop()
-    if kind == "composite":
-        raise ValueError("stack the canonical base specs of composites")
+    if len({s.dim for s in specs}) != 1 or any(s.kind == "composite" for s in specs):
+        raise ValueError("a stack needs plain specs of one dim (stack a composite's base), "
+                         f"got {sorted({(s.kind, s.dim) for s in specs})}")
     diag = np.stack([s.diag for s in specs])[:, None, :]
-    return partial(_FORMULAS[kind], diag)
+    perturbed = [i for i, s in enumerate(specs) if s.kind == "quadratic_perturbed"]
+    if len(perturbed) == len(specs):  # a view; a list would gather and scatter each round
+        perturbed = slice(None)
+
+    def evaluate(xs):
+        values = _values(diag, xs)
+        if perturbed:
+            values[perturbed] += _cos_term(xs[perturbed])
+        return values
+
+    return evaluate
 
 
 def quadratic_diag(diag, family: str | None = None, kappa: int | None = None) -> ObjectiveSpec:

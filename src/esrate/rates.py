@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import Trajectory
-from .objectives import ObjectiveSpec
+from .objectives import ObjectiveSpec, is_int
 
 __all__ = [
     "RateEstimate",
@@ -90,8 +90,8 @@ def estimate_cr(traj: Trajectory, window_frac: float = 0.1, series: str = "log_d
 
 def lower_rate_bound(dim: int) -> float:
     """Maximal admissible rate, ``1/d`` nats per iteration."""
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
+    if not (is_int(dim) and dim >= 1):
+        raise ValueError(f"dim must be a positive integer, got {dim!r}")
     return 1.0 / dim
 
 

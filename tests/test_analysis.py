@@ -1,4 +1,5 @@
 import math
+import os
 import re
 import resource
 import tracemalloc
@@ -23,7 +24,8 @@ from esrate.analysis import (
     estimate_q_stats,
     estimate_success_prob,
 )
-from esrate.engine import EsParams, EsState, init_default, params_for_target, rng_stream, run
+from esrate.engine import (EsParams, EsState, init_default, params_for_rule, params_for_target,
+                           rng_stream, run)
 from esrate.exact import (
     check_assumption2,
     q_extremes,
@@ -42,6 +44,7 @@ from esrate.objectives import (
     quadratic_diag,
     sphere,
 )
+from esrate.rates import lower_rate_bound
 from esrate.verify import drift_report, invariance_report
 
 RNG = np.random.default_rng(8)
@@ -1117,6 +1120,22 @@ def _hostile_calls():
         "value_scalar_point": (lambda: sphere(3).value(3.0), "point has dim 0, spec has dim 3"),
         "gradient_norm_scalar_point": (lambda: sphere(3).gradient_norm(3.0),
                                        "point has dim 0, spec has dim 3"),
+        "value_2d_point": (lambda: sphere(3).value(np.ones((2, 3))),
+                           "point has dim 3, spec has dim 3: shape (2, 3), expected (dim,)"),
+        "gradient_norm_2d_point": (lambda: sphere(3).gradient_norm(np.ones((2, 3))),
+                                   "shape (2, 3), expected (dim,)"),
+        "value_many_1d_points": (lambda: sphere(3).value_many(np.ones(3)),
+                                 "point has dim 3, spec has dim 3: shape (3,), expected (n, dim)"),
+        "params_for_rule_fractional_dim": (lambda: params_for_rule("sqrt", 2.5),
+                                           "dim must be a positive integer, got 2.5"),
+        "params_for_rule_bool_dim": (lambda: params_for_rule("const", True),
+                                     "dim must be a positive integer, got True"),
+        "lower_rate_bound_fractional_dim": (lambda: lower_rate_bound(2.5),
+                                            "dim must be a positive integer, got 2.5"),
+        "to_csv_float_thin": (lambda: run(sphere(3), params, _state(np.ones(3), 1.0), 5).to_csv(
+            os.devnull, thin=1.5), "thin must be a positive integer, got 1.5"),
+        "to_csv_str_thin": (lambda: run(sphere(3), params, _state(np.ones(3), 1.0), 5).to_csv(
+            os.devnull, thin="2"), "thin must be a positive integer, got '2'"),
         "quadratic_diag_inf_entry": (lambda: quadratic_diag([math.inf, 1.0]),
                                      "Hessian diagonal entries must be finite and positive"),
     }

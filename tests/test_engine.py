@@ -567,6 +567,13 @@ def test_run_many_matches_per_step_loop_in_a_mixed_group():
     # Candidates of norm ~1e160 overflow to inf and reject, until sigma falls.
     chains.append((hessian_family("h1", dim, 6), params,
                    EsState(np.full(dim, 1e140), math.log(1e160)), 400, 1e-100, 42))
+    # Perturbed chains and a perturbed composite share the group: only f differs.
+    for i, kappa in enumerate((0, 2, 6), start=43):
+        spec = perturbed_family(dim, kappa)
+        chains.append((spec, params_for_rule("sqrt", dim), init_default(spec, i),
+                       300 + 400 * (i - 43), 1e-12, i))
+    comp = make_composite(perturbed_family(dim, 1), "cube_shift", np.ones(dim))
+    chains.append((comp, params, init_default(comp, 46), 700, 1e-12, 46))
     got = _check_group_against_reference(chains)
     assert {t.stop_reason for t in got.values()} == {"budget", "f_floor"}
     assert max(t.t_final for t in got.values()) > 2 * (engine.SPEC_ELEMS // dim)
@@ -588,10 +595,9 @@ def test_run_many_matches_per_step_loop_on_perturbed_groups():
 
 def test_run_many_rejects_mixed_groups():
     params = params_for_rule("const", 3)
-    for specs in ((sphere(3), sphere(4)), (sphere(3), perturbed_family(3, 0))):
-        chains = [(spec, params, init_default(spec, 0), 10) for spec in specs]
-        with pytest.raises(ValueError, match="one kind and dim"):
-            next(run_many(chains))
+    chains = [(spec, params, init_default(spec, 0), 10) for spec in (sphere(3), sphere(4))]
+    with pytest.raises(ValueError, match="plain specs of one dim"):
+        next(run_many(chains))
 
 
 def test_run_many_memory_stays_bounded():
@@ -669,7 +675,7 @@ def test_run_all_returns_each_reduced_run_in_chain_order(draws):
 
 
 def test_run_all_reduces_in_the_workers(monkeypatch):
-    # Two groups on two workers: each trajectory is reduced where it ran, so
+    # Two tasks on two workers: each trajectory is reduced where it ran, so
     # no trajectory crosses the process boundary.
     monkeypatch.setattr(pool, "_usable_cpus", lambda: 2)
     monkeypatch.setenv("ES_RATE_THREADS", "2")
@@ -678,16 +684,16 @@ def test_run_all_reduces_in_the_workers(monkeypatch):
     assert os.getpid() not in engine.run_all(chains, _pid)
 
 
-def test_lockstep_plan_groups_by_dim_and_canonical_kind_largest_budget_first(monkeypatch):
+def test_lockstep_plan_groups_by_dim_largest_budget_first(monkeypatch):
     monkeypatch.setattr(pool, "_usable_cpus", lambda: 2)
-    # The composite of h3 joins the sphere's group: both are diagonal quadratics.
+    # The composite of h3 and the perturbed chain join the sphere's group: only dim counts.
     chains = _chains([("h1", 3, 0, None, 10, 1e-100, 0),
                       ("h3", 3, 2, "exp_minus_one", 10, 1e-100, 1),
                       ("perturbed", 3, 0, None, 50, 1e-100, 2),
                       ("h1", 4, 0, None, 5, 1e-100, 3)])
     monkeypatch.setenv("ES_RATE_THREADS", "1")
+    assert engine.lockstep_plan(chains) == [[0, 1, 2], [3]]
+    monkeypatch.setenv("ES_RATE_THREADS", "2")  # a worker's share of three is two chains
     assert engine.lockstep_plan(chains) == [[2], [0, 1], [3]]
-    monkeypatch.setenv("ES_RATE_THREADS", "2")  # a worker's share of a pair is one chain
-    assert engine.lockstep_plan(chains) == [[2], [0], [1], [3]]
     monkeypatch.setattr(engine, "SPEC_ELEMS", 1)
     assert engine.lockstep_plan(chains[:2]) == [[0], [1]]

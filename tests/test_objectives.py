@@ -115,11 +115,10 @@ def test_value_many_matches_value_per_row(kind, dim):
         xs = rng.standard_normal((k, dim)) * 10.0 ** rng.uniform(-3, 3, size=(k, 1))
         values = spec.value_many(xs)
         assert [float(v) for v in values] == [spec.value(x) for x in xs]
-    # A stack of mixed diagonals evaluates each spec on its own rows, bit for bit.
-    if kind == "perturbed":
-        specs = [perturbed_family(dim, kappa) for kappa in (0, 2, 6)]
-    else:
-        specs = [hessian_family(fam, dim, kappa) for fam in ("h1", "h2", "h3") for kappa in (0, 6)]
+    # A stack of mixed diagonals and kinds evaluates each spec on its own rows, bit for bit.
+    quads = [hessian_family(fam, dim, kappa) for fam in ("h1", "h2", "h3") for kappa in (0, 6)]
+    specs = [perturbed_family(dim, 0), *quads[:3], perturbed_family(dim, 2), *quads[3:],
+             perturbed_family(dim, 6)]
     for k in (1, 8):
         xs = rng.standard_normal((len(specs), k, dim)) * 10.0 ** rng.uniform(-3, 3, (1, k, 1))
         values = stack_evaluator(specs)(xs)
@@ -129,8 +128,8 @@ def test_value_many_matches_value_per_row(kind, dim):
 
 
 def test_stack_evaluator_rejects_mixed_stacks():
-    for specs in ([sphere(3), sphere(4)], [sphere(3), perturbed_family(3, 0)],
-                  [make_composite(sphere(3), "identity", np.zeros(3))], []):
+    for specs in ([sphere(3), sphere(4)], [make_composite(sphere(3), "identity", np.zeros(3))],
+                  []):
         with pytest.raises(ValueError):
             stack_evaluator(specs)
 
